@@ -11,8 +11,11 @@
 //! `{"correct": .., "attempted": .., "failed": .., "metrics": {..}}`.
 //! `--trace 0` prints the end-to-end metrics, `--trace 1` the per-layer
 //! ones. Each measured pass runs in a child process of its own, so its
-//! peak resident memory is its own.
+//! peak resident memory is its own, and times a fixed calibration around
+//! its fleet run, by which its host times are scaled to a reference host
+//! (see `calib.rs`).
 
+mod calib;
 mod json;
 mod metrics;
 mod replay;
@@ -212,10 +215,14 @@ fn child(args: &Args, kind: ChildKind) -> Result<(), String> {
         fleet.enable_profiler();
         fleet.enable_events();
     }
+    let mut calibration = calib::Calibration::new();
+    let before = calibration.run();
     let started = Instant::now();
     let report = fleet.run(&trace);
     let run_s = started.elapsed().as_secs_f64();
+    let after = calibration.run();
     let rss = peak_rss_mib()?;
+    println!("@calib_s {}", (before + after) / 2.0);
     println!("@arrivals {}", trace.arrivals());
     println!("@setup_s {}", stats::median(&setups).expect("set-ups ran"));
     println!("@run_s {run_s}");
@@ -489,6 +496,12 @@ impl Pass {
         self.num("arrivals").map_or(0, |v| v as u64)
     }
 
+    /// A host time of this pass in reference-host seconds: scaled by how
+    /// much slower than the reference host the calibration ran.
+    fn reference_s(&self, key: &str) -> Option<f64> {
+        Some(self.num(key)? * calib::REFERENCE_S / self.num("calib_s")?)
+    }
+
     fn ok(&self) -> bool {
         self.errors.is_empty()
     }
@@ -583,6 +596,12 @@ fn median_of(passes: &[&Pass], key: &str) -> Result<f64, String> {
     stats::median(&v).ok_or_else(|| format!("no pass reported {key}"))
 }
 
+/// Median over passes of a host time in reference-host seconds.
+fn median_reference_s(passes: &[&Pass], key: &str) -> Result<f64, String> {
+    let v: Vec<f64> = passes.iter().filter_map(|p| p.reference_s(key)).collect();
+    stats::median(&v).ok_or_else(|| format!("no pass reported {key} and calib_s"))
+}
+
 fn parent(args: &Args) -> Result<(), String> {
     let w = args.workload;
     println!(
@@ -640,10 +659,13 @@ fn parent(args: &Args) -> Result<(), String> {
             "traced pass"
         };
         println!(
-            "{kind} {}: run {:.3} s, set-up {:.4} s, peak RSS {:.1} MiB{}",
+            "{kind} {}: run {:.3} s ({:.3} s on the reference host), set-up {:.6} s, \
+             calibration {:.4} s, peak RSS {:.1} MiB{}",
             i + 1,
             p.num("run_s").unwrap_or(f64::NAN),
+            p.reference_s("run_s").unwrap_or(f64::NAN),
             p.num("setup_s").unwrap_or(f64::NAN),
+            p.num("calib_s").unwrap_or(f64::NAN),
             p.num("peak_rss_mib").unwrap_or(f64::NAN),
             if p.ok() {
                 String::new()
@@ -674,16 +696,18 @@ fn parent(args: &Args) -> Result<(), String> {
 
     let mut metrics: Vec<(&str, f64)> = Vec::new();
     if !args.trace {
-        let run_s = median_of(&untraced, "run_s")?;
+        let run_s = median_reference_s(&untraced, "run_s")?;
         metrics.push(("arrivals_per_s", arrivals / run_s));
-        metrics.push(("setup_s", median_of(&untraced, "setup_s")?));
+        metrics.push(("setup_s", median_reference_s(&untraced, "setup_s")?));
         metrics.push(("peak_rss_mib", median_of(&untraced, "peak_rss_mib")?));
         for key in SIM_KEYS {
             metrics.push((key, median_of(&untraced, key)?));
         }
     } else {
-        let untraced_s = median_of(&untraced, "run_s")?;
-        let traced_s = median_of(&traced, "run_s")?;
+        let untraced_s = median_reference_s(&untraced, "run_s")?;
+        let traced_s = median_reference_s(&traced, "run_s")?;
+        let both: Vec<&Pass> = untraced.iter().chain(&traced).copied().collect();
+        metrics.push(("host.calibration_s", median_of(&both, "calib_s")?));
         let mut phase_s = Vec::new();
         for phase in Phase::ALL {
             phase_s.push((

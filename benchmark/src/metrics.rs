@@ -49,6 +49,8 @@ pub const PER_LAYER: &[MetricDef] = &[
     m("fleet.profiler_overhead_ratio", "ratio"),
     m("trace.untraced_arrivals_per_s", "1/s"),
     m("trace.traced_arrivals_per_s", "1/s"),
+    // the host: the calibration's own time, raw (see calib.rs).
+    m("host.calibration_s", "s"),
     // service: spans around RuntimeService stepping calls.
     m("service.reserve_s", "s"),
     m("service.reserve_calls", "count"),
