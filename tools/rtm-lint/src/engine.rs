@@ -22,10 +22,16 @@ pub struct RunResult {
 /// - `target/`, `.git/`: build/VCS output;
 /// - `shims/`: vendored stand-ins for crates.io dependencies — excluded
 ///   exactly as the real external crates would be;
+/// - `benchmark/`: the standalone benchmark package, not a workspace
+///   member (it declares its own `[workspace]`) and measured by wall
+///   clock by design;
 /// - `tests/fixtures/`: rtm-lint's own seeded-violation fixtures.
 pub fn classify(rel: &str) -> Option<FileKind> {
     let comps: Vec<&str> = rel.split('/').collect();
-    if comps.contains(&"target") || comps.contains(&".git") || comps.first() == Some(&"shims") {
+    if comps.contains(&"target")
+        || comps.contains(&".git")
+        || matches!(comps.first(), Some(&"shims") | Some(&"benchmark"))
+    {
         return None;
     }
     if rel.contains("tests/fixtures/") {
@@ -123,6 +129,7 @@ mod tests {
         assert_eq!(classify("src/lib.rs"), Some(FileKind::Lib));
         assert_eq!(classify("tools/rtm-lint/src/lexer.rs"), Some(FileKind::Lib));
         assert_eq!(classify("shims/rand/src/lib.rs"), None);
+        assert_eq!(classify("benchmark/src/main.rs"), None);
         assert_eq!(classify("target/debug/build/x.rs"), None);
         assert_eq!(classify("tools/rtm-lint/tests/fixtures/x/src/lib.rs"), None);
         assert_eq!(classify("Cargo.toml"), None);
