@@ -22,6 +22,7 @@ use rtm_place::frag::FragMetrics;
 use rtm_place::TaskArena;
 use rtm_sim::design::{implement_reserved, PlacedDesign};
 use rtm_sim::place::CellLoc;
+use rtm_sim::route::RouteStats;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,6 +148,11 @@ pub struct PlanStats {
     pub summary_hits: u64,
     /// [`RunTimeManager::summary`] calls that had to recompute.
     pub summary_misses: u64,
+    /// Router path searches run by loads, readmits and relocations (one
+    /// per sink, successful or not; see [`RouteStats`]).
+    pub route_searches: u64,
+    /// Search-queue pops across those searches.
+    pub route_nodes_expanded: u64,
 }
 
 impl PlanStats {
@@ -162,6 +168,8 @@ impl PlanStats {
             plans_invalidated: self.plans_invalidated - base.plans_invalidated,
             summary_hits: self.summary_hits - base.summary_hits,
             summary_misses: self.summary_misses - base.summary_misses,
+            route_searches: self.route_searches - base.route_searches,
+            route_nodes_expanded: self.route_nodes_expanded - base.route_nodes_expanded,
         }
     }
 
@@ -174,6 +182,8 @@ impl PlanStats {
         self.plans_invalidated += other.plans_invalidated;
         self.summary_hits += other.summary_hits;
         self.summary_misses += other.summary_misses;
+        self.route_searches += other.route_searches;
+        self.route_nodes_expanded += other.route_nodes_expanded;
     }
 }
 
@@ -182,7 +192,8 @@ impl fmt::Display for PlanStats {
         write!(
             f,
             "{} make_room ({} previews), {} compactions, {} plans reused, \
-             {} invalidated, summary cache {}/{} hits",
+             {} invalidated, summary cache {}/{} hits, {} route searches \
+             ({} nodes expanded)",
             self.make_room_calls,
             self.previews,
             self.compaction_plans,
@@ -190,6 +201,8 @@ impl fmt::Display for PlanStats {
             self.plans_invalidated,
             self.summary_hits,
             self.summary_hits + self.summary_misses,
+            self.route_searches,
+            self.route_nodes_expanded,
         )
     }
 }
@@ -619,6 +632,14 @@ impl RunTimeManager {
         let mut s = self.stats.get();
         f(&mut s);
         self.stats.set(s);
+    }
+
+    /// Folds router work into the planning counters.
+    fn count_routing(&self, work: RouteStats) {
+        self.bump_stats(|s| {
+            s.route_searches += work.searches;
+            s.route_nodes_expanded += work.nodes_expanded;
+        });
     }
 
     /// The device (read-only).
@@ -1315,7 +1336,10 @@ impl RunTimeManager {
         // bridge nets. Pending reservations contribute nothing — they
         // own no nets yet.
         let reserved = self.foreign_nodes(None);
-        let placed = match implement_reserved(&mut self.dev, design, region, &reserved) {
+        let mut routed = RouteStats::default();
+        let implemented = implement_reserved(&mut self.dev, design, region, &reserved, &mut routed);
+        self.count_routing(routed);
+        let placed = match implemented {
             Ok(placed) => placed,
             Err(e) => {
                 // A failed implementation leaves partly configured
@@ -1456,6 +1480,7 @@ impl RunTimeManager {
                 detail: format!("function {id} tracked by the arena but not the table"),
             })?;
         f.placed.netdb.reserve(reserved);
+        let routed_before = f.placed.netdb.route_stats();
         let dr = to.origin.row as i32 - from.origin.row as i32;
         let dc = to.origin.col as i32 - from.origin.col as i32;
 
@@ -1499,12 +1524,16 @@ impl RunTimeManager {
                 Ok(report) => reports.push(report),
                 Err(e) => {
                     f.placed.netdb.clear_reservations();
+                    let routed = f.placed.netdb.route_stats().delta_since(routed_before);
+                    self.count_routing(routed);
                     return Err(e);
                 }
             }
         }
         f.placed.netdb.clear_reservations();
         f.region = to;
+        let routed = f.placed.netdb.route_stats().delta_since(routed_before);
+        self.count_routing(routed);
         Ok(reports)
     }
 
@@ -1556,6 +1585,7 @@ impl RunTimeManager {
             .get_mut(&id)
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
         f.placed.netdb.reserve(reserved);
+        let routed_before = f.placed.netdb.route_stats();
         let result = relocate_cell(
             &mut self.dev,
             &mut f.placed,
@@ -1565,6 +1595,8 @@ impl RunTimeManager {
             &mut observer,
         );
         f.placed.netdb.clear_reservations();
+        let routed = f.placed.netdb.route_stats().delta_since(routed_before);
+        self.count_routing(routed);
         let report = result?;
         self.checkpoint();
         Ok(report)
@@ -1706,6 +1738,30 @@ mod tests {
         }
         // The old region is fully clean.
         assert!(mgr.device().used_in(from).is_empty());
+    }
+
+    #[test]
+    fn loads_and_relocations_count_route_work() {
+        let mut mgr = RunTimeManager::new(Part::Xcv200);
+        let d = small_design(2);
+        let r = mgr.load(&d, 8, 8, |_, _, _| {}).unwrap();
+        let loaded = mgr.plan_stats();
+        let f = mgr.function(r.id).unwrap();
+        assert_eq!(loaded.route_searches, f.placed.netdb.route_stats().searches);
+        assert_eq!(
+            loaded.route_nodes_expanded,
+            f.placed.netdb.route_stats().nodes_expanded
+        );
+        assert!(loaded.route_searches > 0);
+        let to = Rect::new(ClbCoord::new(18, 20), r.region.rows, r.region.cols);
+        mgr.relocate_function(r.id, to, |_, _, _| {}).unwrap();
+        let moved = mgr.plan_stats().delta_since(loaded);
+        assert!(moved.route_searches > 0, "relocation re-routes nets");
+        assert!(moved.route_nodes_expanded >= moved.route_searches);
+        // Unloading tears nets down without searching.
+        let before_unload = mgr.plan_stats();
+        mgr.unload(r.id).unwrap();
+        assert_eq!(mgr.plan_stats(), before_unload);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::error::SimError;
 use crate::place::{place, CellLoc, Placement};
-use crate::route::{NetDb, NetId};
+use crate::route::{NetDb, NetId, RouteStats};
 use rtm_fpga::cell::LogicCell;
 use rtm_fpga::geom::Rect;
 use rtm_fpga::lut::Lut;
@@ -131,12 +131,13 @@ pub fn implement(
     design: &MappedNetlist,
     region: Rect,
 ) -> Result<PlacedDesign, SimError> {
-    implement_reserved(dev, design, region, &[])
+    implement_reserved(dev, design, region, &[], &mut RouteStats::default())
 }
 
 /// Like [`implement`], but with routing nodes used by *other* designs on
 /// the same device marked unusable (see `NetDb::reserve`). Required
-/// whenever several designs share the device.
+/// whenever several designs share the device. The router's work is
+/// added to `route_stats` whether or not the implementation succeeds.
 ///
 /// # Errors
 ///
@@ -146,6 +147,7 @@ pub fn implement_reserved(
     design: &MappedNetlist,
     region: Rect,
     reserved: &[rtm_fpga::routing::RouteNode],
+    route_stats: &mut RouteStats,
 ) -> Result<PlacedDesign, SimError> {
     let placement = place(design, region, dev.bounds())?;
 
@@ -194,26 +196,18 @@ pub fn implement_reserved(
         add_sink(src, PlacedDesign::in_node(placement.tap_locs[i], 0));
     }
 
-    // Route, feeds first (their fan-out tends to be widest).
     let mut netdb = NetDb::new();
     netdb.reserve(reserved.iter().copied());
-    let mut feed_nets = vec![None; n_inputs];
-    for (i, sinks) in feed_sinks.iter().enumerate() {
-        if sinks.is_empty() {
-            continue;
-        }
-        let source = PlacedDesign::out_node(placement.feed_locs[i]);
-        feed_nets[i] = Some(netdb.route_net(dev, source, sinks, Some(region))?);
-    }
-    let mut cell_nets = vec![None; n_cells];
-    for (i, sinks) in cell_sinks.iter().enumerate() {
-        if sinks.is_empty() {
-            continue;
-        }
-        let source = PlacedDesign::out_node(placement.cell_locs[i]);
-        cell_nets[i] = Some(netdb.route_net(dev, source, sinks, Some(region))?);
-    }
-
+    let routed = route_nets(
+        dev,
+        &mut netdb,
+        &placement,
+        &feed_sinks,
+        &cell_sinks,
+        region,
+    );
+    route_stats.merge(netdb.route_stats());
+    let (feed_nets, cell_nets) = routed?;
     netdb.clear_reservations();
     Ok(PlacedDesign {
         design: design.clone(),
@@ -222,6 +216,38 @@ pub fn implement_reserved(
         cell_nets,
         feed_nets,
     })
+}
+
+/// The net driven by each producer (`None` for producers without sinks).
+type NetIds = Vec<Option<NetId>>;
+
+/// Routes every producer's net inside `region`, feeds first (their
+/// fan-out tends to be widest). Returns the feed and cell net ids.
+fn route_nets(
+    dev: &mut Device,
+    netdb: &mut NetDb,
+    placement: &Placement,
+    feed_sinks: &[Vec<RouteNode>],
+    cell_sinks: &[Vec<RouteNode>],
+    region: Rect,
+) -> Result<(NetIds, NetIds), SimError> {
+    let mut feed_nets = vec![None; feed_sinks.len()];
+    for (i, sinks) in feed_sinks.iter().enumerate() {
+        if sinks.is_empty() {
+            continue;
+        }
+        let source = PlacedDesign::out_node(placement.feed_locs[i]);
+        feed_nets[i] = Some(netdb.route_net(dev, source, sinks, Some(region))?);
+    }
+    let mut cell_nets = vec![None; cell_sinks.len()];
+    for (i, sinks) in cell_sinks.iter().enumerate() {
+        if sinks.is_empty() {
+            continue;
+        }
+        let source = PlacedDesign::out_node(placement.cell_locs[i]);
+        cell_nets[i] = Some(netdb.route_net(dev, source, sinks, Some(region))?);
+    }
+    Ok((feed_nets, cell_nets))
 }
 
 #[cfg(test)]

@@ -127,6 +127,34 @@ pub fn path_delay_ps(path: &[RouteNode]) -> u64 {
     total
 }
 
+/// Deterministic work counters of the router: how many path searches a
+/// [`NetDb`] ran and how many nodes they expanded. Machine-independent,
+/// so a change to routing work shows up as an exact diff even when wall
+/// time is noise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RouteStats {
+    /// Path searches run: one per sink routed, successful or not.
+    pub searches: u64,
+    /// Search-queue pops across those searches.
+    pub nodes_expanded: u64,
+}
+
+impl RouteStats {
+    /// The counter movement since `base` (field-wise difference).
+    pub fn delta_since(self, base: RouteStats) -> RouteStats {
+        RouteStats {
+            searches: self.searches - base.searches,
+            nodes_expanded: self.nodes_expanded - base.nodes_expanded,
+        }
+    }
+
+    /// Field-wise accumulation.
+    pub fn merge(&mut self, other: RouteStats) {
+        self.searches += other.searches;
+        self.nodes_expanded += other.nodes_expanded;
+    }
+}
+
 /// Sentinel net id marking nodes reserved by *foreign* net databases
 /// (other designs sharing the device). Reserved nodes are unusable for
 /// routing but carry no local net.
@@ -137,6 +165,7 @@ pub const RESERVED: NetId = usize::MAX;
 pub struct NetDb {
     nets: Vec<Option<RoutedNet>>,
     occupancy: HashMap<RouteNode, Vec<NetId>>,
+    stats: RouteStats,
 }
 
 impl NetDb {
@@ -189,6 +218,11 @@ impl NetDb {
             .iter()
             .enumerate()
             .filter_map(|(i, n)| n.as_ref().map(|n| (i, n)))
+    }
+
+    /// Lifetime search counters of this database (see [`RouteStats`]).
+    pub fn route_stats(&self) -> RouteStats {
+        self.stats
     }
 
     /// The nets using `node` (pass-through owner first).
@@ -356,9 +390,10 @@ impl NetDb {
         remove_occupant(&mut self.occupancy, net.source, id);
     }
 
-    /// Breadth-first search from the net's current nodes to `sink`.
+    /// Breadth-first search from the net's current nodes to `sink`,
+    /// counted in [`NetDb::route_stats`].
     fn find_path(
-        &self,
+        &mut self,
         dev: &Device,
         net: &RoutedNet,
         id: NetId,
@@ -371,6 +406,24 @@ impl NetDb {
         if net.node_refs.contains_key(&sink) {
             return Err(SimError::SinkOccupied { pin: sink });
         }
+        let mut pops = 0;
+        let result = self.bfs(dev, net, id, sink, within, &mut pops);
+        self.stats.searches += 1;
+        self.stats.nodes_expanded += pops;
+        result
+    }
+
+    /// The search behind [`NetDb::find_path`]; `pops` counts expanded
+    /// nodes.
+    fn bfs(
+        &self,
+        dev: &Device,
+        net: &RoutedNet,
+        id: NetId,
+        sink: RouteNode,
+        within: Option<Rect>,
+        pops: &mut u64,
+    ) -> Result<Vec<RouteNode>, SimError> {
         let usable = |node: RouteNode| -> bool {
             if let Some(r) = within {
                 if !r.contains(node.tile) {
@@ -388,6 +441,7 @@ impl NetDb {
         }
         let (rows, cols) = (dev.rows(), dev.cols());
         while let Some(node) = queue.pop_front() {
+            *pops += 1;
             let push = |next: RouteNode, parent_map: &mut HashMap<_, _>, q: &mut VecDeque<_>| {
                 if parent_map.contains_key(&next) {
                     return false;
@@ -740,6 +794,24 @@ mod tests {
         assert_eq!(db.net_with_source(source), Some(id));
         assert_eq!(db.net_with_sink(pin(9, 9, 0, 0)), None);
         assert_eq!(db.net_with_source(out(9, 9, 0)), None);
+    }
+
+    #[test]
+    fn route_stats_count_every_search() {
+        let mut d = dev();
+        let mut db = NetDb::new();
+        let sinks = [pin(2, 6, 0, 2), pin(4, 6, 0, 2)];
+        db.route_net(&mut d, out(2, 2, 0), &sinks, None).unwrap();
+        let routed = db.route_stats();
+        assert_eq!(routed.searches, 2);
+        assert!(routed.nodes_expanded > 0);
+        // A failed search is work too.
+        let region = Rect::new(ClbCoord::new(0, 0), 1, 1);
+        db.route_net(&mut d, out(0, 0, 0), &[pin(5, 5, 0, 0)], Some(region))
+            .unwrap_err();
+        let failed = db.route_stats().delta_since(routed);
+        assert_eq!(failed.searches, 1);
+        assert!(failed.nodes_expanded > 0);
     }
 
     #[test]

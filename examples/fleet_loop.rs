@@ -122,7 +122,8 @@ fn json_block(
          \"parked_expired\": {}, \"parked_at_end\": {}, \
          \"make_room_calls\": {}, \"previews\": {}, \"compaction_plans\": {}, \
          \"plans_reused\": {}, \"plans_invalidated\": {}, \
-         \"summary_hits\": {}, \"summary_misses\": {}}}",
+         \"summary_hits\": {}, \"summary_misses\": {}, \
+         \"route_searches\": {}, \"route_nodes_expanded\": {}}}",
         report.trace_name,
         devices,
         engine.name(),
@@ -168,6 +169,8 @@ fn json_block(
         s.plans_invalidated,
         s.summary_hits,
         s.summary_misses,
+        s.route_searches,
+        s.route_nodes_expanded,
     );
     out
 }
