@@ -7,32 +7,75 @@
 //! source* nets (paralleling outputs, Fig. 2 phase 2 / Fig. 5), and
 //! retires sinks or whole nets (disconnecting the original CLB), all while
 //! other nets keep their resources.
+//!
+//! The search is dense: it runs over a *window* (the `within` region, or
+//! the whole device), numbers every window node by a packed
+//! `(row, column, wire)` id, and keeps visited/parent state in one flat
+//! slot vector. It visits nodes in exactly the order of a plain FIFO
+//! search seeded with the net's nodes, so every path it returns is the
+//! one that search would return.
 
 use crate::error::SimError;
-use rtm_fpga::geom::Rect;
+use rtm_fpga::geom::{ClbCoord, Rect};
 use rtm_fpga::routing::{
-    fixed_link, pip_exists, Pip, RouteNode, Wire, HEX_DELAY_PS, PIP_DELAY_PS, SINGLE_DELAY_PS,
-    WIRE_COUNT,
+    fixed_link, pip_exists, Pip, RouteNode, Wire, HEX_DELAY_PS, HEX_SPAN, PIP_DELAY_PS,
+    SINGLE_DELAY_PS, WIRE_COUNT,
 };
 use rtm_fpga::Device;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 
 /// Identifier of a routed net within a [`NetDb`].
 pub type NetId = usize;
 
-/// Static per-wire adjacency: the destination wires reachable by one PIP.
-fn pip_fanout(wire: Wire) -> &'static [Wire] {
-    static TABLE: OnceLock<Vec<Vec<Wire>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        (0..WIRE_COUNT)
-            .map(|i| {
-                let from = Wire::from_index(i);
-                Wire::all().filter(|to| pip_exists(from, *to)).collect()
-            })
-            .collect()
-    });
-    &table[wire.index()]
+/// Low bits of a packed node id that hold the wire index.
+const WIRE_BITS: u32 = 7;
+const WIRE_MASK: u32 = (1 << WIRE_BITS) - 1;
+const _: () = assert!(WIRE_COUNT <= 1 << WIRE_BITS);
+
+/// The per-wire structure of the routing graph, the same in every tile:
+/// the wires one PIP reaches and where the wire's fixed link lands, by
+/// wire index. Built once.
+struct WireTables {
+    /// `fanout[start[w]..start[w + 1]]` are the wires PIPs drive from
+    /// wire `w`, in wire-index order (the order the search tries them).
+    start: [u16; WIRE_COUNT + 1],
+    fanout: Vec<u8>,
+    /// The fixed link of wire `w`: row step, column step and the wire it
+    /// arrives on.
+    link: [Option<(i8, i8, u8)>; WIRE_COUNT],
+}
+
+impl WireTables {
+    fn get() -> &'static WireTables {
+        static TABLES: OnceLock<WireTables> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            // A tile far enough from every edge that each link lands.
+            let span = HEX_SPAN;
+            let mid = ClbCoord::new(span, span);
+            let mut start = [0; WIRE_COUNT + 1];
+            let mut fanout = Vec::new();
+            let mut link = [None; WIRE_COUNT];
+            for (i, from) in Wire::all().enumerate() {
+                let reached = Wire::all().filter(|to| pip_exists(from, *to));
+                fanout.extend(reached.map(|to| to.index() as u8));
+                start[i + 1] = fanout.len() as u16;
+                link[i] = fixed_link(mid, from, 2 * span + 1, 2 * span + 1).map(|n| {
+                    let step = |at: u16| at as i8 - span as i8;
+                    (step(n.tile.row), step(n.tile.col), n.wire.index() as u8)
+                });
+            }
+            WireTables {
+                start,
+                fanout,
+                link,
+            }
+        })
+    }
+
+    fn fanout(&self, wire: usize) -> &[u8] {
+        &self.fanout[self.start[wire] as usize..self.start[wire + 1] as usize]
+    }
 }
 
 /// One routed net: a source, and one **full** node path (source → sink)
@@ -246,16 +289,17 @@ impl NetDb {
         let id = self.nets.len();
         let mut net = RoutedNet::new(source);
         self.occupancy.entry(source).or_default().push(id);
-        let mut added: Vec<(Vec<RouteNode>, RouteNode)> = Vec::new();
+        let mut search = self.search(dev, id, within);
+        let mut added: Vec<RouteNode> = Vec::new();
         for sink in sinks {
-            match self.find_path(dev, &net, id, *sink, within) {
+            match self.find_path(&mut search, &net, *sink) {
                 Ok(path) => {
-                    self.commit_path(dev, &mut net, id, *sink, path.clone());
-                    added.push((path, *sink));
+                    self.commit_path(dev, &mut net, id, *sink, path);
+                    added.push(*sink);
                 }
                 Err(e) => {
                     // Roll back everything committed for this net.
-                    for (_, s) in added.iter().rev() {
+                    for s in added.iter().rev() {
                         Self::retract_path(dev, &mut net, &mut self.occupancy, id, *s);
                     }
                     remove_occupant(&mut self.occupancy, source, id);
@@ -285,8 +329,8 @@ impl NetDb {
         within: Option<Rect>,
     ) -> Result<(), SimError> {
         let mut net = self.nets[id].take().expect("live net");
-        let result = self.find_path(dev, &net, id, sink, within);
-        match result {
+        let mut search = self.search(dev, id, within);
+        match self.find_path(&mut search, &net, sink) {
             Ok(path) => {
                 self.commit_path(dev, &mut net, id, sink, path);
                 self.nets[id] = Some(net);
@@ -340,25 +384,27 @@ impl NetDb {
         for (node, count) in from_net.node_refs {
             // The shared source is counted once in each net; collapse.
             *into_net.node_refs.entry(node).or_insert(0) += count;
+            // A node lists `from` exactly when `from` holds a refcount on
+            // it, so relabelling these nodes relabels every occurrence.
+            if let Some(users) = self.occupancy.get_mut(&node) {
+                for u in users.iter_mut() {
+                    if *u == from {
+                        *u = into;
+                    }
+                }
+                let mut seen = Vec::new();
+                users.retain(|u| {
+                    if seen.contains(u) {
+                        false
+                    } else {
+                        seen.push(*u);
+                        true
+                    }
+                });
+            }
         }
         for (pip, count) in from_net.pip_refs {
             *into_net.pip_refs.entry(pip).or_insert(0) += count;
-        }
-        for users in self.occupancy.values_mut() {
-            for u in users.iter_mut() {
-                if *u == from {
-                    *u = into;
-                }
-            }
-            let mut seen = Vec::new();
-            users.retain(|u| {
-                if seen.contains(u) {
-                    false
-                } else {
-                    seen.push(*u);
-                    true
-                }
-            });
         }
     }
 
@@ -390,15 +436,40 @@ impl NetDb {
         remove_occupant(&mut self.occupancy, net.source, id);
     }
 
+    /// Starts the search state of one `route_net`/`extend_net` call for
+    /// net `id`: the window of `within`, with every window node that
+    /// another net or a reservation uses marked blocked.
+    fn search(&self, dev: &Device, id: NetId, within: Option<Rect>) -> Search {
+        let window = Window::new(dev, within);
+        debug_assert!(
+            window.len() <= OUTSIDE as usize,
+            "packed ids stay below OUTSIDE"
+        );
+        let mut slots = vec![FREE; window.len()];
+        // Iteration order only decides the order slots are marked.
+        for (node, users) in &self.occupancy {
+            if !users.is_empty() && users.as_slice() != [id] {
+                if let Some(at) = window.id(*node) {
+                    slots[at as usize] = BLOCKED;
+                }
+            }
+        }
+        Search {
+            window,
+            tables: WireTables::get(),
+            slots,
+            queue: Vec::new(),
+            outside: Vec::new(),
+        }
+    }
+
     /// Breadth-first search from the net's current nodes to `sink`,
     /// counted in [`NetDb::route_stats`].
     fn find_path(
         &mut self,
-        dev: &Device,
+        search: &mut Search,
         net: &RoutedNet,
-        id: NetId,
         sink: RouteNode,
-        within: Option<Rect>,
     ) -> Result<Vec<RouteNode>, SimError> {
         // The sink pin itself may be shared (paralleled outputs drive a
         // pin that already belongs to another net), but must not already
@@ -406,95 +477,19 @@ impl NetDb {
         if net.node_refs.contains_key(&sink) {
             return Err(SimError::SinkOccupied { pin: sink });
         }
-        let mut pops = 0;
-        let result = self.bfs(dev, net, id, sink, within, &mut pops);
+        let (branch, pops) = search.run(net, sink);
         self.stats.searches += 1;
         self.stats.nodes_expanded += pops;
-        result
-    }
-
-    /// The search behind [`NetDb::find_path`]; `pops` counts expanded
-    /// nodes.
-    fn bfs(
-        &self,
-        dev: &Device,
-        net: &RoutedNet,
-        id: NetId,
-        sink: RouteNode,
-        within: Option<Rect>,
-        pops: &mut u64,
-    ) -> Result<Vec<RouteNode>, SimError> {
-        let usable = |node: RouteNode| -> bool {
-            if let Some(r) = within {
-                if !r.contains(node.tile) {
-                    return false;
-                }
-            }
-            let users = self.users_of(node);
-            users.is_empty() || users == [id]
-        };
-        let mut parent: HashMap<RouteNode, RouteNode> = HashMap::new();
-        let mut queue: VecDeque<RouteNode> = VecDeque::new();
-        for n in net.nodes() {
-            parent.insert(n, n);
-            queue.push_back(n);
-        }
-        let (rows, cols) = (dev.rows(), dev.cols());
-        while let Some(node) = queue.pop_front() {
-            *pops += 1;
-            let push = |next: RouteNode, parent_map: &mut HashMap<_, _>, q: &mut VecDeque<_>| {
-                if parent_map.contains_key(&next) {
-                    return false;
-                }
-                if next == sink {
-                    parent_map.insert(next, node);
-                    return true;
-                }
-                if usable(next) {
-                    parent_map.insert(next, node);
-                    q.push_back(next);
-                }
-                false
-            };
-            // PIP hops within the tile.
-            let mut found = false;
-            for to in pip_fanout(node.wire) {
-                let next = RouteNode::new(node.tile, *to);
-                if push(next, &mut parent, &mut queue) {
-                    found = true;
-                    break;
-                }
-            }
-            if !found {
-                // Fixed segment link.
-                if let Some(next) = fixed_link(node.tile, node.wire, rows, cols) {
-                    found = push(next, &mut parent, &mut queue);
-                }
-            }
-            if found {
-                // Reconstruct the branch (sink back to the net node it
-                // grew from), then prepend the source → branch-point
-                // chain so the stored path is a full source → sink chain.
-                let mut branch = vec![sink];
-                let mut cur = sink;
-                loop {
-                    let p = parent[&cur];
-                    if p == cur {
-                        break;
-                    }
-                    branch.push(p);
-                    cur = p;
-                }
-                branch.reverse();
-                let mut path = net.chain_to(branch[0]);
-                path.extend_from_slice(&branch[1..]);
-                return Ok(path);
-            }
-        }
-        Err(SimError::Unroutable {
+        let branch = branch.ok_or(SimError::Unroutable {
             from: net.source,
             to: sink,
-        })
+        })?;
+        // The branch runs from the net node it grew from to the sink;
+        // prepend the source → branch-point chain so the stored path is
+        // a full source → sink chain.
+        let mut path = net.chain_to(branch[0]);
+        path.extend_from_slice(&branch[1..]);
+        Ok(path)
     }
 
     /// Activates a found path: PIPs on the device, refcounts, occupancy.
@@ -559,6 +554,267 @@ impl NetDb {
     }
 }
 
+/// The tiles one search may route through: the `within` region clipped
+/// to the device, or the whole device. A node inside has the packed id
+/// `(row << col_bits | col) << WIRE_BITS | wire`, with row and column
+/// relative to the window origin; the id doubles as its slot index.
+struct Window {
+    rect: Rect,
+    col_bits: u32,
+    dev_rows: u16,
+    dev_cols: u16,
+}
+
+impl Window {
+    fn new(dev: &Device, within: Option<Rect>) -> Window {
+        let device = dev.bounds();
+        let rect = match within {
+            None => device,
+            Some(r) => r.intersection(&device).unwrap_or_default(),
+        };
+        Window {
+            rect,
+            col_bits: u32::from(rect.cols).next_power_of_two().trailing_zeros(),
+            dev_rows: dev.rows(),
+            dev_cols: dev.cols(),
+        }
+    }
+
+    /// Slots needed to index every packed id.
+    fn len(&self) -> usize {
+        usize::from(self.rect.rows) << (self.col_bits + WIRE_BITS)
+    }
+
+    /// The packed id of `wire` at window-relative `(row, col)`, if that
+    /// tile is inside the window.
+    fn pack(&self, row: i32, col: i32, wire: u32) -> Option<u32> {
+        let inside =
+            (row as u32) < u32::from(self.rect.rows) && (col as u32) < u32::from(self.rect.cols);
+        inside.then(|| ((row as u32) << self.col_bits | col as u32) << WIRE_BITS | wire)
+    }
+
+    /// Window-relative row and column of `tile`.
+    fn relative(&self, tile: ClbCoord) -> (i32, i32) {
+        (
+            i32::from(tile.row) - i32::from(self.rect.origin.row),
+            i32::from(tile.col) - i32::from(self.rect.origin.col),
+        )
+    }
+
+    /// The packed id of `node`, if it is inside the window.
+    fn id(&self, node: RouteNode) -> Option<u32> {
+        let (row, col) = self.relative(node.tile);
+        self.pack(row, col, node.wire.index() as u32)
+    }
+
+    /// Window-relative row and column of packed id `id`.
+    fn tile_of(&self, id: u32) -> (i32, i32) {
+        let tile = id >> WIRE_BITS;
+        let col_mask = (1 << self.col_bits) - 1;
+        ((tile >> self.col_bits) as i32, (tile & col_mask) as i32)
+    }
+
+    /// The node behind packed id `id`.
+    fn node(&self, id: u32) -> RouteNode {
+        let (row, col) = self.tile_of(id);
+        let tile = ClbCoord::new(
+            self.rect.origin.row + row as u16,
+            self.rect.origin.col + col as u16,
+        );
+        RouteNode::new(tile, Wire::from_index((id & WIRE_MASK) as usize))
+    }
+}
+
+/// A slot not yet visited whose node is free to use.
+const FREE: u32 = u32::MAX;
+/// A slot whose node another net or a reservation uses.
+const BLOCKED: u32 = u32::MAX - 1;
+/// A slot whose node is one of the net's own (a search start).
+const ROOT: u32 = u32::MAX - 2;
+/// Parent references from here up (below [`ROOT`]) name start nodes
+/// outside the window: `OUTSIDE + k` is `Search::outside[k]`. Every
+/// packed id is below it.
+const OUTSIDE: u32 = 1 << 31;
+
+/// The sink of one search: its packed id (or [`FREE`], which no node
+/// has, when it is outside the window), and its window-relative position
+/// when it is on the device but outside the window.
+struct Target {
+    node: RouteNode,
+    id: u32,
+    beyond: Option<(i32, i32, u32)>,
+}
+
+/// Dense breadth-first search state of one `route_net`/`extend_net`
+/// call. It is built when the call starts, reused across the call's
+/// sinks, and dropped when the call returns; no search memory outlives
+/// the call.
+struct Search {
+    window: Window,
+    tables: &'static WireTables,
+    /// Per window node: [`FREE`], [`BLOCKED`], [`ROOT`], or the parent
+    /// reference of a visited node (its parent's packed id, or
+    /// `OUTSIDE + k`).
+    slots: Vec<u32>,
+    /// FIFO of discovered nodes by packed id.
+    queue: Vec<u32>,
+    /// The current search's start nodes outside the window.
+    outside: Vec<RouteNode>,
+}
+
+impl Search {
+    /// Searches from `net`'s nodes to `sink`. Returns the branch from
+    /// the net node it grew from to the sink (if reached) and the number
+    /// of nodes expanded.
+    ///
+    /// The visiting order is that of a FIFO seeded with `net.nodes()`:
+    /// every start node is marked visited before any is expanded, each
+    /// node tries its PIP fanout in wire-index order and then its fixed
+    /// link, and each candidate is checked for visited, then for being
+    /// the sink, then for being usable. A candidate outside the window
+    /// is never usable, and the only visited nodes outside it are start
+    /// nodes, which are never the sink; so outside the window a
+    /// candidate ends the search exactly when it is the sink.
+    ///
+    /// Between the searches of one call the net only grows, so start
+    /// nodes stay [`ROOT`] and only the queued nodes are reset. The
+    /// blocked marks stay valid too: the nodes a committed path newly
+    /// occupies all become start nodes.
+    fn run(&mut self, net: &RoutedNet, sink: RouteNode) -> (Option<Vec<RouteNode>>, u64) {
+        let id = self.window.id(sink);
+        let on_device =
+            sink.tile.row < self.window.dev_rows && sink.tile.col < self.window.dev_cols;
+        let target = Target {
+            node: sink,
+            id: id.unwrap_or(FREE),
+            beyond: (id.is_none() && on_device).then(|| {
+                let (row, col) = self.window.relative(sink.tile);
+                (row, col, sink.wire.index() as u32)
+            }),
+        };
+        self.outside.clear();
+        for node in net.nodes() {
+            match self.window.id(node) {
+                Some(at) => self.slots[at as usize] = ROOT,
+                None => self.outside.push(node),
+            }
+        }
+        let mut pops = 0;
+        let mut reached = None;
+        let mut next_outside = OUTSIDE;
+        for node in net.nodes() {
+            pops += 1;
+            let (from, hit) = match self.window.id(node) {
+                Some(at) => (at, self.expand(at, &target)),
+                None => {
+                    let from = next_outside;
+                    next_outside += 1;
+                    (from, self.expand_outside(node, from, &target))
+                }
+            };
+            if hit {
+                reached = Some(from);
+                break;
+            }
+        }
+        let mut head = 0;
+        while reached.is_none() {
+            let Some(&at) = self.queue.get(head) else {
+                break;
+            };
+            head += 1;
+            pops += 1;
+            if self.expand(at, &target) {
+                reached = Some(at);
+            }
+        }
+        let branch = reached.map(|from| self.branch(sink, from));
+        for &at in &self.queue {
+            self.slots[at as usize] = FREE;
+        }
+        self.queue.clear();
+        (branch, pops)
+    }
+
+    /// Expands window node `at`; true when it reaches the sink.
+    fn expand(&mut self, at: u32, target: &Target) -> bool {
+        let wire = (at & WIRE_MASK) as usize;
+        let tile = at & !WIRE_MASK;
+        for &to in self.tables.fanout(wire) {
+            if self.visit(tile | u32::from(to), at, target) {
+                return true;
+            }
+        }
+        let Some((dr, dc, to)) = self.tables.link[wire] else {
+            return false;
+        };
+        let (row, col) = self.window.tile_of(at);
+        let (row, col, to) = (row + i32::from(dr), col + i32::from(dc), u32::from(to));
+        match self.window.pack(row, col, to) {
+            Some(next) => self.visit(next, at, target),
+            None => target.beyond == Some((row, col, to)),
+        }
+    }
+
+    /// Expands start node `node`, outside the window. Its PIP fanout
+    /// stays in its own tile, outside the window, so only the sink can
+    /// end the search there; its fixed link may enter the window.
+    fn expand_outside(&mut self, node: RouteNode, from: u32, target: &Target) -> bool {
+        let fanout = self.tables.fanout(node.wire.index());
+        if node.tile == target.node.tile && fanout.contains(&(target.node.wire.index() as u8)) {
+            return true;
+        }
+        let link = fixed_link(
+            node.tile,
+            node.wire,
+            self.window.dev_rows,
+            self.window.dev_cols,
+        );
+        match link {
+            Some(next) => match self.window.id(next) {
+                Some(at) => self.visit(at, from, target),
+                None => next == target.node,
+            },
+            None => false,
+        }
+    }
+
+    /// Offers window node `next` as a child of `from`: true when it is
+    /// the sink, otherwise queues it if it is unvisited and usable.
+    fn visit(&mut self, next: u32, from: u32, target: &Target) -> bool {
+        let slot = self.slots[next as usize];
+        if slot <= ROOT {
+            return false;
+        }
+        if next == target.id {
+            return true;
+        }
+        if slot == FREE {
+            self.slots[next as usize] = from;
+            self.queue.push(next);
+        }
+        false
+    }
+
+    /// The branch from a start node to `sink`, whose parent is `from`.
+    fn branch(&self, sink: RouteNode, mut from: u32) -> Vec<RouteNode> {
+        let mut branch = vec![sink];
+        loop {
+            if from >= OUTSIDE {
+                branch.push(self.outside[(from - OUTSIDE) as usize]);
+                break;
+            }
+            branch.push(self.window.node(from));
+            match self.slots[from as usize] {
+                ROOT => break,
+                parent => from = parent,
+            }
+        }
+        branch.reverse();
+        branch
+    }
+}
+
 fn remove_occupant(occupancy: &mut HashMap<RouteNode, Vec<NetId>>, node: RouteNode, id: NetId) {
     if let Some(users) = occupancy.get_mut(&node) {
         users.retain(|u| *u != id);
@@ -571,8 +827,432 @@ fn remove_occupant(occupancy: &mut HashMap<RouteNode, Vec<NetId>>, node: RouteNo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_fpga::geom::ClbCoord;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use rtm_fpga::part::Part;
+    use rtm_fpga::routing::Dir;
+    use std::collections::VecDeque;
+
+    /// The destination wires one PIP reaches from `wire`.
+    fn pip_fanout(wire: Wire) -> &'static [Wire] {
+        static TABLE: OnceLock<Vec<Vec<Wire>>> = OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            (0..WIRE_COUNT)
+                .map(|i| {
+                    let from = Wire::from_index(i);
+                    Wire::all().filter(|to| pip_exists(from, *to)).collect()
+                })
+                .collect()
+        });
+        &table[wire.index()]
+    }
+
+    /// The reference search: the hashed breadth-first search the dense
+    /// one replaced, kept verbatim (a `HashMap` parent map, occupancy
+    /// looked up per candidate, a `VecDeque` frontier). Returns the path
+    /// or error and the number of nodes popped.
+    fn reference_find_path(
+        db: &NetDb,
+        dev: &Device,
+        net: &RoutedNet,
+        id: NetId,
+        sink: RouteNode,
+        within: Option<Rect>,
+    ) -> (Result<Vec<RouteNode>, SimError>, u64) {
+        if net.node_refs.contains_key(&sink) {
+            return (Err(SimError::SinkOccupied { pin: sink }), 0);
+        }
+        let usable = |node: RouteNode| -> bool {
+            if let Some(r) = within {
+                if !r.contains(node.tile) {
+                    return false;
+                }
+            }
+            let users = db.users_of(node);
+            users.is_empty() || users == [id]
+        };
+        let mut pops = 0;
+        let mut parent: HashMap<RouteNode, RouteNode> = HashMap::new();
+        let mut queue: VecDeque<RouteNode> = VecDeque::new();
+        for n in net.nodes() {
+            parent.insert(n, n);
+            queue.push_back(n);
+        }
+        let (rows, cols) = (dev.rows(), dev.cols());
+        while let Some(node) = queue.pop_front() {
+            pops += 1;
+            let push = |next: RouteNode, parent_map: &mut HashMap<_, _>, q: &mut VecDeque<_>| {
+                if parent_map.contains_key(&next) {
+                    return false;
+                }
+                if next == sink {
+                    parent_map.insert(next, node);
+                    return true;
+                }
+                if usable(next) {
+                    parent_map.insert(next, node);
+                    q.push_back(next);
+                }
+                false
+            };
+            let mut found = false;
+            for to in pip_fanout(node.wire) {
+                let next = RouteNode::new(node.tile, *to);
+                if push(next, &mut parent, &mut queue) {
+                    found = true;
+                    break;
+                }
+            }
+            if !found {
+                if let Some(next) = fixed_link(node.tile, node.wire, rows, cols) {
+                    found = push(next, &mut parent, &mut queue);
+                }
+            }
+            if found {
+                let mut branch = vec![sink];
+                let mut cur = sink;
+                loop {
+                    let p = parent[&cur];
+                    if p == cur {
+                        break;
+                    }
+                    branch.push(p);
+                    cur = p;
+                }
+                branch.reverse();
+                let mut path = net.chain_to(branch[0]);
+                path.extend_from_slice(&branch[1..]);
+                return (Ok(path), pops);
+            }
+        }
+        let err = SimError::Unroutable {
+            from: net.source,
+            to: sink,
+        };
+        (Err(err), pops)
+    }
+
+    /// Counts one reference search the way `find_path` counts a dense
+    /// one (a `SinkOccupied` rejection is not a search).
+    fn counted(
+        stats: &mut RouteStats,
+        (result, pops): (Result<Vec<RouteNode>, SimError>, u64),
+    ) -> Result<Vec<RouteNode>, SimError> {
+        if !matches!(result, Err(SimError::SinkOccupied { .. })) {
+            stats.searches += 1;
+            stats.nodes_expanded += pops;
+        }
+        result
+    }
+
+    /// [`NetDb::route_net`] over the reference search.
+    fn reference_route_net(
+        db: &mut NetDb,
+        dev: &mut Device,
+        source: RouteNode,
+        sinks: &[RouteNode],
+        within: Option<Rect>,
+    ) -> Result<NetId, SimError> {
+        let id = db.nets.len();
+        let mut net = RoutedNet::new(source);
+        db.occupancy.entry(source).or_default().push(id);
+        let mut added = Vec::new();
+        for sink in sinks {
+            let found = reference_find_path(db, dev, &net, id, *sink, within);
+            match counted(&mut db.stats, found) {
+                Ok(path) => {
+                    db.commit_path(dev, &mut net, id, *sink, path);
+                    added.push(*sink);
+                }
+                Err(e) => {
+                    for s in added.iter().rev() {
+                        NetDb::retract_path(dev, &mut net, &mut db.occupancy, id, *s);
+                    }
+                    remove_occupant(&mut db.occupancy, source, id);
+                    return Err(e);
+                }
+            }
+        }
+        db.nets.push(Some(net));
+        Ok(id)
+    }
+
+    /// [`NetDb::extend_net`] over the reference search.
+    fn reference_extend_net(
+        db: &mut NetDb,
+        dev: &mut Device,
+        id: NetId,
+        sink: RouteNode,
+        within: Option<Rect>,
+    ) -> Result<(), SimError> {
+        let mut net = db.nets[id].take().unwrap();
+        let found = reference_find_path(db, dev, &net, id, sink, within);
+        let result = counted(&mut db.stats, found).map(|path| {
+            db.commit_path(dev, &mut net, id, sink, path);
+        });
+        db.nets[id] = Some(net);
+        result
+    }
+
+    /// One router operation, applied to a dense and a reference copy.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Route(RouteNode, Vec<RouteNode>, Option<Rect>),
+        Extend(NetId, RouteNode, Option<Rect>),
+        Absorb(NetId, NetId),
+        RemoveNet(NetId),
+        Reserve(Vec<RouteNode>),
+        ClearReservations,
+    }
+
+    /// A dense router and a reference router driven in lockstep.
+    struct Twin {
+        dense: (Device, NetDb),
+        reference: (Device, NetDb),
+    }
+
+    impl Twin {
+        fn new(part: Part) -> Twin {
+            Twin {
+                dense: (Device::new(part), NetDb::new()),
+                reference: (Device::new(part), NetDb::new()),
+            }
+        }
+
+        /// Applies `op` to both copies and asserts they agree on the
+        /// result, on the work done and on everything left behind.
+        fn apply(&mut self, op: &Op) {
+            let (dd, db) = (&mut self.dense.0, &mut self.dense.1);
+            let (rd, rb) = (&mut self.reference.0, &mut self.reference.1);
+            let (dense_before, reference_before) = (db.route_stats(), rb.route_stats());
+            match op.clone() {
+                Op::Route(source, sinks, within) => {
+                    let got = db.route_net(dd, source, &sinks, within);
+                    let want = reference_route_net(rb, rd, source, &sinks, within);
+                    assert_eq!(got, want, "{op:?}");
+                }
+                Op::Extend(id, sink, within) => {
+                    let got = db.extend_net(dd, id, sink, within);
+                    let want = reference_extend_net(rb, rd, id, sink, within);
+                    assert_eq!(got, want, "{op:?}");
+                }
+                Op::Absorb(into, from) => {
+                    db.absorb(into, from);
+                    rb.absorb(into, from);
+                }
+                Op::RemoveNet(id) => {
+                    db.remove_net(dd, id);
+                    rb.remove_net(rd, id);
+                }
+                Op::Reserve(nodes) => {
+                    db.reserve(nodes.clone());
+                    rb.reserve(nodes);
+                }
+                Op::ClearReservations => {
+                    db.clear_reservations();
+                    rb.clear_reservations();
+                }
+            }
+            assert_eq!(
+                db.route_stats().delta_since(dense_before),
+                rb.route_stats().delta_since(reference_before),
+                "work done by {op:?}"
+            );
+            assert_eq!(db.nets, rb.nets, "nets after {op:?}");
+            assert_eq!(db.occupancy, rb.occupancy, "occupancy after {op:?}");
+            let pips = |d: &Device| {
+                let mut v: Vec<Pip> = d.pips().copied().collect();
+                v.sort();
+                v
+            };
+            assert_eq!(pips(dd), pips(rd), "device after {op:?}");
+        }
+    }
+
+    /// A tile within `reach` of `near`, on the device.
+    fn tile_near(rng: &mut StdRng, dev: &Device, near: ClbCoord, reach: i32) -> ClbCoord {
+        let pick = |rng: &mut StdRng, at: u16, len: u16| {
+            let lo = (i32::from(at) - reach).max(0);
+            let hi = (i32::from(at) + reach).min(i32::from(len) - 1);
+            rng.gen_range(lo..=hi) as u16
+        };
+        ClbCoord::new(
+            pick(rng, near.row, dev.rows()),
+            pick(rng, near.col, dev.cols()),
+        )
+    }
+
+    /// A sink wire: mostly a cell pin, sometimes any fabric wire.
+    fn sink_wire(rng: &mut StdRng) -> Wire {
+        let c = rng.gen_range(0..4u8);
+        match rng.gen_range(0..8) {
+            0 => Wire::CellCe(c),
+            1 => Wire::CellDx(c),
+            2 => Wire::from_index(rng.gen_range(24..WIRE_COUNT)),
+            _ => Wire::CellIn(c, rng.gen_range(0..4u8)),
+        }
+    }
+
+    /// A routing window for a search that should reach `tiles`:
+    /// unbounded, their bounding box with a margin, or a region around
+    /// the first that may cut off a sink or some of the net's nodes.
+    fn window_for(rng: &mut StdRng, tiles: &[ClbCoord]) -> Option<Rect> {
+        let near = tiles[0];
+        match rng.gen_range(0..5) {
+            0 => None,
+            1 | 2 => {
+                let margin = rng.gen_range(0..3);
+                let lo = |f: fn(&ClbCoord) -> u16| {
+                    tiles
+                        .iter()
+                        .map(f)
+                        .min()
+                        .unwrap_or(0)
+                        .saturating_sub(margin)
+                };
+                let hi = |f: fn(&ClbCoord) -> u16| tiles.iter().map(f).max().unwrap_or(0) + margin;
+                let (top, left) = (lo(|t| t.row), lo(|t| t.col));
+                let (bottom, right) = (hi(|t| t.row), hi(|t| t.col));
+                Some(Rect::new(
+                    ClbCoord::new(top, left),
+                    bottom - top + 1,
+                    right - left + 1,
+                ))
+            }
+            _ => {
+                let origin = ClbCoord::new(
+                    near.row.saturating_sub(rng.gen_range(0..5)),
+                    near.col.saturating_sub(rng.gen_range(0..5)),
+                );
+                Some(Rect::new(origin, rng.gen_range(1..9), rng.gen_range(1..9)))
+            }
+        }
+    }
+
+    /// A random operation on `db` (a copy of either twin's database).
+    fn random_op(rng: &mut StdRng, dev: &Device, db: &NetDb) -> Op {
+        let live: Vec<(NetId, &RoutedNet)> = db.nets().collect();
+        let any_tile = |rng: &mut StdRng| {
+            ClbCoord::new(rng.gen_range(0..dev.rows()), rng.gen_range(0..dev.cols()))
+        };
+        match rng.gen_range(0..12) {
+            // Extend an existing net, from anywhere on it.
+            0..=2 if !live.is_empty() => {
+                let (id, net) = live[rng.gen_range(0..live.len())];
+                let nodes: Vec<RouteNode> = net.nodes().collect();
+                let near = nodes[rng.gen_range(0..nodes.len())].tile;
+                let sink = RouteNode::new(tile_near(rng, dev, near, 3), sink_wire(rng));
+                Op::Extend(id, sink, window_for(rng, &[sink.tile, near]))
+            }
+            // A parallel source driving a sink another net already
+            // drives (Fig. 2 phase 2), or a replica from the same source.
+            3 | 4 if !live.is_empty() => {
+                let (_, net) = live[rng.gen_range(0..live.len())];
+                let shared: Vec<RouteNode> = net.sinks().collect();
+                if rng.gen_bool(0.5) && !shared.is_empty() {
+                    let sink = shared[rng.gen_range(0..shared.len())];
+                    let source = RouteNode::new(
+                        tile_near(rng, dev, sink.tile, 2),
+                        Wire::CellOut(rng.gen_range(0..4u8)),
+                    );
+                    Op::Route(
+                        source,
+                        vec![sink],
+                        window_for(rng, &[source.tile, sink.tile]),
+                    )
+                } else {
+                    let near = net.source.tile;
+                    let sink = RouteNode::new(tile_near(rng, dev, near, 3), sink_wire(rng));
+                    Op::Route(net.source, vec![sink], window_for(rng, &[near, sink.tile]))
+                }
+            }
+            5 if live.len() >= 2 => {
+                // Absorb a replica into the original it parallels.
+                let by_source = live.iter().find_map(|(a, na)| {
+                    live.iter()
+                        .find(|(b, nb)| {
+                            a != b
+                                && na.source == nb.source
+                                && na.sinks().all(|s| !nb.paths.contains_key(&s))
+                        })
+                        .map(|(b, _)| (*a, *b))
+                });
+                match by_source {
+                    Some((into, from)) => Op::Absorb(into, from),
+                    None => Op::RemoveNet(live[rng.gen_range(0..live.len())].0),
+                }
+            }
+            6 if !live.is_empty() => Op::RemoveNet(live[rng.gen_range(0..live.len())].0),
+            7 => {
+                let near = any_tile(rng);
+                let nodes = (0..rng.gen_range(1..60))
+                    .map(|_| {
+                        let tile = tile_near(rng, dev, near, 3);
+                        RouteNode::new(tile, Wire::from_index(rng.gen_range(0..WIRE_COUNT)))
+                    })
+                    .collect();
+                Op::Reserve(nodes)
+            }
+            8 => Op::ClearReservations,
+            // A fresh multi-sink net.
+            _ => {
+                let near = any_tile(rng);
+                let source = RouteNode::new(near, Wire::CellOut(rng.gen_range(0..4u8)));
+                let sinks: Vec<RouteNode> = (0..rng.gen_range(1..4))
+                    .map(|_| RouteNode::new(tile_near(rng, dev, near, 3), sink_wire(rng)))
+                    .collect();
+                let mut tiles = vec![near];
+                tiles.extend(sinks.iter().map(|s| s.tile));
+                Op::Route(source, sinks, window_for(rng, &tiles))
+            }
+        }
+    }
+
+    #[test]
+    fn dense_search_reaches_a_sink_beyond_the_window() {
+        // The window holds only the source tile; the sink is the single
+        // line arriving one tile east, reached through a fixed link.
+        let mut twin = Twin::new(Part::Xcv50);
+        let source = out(5, 5, 0);
+        let sink = RouteNode::new(ClbCoord::new(5, 6), Wire::In(Dir::West, 0));
+        let window = Rect::new(ClbCoord::new(5, 5), 1, 1);
+        twin.apply(&Op::Route(source, vec![sink], Some(window)));
+        assert!(twin.dense.1.net_with_sink(sink).is_some());
+    }
+
+    #[test]
+    fn dense_search_grows_from_net_nodes_beyond_the_window() {
+        // Extend a net inside a window that excludes its source and
+        // trunk: the search starts from nodes outside the window whose
+        // fixed links enter it.
+        let mut twin = Twin::new(Part::Xcv50);
+        twin.apply(&Op::Route(out(5, 2, 0), vec![pin(5, 8, 0, 0)], None));
+        let window = Rect::new(ClbCoord::new(4, 7), 3, 3);
+        twin.apply(&Op::Extend(0, pin(6, 8, 1, 1), Some(window)));
+        let net = twin.dense.1.net(0).unwrap();
+        assert_eq!(net.sinks().count(), 2);
+        assert!(net.nodes().any(|n| !window.contains(n.tile)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The dense search returns what the hashed search returned and
+        /// pops exactly as many nodes, through random sequences of
+        /// routes, extensions, paralleled sinks, absorbs, removals and
+        /// reservations on XCV50 and XCV100 devices.
+        #[test]
+        fn dense_search_matches_hashed_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let part = if rng.gen_bool(0.5) { Part::Xcv50 } else { Part::Xcv100 };
+            let mut twin = Twin::new(part);
+            for _ in 0..16 {
+                let op = random_op(&mut rng, &twin.dense.0, &twin.dense.1);
+                twin.apply(&op);
+            }
+        }
+    }
 
     fn dev() -> Device {
         Device::new(Part::Xcv50)
@@ -746,7 +1426,25 @@ mod tests {
         let s2 = pin(8, 6, 0, 2);
         let orig = db.route_net(&mut d, source, &[s1], None).unwrap();
         let replica = db.route_net(&mut d, source, &[s2], None).unwrap();
+        // An unrelated net and a reservation must come through untouched.
+        let other = db
+            .route_net(&mut d, out(2, 2, 1), &[pin(2, 4, 1, 0)], None)
+            .unwrap();
+        let reserved = RouteNode::new(ClbCoord::new(10, 10), Wire::Out(Dir::East, 3));
+        db.reserve([reserved]);
+        let bystanders: Vec<(RouteNode, Vec<NetId>)> = db
+            .net(other)
+            .unwrap()
+            .nodes()
+            .chain([reserved])
+            .map(|n| (n, db.users_of(n).to_vec()))
+            .collect();
         db.absorb(orig, replica);
+        for (node, users) in &bystanders {
+            assert_eq!(db.users_of(*node), users.as_slice(), "{node}");
+        }
+        db.clear_reservations();
+        db.remove_net(&mut d, other);
         assert!(db.net(replica).is_none(), "absorbed net is gone");
         let n = db.net(orig).unwrap();
         assert_eq!(n.sinks().count(), 2);
