@@ -317,15 +317,20 @@ pub fn pip_table() -> &'static [(Wire, Wire)] {
 
 /// Index of a (from, to) pair within [`pip_table`], if the PIP exists.
 pub fn pip_bit_index(from: Wire, to: Wire) -> Option<usize> {
-    static INDEX: OnceLock<std::collections::HashMap<(Wire, Wire), usize>> = OnceLock::new();
-    let map = INDEX.get_or_init(|| {
-        pip_table()
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (*p, i))
-            .collect()
+    // `WIRE_COUNT × WIRE_COUNT` table by wire index; `u16::MAX` marks
+    // pairs without a PIP.
+    static INDEX: OnceLock<Vec<u16>> = OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        let mut index = vec![u16::MAX; WIRE_COUNT * WIRE_COUNT];
+        for (i, (f, t)) in pip_table().iter().enumerate() {
+            index[f.index() * WIRE_COUNT + t.index()] = i as u16;
+        }
+        index
     });
-    map.get(&(from, to)).copied()
+    match index[from.index() * WIRE_COUNT + to.index()] {
+        u16::MAX => None,
+        i => Some(usize::from(i)),
+    }
 }
 
 /// Direction, wire index, hop span and the in/outbound wire constructor
