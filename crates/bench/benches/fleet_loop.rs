@@ -12,11 +12,8 @@
 //! Three tiers:
 //!
 //! * the full scenario × policy matrix on small fleets (N = 2, 3);
-//! * the epoch-engine tier — N = 256 and N = 1024 round-robin sweeps
-//!   under both stepping engines ([`EngineKind::Sequential`] and the
-//!   scoped-thread parallel engine): identical counters by
-//!   construction, the wall-ms column shows what the parallel engine
-//!   buys on multi-core hosts;
+//! * the epoch-loop tier — N = 256 and N = 1024 round-robin sweeps,
+//!   where the wall-ms column shows what the epoch loop itself costs;
 //! * the scale tier — N = 16 and N = 64 homogeneous fleets on the
 //!   adversarial scenario: state-blind round-robin, the two-stage
 //!   frag-aware policy, and round-robin + rebalancing migration
@@ -31,7 +28,7 @@
 
 use rtm_fleet::rebalance::{RebalancePolicy, WorstShardDrain};
 use rtm_fleet::routing::{standard_policies, FragAware, RoundRobin, RoutingPolicy};
-use rtm_fleet::{EngineKind, FleetConfig, FleetService};
+use rtm_fleet::{FleetConfig, FleetService};
 use rtm_fpga::part::Part;
 use rtm_obs::Stopwatch;
 use rtm_service::trace::{Scenario, Trace};
@@ -45,10 +42,9 @@ fn fleet_trace(scenario: Scenario, copies: u64, seed: u64, stagger: u64) -> Trac
 
 fn header() {
     println!(
-        "{:<24} {:>7} {:>13} {:>18} {:>9} {:>7} {:>7} {:>8} {:>6} {:>9} {:>8} {:>10} {:>9}",
+        "{:<24} {:>7} {:>18} {:>9} {:>7} {:>7} {:>8} {:>6} {:>9} {:>8} {:>10} {:>9}",
         "scenario",
         "devices",
-        "engine",
         "policy",
         "admitted",
         "retry",
@@ -60,13 +56,12 @@ fn header() {
         "peak frag",
         "wall ms"
     );
-    println!("{}", "-".repeat(148));
+    println!("{}", "-".repeat(134));
 }
 
 fn run_row(
     scenario: Scenario,
     parts: &[Part],
-    engine: EngineKind,
     policy: Box<dyn RoutingPolicy>,
     rebalancer: Option<Box<dyn RebalancePolicy>>,
     trace: &Trace,
@@ -76,8 +71,7 @@ fn run_row(
     } else {
         policy.name().to_string()
     };
-    let mut config =
-        FleetConfig::heterogeneous(parts, ServiceConfig::default()).with_engine(engine);
+    let mut config = FleetConfig::heterogeneous(parts, ServiceConfig::default());
     if rebalancer.is_some() {
         config = config.with_rebalance_threshold(0.4);
     }
@@ -90,10 +84,9 @@ fn run_row(
     let wall_ms = sw.elapsed_ms();
     let stats = report.plan_stats();
     println!(
-        "{:<24} {:>7} {:>13} {:>18} {:>6}/{:<5} {:>4} {:>7} {:>8} {:>6} {:>9} {:>8} {:>10.3} {:>9.0}",
+        "{:<24} {:>7} {:>18} {:>6}/{:<5} {:>4} {:>7} {:>8} {:>6} {:>9} {:>8} {:>10.3} {:>9.0}",
         scenario.name(),
         parts.len(),
-        engine.name(),
         name,
         report.admitted(),
         report.submitted,
@@ -121,14 +114,7 @@ fn main() {
             }
             let trace = fleet_trace(scenario, n_devices as u64 + 1, seed, 170_000);
             for policy in standard_policies() {
-                run_row(
-                    scenario,
-                    &parts,
-                    EngineKind::Sequential,
-                    policy,
-                    None,
-                    &trace,
-                );
+                run_row(scenario, &parts, policy, None, &trace);
             }
         }
     }
@@ -147,7 +133,6 @@ fn main() {
         run_row(
             Scenario::AdversarialFragmenter,
             &parts,
-            EngineKind::Sequential,
             Box::new(RoundRobin::default()),
             None,
             &trace,
@@ -155,7 +140,6 @@ fn main() {
         run_row(
             Scenario::AdversarialFragmenter,
             &parts,
-            EngineKind::Sequential,
             Box::new(FragAware::default()),
             None,
             &trace,
@@ -163,19 +147,15 @@ fn main() {
         run_row(
             Scenario::AdversarialFragmenter,
             &parts,
-            EngineKind::Sequential,
             Box::new(RoundRobin::default()),
             Some(Box::<WorstShardDrain>::default()),
             &trace,
         );
     }
 
-    // Epoch-engine tier: the same adversarial sweep at N = 256 and
-    // N = 1024, sequential vs parallel. Round-robin keeps routing off
-    // the critical path so the wall-ms column isolates the stepping
-    // loop — on a multi-core box the parallel rows should divide the
-    // sequential wall by ~min(cores, busy shards); the counters must
-    // not move at all (the schedule-invariance suite pins that).
+    // Epoch-loop tier: the same adversarial sweep at N = 256 and
+    // N = 1024. Round-robin keeps routing off the critical path so the
+    // wall-ms column isolates the epoch loop.
     for n_devices in [256usize, 1024] {
         let parts = vec![Part::Xcv50; n_devices];
         let trace = fleet_trace(
@@ -184,16 +164,13 @@ fn main() {
             seed,
             170_000,
         );
-        for engine in [EngineKind::Sequential, EngineKind::Parallel { threads: 0 }] {
-            run_row(
-                Scenario::AdversarialFragmenter,
-                &parts,
-                engine,
-                Box::new(RoundRobin::default()),
-                None,
-                &trace,
-            );
-        }
+        run_row(
+            Scenario::AdversarialFragmenter,
+            &parts,
+            Box::new(RoundRobin::default()),
+            None,
+            &trace,
+        );
     }
 
     println!();

@@ -559,8 +559,8 @@ pub struct RunTimeManager {
     defrag_cache: RefCell<Option<DefragPlan>>,
 }
 
-// Compile-time `Send` pin — the concurrency-readiness ground truth the
-// parallel fleet engine lands on. The manager's interior mutability
+// Compile-time `Send` pin: a manager moves with its shard to whatever
+// thread owns the fleet. The manager's interior mutability
 // (`Cell`/`RefCell` caches for the non-mutating planning API) is `Send`
 // but deliberately not `Sync`: a manager belongs to exactly one shard
 // and crosses threads only whole. A field that broke `Send` (an `Rc`,
@@ -1309,8 +1309,7 @@ impl RunTimeManager {
     /// [`AdmissionTicket`] reserved — placement, net routing,
     /// configuration frames — and promotes the reservation to a loaded
     /// function. This is the heavy, shard-local part: it mutates only
-    /// this manager's device, so a fleet engine can fan ticket
-    /// executions across shards in parallel.
+    /// this manager's device.
     ///
     /// # Errors
     ///

@@ -1,6 +1,5 @@
 //! Fleet configuration: the shard list and the fleet-level trigger.
 
-use crate::engine::EngineKind;
 use rtm_fpga::part::Part;
 use rtm_service::ServiceConfig;
 
@@ -39,31 +38,15 @@ pub struct FleetConfig {
     /// port time one trigger wave can consume, the same way
     /// [`FleetConfig::max_offer_attempts`] bounds routing cost.
     pub max_migrations_per_trigger: usize,
-    /// The stepping engine: how shard-local segments between
-    /// cross-shard synchronization points are executed. Defaults to
-    /// [`EngineKind::Sequential`]; [`EngineKind::Parallel`] runs the
-    /// same segments on scoped worker threads with byte-identical
-    /// results (the schedule-invariance suite pins the equality).
-    pub engine: EngineKind,
-    /// Defer admission execution to the engine's execute phase: the
-    /// routing edge only *decides* (ranking + reservation, sequential
-    /// in shard-index order) and the heavy implementation work — cells,
-    /// nets, configuration frames — runs when each shard drains its own
-    /// ticket queue inside the next shard-local phase, where
-    /// [`EngineKind::Parallel`] fans it over workers. Reports and event
-    /// streams are byte-identical with and without deferral (pinned by
-    /// `tests/deferred_equivalence.rs` and the twin baseline rows);
-    /// only the wall-clock shape of the epoch changes. Off by default.
-    pub deferred_execution: bool,
     /// QoS-tier preemption: when a high-tier reservation strikes out on
     /// every ranked shard, evict the cheapest lower-tier resident
     /// (smallest CLB footprint × remaining runtime) — migrating it to a
     /// sibling shard with room, otherwise parking its extracted bundle
     /// for deadline-safe readmission in a later idle window — and seat
-    /// the high-tier request in the freed region. Runs on the
-    /// sequential routing edge, so immediate and deferred execution
-    /// stay byte-identical by construction. Off by default: untiered
-    /// workloads and existing baselines are unaffected.
+    /// the high-tier request in the freed region. Runs on the routing
+    /// edge, after draining every shard it may evict from. Off by
+    /// default: untiered workloads and existing baselines are
+    /// unaffected.
     pub preemption: bool,
 }
 
@@ -87,8 +70,6 @@ impl FleetConfig {
             max_offer_attempts: Self::DEFAULT_MAX_OFFER_ATTEMPTS,
             rebalance_threshold: 2.0,
             max_migrations_per_trigger: Self::DEFAULT_MAX_MIGRATIONS_PER_TRIGGER,
-            engine: EngineKind::Sequential,
-            deferred_execution: false,
             preemption: false,
         }
     }
@@ -102,8 +83,6 @@ impl FleetConfig {
             max_offer_attempts: Self::DEFAULT_MAX_OFFER_ATTEMPTS,
             rebalance_threshold: 2.0,
             max_migrations_per_trigger: Self::DEFAULT_MAX_MIGRATIONS_PER_TRIGGER,
-            engine: EngineKind::Sequential,
-            deferred_execution: false,
             preemption: false,
         }
     }
@@ -132,27 +111,6 @@ impl FleetConfig {
         self
     }
 
-    /// Replaces the stepping engine (see [`EngineKind`]).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Shorthand for the parallel engine: shard-local segments run on
-    /// `threads` scoped worker threads (`0` = one per available core).
-    /// Results stay byte-identical to the sequential engine.
-    pub fn with_parallel_engine(mut self, threads: usize) -> Self {
-        self.engine = EngineKind::Parallel { threads };
-        self
-    }
-
-    /// Enables (or disables) deferred admission execution (see
-    /// [`FleetConfig::deferred_execution`]).
-    pub fn with_deferred_execution(mut self, deferred: bool) -> Self {
-        self.deferred_execution = deferred;
-        self
-    }
-
     /// Enables (or disables) QoS-tier preemption (see
     /// [`FleetConfig::preemption`]).
     pub fn with_preemption(mut self, preemption: bool) -> Self {
@@ -176,11 +134,6 @@ mod tests {
         let c = FleetConfig::homogeneous(3, ServiceConfig::default());
         assert_eq!(c.shards.len(), 3);
         assert!(c.fleet_frag_threshold > 1.0, "disabled by default");
-        assert!(!c.deferred_execution, "immediate execution by default");
-        assert!(
-            c.clone().with_deferred_execution(true).deferred_execution,
-            "builder flips the execute phase on"
-        );
         assert_eq!(
             c.max_offer_attempts,
             FleetConfig::DEFAULT_MAX_OFFER_ATTEMPTS

@@ -1,5 +1,5 @@
-//! The fleet stepping engine: shard-parallel execution between
-//! cross-shard synchronization points.
+//! The fleet's epoch clock: where one shard-local segment ends and the
+//! cross-shard edges begin.
 //!
 //! [`FleetService::run`](crate::FleetService::run) advances the fleet
 //! epoch by epoch. Each epoch ends at the next **cross-shard event
@@ -9,87 +9,16 @@
 //! samples fragmentation and evaluates its defrag/rebalance triggers.
 //! Everything *between* horizons is shard-local by construction: a
 //! shard departing its own residencies, serving its own queue and
-//! running its own threshold defrag never reads a sibling.
+//! running its own threshold defrag never reads a sibling. The loop
+//! walks those segments in shard-index order on the calling thread; the
+//! cross-shard edges (routing, migration, the fleet defrag trigger,
+//! report aggregation) run between them in the same fixed order.
 //!
-//! [`for_each_shard`] executes those shard-local segments. The
-//! [`EngineKind::Sequential`] engine walks the shards in index order on
-//! the calling thread — the reference semantics every other engine must
-//! reproduce byte-for-byte. [`EngineKind::Parallel`] runs the same
-//! segments on scoped worker threads ([`std::thread::scope`]); whole
-//! shards move to workers (`RuntimeService` is `Send`, pinned at
-//! compile time), each shard is touched by exactly one worker per
-//! segment, and all cross-shard edges (routing, migration, the fleet
-//! defrag trigger, report aggregation) stay on the calling thread in
-//! fixed shard-index order. Because a shard's segment is a pure
-//! function of that shard's own state, the thread schedule cannot be
-//! observed: a parallel run's [`FleetReport`](crate::FleetReport) is
-//! byte-identical to the sequential engine's, which the
-//! schedule-invariance suite (`tests/parallel_determinism.rs`) pins
-//! over random fleets × scenarios × thread counts.
-//!
-//! With the `parallel` cargo feature (default) the worker pool is
-//! work-stealing: workers claim shard indices from a shared atomic
-//! counter, so a worker stuck on one heavy shard does not idle its
-//! siblings. Without the feature the shards are dealt round-robin into
-//! static per-worker hands — same results, simpler machinery, no
-//! `unsafe`. Both executors are dependency-free: the rayon-shaped shim
-//! ban stays intact.
+//! [`HorizonClock`] answers the horizon incrementally; [`horizon`] is
+//! the straight scan it is checked against.
 
-use rtm_core::CoreError;
-use rtm_obs::PhaseProfiler;
 use rtm_sched::task::Micros;
-use rtm_service::{RuntimeService, ServiceReport};
-
-/// How the fleet advances its shards between cross-shard
-/// synchronization points. Engines differ only in wall-clock: every
-/// engine produces byte-identical [`FleetReport`](crate::FleetReport)s
-/// (and therefore byte-identical `BENCH_fleet.json` counters) for the
-/// same trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Shards advance one after another, in shard-index order, on the
-    /// calling thread — the reference engine and the default.
-    #[default]
-    Sequential,
-    /// Shard-local segments run on scoped worker threads; cross-shard
-    /// edges stay sequential in shard-index order.
-    Parallel {
-        /// Worker threads to use; `0` means one per available core
-        /// (clamped to the shard count either way).
-        threads: usize,
-    },
-}
-
-impl EngineKind {
-    /// A short display name: `sequential`, `parallel-4`,
-    /// `parallel-auto`.
-    pub fn name(&self) -> String {
-        match self {
-            EngineKind::Sequential => "sequential".to_string(),
-            EngineKind::Parallel { threads: 0 } => "parallel-auto".to_string(),
-            EngineKind::Parallel { threads } => format!("parallel-{threads}"),
-        }
-    }
-
-    /// Worker threads this engine would actually spawn for
-    /// `shard_count` shards: never more workers than shards, never
-    /// zero. Thread count affects scheduling only, never results.
-    pub fn worker_count(&self, shard_count: usize) -> usize {
-        match *self {
-            EngineKind::Sequential => 1,
-            EngineKind::Parallel { threads } => {
-                let t = if threads == 0 {
-                    std::thread::available_parallelism()
-                        .map(usize::from)
-                        .unwrap_or(1)
-                } else {
-                    threads
-                };
-                t.clamp(1, shard_count.max(1))
-            }
-        }
-    }
-}
+use rtm_service::RuntimeService;
 
 /// The next cross-shard event horizon: the earliest of the next trace
 /// event and every shard's next local event
@@ -97,7 +26,7 @@ impl EngineKind {
 /// drained — no pending trace events and no shard has anything
 /// self-scheduled — and the run is over. Up to (and including) the
 /// returned instant, every shard's work is a pure function of its own
-/// state, which is what makes the segment safe to run on any thread.
+/// state.
 ///
 /// This is the straight O(shards) scan — the reference semantics. The
 /// epoch loop itself asks a [`HorizonClock`], which answers from a
@@ -195,205 +124,10 @@ impl HorizonClock {
     }
 }
 
-/// Applies `step` to every `(shard, report)` pair under `engine`.
-///
-/// `step` must be **shard-local**: it may mutate the shard and its
-/// report it was handed but must not touch any other shard, which is
-/// what licenses running it on any thread. All engines deliver the
-/// exact same per-shard results; they differ only in which thread runs
-/// which shard.
-///
-/// `profiler` records *wall-clock* per-worker segment time (atomics, so
-/// workers write through a shared reference). It is observability only:
-/// results are bit-for-bit identical with and without it, and nothing
-/// it measures can reach a report.
-///
-/// # Errors
-///
-/// Propagates the first [`CoreError`] **by shard index** (not by
-/// completion order), so even the error path is schedule-independent.
-/// The sequential engine stops at the first failing shard; the parallel
-/// engines complete the whole segment and then report the
-/// lowest-indexed failure — indistinguishable to callers, who treat any
-/// `CoreError` as fatal to the run.
-///
-/// # Panics
-///
-/// Panics if `shards` and `reports` differ in length.
-pub fn for_each_shard<F>(
-    engine: EngineKind,
-    shards: &mut [RuntimeService],
-    reports: &mut [ServiceReport],
-    profiler: Option<&PhaseProfiler>,
-    step: &F,
-) -> Result<(), CoreError>
-where
-    F: Fn(usize, &mut RuntimeService, &mut ServiceReport) -> Result<(), CoreError> + Sync,
-{
-    assert_eq!(
-        shards.len(),
-        reports.len(),
-        "one report per shard, in shard order"
-    );
-    let workers = engine.worker_count(shards.len());
-    if workers <= 1 {
-        let _t = profiler.map(|p| p.worker_timer(0));
-        for (i, (s, r)) in shards.iter_mut().zip(reports.iter_mut()).enumerate() {
-            step(i, s, r)?;
-        }
-        return Ok(());
-    }
-    parallel_for_each(workers, shards, reports, profiler, step)
-}
-
-/// Scans per-shard outcomes in shard-index order and surfaces the
-/// first error — the deterministic half of the parallel error path.
-fn first_error(results: Vec<Option<Result<(), CoreError>>>) -> Result<(), CoreError> {
-    for r in results.into_iter().flatten() {
-        r?;
-    }
-    Ok(())
-}
-
-/// Work-stealing executor (the `parallel` feature, on by default):
-/// workers claim shard indices from a shared atomic counter, so slow
-/// shards never leave a worker idle while work remains.
-#[cfg(feature = "parallel")]
-fn parallel_for_each<F>(
-    workers: usize,
-    shards: &mut [RuntimeService],
-    reports: &mut [ServiceReport],
-    profiler: Option<&PhaseProfiler>,
-    step: &F,
-) -> Result<(), CoreError>
-where
-    F: Fn(usize, &mut RuntimeService, &mut ServiceReport) -> Result<(), CoreError> + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let n = shards.len();
-    let mut results: Vec<Option<Result<(), CoreError>>> = (0..n).map(|_| None).collect();
-    let shards_ptr = SendPtr(shards.as_mut_ptr());
-    let reports_ptr = SendPtr(reports.as_mut_ptr());
-    let results_ptr = SendPtr(results.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let next = &next;
-            scope.spawn(move || {
-                let _t = profiler.map(|p| p.worker_timer(w));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // SAFETY: `fetch_add` hands index `i` to exactly one
-                    // worker, the three buffers are exactly `n` long and
-                    // outlive the scope, and the owning `&mut` slices are
-                    // untouched until every worker has joined — so each
-                    // reborrow below is the only live reference to its
-                    // element. This is the scoped-thread confinement
-                    // argument recorded in lint-allow.toml.
-                    let (s, r, slot) = unsafe {
-                        (
-                            &mut *shards_ptr.element(i),
-                            &mut *reports_ptr.element(i),
-                            &mut *results_ptr.element(i),
-                        )
-                    };
-                    *slot = Some(step(i, s, r));
-                }
-            });
-        }
-    });
-    first_error(results)
-}
-
-/// Static-hands executor (no `parallel` feature): shards are dealt
-/// round-robin into one hand per worker before any thread starts, so
-/// the borrow checker sees the disjointness and no `unsafe` is needed.
-/// Results are byte-identical to the work-stealing executor; only the
-/// load balancing is cruder.
-#[cfg(not(feature = "parallel"))]
-fn parallel_for_each<F>(
-    workers: usize,
-    shards: &mut [RuntimeService],
-    reports: &mut [ServiceReport],
-    profiler: Option<&PhaseProfiler>,
-    step: &F,
-) -> Result<(), CoreError>
-where
-    F: Fn(usize, &mut RuntimeService, &mut ServiceReport) -> Result<(), CoreError> + Sync,
-{
-    type Hand<'a> = Vec<(
-        usize,
-        &'a mut RuntimeService,
-        &'a mut ServiceReport,
-        &'a mut Option<Result<(), CoreError>>,
-    )>;
-
-    let n = shards.len();
-    let mut results: Vec<Option<Result<(), CoreError>>> = (0..n).map(|_| None).collect();
-    let mut hands: Vec<Hand<'_>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, ((s, r), slot)) in shards
-        .iter_mut()
-        .zip(reports.iter_mut())
-        .zip(results.iter_mut())
-        .enumerate()
-    {
-        hands[i % workers].push((i, s, r, slot));
-    }
-    std::thread::scope(|scope| {
-        for (w, hand) in hands.into_iter().enumerate() {
-            scope.spawn(move || {
-                let _t = profiler.map(|p| p.worker_timer(w));
-                for (i, s, r, slot) in hand {
-                    *slot = Some(step(i, s, r));
-                }
-            });
-        }
-    });
-    first_error(results)
-}
-
-/// A `Send` wrapper for a raw element pointer, so scoped workers can
-/// reborrow disjoint elements of the shard/report/result buffers.
-#[cfg(feature = "parallel")]
-struct SendPtr<T>(*mut T);
-
-// Manual impls: the derives would bound on `T: Copy`, but the pointer
-// itself is always copyable regardless of the pointee.
-#[cfg(feature = "parallel")]
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<T> Copy for SendPtr<T> {}
-
-#[cfg(feature = "parallel")]
-impl<T> SendPtr<T> {
-    /// Pointer to element `i`. Taking `self` (not a field) is load
-    /// bearing: the worker closures capture the whole `Send` wrapper
-    /// instead of the raw-pointer field, which on its own is not
-    /// `Send` (Rust 2021 captures by field path otherwise).
-    fn element(self, i: usize) -> *mut T {
-        self.0.wrapping_add(i)
-    }
-}
-
-// SAFETY: sending the pointer is safe because the pointee type is
-// `Send` and the executor above guarantees each element is reborrowed
-// by at most one worker at a time (atomic index claiming).
-#[cfg(feature = "parallel")]
-unsafe impl<T: Send> Send for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtm_service::{QosTier, ServiceConfig};
+    use rtm_service::{QosTier, ServiceConfig, ServiceReport};
 
     fn fleet(n: usize) -> (Vec<RuntimeService>, Vec<ServiceReport>) {
         let shards = (0..n)
@@ -403,27 +137,6 @@ mod tests {
             .map(|i| ServiceReport::new(format!("e#{i}")))
             .collect();
         (shards, reports)
-    }
-
-    #[test]
-    fn worker_count_clamps() {
-        assert_eq!(EngineKind::Sequential.worker_count(64), 1);
-        assert_eq!(EngineKind::Parallel { threads: 4 }.worker_count(64), 4);
-        assert_eq!(
-            EngineKind::Parallel { threads: 16 }.worker_count(3),
-            3,
-            "never more workers than shards"
-        );
-        assert!(EngineKind::Parallel { threads: 0 }.worker_count(64) >= 1);
-        assert_eq!(EngineKind::Parallel { threads: 8 }.worker_count(0), 1);
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(EngineKind::Sequential.name(), "sequential");
-        assert_eq!(EngineKind::Parallel { threads: 4 }.name(), "parallel-4");
-        assert_eq!(EngineKind::Parallel { threads: 0 }.name(), "parallel-auto");
-        assert_eq!(EngineKind::default(), EngineKind::Sequential);
     }
 
     #[test]
@@ -485,49 +198,5 @@ mod tests {
         assert_eq!(clock.next(None, &shards), Some(50_000));
         shards[0].depart(1, &mut reports[0]).unwrap();
         assert_eq!(clock.next(None, &shards), None, "drained again");
-    }
-
-    #[test]
-    fn every_engine_touches_every_shard_exactly_once() {
-        for engine in [
-            EngineKind::Sequential,
-            EngineKind::Parallel { threads: 1 },
-            EngineKind::Parallel { threads: 3 },
-            EngineKind::Parallel { threads: 8 },
-        ] {
-            let (mut shards, mut reports) = fleet(5);
-            for_each_shard(engine, &mut shards, &mut reports, None, &|i, _s, rep| {
-                // Reuse a report counter as the per-shard touch mark;
-                // the index must match the slot the engine handed us.
-                rep.submitted += i + 1;
-                Ok(())
-            })
-            .unwrap();
-            for (i, rep) in reports.iter().enumerate() {
-                assert_eq!(rep.submitted, i + 1, "{engine:?} shard {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn errors_surface_by_shard_index_not_schedule() {
-        use rtm_place::PlaceError;
-        for engine in [EngineKind::Sequential, EngineKind::Parallel { threads: 4 }] {
-            let (mut shards, mut reports) = fleet(6);
-            let err = for_each_shard(engine, &mut shards, &mut reports, None, &|i, _s, _r| {
-                if i % 2 == 1 {
-                    Err(CoreError::Place(PlaceError::UnknownTask { id: i as u64 }))
-                } else {
-                    Ok(())
-                }
-            })
-            .unwrap_err();
-            // Shards 1, 3, 5 all fail; the lowest index must win under
-            // every engine and thread schedule.
-            assert!(
-                matches!(err, CoreError::Place(PlaceError::UnknownTask { id: 1 })),
-                "{engine:?}: {err:?}"
-            );
-        }
     }
 }

@@ -37,14 +37,14 @@ struct RunState {
     timeline: Vec<FleetSample>,
     metrics: MetricsRegistry,
     /// Reservations seated on this epoch's routing edge, in edge order,
-    /// awaiting execution (the engine's execute phase) and resolution
+    /// awaiting execution (the epoch's execute phase) and resolution
     /// ([`FleetService::resolve_pending`]).
     pending: Vec<PendingRoute>,
 }
 
 /// One routed arrival whose admission was *decided* (a ticket is seated
 /// on `shard`) but not yet resolved — everything the failover path
-/// needs to continue the capped offer chain if the deferred load fails.
+/// needs to continue the capped offer chain if the load fails.
 struct PendingRoute {
     at: Micros,
     arrival: Arrival,
@@ -131,13 +131,11 @@ pub struct FleetService {
     /// unplaceable rejections, which no single shard owns.
     fleet_events: Option<EventBuffer>,
     /// The merged deterministic stream: per epoch, the fleet buffer is
-    /// drained first, then every shard's buffer in shard-index order —
-    /// always on the calling thread, after workers have joined, so the
-    /// merge order is identical under every engine.
+    /// drained first, then every shard's buffer in shard-index order.
     event_log: Vec<RtmEvent>,
     /// Wall-clock phase profiler, installed by
     /// [`FleetService::enable_profiler`]. Deliberately *not* part of
-    /// any report: reports are engine-compared byte-exact, wall time is
+    /// any report: reports are compared byte-exact, wall time is
     /// printed beside them.
     profiler: Option<PhaseProfiler>,
 }
@@ -194,8 +192,8 @@ impl FleetService {
     }
 
     /// Drains the merged event stream recorded so far (empty when
-    /// tracing is disabled). The stream is fully deterministic and
-    /// byte-identical across engines and thread counts.
+    /// tracing is disabled). The stream is fully deterministic:
+    /// replaying the same trace on a fresh fleet yields the same bytes.
     pub fn take_events(&mut self) -> Vec<RtmEvent> {
         self.drain_events();
         std::mem::take(&mut self.event_log)
@@ -214,9 +212,8 @@ impl FleetService {
     }
 
     /// Appends the fleet buffer, then every shard buffer in shard-index
-    /// order, to the merged log — the single fixed merge point that
-    /// makes the stream engine-invariant (always runs on the calling
-    /// thread, after any workers have joined).
+    /// order, to the merged log — the single fixed merge point of the
+    /// stream.
     fn drain_events(&mut self) {
         if let Some(fleet_buf) = &self.fleet_events {
             self.event_log.extend(fleet_buf.take());
@@ -289,15 +286,14 @@ impl FleetService {
     /// computes the next **cross-shard event horizon**
     /// ([`engine::horizon`] — the earliest trace event or shard-local
     /// residency expiry), advances every shard to that horizon as an
-    /// independent shard-local segment
-    /// ([`engine::for_each_shard`] — in parallel under
-    /// [`EngineKind::Parallel`](crate::EngineKind::Parallel)), and then
-    /// applies the cross-shard edges sequentially in fixed shard-index
-    /// order: trace-event routing, the fragmentation sample, the fleet
-    /// defrag trigger and the rebalancing migrations. Because shards
-    /// only interact inside those sequential edges, the thread schedule
-    /// can never be observed and every engine produces a byte-identical
-    /// [`FleetReport`].
+    /// independent shard-local segment, and then applies the
+    /// cross-shard edges in fixed shard-index order: trace-event
+    /// routing (which only reserves), the execute phase that drains
+    /// every shard's tickets, ticket resolution, the fragmentation
+    /// sample, the fleet defrag trigger and the rebalancing migrations.
+    /// Every step runs on the calling thread in a fixed order, so the
+    /// [`FleetReport`] is a pure function of the trace and the fleet's
+    /// starting state.
     ///
     /// # Errors
     ///
@@ -345,7 +341,6 @@ impl FleetService {
         };
 
         let events = trace.events();
-        let engine = self.config.engine;
         let mut idx = 0usize;
         let mut clock = engine::HorizonClock::new(n);
         loop {
@@ -371,24 +366,18 @@ impl FleetService {
             st.metrics.inc("epochs");
 
             // 1. Shard-local segment: every shard advances to the
-            //    horizon independently (due residencies depart). Under
-            //    the parallel engine these segments run on scoped
-            //    worker threads; no shard reads a sibling until the
-            //    sequential cross-shard edges below, so the thread
-            //    schedule is unobservable.
+            //    horizon independently (due residencies depart); no
+            //    shard reads a sibling until the cross-shard edges
+            //    below.
             {
                 let _t = profiler.map(|p| p.start(Phase::Segments));
-                engine::for_each_shard(
-                    engine,
-                    &mut self.shards,
-                    &mut st.reports,
-                    profiler,
-                    &|_, s, rep| s.advance_to(now, rep),
-                )?;
+                for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
+                    s.advance_to(now, rep)?;
+                }
             }
 
-            // 2. Cross-shard edges, sequential in stream order: trace
-            //    events at this instant.
+            // 2. Cross-shard edges, in stream order: trace events at
+            //    this instant.
             let routing = profiler.map(|p| p.start(Phase::Routing));
             while idx < events.len() && events[idx].at <= now {
                 match events[idx].event {
@@ -409,45 +398,34 @@ impl FleetService {
             }
             drop(routing);
 
-            // 2b. Execute phase (deferred mode): the routing edge above
-            //     only *reserved*; each shard now drains its own ticket
-            //     queue — implementing designs and writing frames — as
-            //     an independent shard-local segment, in parallel under
-            //     the parallel engine. In immediate mode every ticket
-            //     was already executed inline on the edge, so the phase
-            //     is skipped entirely.
-            if self.config.deferred_execution && !st.pending.is_empty() {
-                let _t = profiler.map(|p| p.start(Phase::Execute));
-                engine::for_each_shard(
-                    engine,
-                    &mut self.shards,
-                    &mut st.reports,
-                    profiler,
-                    &|_, s, rep| s.execute_reserved(rep),
-                )?;
-            }
-            // 2c. Resolution edge (both modes): collect every seated
-            //     ticket's fate in edge order and run failover chains
-            //     for deferred load failures — sequential again, so the
-            //     accounting order is engine-invariant.
+            // 2b. Execute phase: the routing edge above only
+            //     *reserved*; each shard now drains its own ticket
+            //     queue — implementing designs and writing frames.
+            //     Tickets a shard already drained on the edge (a later
+            //     reserve, departure or preemption touched it) are
+            //     gone, so this runs what is left.
+            // 2c. Resolution edge: collect every seated ticket's fate
+            //     in edge order and run failover chains for load
+            //     failures.
             if !st.pending.is_empty() {
+                {
+                    let _t = profiler.map(|p| p.start(Phase::Execute));
+                    for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
+                        s.execute_reserved(rep)?;
+                    }
+                }
                 let _t = profiler.map(|p| p.start(Phase::Routing));
                 self.resolve_pending(&mut st)?;
             }
 
             // 3. Shard-local again: every shard serves its queue,
             //    samples fragmentation and runs its own
-            //    threshold-triggered defrag — parallel under the
-            //    parallel engine, same argument as step 1.
+            //    threshold-triggered defrag.
             {
                 let _t = profiler.map(|p| p.start(Phase::Segments));
-                engine::for_each_shard(
-                    engine,
-                    &mut self.shards,
-                    &mut st.reports,
-                    profiler,
-                    &|_, s, rep| s.settle(rep),
-                )?;
+                for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
+                    s.settle(rep)?;
+                }
             }
 
             // The timeline must show the state the fleet trigger saw,
@@ -558,16 +536,12 @@ impl FleetService {
                 // Migrations mutated layouts on both ends: serve
                 // the queues now (a blocked big request may fit the
                 // repaired shard) and show the post-repair state on
-                // the timeline. Shard-local, so engine-driven too.
+                // the timeline.
                 {
                     let _t = profiler.map(|p| p.start(Phase::Segments));
-                    engine::for_each_shard(
-                        engine,
-                        &mut self.shards,
-                        &mut st.reports,
-                        profiler,
-                        &|_, s, rep| s.settle(rep),
-                    )?;
+                    for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
+                        s.settle(rep)?;
+                    }
                 }
                 let _t = profiler.map(|p| p.start(Phase::Sampling));
                 let (mean, worst) = self.frag_summary();
@@ -579,9 +553,8 @@ impl FleetService {
             }
 
             // Merge this epoch's events — fleet buffer first, then
-            // every shard in index order, always on this thread — so
-            // the stream's order is fixed by construction, not by any
-            // worker schedule.
+            // every shard in index order — so the stream's order is
+            // fixed by construction.
             self.drain_events();
         }
 
@@ -763,8 +736,8 @@ impl FleetService {
     ///   each *extra* accounting in [`FleetReport::load_failovers`] and
     ///   the report identity becomes
     ///   `Σ shard_submitted = submitted − unplaceable + load_failovers`.
-    ///   Execute-time failures surface the same way, one epoch phase
-    ///   later, through [`FleetService::resolve_pending`].
+    ///   Execute-time failures surface the same way, after the execute
+    ///   phase, through [`FleetService::resolve_pending`].
     fn route(&mut self, at: Micros, a: Arrival, st: &mut RunState) -> Result<(), CoreError> {
         st.submitted += 1;
 
@@ -774,8 +747,8 @@ impl FleetService {
         if let Some(&s) = self.owner.get(&a.id) {
             // Drain that shard's tickets first: an owner entry may
             // point at a reservation seated earlier this edge, and the
-            // duplicate judgement below must see the same residency in
-            // immediate and deferred mode.
+            // duplicate judgement below must see it as a resident (or
+            // as a failed load that no longer holds the id).
             self.shards[s].execute_reserved(&mut st.reports[s])?;
             if self.shards[s].holds(a.id) {
                 let part = self.shards[s].part();
@@ -841,13 +814,8 @@ impl FleetService {
             )? {
                 ReserveOutcome::Reserved => {
                     // The decision is made; the load itself runs in the
-                    // execute phase (immediately below in immediate
-                    // mode, inside the next shard-local segment under
-                    // deferred execution) and the chain's bookkeeping
-                    // is settled by `resolve_pending`.
-                    if !self.config.deferred_execution {
-                        self.shards[s].execute_reserved(&mut st.reports[s])?;
-                    }
+                    // execute phase and the chain's bookkeeping is
+                    // settled by `resolve_pending`.
                     self.owner.insert(a.id, s);
                     st.pending.push(PendingRoute {
                         at,
@@ -884,9 +852,7 @@ impl FleetService {
             attempt += 1;
         }
         // Preemption edge: the whole ranking said "no room" (or worse),
-        // but the arrival may outrank somebody already seated. Runs on
-        // the sequential routing edge in both execution modes, so
-        // immediate and deferred stay byte-identical by construction.
+        // but the arrival may outrank somebody already seated.
         if self.config.preemption
             && queue_on.is_some()
             && self.try_preempt(
@@ -942,6 +908,21 @@ impl FleetService {
         st: &mut RunState,
     ) -> Result<bool, CoreError> {
         let n = self.shards.len();
+        let fits = |s: &RuntimeService| {
+            let part = s.part();
+            a.rows <= part.clb_rows() && a.cols <= part.clb_cols()
+        };
+        // The victim search reads each candidate's resident set, and a
+        // function seated earlier in this routing edge is not resident
+        // until its ticket runs — including on shards the capped offer
+        // chain never reached, so no reserve drained them. Drain every
+        // candidate first (flush-on-touch, as `route` does for
+        // duplicates).
+        for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
+            if fits(s) {
+                s.execute_reserved(rep)?;
+            }
+        }
         // Residents displaced during this episode: a victim whose
         // bundle migrated to a sibling is resident again and must not
         // be picked twice, or two shards with room for each other's
@@ -951,12 +932,9 @@ impl FleetService {
         loop {
             // The fleet-cheapest victim across every shard whose part
             // could hold the arrival at all. Costs are simulated
-            // quantities, so the pick is engine-invariant.
+            // quantities, never wall time.
             let victim = (0..n)
-                .filter(|&s| {
-                    let part = self.shards[s].part();
-                    a.rows <= part.clb_rows() && a.cols <= part.clb_cols()
-                })
+                .filter(|&s| fits(&self.shards[s]))
                 .filter_map(|s| {
                     self.shards[s]
                         .preemption_victim(a.tier, &displaced)
@@ -972,9 +950,6 @@ impl FleetService {
             match self.shards[vs].reserve(at, AdmissionBid::routed(a, None), &mut st.reports[vs])? {
                 ReserveOutcome::Reserved => {
                     st.preemptions += 1;
-                    if !self.config.deferred_execution {
-                        self.shards[vs].execute_reserved(&mut st.reports[vs])?;
-                    }
                     self.owner.insert(a.id, vs);
                     st.pending.push(PendingRoute {
                         at,
@@ -1135,12 +1110,9 @@ impl FleetService {
 
     /// Settles every [`PendingRoute`] seated on this epoch's routing
     /// edge, in edge order: reads each ticket's fate off its shard
-    /// (every ticket has been executed by now — inline in immediate
-    /// mode, by the execute phase under deferred execution) and, when a
-    /// deferred load failed, continues the capped failover chain down
-    /// the parked ranking tail — synchronously, exactly as the
-    /// immediate path would have. Runs on the calling thread in both
-    /// modes, so the accounting and event order are engine-invariant.
+    /// (the execute phase has run every ticket by now) and, when a load
+    /// failed, continues the capped failover chain down the parked
+    /// ranking tail.
     fn resolve_pending(&mut self, st: &mut RunState) -> Result<(), CoreError> {
         for p in std::mem::take(&mut st.pending) {
             let PendingRoute {
@@ -1164,7 +1136,7 @@ impl FleetService {
                     continue;
                 }
                 Ok(TicketOutcome::Failed { .. }) => {
-                    // The deferred load failed: the shard accounted the
+                    // The load failed: the shard accounted the
                     // request (one extra `submitted`) and recovered its
                     // device; the reservation was cancelled by
                     // `resolve_ticket`. Continue down the ranking tail.
@@ -1188,10 +1160,10 @@ impl FleetService {
                     &mut st.reports[s],
                 )? {
                     ReserveOutcome::Reserved => {
-                        // Failover loads run synchronously in both
-                        // modes: the epoch's execute phase is already
-                        // over, and a same-epoch retry must land before
-                        // anything later can observe the shard.
+                        // Failover loads run synchronously: the epoch's
+                        // execute phase is already over, and a
+                        // same-epoch retry must land before anything
+                        // later can observe the shard.
                         self.shards[s].execute_reserved(&mut st.reports[s])?;
                         match self.shards[s].resolve_ticket(a.id) {
                             Ok(TicketOutcome::Executed) => {

@@ -37,15 +37,12 @@
 //!    never executed);
 //! 3. the ticket is **executed** —
 //!    [`RuntimeService::execute_reserved`](rtm_service::RuntimeService::execute_reserved)
-//!    implements the design and writes configuration frames — either
-//!    inline on the routing edge (immediate mode) or inside the next
-//!    shard-local segment
-//!    ([`FleetConfig::with_deferred_execution`]), where
-//!    [`EngineKind::Parallel`] fans the heavy load work across
-//!    workers; a device-specific *load* failure (placement/routing
-//!    congestion) is resolved after the execute phase, recorded and
-//!    attributed on that shard, then the next-ranked device gets the
-//!    request — counted in [`FleetReport::load_failovers`];
+//!    implements the design and writes configuration frames — in the
+//!    epoch's execute phase, right after the routing edge, when every
+//!    shard drains its own ticket queue; a device-specific *load*
+//!    failure (placement/routing congestion) is then resolved,
+//!    recorded and attributed on that shard, and the next-ranked device
+//!    gets the request — counted in [`FleetReport::load_failovers`];
 //! 4. if nobody can place it right now, the request queues on the
 //!    best-ranked device that reported "no room" (served later in that
 //!    shard's [`QueueOrder`](rtm_service::QueueOrder));
@@ -61,24 +58,17 @@
 //! admission totals, retry/unplaceable counts and a fragmentation
 //! timeline.
 //!
-//! The fleet advances epoch by epoch under a pluggable stepping
-//! [`engine`]: each epoch runs every shard's **shard-local segment**
+//! The fleet advances epoch by epoch (the [`engine`] module holds its
+//! clock): each epoch runs every shard's **shard-local segment**
 //! (departures, queue service, threshold defrag) up to the next
 //! cross-shard event horizon, then applies the cross-shard edges
-//! (routing, migration, the fleet defrag trigger) sequentially in
-//! shard-index order. With deferred execution on, each routing edge is
-//! followed by an **execute phase**: every shard drains its own ticket
-//! queue in parallel before the tickets are resolved on the edge.
-//! [`EngineKind::Parallel`] executes the shard-local segments (and the
-//! execute phase) on scoped worker threads with **byte-identical
-//! reports** — the thread schedule is unobservable because shards only
-//! interact inside the sequential edges — which is what turns an
-//! N-device sweep from N× single-device wall time into roughly
-//! N/cores. The schedule-invariance test suite
-//! (`tests/parallel_determinism.rs`) pins the equality over random
-//! fleets, scenarios and thread counts, and
-//! `tests/deferred_equivalence.rs` pins immediate-vs-deferred equality
-//! over the same space.
+//! (routing, migration, the fleet defrag trigger) in shard-index order.
+//! Each routing edge is followed by an **execute phase**: every shard
+//! drains its own ticket queue before the tickets are resolved. One
+//! thread walks the whole epoch in a fixed order, so a run is a pure
+//! function of the trace and the configuration — `tests/determinism.rs`
+//! pins equal reports and byte-identical event streams for repeat runs
+//! over random fleets, scenarios, policies and rebalancers.
 //!
 //! Routing decides where a function *starts*; the [`rebalance`]
 //! subsystem revisits the decision. With a [`RebalancePolicy`]
@@ -127,7 +117,6 @@ pub mod report;
 pub mod routing;
 
 pub use config::FleetConfig;
-pub use engine::EngineKind;
 pub use fleet::FleetService;
 pub use rebalance::{
     standard_rebalancers, MigrationDirective, MigrationOutcome, RebalancePolicy,

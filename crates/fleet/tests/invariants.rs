@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rtm_fleet::routing::{BestFitContiguous, FragAware, RoundRobin, RoutingPolicy};
-use rtm_fleet::{EngineKind, FleetConfig, FleetService};
+use rtm_fleet::{FleetConfig, FleetService};
 use rtm_fpga::part::Part;
 use rtm_service::trace::{Arrival, Scenario, Trace, TraceEvent};
 use rtm_service::{QosTier, ServiceConfig};
@@ -86,14 +86,6 @@ proptest! {
             let mut fleet = FleetService::new(config, policy());
             let report = fleet.run(&trace).unwrap();
 
-            // The same history through the parallel engine: identical
-            // outcome, so every check below covers both engines.
-            let config = FleetConfig::heterogeneous(&parts, ServiceConfig::default())
-                .with_parallel_engine(2);
-            let mut fleet = FleetService::new(config, policy());
-            let parallel = fleet.run(&trace).unwrap();
-            prop_assert_eq!(&report, &parallel, "engines diverged");
-
             prop_assert_eq!(report.unplaceable, expected_unplaceable, "{}", report);
             // The heart of the invariant: every admission landed on a
             // device whose part actually holds the request's shape.
@@ -112,24 +104,16 @@ proptest! {
     }
 }
 
-/// The satellite's sum check on a real contended run: three adversarial
-/// copies over three devices, every fleet total the exact sum of its
-/// per-device counters — under both stepping engines, which must agree
-/// exactly.
+/// The sum check on a real contended run: three adversarial copies
+/// over three devices, every fleet total the exact sum of its
+/// per-device counters.
 #[test]
 fn fleet_totals_equal_shard_sums_on_a_real_run() {
     let trace = Scenario::AdversarialFragmenter.fleet_trace(Part::Xcv50, 3, 40, 170_000);
-    let run = |engine: EngineKind| {
-        let config = FleetConfig::homogeneous(3, ServiceConfig::default()).with_engine(engine);
-        let mut fleet = FleetService::new(config, Box::new(BestFitContiguous));
-        fleet.run(&trace).unwrap()
-    };
-    let report = run(EngineKind::Sequential);
-    assert_eq!(
-        report,
-        run(EngineKind::Parallel { threads: 2 }),
-        "engines diverged on the contended run"
-    );
+    let config = FleetConfig::homogeneous(3, ServiceConfig::default());
+    let report = FleetService::new(config, Box::new(BestFitContiguous))
+        .run(&trace)
+        .unwrap();
 
     assert_eq!(report.submitted, trace.arrivals());
     assert_conservation(&report);

@@ -6,8 +6,9 @@
 //! * the eviction sum identities (`evicted out = migrated + parked`,
 //!   `parked = readmitted + expired + still parked`, and the per-shard
 //!   residency identity extended by the eviction flows);
-//! * per-tier counters and the whole report byte-identical across the
-//!   engine × execution-mode × thread-count grid;
+//! * per-tier counters and the whole report identical on a repeat run;
+//! * a preemption sees batch functions seated earlier in the same
+//!   routing edge, even on shards the capped offer chain never reached;
 //! * monotonicity: adding lower-tier load never reduces the high-tier
 //!   admission count (preemption makes interactive service independent
 //!   of batch pressure);
@@ -16,18 +17,15 @@
 
 use proptest::prelude::*;
 use rtm_fleet::routing::{BestFitContiguous, RoundRobin};
-use rtm_fleet::{EngineKind, FleetConfig, FleetService};
+use rtm_fleet::{FleetConfig, FleetService};
 use rtm_fpga::config::layout::{tile_bit_location, PIP_BITS_BASE};
 use rtm_fpga::geom::Rect;
 use rtm_fpga::part::Part;
 use rtm_service::trace::{Arrival, Scenario, Trace, TraceEvent};
 use rtm_service::{AdmissionBid, QosTier, RuntimeService, ServiceConfig, ServiceReport};
 
-fn tiered_fleet(preemption: bool, engine: EngineKind, deferred: bool) -> FleetService {
-    let config = FleetConfig::homogeneous(3, ServiceConfig::default())
-        .with_preemption(preemption)
-        .with_engine(engine)
-        .with_deferred_execution(deferred);
+fn tiered_fleet(preemption: bool) -> FleetService {
+    let config = FleetConfig::homogeneous(3, ServiceConfig::default()).with_preemption(preemption);
     FleetService::new(config, Box::new(BestFitContiguous))
 }
 
@@ -38,12 +36,8 @@ fn tiered_fleet(preemption: bool, engine: EngineKind, deferred: bool) -> FleetSe
 fn preemption_strictly_improves_interactive_admission() {
     let trace = Scenario::TieredMix.fleet_trace(Part::Xcv50, 3, 7, 150_000);
 
-    let baseline = tiered_fleet(false, EngineKind::Sequential, false)
-        .run(&trace)
-        .unwrap();
-    let preempting = tiered_fleet(true, EngineKind::Sequential, false)
-        .run(&trace)
-        .unwrap();
+    let baseline = tiered_fleet(false).run(&trace).unwrap();
+    let preempting = tiered_fleet(true).run(&trace).unwrap();
 
     let without = baseline.tiers().admitted_for(QosTier::Interactive);
     let with = preempting.tiers().admitted_for(QosTier::Interactive);
@@ -87,30 +81,68 @@ fn preemption_strictly_improves_interactive_admission() {
 }
 
 /// The determinism gate: the tiered run — preemption, evictions,
-/// parking, readmission and all — produces byte-identical reports
-/// (per-tier counters included, they are report fields) across both
-/// engines, both execution modes and several thread counts.
+/// parking, readmission and all — produces an identical report
+/// (per-tier counters included, they are report fields) when replayed
+/// on a fresh fleet.
 #[test]
-fn tiered_reports_identical_across_engine_mode_grid() {
+fn tiered_reports_identical_on_repeat_runs() {
     let trace = Scenario::TieredMix.fleet_trace(Part::Xcv50, 3, 7, 150_000);
-    let reference = tiered_fleet(true, EngineKind::Sequential, false)
-        .run(&trace)
-        .unwrap();
-    assert!(reference.preemptions > 0, "grid must exercise preemption");
+    let reference = tiered_fleet(true).run(&trace).unwrap();
+    assert!(
+        reference.preemptions > 0,
+        "the run must exercise preemption"
+    );
+    assert_eq!(
+        reference,
+        tiered_fleet(true).run(&trace).unwrap(),
+        "tiered run diverged on a repeat run"
+    );
+}
 
-    for deferred in [false, true] {
-        for engine in [
-            EngineKind::Sequential,
-            EngineKind::Parallel { threads: 2 },
-            EngineKind::Parallel { threads: 4 },
-        ] {
-            let report = tiered_fleet(true, engine, deferred).run(&trace).unwrap();
-            assert_eq!(
-                reference, report,
-                "tiered run diverged under {engine:?}, deferred={deferred}"
-            );
-        }
-    }
+/// Regression: the victim search must see a lower-tier function seated
+/// earlier in the same routing edge, on a shard the capped offer chain
+/// never offered the preempting arrival. Two XCV50s, round-robin, one
+/// offer per arrival: at t=0 an interactive 14×20 fills most of shard
+/// 0; at t=1000 a batch 10×16 is reserved on shard 1, then an
+/// interactive 10×10 is offered shard 0 only and strikes out. Its
+/// preemption must find the batch function on shard 1 (its ticket has
+/// not run yet: nothing drained shard 1 since), evict it — parked,
+/// since shard 0 has no room for it — and seat there.
+#[test]
+fn preemption_sees_a_victim_seated_earlier_in_the_same_edge() {
+    let arrival = |id, rows, cols, tier| {
+        TraceEvent::Arrival(Arrival {
+            id,
+            rows,
+            cols,
+            duration: None,
+            deadline: None,
+            tier,
+        })
+    };
+    let mut trace = Trace::new("same-instant-preemption");
+    trace.push(0, arrival(0, 14, 20, QosTier::Interactive));
+    trace.push(1_000, arrival(1, 10, 16, QosTier::Batch));
+    trace.push(1_000, arrival(2, 10, 10, QosTier::Interactive));
+
+    let config = FleetConfig::homogeneous(2, ServiceConfig::default().with_part(Part::Xcv50))
+        .with_preemption(true)
+        .with_max_offer_attempts(1);
+    let mut fleet = FleetService::new(config, Box::new(RoundRobin::default()));
+    let report = fleet.run(&trace).unwrap();
+
+    assert_eq!(report.preemptions, 1, "{report}");
+    assert_eq!(report.evictions_parked, 1, "{report}");
+    assert_eq!(
+        report.tiers().admitted_for(QosTier::Interactive),
+        2,
+        "{report}"
+    );
+    assert_eq!(report.queued_at_end(), 0, "{report}");
+    assert!(
+        fleet.shards()[1].holds(2),
+        "the interactive 10x10 seats on shard 1"
+    );
 }
 
 /// Readback equivalence modulo the relocation offset — the migration

@@ -1,8 +1,8 @@
 //! The deterministic structured event stream.
 //!
 //! Every event is stamped with *simulated* time ([`Micros`]) and a shard
-//! index — never wall clock — so a stream recorded under the parallel
-//! fleet engine is byte-identical to one recorded sequentially. The JSONL
+//! index — never wall clock — so replaying a trace reproduces its
+//! stream byte for byte, on any host. The JSONL
 //! (de)serializer is hand-rolled (the workspace is offline, no serde):
 //! keys are emitted in one fixed order and the parser reads them back
 //! positionally, so `parse(line).to_jsonl() == line` by construction.
@@ -175,7 +175,7 @@ pub enum EventKind {
         /// QoS tier index of the readmitted function.
         tier: u8,
     },
-    /// The fleet engine opened a new epoch at this simulated time.
+    /// The fleet opened a new epoch at this simulated time.
     EpochBoundary,
 }
 

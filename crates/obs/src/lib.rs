@@ -5,14 +5,14 @@
 //! 1. **Deterministic event stream** ([`event`], [`sink`]) — structured
 //!    [`RtmEvent`]s stamped with *simulated* time and shard index,
 //!    recorded through the [`EventSink`] trait. Streams are fully
-//!    deterministic: the merged stream of a fleet run is byte-identical
-//!    between the sequential and parallel engines.
+//!    deterministic: replaying a trace on a fresh fleet reproduces the
+//!    merged stream byte for byte.
 //! 2. **Metrics registry** ([`metrics`]) — named counters and
 //!    log2-bucketed histograms over deterministic quantities (queue
 //!    wait in simulated µs, frames per load, offer-chain length),
 //!    deltaed into `ServiceReport`/`FleetReport`.
-//! 3. **Wall-clock phase profiler** ([`profile`]) — per-phase and
-//!    per-worker `Instant` accumulators for the epoch engine, printed
+//! 3. **Wall-clock phase profiler** ([`profile`]) — per-phase
+//!    `Instant` accumulators for the fleet's epoch loop, printed
 //!    beside gated output and never into it. This module is the only
 //!    place in the workspace allowed to read wall clock (ratcheted by
 //!    rtm-lint's determinism rule).

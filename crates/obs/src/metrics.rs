@@ -3,7 +3,7 @@
 //!
 //! Everything in here is derived from simulated time and counted work —
 //! never wall clock — so registries are `PartialEq`-comparable across
-//! engines and safe to fold into the CI-gated reports. Maps are
+//! runs and safe to fold into the CI-gated reports. Maps are
 //! `BTreeMap`s: iteration (and `Display`) order is deterministic.
 
 use std::collections::BTreeMap;

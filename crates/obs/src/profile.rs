@@ -4,9 +4,9 @@
 //! Everything here measures *wall* time and therefore lives strictly
 //! apart from the deterministic event stream and metrics registry: a
 //! profiler is never part of a `ServiceReport`/`FleetReport` (which are
-//! `PartialEq`-compared across engines and byte-diffed by the CI perf
-//! gate), and its output is printed beside the gated counters, never
-//! into them. The rtm-lint determinism rule ratchets this boundary: the
+//! `PartialEq`-compared by the determinism nets and byte-diffed by the
+//! CI perf gate), and its output is printed beside the gated counters,
+//! never into them. The rtm-lint determinism rule ratchets this boundary: the
 //! `Instant` tokens below carry the single `lint-allow.toml` entry, and
 //! every other crate routes wall-clock measurement through [`Stopwatch`]
 //! or [`PhaseProfiler`].
@@ -15,20 +15,17 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Maximum worker threads the per-thread accumulators track.
-pub const MAX_WORKERS: usize = 64;
-
 /// The phases of one `FleetService::run` epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Cross-shard event-horizon scan (min over shards + trace peek).
     Horizon,
-    /// Shard-local segments (advance/settle sweeps; the parallel part).
+    /// Shard-local segments (advance/settle sweeps).
     Segments,
     /// Trace delivery and routing edges.
     Routing,
-    /// Deferred admission execution (shard-local ticket drains; the
-    /// other parallel part).
+    /// Admission execution (the shard-local ticket drains after each
+    /// routing edge).
     Execute,
     /// Fleet defrag trigger and rebalance-migration edges.
     Triggers,
@@ -59,14 +56,6 @@ impl Phase {
         }
     }
 
-    /// True for the phases that run single-threaded between segments —
-    /// the "cross-shard edges" of ROADMAP follow-up (a). `Execute` runs
-    /// shard-local ticket drains on the workers, so it sits with
-    /// `Segments` on the parallel side of the boundary.
-    pub fn is_cross_shard_edge(&self) -> bool {
-        !matches!(self, Phase::Segments | Phase::Execute)
-    }
-
     fn index(&self) -> usize {
         match self {
             Phase::Horizon => 0,
@@ -79,22 +68,12 @@ impl Phase {
     }
 }
 
-/// Per-phase and per-worker wall-clock accumulators for the epoch
-/// engine. Atomics so worker threads can record segment time through a
-/// shared reference while the main thread times the cross-shard edges.
-#[derive(Debug)]
+/// Per-phase wall-clock accumulators for the fleet's epoch loop.
+/// Atomics, so a guard records through a shared reference while the
+/// fleet mutates its shards.
+#[derive(Debug, Default)]
 pub struct PhaseProfiler {
     phase_ns: [AtomicU64; 6],
-    worker_ns: [AtomicU64; MAX_WORKERS],
-}
-
-impl Default for PhaseProfiler {
-    fn default() -> Self {
-        PhaseProfiler {
-            phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            worker_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 impl PhaseProfiler {
@@ -112,24 +91,9 @@ impl PhaseProfiler {
         }
     }
 
-    /// Starts timing worker `worker`'s share of the current segment
-    /// phase; accumulates on drop. Workers at or beyond [`MAX_WORKERS`]
-    /// fold into the last slot.
-    pub fn worker_timer(&self, worker: usize) -> PhaseGuard<'_> {
-        PhaseGuard {
-            slot: &self.worker_ns[worker.min(MAX_WORKERS - 1)],
-            started: Instant::now(),
-        }
-    }
-
     /// Accumulated wall nanoseconds for `phase`.
     pub fn phase_nanos(&self, phase: Phase) -> u64 {
         self.phase_ns[phase.index()].load(Ordering::Relaxed)
-    }
-
-    /// Accumulated wall nanoseconds recorded by worker `worker`.
-    pub fn worker_nanos(&self, worker: usize) -> u64 {
-        self.worker_ns[worker.min(MAX_WORKERS - 1)].load(Ordering::Relaxed)
     }
 
     /// Sum over all phases.
@@ -137,20 +101,9 @@ impl PhaseProfiler {
         Phase::ALL.iter().map(|p| self.phase_nanos(*p)).sum()
     }
 
-    /// Sum over the single-threaded cross-shard edge phases (everything
-    /// except `Segments`).
-    pub fn cross_shard_nanos(&self) -> u64 {
-        Phase::ALL
-            .iter()
-            .filter(|p| p.is_cross_shard_edge())
-            .map(|p| self.phase_nanos(*p))
-            .sum()
-    }
-
-    /// The phase-share table: one line of phase percentages plus the
-    /// cross-shard edge share, and one line per worker that recorded
-    /// time. Wall clock only — printed beside gated output, never into
-    /// it.
+    /// The phase-share table: one line of phase percentages and their
+    /// total wall time. Wall clock only — printed beside gated output,
+    /// never into it.
     pub fn share_table(&self) -> String {
         let total = self.total_nanos();
         let mut out = String::from("    phases:");
@@ -168,24 +121,7 @@ impl PhaseProfiler {
                 pct(self.phase_nanos(*phase))
             );
         }
-        let _ = write!(
-            out,
-            " | cross-shard edges {:.1}% of {:.2}s",
-            pct(self.cross_shard_nanos()),
-            total as f64 / 1e9
-        );
-        let workers: Vec<(usize, u64)> = (0..MAX_WORKERS)
-            .map(|w| (w, self.worker_nanos(w)))
-            .filter(|&(_, ns)| ns > 0)
-            .collect();
-        if workers.len() > 1 {
-            let seg: u64 = workers.iter().map(|&(_, ns)| ns).sum();
-            out.push_str("\n    workers:");
-            for (w, ns) in workers {
-                let _ = write!(out, " w{} {:.1}%", w, 100.0 * ns as f64 / seg as f64);
-            }
-            out.push_str(" (of summed segment time)");
-        }
+        let _ = write!(out, " | total {:.2}s", total as f64 / 1e9);
         out
     }
 }
@@ -255,44 +191,13 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_share_excludes_segments_and_execute() {
-        let prof = PhaseProfiler::new();
-        drop(prof.start(Phase::Routing));
-        drop(prof.start(Phase::Segments));
-        drop(prof.start(Phase::Execute));
-        assert_eq!(
-            prof.cross_shard_nanos(),
-            prof.total_nanos()
-                - prof.phase_nanos(Phase::Segments)
-                - prof.phase_nanos(Phase::Execute)
-        );
-        assert!(!Phase::Execute.is_cross_shard_edge());
-        assert!(Phase::Routing.is_cross_shard_edge());
-    }
-
-    #[test]
-    fn worker_timers_land_in_their_slot() {
-        let prof = PhaseProfiler::new();
-        drop(prof.worker_timer(0));
-        drop(prof.worker_timer(2));
-        drop(prof.worker_timer(MAX_WORKERS + 7));
-        assert!(prof.worker_nanos(0) > 0);
-        assert_eq!(prof.worker_nanos(1), 0);
-        assert!(prof.worker_nanos(2) > 0);
-        assert!(
-            prof.worker_nanos(MAX_WORKERS - 1) > 0,
-            "overflow folds into last slot"
-        );
-    }
-
-    #[test]
     fn share_table_handles_empty_and_filled() {
         let prof = PhaseProfiler::new();
         assert!(prof.share_table().contains("no samples"));
         drop(prof.start(Phase::Horizon));
         let table = prof.share_table();
         assert!(table.contains("horizon"));
-        assert!(table.contains("cross-shard edges"));
+        assert!(table.contains("execute 0.0%"), "{table}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! and zero allocations. [`EventBuffer`] is the recording sink: it is
 //! `Send`-but-not-`Sync` (a `RefCell` inside), which is exactly the
 //! shard-locality contract — each buffer belongs to one shard and moves
-//! with it onto that shard's worker thread; buffers are only merged on
-//! the main thread between epochs, in shard-index order.
+//! with it; buffers are only merged between epochs, in shard-index
+//! order.
 
 use crate::event::{EventKind, RtmEvent};
 use rtm_sched::task::Micros;
@@ -16,7 +16,7 @@ use std::cell::RefCell;
 ///
 /// `emit` takes `&self` so sinks can be threaded through non-mutating
 /// planning paths; `Send` so a sink can live inside a shard that moves
-/// onto a scoped worker thread.
+/// across threads.
 pub trait EventSink: Send {
     /// Records one event at simulated time `at`. The sink supplies the
     /// shard tag (the emitter does not know which shard it is).
@@ -36,7 +36,7 @@ impl EventSink for NullSink {
 /// Shard-local by design: interior mutability via `RefCell` keeps the
 /// buffer `Send` (it moves with its shard) but not `Sync` (two threads
 /// can never share one buffer), which the compiler enforces wherever a
-/// shard is sent to a worker.
+/// shard is sent to another thread.
 #[derive(Debug, Default)]
 pub struct EventBuffer {
     shard: u32,

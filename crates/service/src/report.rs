@@ -11,8 +11,8 @@ use std::fmt;
 /// Per-tier admission/latency roll-up, indexed by [`QosTier::index`]
 /// (`[batch, standard, interactive]`).
 ///
-/// Simulated counters only, so the roll-up is engine- and
-/// mode-invariant and safe to compare byte-exact — the fleet baseline
+/// Simulated counters only, so the roll-up is deterministic and safe
+/// to compare byte-exact — the fleet baseline
 /// gates the per-tier admitted counts the same way it gates the
 /// untiered ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -225,7 +225,7 @@ pub struct ServiceReport {
     /// per load, moves per admission) deltaed by
     /// [`RuntimeService::finish`](crate::RuntimeService::finish) exactly
     /// like [`ServiceReport::plan_stats`]. Simulated quantities only, so
-    /// the registry is engine-invariant and safe to compare byte-exact.
+    /// the registry is deterministic and safe to compare byte-exact.
     pub metrics: MetricsRegistry,
     /// Requests still queued when the trace (and all residencies with
     /// known durations) ran out.

@@ -300,10 +300,9 @@ impl MigratingFunction {
 /// [`RuntimeService::depart`] and [`RuntimeService::settle`] — keeping
 /// one shared clock across all shards while each shard keeps its own
 /// queue, residency table and defragmentation trigger. Admission is
-/// two-phase: the sequential *decide* step seats an epoch-stamped
-/// ticket on the routing edge, and the heavy *execute* step (cells,
-/// nets, configuration frames) runs when the shard drains its ticket
-/// queue — shard-locally, so an engine may fan it over workers.
+/// two-phase: the *decide* step seats an epoch-stamped ticket on the
+/// routing edge, and the heavy *execute* step (cells, nets,
+/// configuration frames) runs when the shard drains its ticket queue.
 ///
 /// # Examples
 ///
@@ -361,13 +360,12 @@ pub struct RuntimeService {
     /// Seated admissions awaiting execution, in decide order. Drained
     /// by [`RuntimeService::execute_reserved`] — and defensively by
     /// every entry point that could otherwise observe a half-admitted
-    /// device, which is what makes deferred and immediate execution
-    /// byte-identical.
+    /// device, so no caller ever sees a reserved-but-unimplemented
+    /// function.
     tickets: VecDeque<PendingTicket>,
     /// Executed tickets awaiting [`RuntimeService::resolve_ticket`],
     /// keyed by trace id. A failed entry still holds its arena
-    /// reservation (so sibling-ranking metrics agree between execution
-    /// modes); resolution cancels it.
+    /// reservation until resolution cancels it.
     resolved: BTreeMap<u64, ResolvedTicket>,
     /// Bumped whenever the expiry schedule changes — the cheap dirty
     /// flag a fleet's horizon clock compares before re-reading
@@ -381,10 +379,10 @@ pub struct RuntimeService {
     force_fail_loads: u32,
 }
 
-// Compile-time `Send` pin: a shard (service + its manager) must be
-// movable to a worker thread for the parallel fleet engine. Holds today
-// because every field is owned data and the manager's interior
-// mutability is `Cell`/`RefCell` (`Send`, not `Sync`).
+// Compile-time `Send` pin: a shard (service + its manager) must stay
+// movable across threads, so a fleet can live on any thread its owner
+// picks. Holds because every field is owned data and the manager's
+// interior mutability is `Cell`/`RefCell` (`Send`, not `Sync`).
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<RuntimeService>();
@@ -495,12 +493,12 @@ impl RuntimeService {
     }
 
     /// The shard's next **self-scheduled** event: the read-only peek a
-    /// fleet stepping engine uses to compute the next cross-shard
-    /// horizon. Everything strictly before this instant is shard-local
-    /// — this shard will not unload, admit or defragment anything on
-    /// its own — so an engine may advance the shard to the horizon on
-    /// any worker thread without a sibling ever observing intermediate
-    /// state. Today the only self-scheduled events are residency
+    /// fleet uses to compute the next cross-shard horizon. Everything
+    /// strictly before this instant is shard-local — this shard will
+    /// not unload, admit or defragment anything on its own — so the
+    /// fleet may advance the shard to the horizon without a sibling
+    /// ever observing intermediate state. Today the only
+    /// self-scheduled events are residency
     /// expirations ([`RuntimeService::next_expiry`]); queued deadlines
     /// are *reactive* (checked when the queue is served at a processed
     /// instant) and deliberately not part of the horizon.
@@ -656,7 +654,7 @@ impl RuntimeService {
     ///
     /// Propagates [`CoreError`] only from draining still-pending
     /// tickets (the events of an earlier admission must land before
-    /// this arrival's, whichever execution mode seated it).
+    /// this arrival's).
     pub fn enqueue(
         &mut self,
         at: Micros,
@@ -691,9 +689,9 @@ impl RuntimeService {
     /// reserves the arena region and accounts the request — but writes
     /// no cells, nets or frames. The heavy implementation work runs
     /// when this shard next drains its ticket queue
-    /// ([`RuntimeService::execute_reserved`] — inside the engine's
-    /// parallel execute phase, for a fleet), and the fate of the ticket
-    /// is fetched with [`RuntimeService::resolve_ticket`].
+    /// ([`RuntimeService::execute_reserved`] — inside the epoch's
+    /// execute phase, for a fleet), and the fate of the ticket is
+    /// fetched with [`RuntimeService::resolve_ticket`].
     ///
     /// On [`ReserveOutcome::NoRoom`] nothing is recorded and the caller
     /// may probe another device; the other outcomes account the request
@@ -705,9 +703,8 @@ impl RuntimeService {
     ///
     /// Still-pending tickets from earlier reservations are executed
     /// first — every entry point that could observe admission state
-    /// drains the queue — so per-shard event order is identical whether
-    /// tickets are executed inline ([`RuntimeService::admit`]) or
-    /// deferred to an engine phase.
+    /// drains the queue — so per-shard event order is the order in
+    /// which requests were decided, whenever the tickets run.
     ///
     /// # Errors
     ///
@@ -759,12 +756,10 @@ impl RuntimeService {
 
     /// The *execute* half of two-phase admission: implements every
     /// seated ticket, oldest first — placement already fixed by the
-    /// reservation, so this is pure implementation work (cells, nets,
-    /// configuration frames) that an engine can fan over worker threads
-    /// shard-locally. Outcomes are parked for
+    /// reservation, so this is pure, shard-local implementation work
+    /// (cells, nets, configuration frames). Outcomes are parked for
     /// [`RuntimeService::resolve_ticket`]; a failed load keeps its
-    /// arena reservation until resolved, so sibling-facing metrics
-    /// agree between execution modes.
+    /// arena reservation until resolved.
     ///
     /// # Errors
     ///
@@ -800,9 +795,10 @@ impl RuntimeService {
         {
             ResolvedTicket::Executed => Ok(TicketOutcome::Executed),
             ResolvedTicket::Failed(fid, reason) => {
-                // The reservation was kept across the failure so both
-                // execution modes rank siblings against the same arena;
-                // releasing it is what resolution *means*.
+                // The reservation was kept across the failure, so the
+                // arena a sibling ranking reads does not depend on
+                // when the ticket ran; releasing it is what resolution
+                // *means*.
                 let cancelled = self.mgr.cancel_reservation(fid);
                 debug_assert!(cancelled.is_ok(), "failed ticket must still be seated");
                 Ok(TicketOutcome::Failed { reason })
@@ -812,10 +808,8 @@ impl RuntimeService {
 
     /// One-shot admission: [`RuntimeService::reserve`], then
     /// immediately execute and resolve — the single-device form of the
-    /// two-phase pipeline. Both execution modes run the same machinery;
-    /// an admission observes identical device state and emits identical
-    /// events whether its execute step ran here or in an engine's
-    /// deferred execute phase.
+    /// two-phase pipeline, running the same machinery as a fleet's
+    /// execute phase.
     ///
     /// # Errors
     ///
@@ -1136,9 +1130,10 @@ impl RuntimeService {
     /// arrival at `tier`: lowest [`victim_cost`] (CLB footprint ×
     /// remaining runtime) among residents of a *strictly* lower tier,
     /// ties broken on trace id. `None` when nothing here is evictable
-    /// by `tier`. Reads the post-drain resident set — the fleet's
-    /// preemption edge runs right after a [`RuntimeService::reserve`],
-    /// which drains pending tickets.
+    /// by `tier`. A `&self` read that does not drain: a function whose
+    /// ticket is still pending is not a resident yet, so callers drain
+    /// this shard ([`RuntimeService::execute_reserved`]) first — the
+    /// fleet's preemption edge does so for every candidate shard.
     ///
     /// `exclude` lists trace ids that are off the table — the fleet
     /// passes the residents it already displaced during the current
@@ -1497,7 +1492,8 @@ impl RuntimeService {
         }
     }
 
-    /// Executes one seated ticket: the parallel half of an admission.
+    /// Executes one seated ticket: the implementation half of an
+    /// admission.
     /// Success makes the function resident and emits the
     /// `Admitted`/`Load`/`Executed` record; failure is absorbed,
     /// attributed and parked (reservation kept) for

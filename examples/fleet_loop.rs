@@ -23,28 +23,20 @@
 //!
 //! Replays a fixed set of deterministic fleet runs — the three-device
 //! policy sweep, frag-aware sweeps at N = 16 and N = 64 devices, two
-//! round-robin + rebalancing-migration runs (x4 and N = 16), the
-//! epoch-engine scale tier (N = 256 under both stepping engines ×
-//! both admission modes, N = 1024 under the parallel engine in both
-//! modes), and the tiered QoS rows (the tiered mix without preemption,
-//! then with preemption under the engine × mode grid; per-tier
-//! admitted counters and the preemption/eviction flow counters ride in
-//! every row) — and writes every run's counters (admissions, frames
-//! written, `make_room` planning passes, plans reused, migrations, …)
-//! as JSON, each row tagged with the engine it ran under and whether
-//! admission execution was immediate or deferred. The checked-in
-//! `BENCH_fleet.json` is the baseline; `ci.sh` re-runs this mode and
-//! fails on any counter difference — which makes the N = 256 rows a
-//! standing sequential/parallel *and* immediate/deferred equivalence
-//! proof (`ci.sh` additionally byte-compares those rows against each
-//! other after stripping the engine/mode tags). Counters are
+//! round-robin + rebalancing-migration runs (x4 and N = 16), the scale
+//! tier (round-robin at N = 256 and N = 1024), and the tiered QoS rows
+//! (the tiered mix without, then with preemption; per-tier admitted
+//! counters and the preemption/eviction flow counters ride in every
+//! row) — and writes every run's counters (admissions, frames written,
+//! `make_room` planning passes, plans reused, migrations, …) as JSON.
+//! The checked-in `BENCH_fleet.json` is the baseline; `ci.sh` re-runs
+//! this mode and fails on any counter difference. Counters are
 //! exact-match gated; wall-clock time and the arrivals/s throughput
 //! printed next to each row are for the log, never gated. The
-//! scale-tier rows also print the epoch engine's wall-clock
-//! **phase-share table** (stdout only, never in the JSON) — on the
-//! deferred rows the `execute` phase absorbs the implementation work
-//! the routing edge used to carry; pass `--profile` to print the
-//! table for every row.
+//! scale-tier rows also print the epoch loop's wall-clock
+//! **phase-share table** (stdout only, never in the JSON) — the
+//! `execute` phase shows the implementation work the routing edge
+//! hands off; pass `--profile` to print the table for every row.
 //!
 //! ## QoS tiers: `--tiered`
 //!
@@ -72,7 +64,7 @@
 
 use rtm::fleet::rebalance::{RebalancePolicy, WorstShardDrain};
 use rtm::fleet::routing::{standard_policies, FragAware, RoundRobin, RoutingPolicy};
-use rtm::fleet::{EngineKind, FleetConfig, FleetReport, FleetService};
+use rtm::fleet::{FleetConfig, FleetReport, FleetService};
 use rtm::obs::{to_jsonl_stream, EventKind, RejectReason, RtmEvent, Stopwatch};
 use rtm_fpga::part::Part;
 use rtm_service::trace::{Scenario, Trace};
@@ -86,25 +78,13 @@ fn fleet_trace(scenario: Scenario, copies: u64, seed: u64) -> Trace {
 }
 
 /// One deterministic counter block of the perf baseline, JSON-ready.
-/// The `engine` field names the stepping engine the row ran under and
-/// `mode` whether admission execution was immediate or deferred;
-/// because the gate is a byte diff, rows over the same workload that
-/// agree on every other field *are* the cross-engine and cross-mode
-/// equivalence checks, re-proven on every CI run.
-fn json_block(
-    devices: usize,
-    engine: EngineKind,
-    deferred: bool,
-    preemption: bool,
-    report: &FleetReport,
-) -> String {
+fn json_block(devices: usize, preemption: bool, report: &FleetReport) -> String {
     let s = report.plan_stats();
     let tiers = report.tiers();
     let mut out = String::new();
     let _ = write!(
         out,
-        "    {{\"scenario\": \"{}\", \"devices\": {}, \"engine\": \"{}\", \
-         \"mode\": \"{}\", \"preemption\": {}, \
+        "    {{\"scenario\": \"{}\", \"devices\": {}, \"preemption\": {}, \
          \"policy\": \"{}\", \"rebalancer\": \"{}\", \
          \"submitted\": {}, \"admitted\": {}, \"retries\": {}, \
          \"load_failovers\": {}, \"unplaceable\": {}, \"queued_at_end\": {}, \
@@ -126,8 +106,6 @@ fn json_block(
          \"route_searches\": {}, \"route_nodes_expanded\": {}}}",
         report.trace_name,
         devices,
-        engine.name(),
-        if deferred { "deferred" } else { "immediate" },
         preemption,
         report.policy,
         report.rebalancer.as_deref().unwrap_or("none"),
@@ -181,17 +159,13 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
     let seed = 42;
     let mut blocks: Vec<String> = Vec::new();
     let mut run = |parts: &[Part],
-                   engine: EngineKind,
-                   deferred: bool,
                    preemption: bool,
                    policy: Box<dyn RoutingPolicy>,
                    rebalancer: Option<Box<dyn RebalancePolicy>>,
                    trace: &Trace,
                    profile: bool| {
-        let mut config = FleetConfig::heterogeneous(parts, ServiceConfig::default())
-            .with_engine(engine)
-            .with_deferred_execution(deferred)
-            .with_preemption(preemption);
+        let mut config =
+            FleetConfig::heterogeneous(parts, ServiceConfig::default()).with_preemption(preemption);
         if rebalancer.is_some() {
             config = config.with_rebalance_threshold(0.4);
         }
@@ -209,12 +183,10 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
         // fleet chewed through per second of wall. Printed for the CI
         // log — wall time (and thus this rate) is never gated.
         println!(
-            "  {:<26} N={:<4} {:<13} {:<9} {:<16} {:>5}/{:<5} admitted, {} make_room, \
+            "  {:<26} N={:<4} {:<16} {:>5}/{:<5} admitted, {} make_room, \
              {} reused, {} migrations   [{:.0} ms wall, {:.0} arrivals/s, not gated]",
             report.trace_name,
             parts.len(),
-            engine.name(),
-            if deferred { "deferred" } else { "immediate" },
             report.policy,
             report.admitted(),
             report.submitted,
@@ -229,13 +201,7 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
         if let Some(p) = fleet.profiler() {
             println!("{}", p.share_table());
         }
-        blocks.push(json_block(
-            parts.len(),
-            engine,
-            deferred,
-            preemption,
-            &report,
-        ));
+        blocks.push(json_block(parts.len(), preemption, &report));
     };
 
     // 1. The example's three-device fleet, all four policies, on the
@@ -243,16 +209,7 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
     let small = [Part::Xcv50, Part::Xcv50, Part::Xcv100];
     let adv_x4 = fleet_trace(Scenario::AdversarialFragmenter, 4, seed);
     for policy in standard_policies() {
-        run(
-            &small,
-            EngineKind::Sequential,
-            false,
-            false,
-            policy,
-            None,
-            &adv_x4,
-            false,
-        );
+        run(&small, false, policy, None, &adv_x4, false);
     }
 
     // 2. Frag-aware at fleet scale: N = 16 and N = 64 homogeneous
@@ -263,8 +220,6 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
         let trace = fleet_trace(Scenario::AdversarialFragmenter, n as u64 + 1, seed);
         run(
             &parts,
-            EngineKind::Sequential,
-            false,
             false,
             Box::<FragAware>::default(),
             None,
@@ -280,8 +235,6 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
     //    *and* the migration counters themselves.
     run(
         &small,
-        EngineKind::Sequential,
-        false,
         false,
         Box::<RoundRobin>::default(),
         Some(Box::<WorstShardDrain>::default()),
@@ -292,8 +245,6 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
     let adv_x17 = fleet_trace(Scenario::AdversarialFragmenter, 17, seed);
     run(
         &parts16,
-        EngineKind::Sequential,
-        false,
         false,
         Box::<RoundRobin>::default(),
         Some(Box::<WorstShardDrain>::default()),
@@ -301,85 +252,37 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
         false,
     );
 
-    // 4. The scale tier, under the epoch engines. Round-robin keeps
-    //    routing O(1)-ish so the rows measure the stepping loop, not
-    //    the router. N = 256 runs under *both* engines: the byte diff
-    //    then re-proves sequential/parallel counter equality on every
-    //    CI run. N = 1024 — the soak-scale sweep — runs once, under
-    //    the parallel engine (its counters are pinned equal to
-    //    sequential by the schedule-invariance suite; a second
-    //    multi-minute sequential row would buy no extra signal).
-    let parts256 = vec![Part::Xcv50; 256];
-    let adv_x257 = fleet_trace(Scenario::AdversarialFragmenter, 257, seed);
-    for engine in [EngineKind::Sequential, EngineKind::Parallel { threads: 0 }] {
-        // Twin rows per engine: immediate and deferred admission. All
-        // four N = 256 rows must agree on every counter (`ci.sh`
-        // byte-gates the agreement after stripping the tags), which
-        // re-proves two-phase mode invariance on every CI run.
-        for deferred in [false, true] {
-            run(
-                &parts256,
-                engine,
-                deferred,
-                false,
-                Box::<RoundRobin>::default(),
-                None,
-                &adv_x257,
-                true,
-            );
-        }
-    }
-    let parts1024 = vec![Part::Xcv50; 1024];
-    let adv_x1025 = fleet_trace(Scenario::AdversarialFragmenter, 1025, seed);
-    // The soak-scale sweep, immediate then deferred: comparing the two
-    // share tables shows the routing edge's share dropping as the
-    // execute phase absorbs the implementation work (printed, never
-    // gated — the counters are pinned equal by the byte diff).
-    for deferred in [false, true] {
+    // 4. The scale tier: round-robin keeps routing O(1)-ish so the
+    //    rows measure the epoch loop, not the router. Both rows print
+    //    their phase-share tables.
+    for n in [256usize, 1024] {
+        let parts = vec![Part::Xcv50; n];
+        let trace = fleet_trace(Scenario::AdversarialFragmenter, n as u64 + 1, seed);
         run(
-            &parts1024,
-            EngineKind::Parallel { threads: 0 },
-            deferred,
+            &parts,
             false,
             Box::<RoundRobin>::default(),
             None,
-            &adv_x1025,
+            &trace,
             true,
         );
     }
 
     // 5. QoS tiers: the tiered multi-tenant mix on the three-device
     //    fleet, once without preemption (the baseline the improvement
-    //    is measured against) and then with preemption under the full
-    //    engine × mode grid. `ci.sh` gates two claims on these rows:
-    //    the four preemption-on rows agree on every counter after the
-    //    engine/mode tags are stripped (tiered twin-row gate), and
-    //    `admitted_interactive` is strictly higher with preemption
-    //    than without.
+    //    is measured against) and once with it. `ci.sh` gates that
+    //    `admitted_interactive` is strictly higher with preemption than
+    //    without.
     let tiered = fleet_trace(Scenario::TieredMix, 3, 7);
-    run(
-        &small,
-        EngineKind::Sequential,
-        false,
-        false,
-        Box::<RoundRobin>::default(),
-        None,
-        &tiered,
-        false,
-    );
-    for engine in [EngineKind::Sequential, EngineKind::Parallel { threads: 0 }] {
-        for deferred in [false, true] {
-            run(
-                &small,
-                engine,
-                deferred,
-                true,
-                Box::<RoundRobin>::default(),
-                None,
-                &tiered,
-                false,
-            );
-        }
+    for preemption in [false, true] {
+        run(
+            &small,
+            preemption,
+            Box::<RoundRobin>::default(),
+            None,
+            &tiered,
+            false,
+        );
     }
 
     let json = format!("{{\n  \"runs\": [\n{}\n  ]\n}}\n", blocks.join(",\n"));

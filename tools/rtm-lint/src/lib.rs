@@ -4,7 +4,7 @@
 //! hand-rolled lexer over every workspace `.rs` file, a five-rule
 //! engine, and a checked-in allowlist with mandatory written
 //! justifications. The rules mechanically pin the invariants the
-//! parallel fleet engine will stand on — plan-pipeline discipline,
+//! fleet's shards and gated counters stand on — plan-pipeline discipline,
 //! epoch discipline, shard locality (Send-readiness), deterministic
 //! counter output, and panic hygiene — the same way `BENCH_fleet.json`
 //! pinned the perf counters.

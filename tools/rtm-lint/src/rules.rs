@@ -1,5 +1,5 @@
-//! The rule engine: five lexical rules, each guarding one invariant the
-//! parallel fleet engine will stand on. Rules receive the
+//! The rule engine: lexical rules, each guarding one invariant the
+//! fleet's shards and gated counters stand on. Rules receive the
 //! comment/string/test-stripped token stream of one file plus its
 //! classification, and return findings; suppression (the allowlist) is
 //! the engine's job, not the rules'.
@@ -64,8 +64,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "shard-locality",
         scope: "lib/bin code",
-        what: "Cell/RefCell/Rc/static mut/unsafe are Send/locality hazards for the \
-               parallel fleet engine; each use needs a written confinement argument",
+        what: "Cell/RefCell/Rc/static mut/unsafe are Send/locality hazards for \
+               shards that move whole between threads; each use needs a written \
+               confinement argument",
     },
     RuleInfo {
         id: "determinism",
@@ -86,8 +87,8 @@ pub const RULES: &[RuleInfo] = &[
         scope: "crates/service/src/service.rs",
         what: "every public &mut entry point that touches admission state (takes \
                &mut ServiceReport) must drain pending tickets first by calling \
-               execute_reserved — flush-on-touch is what makes immediate and \
-               deferred execution byte-identical by construction",
+               execute_reserved — flush-on-touch keeps reserved-but-unexecuted \
+               functions out of sight of every caller",
     },
 ];
 
@@ -253,7 +254,7 @@ fn shard_locality(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding
         if let Some(id) = t.ident() {
             let msg = match id {
                 "Cell" | "RefCell" | "UnsafeCell" => Some(format!(
-                    "interior mutability (`{id}`) ahead of the parallel fleet engine: \
+                    "interior mutability (`{id}`) in shard state: \
                      `Send` but not `Sync`, so it must stay confined to one shard — \
                      allowlist with the confinement argument or use owned state"
                 )),
@@ -268,8 +269,8 @@ fn shard_locality(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding
                         .to_owned(),
                 ),
                 "unsafe" => Some(
-                    "`unsafe` in workspace code is a standing review obligation for \
-                     the parallel refactor; justify in the allowlist or remove"
+                    "`unsafe` in workspace code is a standing review obligation; \
+                     justify in the allowlist or remove"
                         .to_owned(),
                 ),
                 "static" if toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) => Some(
@@ -364,11 +365,11 @@ fn panic_hygiene(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding>
     }
 }
 
-/// Rule 6 — flush-on-touch. Deferred and immediate execution produce
-/// byte-identical event streams because every state-observing public
-/// entry point on `RuntimeService` drains the shard's pending admission
-/// tickets *before* touching anything: the drain then happens at the
-/// same per-shard sequence position in both modes. Lexically: a
+/// Rule 6 — flush-on-touch. Every state-observing public entry point
+/// on `RuntimeService` drains the shard's pending admission tickets
+/// *before* touching anything, so no caller ever observes a
+/// reserved-but-unexecuted function, and a shard's event order is the
+/// order in which its requests were decided. Lexically: a
 /// `pub fn` taking `&mut self` and a `&mut ServiceReport` parameter
 /// (the signature shape of every admission-state entry point) must
 /// mention `execute_reserved` in its body. Methods that legitimately
