@@ -20,6 +20,12 @@ cargo test -q -p rtm-lint
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check: the standalone benchmark against the library API"
+# benchmark/ is its own package, outside the workspace, and compiles
+# against the public reports (FleetReport, ServiceReport, TierCounts)
+# and AdmissionBid; a public-API edit that breaks it fails here.
+cargo check -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q
 

@@ -4,63 +4,78 @@ use crate::config::FleetConfig;
 use crate::engine;
 use crate::rebalance::{MigrationDirective, MigrationOutcome, RebalancePolicy};
 use crate::report::{FleetReport, FleetSample, ShardOutcome};
-use crate::routing::RoutingPolicy;
-use rtm_core::{CoreError, MigrationPlan};
+use crate::routing::{RouteCandidate, RoutingPolicy};
+use rtm_core::{CoreError, MigrationPlan, RoomPlan};
 use rtm_obs::{
-    EventBuffer, EventKind, EventSink, MetricsRegistry, Phase, PhaseProfiler, RejectReason,
-    RtmEvent, FLEET_SHARD,
+    EventBuffer, EventKind, EventSink, Phase, PhaseProfiler, RejectReason, RtmEvent, FLEET_SHARD,
 };
 use rtm_sched::task::Micros;
 use rtm_service::trace::{Arrival, Trace, TraceEvent};
 use rtm_service::{
-    AdmissionBid, MigratingFunction, ReserveOutcome, RuntimeService, ServiceReport, TicketOutcome,
+    AdmissionBid, Displacement, MigratingFunction, ReserveOutcome, RuntimeService, ServiceReport,
+    TicketOutcome,
 };
 use std::collections::BTreeMap;
 
 /// Per-run bookkeeping (reports are per run; shard state persists).
 struct RunState {
+    /// The fleet report under construction. The fleet-level counters
+    /// are bumped in place; `shards`, `load_failovers` and
+    /// `parked_at_end` are filled in from the shard reports and the
+    /// park queue when the run ends.
+    report: FleetReport,
+    /// One report per shard, in shard order.
     reports: Vec<ServiceReport>,
-    routed: Vec<usize>,
-    submitted: usize,
-    unplaceable: usize,
-    retries: usize,
-    load_failovers: usize,
-    fleet_defrags: usize,
-    migrations: usize,
-    migrations_failed: usize,
-    migrations_refused: usize,
-    preemptions: usize,
-    evictions_migrated: usize,
-    evictions_parked: usize,
-    parked_readmitted: usize,
-    parked_expired: usize,
-    timeline: Vec<FleetSample>,
-    metrics: MetricsRegistry,
     /// Reservations seated on this epoch's routing edge, in edge order,
-    /// awaiting execution (the epoch's execute phase) and resolution
-    /// ([`FleetService::resolve_pending`]).
-    pending: Vec<PendingRoute>,
+    /// each with the shard holding it, awaiting execution (the epoch's
+    /// execute phase) and resolution ([`FleetService::resolve_pending`]).
+    pending: Vec<(usize, PendingRoute)>,
 }
 
-/// One routed arrival whose admission was *decided* (a ticket is seated
-/// on `shard`) but not yet resolved — everything the failover path
-/// needs to continue the capped offer chain if the load fails.
+/// One routed arrival's capped offer chain: the value
+/// [`FleetService::route`], [`FleetService::try_preempt`] and
+/// [`FleetService::resolve_pending`] advance until a shard admits,
+/// drops or queues the arrival, and [`FleetService::close_chain`] closes.
 struct PendingRoute {
     at: Micros,
     arrival: Arrival,
-    /// The shard holding the reservation.
-    shard: usize,
-    /// Position of `shard` in the ranking (0 = first choice).
-    attempt: usize,
     /// Devices offered so far (the `offer_chain_len` sample).
     offers: u64,
-    /// Shards that consumed an accounting via a decide-time failure
-    /// before this reservation was seated.
-    failed_accountings: usize,
-    /// Best-ranked shard that said "no room" before the reservation.
+    /// Best-ranked shard that said "no room" — the queue slot.
     queue_on: Option<usize>,
     /// The not-yet-offered tail of the capped ranking.
-    remaining: Vec<crate::routing::RouteCandidate>,
+    remaining: std::vec::IntoIter<RouteCandidate>,
+}
+
+/// Which edge of the epoch an offer chain is walked on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Edge {
+    /// The routing edge: a seated reservation waits for the execute
+    /// phase, and a chain that runs out may preempt.
+    Routing,
+    /// The resolution edge, after a load failed: the execute phase is
+    /// over, so a seated failover executes at once.
+    Resolution,
+}
+
+/// How an offer chain ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ChainEnd {
+    /// A shard admitted the arrival.
+    Admitted,
+    /// A shard dropped it (duplicate id or synthesis failure).
+    Dropped,
+    /// No shard seated it.
+    Unseated,
+}
+
+/// Who holds a trace id the fleet tracks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Holder {
+    /// The shard with this index: resident, queued or reserved there.
+    Shard(usize),
+    /// An evicted bundle waiting in the park queue.
+    Parked,
 }
 
 /// One evicted bundle waiting out congestion in the fleet's park
@@ -120,8 +135,10 @@ pub struct FleetService {
     /// [`FleetService::with_rebalancer`]).
     rebalancer: Option<Box<dyn RebalancePolicy>>,
     shards: Vec<RuntimeService>,
-    /// Trace id → shard index that hosts (or last hosted) the id.
-    owner: BTreeMap<u64, usize>,
+    /// Trace id → who holds it: the shard that hosts (or last hosted)
+    /// the id, or the park queue. The one map that answers "who holds
+    /// this id" for departures and duplicate checks.
+    owner: BTreeMap<u64, Holder>,
     /// Evicted bundles no sibling could absorb, awaiting readmission
     /// (see [`ParkedBundle`]). Persists across runs like shard state.
     park: Vec<ParkedBundle>,
@@ -262,9 +279,10 @@ impl FleetService {
         self.now
     }
 
-    /// Ids the router currently tracks (resident or queued functions;
-    /// stale entries are pruned on departure and at the end of every
-    /// run, so this stays bounded by live work, not traffic history).
+    /// Ids the router currently tracks (resident, queued or parked
+    /// functions; stale entries are pruned on departure and at the end
+    /// of every run, so this stays bounded by live work, not traffic
+    /// history).
     pub fn tracked_ids(&self) -> usize {
         self.owner.len()
     }
@@ -318,25 +336,15 @@ impl FleetService {
     ) -> Result<FleetReport, CoreError> {
         let n = self.shards.len();
         let mut st = RunState {
+            report: FleetReport {
+                trace_name: trace.name().to_string(),
+                policy: self.policy.name().to_string(),
+                rebalancer: self.rebalancer.as_ref().map(|r| r.name().to_string()),
+                ..FleetReport::default()
+            },
             reports: (0..n)
                 .map(|i| ServiceReport::new(format!("{}#{i}", trace.name())))
                 .collect(),
-            routed: vec![0; n],
-            submitted: 0,
-            unplaceable: 0,
-            retries: 0,
-            load_failovers: 0,
-            fleet_defrags: 0,
-            migrations: 0,
-            migrations_failed: 0,
-            migrations_refused: 0,
-            preemptions: 0,
-            evictions_migrated: 0,
-            evictions_parked: 0,
-            parked_readmitted: 0,
-            parked_expired: 0,
-            timeline: Vec::new(),
-            metrics: MetricsRegistry::new(),
             pending: Vec::new(),
         };
 
@@ -363,7 +371,7 @@ impl FleetService {
             if let Some(fleet_buf) = &self.fleet_events {
                 fleet_buf.emit(now, EventKind::EpochBoundary);
             }
-            st.metrics.inc("epochs");
+            st.report.metrics.inc("epochs");
 
             // 1. Shard-local segment: every shard advances to the
             //    horizon independently (due residencies depart); no
@@ -382,17 +390,7 @@ impl FleetService {
             while idx < events.len() && events[idx].at <= now {
                 match events[idx].event {
                     TraceEvent::Arrival(a) => self.route(events[idx].at, a, &mut st)?,
-                    TraceEvent::Departure { id } => {
-                        // Deliver to the owning shard; ids the router
-                        // never saw are ignored, matching the
-                        // single-device service.
-                        if let Some(&s) = self.owner.get(&id) {
-                            self.shards[s].depart(id, &mut st.reports[s])?;
-                            if !self.shards[s].holds(id) {
-                                self.owner.remove(&id);
-                            }
-                        }
-                    }
+                    TraceEvent::Departure { id } => self.depart(id, &mut st)?,
                 }
                 idx += 1;
             }
@@ -431,12 +429,7 @@ impl FleetService {
             // The timeline must show the state the fleet trigger saw,
             // not only the post-cycle recovery.
             let sampling = profiler.map(|p| p.start(Phase::Sampling));
-            let (mean, worst) = self.frag_summary();
-            st.timeline.push(FleetSample {
-                at: self.now,
-                mean,
-                worst,
-            });
+            let mean = self.sample(&mut st);
             drop(sampling);
 
             // Steps 4 and 5 are the migration/trigger edges of the
@@ -460,13 +453,8 @@ impl FleetService {
                 if let Some((i, _)) = best {
                     let plan = self.shards[i].manager().cached_defrag_plan();
                     if self.shards[i].defrag_now(Some(plan), &mut st.reports[i])? {
-                        st.fleet_defrags += 1;
-                        let (mean, worst) = self.frag_summary();
-                        st.timeline.push(FleetSample {
-                            at: self.now,
-                            mean,
-                            worst,
-                        });
+                        st.report.fleet_defrags += 1;
+                        self.sample(&mut st);
                     }
                 }
             }
@@ -511,13 +499,13 @@ impl FleetService {
             {
                 match self.migrate(d, &mut st.reports)? {
                     MigrationOutcome::Completed => {
-                        st.migrations += 1;
+                        st.report.migrations += 1;
                         moved = true;
                     }
-                    MigrationOutcome::FailedRestored => st.migrations_failed += 1,
+                    MigrationOutcome::FailedRestored => st.report.migrations_failed += 1,
                     MigrationOutcome::RefusedUnknown
                     | MigrationOutcome::RefusedNoRoom
-                    | MigrationOutcome::RefusedWindow { .. } => st.migrations_refused += 1,
+                    | MigrationOutcome::RefusedWindow { .. } => st.report.migrations_refused += 1,
                 }
             }
 
@@ -544,12 +532,7 @@ impl FleetService {
                     }
                 }
                 let _t = profiler.map(|p| p.start(Phase::Sampling));
-                let (mean, worst) = self.frag_summary();
-                st.timeline.push(FleetSample {
-                    at: self.now,
-                    mean,
-                    worst,
-                });
+                self.sample(&mut st);
             }
 
             // Merge this epoch's events — fleet buffer first, then
@@ -564,42 +547,44 @@ impl FleetService {
         self.drain_events();
         // Functions that expired inside the run left the router's
         // tracking map behind; sweep it so a long-lived fleet does not
-        // accumulate one stale entry per id ever routed.
+        // accumulate one stale entry per id ever routed. Parked ids stay
+        // tracked until readmitted, expired or departed.
         let shards_ref = &self.shards;
-        self.owner.retain(|id, s| shards_ref[*s].holds(*id));
-        let shards = self
+        self.owner.retain(|id, h| match *h {
+            Holder::Shard(s) => shards_ref[s].holds(*id),
+            Holder::Parked => true,
+        });
+        let mut report = st.report;
+        report.shards = self
             .shards
             .iter()
             .zip(st.reports)
-            .zip(st.routed)
-            .map(|((s, report), routed)| ShardOutcome {
+            .map(|(s, report)| ShardOutcome {
                 part: s.part(),
-                routed,
+                routed: report.submitted,
                 report,
             })
             .collect();
-        Ok(FleetReport {
-            trace_name: trace.name().to_string(),
-            policy: self.policy.name().to_string(),
-            submitted: st.submitted,
-            unplaceable: st.unplaceable,
-            retries: st.retries,
-            load_failovers: st.load_failovers,
-            fleet_defrags: st.fleet_defrags,
-            migrations: st.migrations,
-            migrations_failed: st.migrations_failed,
-            migrations_refused: st.migrations_refused,
-            preemptions: st.preemptions,
-            evictions_migrated: st.evictions_migrated,
-            evictions_parked: st.evictions_parked,
-            parked_readmitted: st.parked_readmitted,
-            parked_expired: st.parked_expired,
-            parked_at_end: self.park.len(),
-            rebalancer: self.rebalancer.as_ref().map(|r| r.name().to_string()),
-            shards,
-            timeline: st.timeline,
-            metrics: st.metrics,
-        })
+        // Every routed arrival is accounted on one shard, plus once more
+        // per device-specific failure it failed over from; unplaceable
+        // arrivals are accounted nowhere. The difference never goes
+        // negative.
+        report.load_failovers =
+            (report.shard_submitted() + report.unplaceable).saturating_sub(report.submitted);
+        report.parked_at_end = self.park.len();
+        Ok(report)
+    }
+
+    /// Appends the fleet-wide fragmentation right now to the run's
+    /// timeline and returns its mean.
+    fn sample(&self, st: &mut RunState) -> f64 {
+        let (mean, worst) = self.frag_summary();
+        st.report.timeline.push(FleetSample {
+            at: self.now,
+            mean,
+            worst,
+        });
+        mean
     }
 
     /// Executes one [`MigrationDirective`] right now — the primitive
@@ -688,15 +673,20 @@ impl FleetService {
         }
 
         let now = self.now;
-        let bundle = self.shards[d.from].migrate_out(d.trace_id, &mut reports[d.from])?;
-        match self.shards[d.to].migrate_in(
+        let bundle = self.shards[d.from].extract(
+            d.trace_id,
+            Displacement::Migration,
+            &mut reports[d.from],
+        )?;
+        match self.shards[d.to].readmit(
             now,
             &bundle,
             Some(plan.room().clone()),
+            Displacement::Migration,
             &mut reports[d.to],
         ) {
             Ok(()) => {
-                self.owner.insert(d.trace_id, d.to);
+                self.owner.insert(d.trace_id, Holder::Shard(d.to));
                 Ok(MigrationOutcome::Completed)
             }
             Err(_) => {
@@ -704,10 +694,33 @@ impl FleetService {
                 // on the source from the checkpoint. A restore failure
                 // *is* invariant-corrupting and propagates.
                 self.shards[d.from].restore_migrated(&bundle, &mut reports[d.from])?;
-                self.owner.insert(d.trace_id, d.from);
+                self.owner.insert(d.trace_id, Holder::Shard(d.from));
                 Ok(MigrationOutcome::FailedRestored)
             }
         }
+    }
+
+    /// Delivers a trace departure to whoever holds the id. A parked
+    /// bundle's residency ends where it waits: the bundle is dropped and
+    /// counted in [`FleetReport::parked_expired`], so it is never
+    /// readmitted. Ids the router never saw are ignored, matching the
+    /// single-device service.
+    fn depart(&mut self, id: u64, st: &mut RunState) -> Result<(), CoreError> {
+        match self.owner.get(&id).copied() {
+            Some(Holder::Shard(s)) => {
+                self.shards[s].depart(id, &mut st.reports[s])?;
+                if !self.shards[s].holds(id) {
+                    self.owner.remove(&id);
+                }
+            }
+            Some(Holder::Parked) => {
+                self.park.retain(|p| p.bundle.trace_id() != id);
+                self.owner.remove(&id);
+                st.report.parked_expired += 1;
+            }
+            None => {}
+        }
+        Ok(())
     }
 
     /// Routes one arrival: rank, then walk the ranking with the
@@ -715,14 +728,14 @@ impl FleetService {
     /// [`RuntimeService::reserve`] (decide only: routing/feasibility,
     /// plan validation, arena reservation; no frames) — capped at
     /// [`FleetConfig::max_offer_attempts`]. The first shard to seat a
-    /// ticket wins; the ranking tail is parked on a [`PendingRoute`] so
+    /// ticket wins; the ranking tail stays on its [`PendingRoute`] so
     /// [`FleetService::resolve_pending`] can continue the failover
     /// chain if the load later fails. Requests nobody can seat queue on
     /// the best-ranked device that reported "no room", or are rejected
     /// as unplaceable if no device could ever hold them. A candidate
-    /// that carries a previewed [`RoomPlan`](rtm_core::RoomPlan) hands
-    /// it to the shard's reserve, so the admission executes the routing
-    /// plan instead of planning again.
+    /// that carries a previewed [`RoomPlan`] hands it to the shard's
+    /// reserve, so the admission executes the routing plan instead of
+    /// planning again.
     ///
     /// Failure handling splits by determinism:
     ///
@@ -732,154 +745,200 @@ impl FleetService {
     /// * [`ReserveOutcome::Failed`] (device-specific planned-move
     ///   congestion at decide time) moves on to the next-ranked device
     ///   instead of consuming the request. Every shard that recorded
-    ///   such a failure accounted the request once, so the fleet counts
-    ///   each *extra* accounting in [`FleetReport::load_failovers`] and
-    ///   the report identity becomes
+    ///   such a failure accounted the request once, which is what
+    ///   [`FleetReport::load_failovers`] counts:
     ///   `Σ shard_submitted = submitted − unplaceable + load_failovers`.
     ///   Execute-time failures surface the same way, after the execute
     ///   phase, through [`FleetService::resolve_pending`].
     fn route(&mut self, at: Micros, a: Arrival, st: &mut RunState) -> Result<(), CoreError> {
-        st.submitted += 1;
+        st.report.submitted += 1;
 
-        // An id the fleet already holds must be judged by its owning
-        // shard (whose duplicate refusal or queue bookkeeping applies),
+        // An id the fleet already holds must be judged by its holder,
         // not shipped to a sibling that would happily admit a twin.
-        if let Some(&s) = self.owner.get(&a.id) {
-            // Drain that shard's tickets first: an owner entry may
-            // point at a reservation seated earlier this edge, and the
-            // duplicate judgement below must see it as a resident (or
-            // as a failed load that no longer holds the id).
-            self.shards[s].execute_reserved(&mut st.reports[s])?;
-            if self.shards[s].holds(a.id) {
-                let part = self.shards[s].part();
-                if a.rows <= part.clb_rows() && a.cols <= part.clb_cols() {
-                    self.shards[s].enqueue(at, a, &mut st.reports[s])?;
-                    st.routed[s] += 1;
-                } else {
-                    // A duplicate whose shape the owning device cannot
-                    // even hold would sit at that queue's head forever
-                    // (a blocked head blocks the queue): reject it
-                    // outright instead.
-                    st.unplaceable += 1;
-                    if let Some(b) = &self.fleet_events {
-                        b.emit(
-                            at,
-                            EventKind::Rejected {
-                                id: a.id,
-                                reason: RejectReason::Unplaceable,
-                            },
-                        );
-                    }
-                }
+        match self.owner.get(&a.id).copied() {
+            // A parked bundle holds the id until it is readmitted or its
+            // residency ends, and no shard could tell a twin from it:
+            // refuse the twin like a shape no device can hold.
+            Some(Holder::Parked) => {
+                self.reject_unplaceable(at, a.id, st);
                 return Ok(());
             }
-            // The id departed long ago: drop the stale tracking entry
-            // and route the reused id like any fresh arrival.
-            self.owner.remove(&a.id);
+            Some(Holder::Shard(s)) => {
+                // Drain that shard's tickets first: an owner entry may
+                // point at a reservation seated earlier this edge, and
+                // the duplicate judgement below must see it as a
+                // resident (or as a failed load that no longer holds
+                // the id).
+                self.shards[s].execute_reserved(&mut st.reports[s])?;
+                if self.shards[s].holds(a.id) {
+                    let part = self.shards[s].part();
+                    if a.rows <= part.clb_rows() && a.cols <= part.clb_cols() {
+                        self.shards[s].enqueue(at, a, &mut st.reports[s])?;
+                    } else {
+                        // A duplicate whose shape the owning device
+                        // cannot even hold would sit at that queue's
+                        // head forever (a blocked head blocks the
+                        // queue): reject it outright instead.
+                        self.reject_unplaceable(at, a.id, st);
+                    }
+                    return Ok(());
+                }
+                // The id departed long ago: drop the stale tracking
+                // entry and route the reused id like any fresh arrival.
+                self.owner.remove(&a.id);
+            }
+            None => {}
         }
 
-        let ranking = self.policy.rank(&a, &self.shards);
+        let mut ranking = self.policy.rank(&a, &self.shards);
         if ranking.is_empty() {
-            st.unplaceable += 1;
-            if let Some(b) = &self.fleet_events {
-                b.emit(
-                    at,
-                    EventKind::Rejected {
-                        id: a.id,
-                        reason: RejectReason::Unplaceable,
-                    },
-                );
-            }
+            self.reject_unplaceable(at, a.id, st);
             return Ok(());
         }
-        // Shards that consumed an accounting via a decide failure
-        // before the request finally landed somewhere (each is one
-        // extra shard-report `submitted`).
-        let mut failed_accountings = 0usize;
-        // Best-ranked shard that said "no room" — the queue slot.
-        let mut queue_on: Option<usize> = None;
-        // Devices offered before the request's fate was decided — the
-        // "offer_chain_len" histogram (1 = first-ranked device took it).
-        let mut offers = 0u64;
-        let cap = self.config.max_offer_attempts.max(1);
-        let mut chain = ranking.into_iter().take(cap);
-        let mut attempt = 0usize;
-        while let Some(cand) = chain.next() {
-            let s = cand.shard;
-            offers += 1;
-            match self.shards[s].reserve(
+        ranking.truncate(self.config.max_offer_attempts.max(1));
+        let chain = PendingRoute {
+            at,
+            arrival: a,
+            offers: 0,
+            queue_on: None,
+            remaining: ranking.into_iter(),
+        };
+        self.offer_down(chain, Edge::Routing, st)
+    }
+
+    /// Rejects an arrival at the routing edge as unplaceable: the fleet
+    /// counter and a fleet-level `Rejected` event.
+    fn reject_unplaceable(&self, at: Micros, id: u64, st: &mut RunState) {
+        st.report.unplaceable += 1;
+        if let Some(b) = &self.fleet_events {
+            b.emit(
                 at,
-                AdmissionBid::routed(a, cand.plan),
-                &mut st.reports[s],
-            )? {
-                ReserveOutcome::Reserved => {
-                    // The decision is made; the load itself runs in the
-                    // execute phase and the chain's bookkeeping is
-                    // settled by `resolve_pending`.
-                    self.owner.insert(a.id, s);
-                    st.pending.push(PendingRoute {
-                        at,
-                        arrival: a,
-                        shard: s,
-                        attempt,
-                        offers,
-                        failed_accountings,
-                        queue_on,
-                        remaining: chain.collect(),
-                    });
-                    return Ok(());
-                }
-                ReserveOutcome::Dropped { .. } => {
-                    st.load_failovers += failed_accountings;
-                    st.metrics.observe("offer_chain_len", offers);
-                    st.routed[s] += 1;
-                    return Ok(());
-                }
-                ReserveOutcome::Failed { .. } => {
-                    // Recorded (and attributed) on this shard; the
-                    // failure is device-specific, so the next-ranked
-                    // device gets its chance instead of the request
-                    // being consumed.
-                    st.routed[s] += 1;
-                    failed_accountings += 1;
-                }
-                ReserveOutcome::NoRoom => {
-                    if queue_on.is_none() {
-                        queue_on = Some(s);
+                EventKind::Rejected {
+                    id,
+                    reason: RejectReason::Unplaceable,
+                },
+            );
+        }
+    }
+
+    /// Offers the chain's arrival down the rest of its capped ranking
+    /// until a shard seats or drops it. On the routing edge a seated
+    /// reservation waits on `st.pending` for the execute phase, and a
+    /// chain that runs out may still preempt a lower-tier resident. On
+    /// the resolution edge (a failover after a failed load) the execute
+    /// phase is over, so a seated reservation executes at once: a
+    /// same-epoch retry must land before anything later can observe the
+    /// shard.
+    fn offer_down(
+        &mut self,
+        mut chain: PendingRoute,
+        edge: Edge,
+        st: &mut RunState,
+    ) -> Result<(), CoreError> {
+        while let Some(cand) = chain.remaining.next() {
+            let s = cand.shard;
+            match self.offer(&mut chain, s, cand.plan, st)? {
+                ReserveOutcome::Reserved => match edge {
+                    Edge::Routing => {
+                        st.pending.push((s, chain));
+                        return Ok(());
                     }
+                    Edge::Resolution => {
+                        self.shards[s].execute_reserved(&mut st.reports[s])?;
+                        if self.resolve(s, chain.arrival.id)? {
+                            return self.close_chain(&chain, ChainEnd::Admitted, st);
+                        }
+                    }
+                },
+                ReserveOutcome::Dropped { .. } => {
+                    return self.close_chain(&chain, ChainEnd::Dropped, st)
                 }
+                // A failure is recorded (and attributed) on this shard
+                // and device-specific, so the next-ranked device gets its
+                // chance instead of the request being consumed.
+                ReserveOutcome::Failed { .. } | ReserveOutcome::NoRoom => {}
             }
-            attempt += 1;
         }
         // Preemption edge: the whole ranking said "no room" (or worse),
         // but the arrival may outrank somebody already seated.
-        if self.config.preemption
-            && queue_on.is_some()
-            && self.try_preempt(
-                at,
-                a,
-                attempt,
-                &mut offers,
-                &mut failed_accountings,
-                queue_on,
-                st,
-            )?
-        {
-            return Ok(());
+        if edge == Edge::Routing && self.config.preemption && chain.queue_on.is_some() {
+            match self.try_preempt(&mut chain, st)? {
+                Some((s, ReserveOutcome::Reserved)) => {
+                    st.report.preemptions += 1;
+                    st.pending.push((s, chain));
+                    return Ok(());
+                }
+                Some(_) => return self.close_chain(&chain, ChainEnd::Dropped, st),
+                None => {}
+            }
         }
-        st.metrics.observe("offer_chain_len", offers);
-        if let Some(s) = queue_on {
-            // Nobody can place it right now: wait on the best device
-            // that can still hope to (a departure may free room there).
-            st.load_failovers += failed_accountings;
-            self.shards[s].enqueue(at, a, &mut st.reports[s])?;
-            self.owner.insert(a.id, s);
-            st.routed[s] += 1;
-        } else {
-            // Every offered device failed the load outright: the
-            // request is spent. The first failing shard's accounting is
-            // the request's own; the rest are failovers.
-            st.load_failovers += failed_accountings.saturating_sub(1);
+        self.close_chain(&chain, ChainEnd::Unseated, st)
+    }
+
+    /// Offers the chain's arrival to shard `s`, with the room plan the
+    /// ranking previewed there: counts the offer, and records the
+    /// holder of a seated reservation or the first "no room" shard as
+    /// the queue slot.
+    fn offer(
+        &mut self,
+        chain: &mut PendingRoute,
+        s: usize,
+        plan: Option<RoomPlan>,
+        st: &mut RunState,
+    ) -> Result<ReserveOutcome, CoreError> {
+        chain.offers += 1;
+        let bid = AdmissionBid::routed(chain.arrival, plan);
+        let outcome = self.shards[s].reserve(chain.at, bid, &mut st.reports[s])?;
+        match outcome {
+            ReserveOutcome::Reserved => {
+                self.owner.insert(chain.arrival.id, Holder::Shard(s));
+            }
+            ReserveOutcome::NoRoom => {
+                chain.queue_on.get_or_insert(s);
+            }
+            ReserveOutcome::Dropped { .. } | ReserveOutcome::Failed { .. } => {}
+        }
+        Ok(outcome)
+    }
+
+    /// Reads the fate of `id`'s executed ticket off shard `s`: whether
+    /// the load executed. A failed load no longer holds the id (the
+    /// resolution cancelled its reservation), so its owner entry goes.
+    fn resolve(&mut self, s: usize, id: u64) -> Result<bool, CoreError> {
+        match self.shards[s].resolve_ticket(id) {
+            Ok(TicketOutcome::Executed) => Ok(true),
+            Ok(TicketOutcome::Failed { .. }) => {
+                self.owner.remove(&id);
+                Ok(false)
+            }
+            Err(_) => Err(CoreError::DesignMismatch {
+                detail: "a seated ticket did not resolve after its shard drained".into(),
+            }),
+        }
+    }
+
+    /// Closes an arrival's offer chain: the one site that samples
+    /// `offer_chain_len`, counts a retry (an admission the first offer
+    /// did not seat) and queues an arrival no shard seated. It waits on
+    /// the best-ranked shard that said "no room", where a departure may
+    /// free room; with no such shard every offered device failed its
+    /// load and the request is spent.
+    fn close_chain(
+        &mut self,
+        chain: &PendingRoute,
+        end: ChainEnd,
+        st: &mut RunState,
+    ) -> Result<(), CoreError> {
+        st.report.metrics.observe("offer_chain_len", chain.offers);
+        match end {
+            ChainEnd::Admitted if chain.offers > 1 => st.report.retries += 1,
+            ChainEnd::Unseated => {
+                if let Some(s) = chain.queue_on {
+                    self.shards[s].enqueue(chain.at, chain.arrival, &mut st.reports[s])?;
+                    self.owner.insert(chain.arrival.id, Holder::Shard(s));
+                }
+            }
+            ChainEnd::Admitted | ChainEnd::Dropped => {}
         }
         Ok(())
     }
@@ -892,21 +951,16 @@ impl FleetService {
     /// to the freed shard. Evicted residents are migrated to a sibling
     /// with room when one exists, otherwise parked for deadline-safe
     /// readmission in a later idle window ([`FleetService::readmit_parked`]);
-    /// either way their state survives frame-exactly. Returns whether
-    /// the arrival's fate was decided here (seated, or consumed by a
-    /// drop); `false` falls back to the queue path with `offers` and
-    /// `failed_accountings` advanced by whatever the attempts cost.
-    #[allow(clippy::too_many_arguments)]
+    /// either way their state survives frame-exactly. Returns the shard
+    /// and the reserve outcome that decided the arrival's fate (seated
+    /// or dropped); `None` falls back to the queue path, with the
+    /// chain's offers advanced by whatever the attempts cost.
     fn try_preempt(
         &mut self,
-        at: Micros,
-        a: Arrival,
-        attempt: usize,
-        offers: &mut u64,
-        failed_accountings: &mut usize,
-        queue_on: Option<usize>,
+        chain: &mut PendingRoute,
         st: &mut RunState,
-    ) -> Result<bool, CoreError> {
+    ) -> Result<Option<(usize, ReserveOutcome)>, CoreError> {
+        let a = chain.arrival;
         let n = self.shards.len();
         let fits = |s: &RuntimeService| {
             let part = s.part();
@@ -942,40 +996,17 @@ impl FleetService {
                 })
                 .min_by_key(|&(cost, tid, _)| (cost, tid));
             let Some((_, tid, vs)) = victim else {
-                return Ok(false);
+                return Ok(None);
             };
             displaced.push(tid);
             self.evict_and_dispose(vs, tid, st)?;
-            *offers += 1;
-            match self.shards[vs].reserve(at, AdmissionBid::routed(a, None), &mut st.reports[vs])? {
-                ReserveOutcome::Reserved => {
-                    st.preemptions += 1;
-                    self.owner.insert(a.id, vs);
-                    st.pending.push(PendingRoute {
-                        at,
-                        arrival: a,
-                        shard: vs,
-                        attempt,
-                        offers: *offers,
-                        failed_accountings: *failed_accountings,
-                        queue_on,
-                        remaining: Vec::new(),
-                    });
-                    return Ok(true);
+            match self.offer(chain, vs, None, st)? {
+                decided @ (ReserveOutcome::Reserved | ReserveOutcome::Dropped { .. }) => {
+                    return Ok(Some((vs, decided)))
                 }
-                ReserveOutcome::Dropped { .. } => {
-                    st.load_failovers += *failed_accountings;
-                    st.metrics.observe("offer_chain_len", *offers);
-                    st.routed[vs] += 1;
-                    return Ok(true);
-                }
-                ReserveOutcome::Failed { .. } => {
-                    st.routed[vs] += 1;
-                    *failed_accountings += 1;
-                }
-                // Still no room: the next lap evicts the
-                // next-cheapest not-yet-displaced victim.
-                ReserveOutcome::NoRoom => {}
+                // Still no room (or a failed reservation): the next lap
+                // evicts the next-cheapest not-yet-displaced victim.
+                ReserveOutcome::Failed { .. } | ReserveOutcome::NoRoom => {}
             }
         }
     }
@@ -1017,26 +1048,28 @@ impl FleetService {
                 break;
             }
         }
-        let bundle = self.shards[from].evict_out(tid, &mut st.reports[from])?;
+        let bundle =
+            self.shards[from].extract(tid, Displacement::Eviction, &mut st.reports[from])?;
         if let Some((t, plan)) = target {
             if self.shards[t]
-                .evict_in(
+                .readmit(
                     self.now,
                     &bundle,
                     Some(plan.room().clone()),
+                    Displacement::Eviction,
                     &mut st.reports[t],
                 )
                 .is_ok()
             {
-                self.owner.insert(tid, t);
-                st.evictions_migrated += 1;
+                self.owner.insert(tid, Holder::Shard(t));
+                st.report.evictions_migrated += 1;
                 return Ok(());
             }
             // The target cleaned itself up and the bundle is still
             // whole: fall through to the park queue.
         }
-        self.owner.remove(&tid);
-        st.evictions_parked += 1;
+        self.owner.insert(tid, Holder::Parked);
+        st.report.evictions_parked += 1;
         if let Some(b) = &self.fleet_events {
             b.emit(
                 self.now,
@@ -1066,8 +1099,10 @@ impl FleetService {
         let mut moved = false;
         let mut still_parked = Vec::new();
         for p in std::mem::take(&mut self.park) {
+            let id = p.bundle.trace_id();
             if p.bundle.expiry().map(|e| e <= now).unwrap_or(false) {
-                st.parked_expired += 1;
+                self.owner.remove(&id);
+                st.report.parked_expired += 1;
                 continue;
             }
             let (rows, cols) = p.bundle.shape();
@@ -1086,7 +1121,13 @@ impl FleetService {
                     continue;
                 }
                 if self.shards[t]
-                    .evict_in(now, &p.bundle, Some(plan), &mut st.reports[t])
+                    .readmit(
+                        now,
+                        &p.bundle,
+                        Some(plan),
+                        Displacement::Eviction,
+                        &mut st.reports[t],
+                    )
                     .is_ok()
                 {
                     seated = Some(t);
@@ -1095,9 +1136,10 @@ impl FleetService {
             }
             match seated {
                 Some(t) => {
-                    self.owner.insert(p.bundle.trace_id(), t);
-                    st.parked_readmitted += 1;
-                    st.metrics
+                    self.owner.insert(id, Holder::Shard(t));
+                    st.report.parked_readmitted += 1;
+                    st.report
+                        .metrics
                         .observe("park_wait_us", now.saturating_sub(p.parked_at));
                     moved = true;
                 }
@@ -1108,114 +1150,20 @@ impl FleetService {
         Ok(moved)
     }
 
-    /// Settles every [`PendingRoute`] seated on this epoch's routing
-    /// edge, in edge order: reads each ticket's fate off its shard
-    /// (the execute phase has run every ticket by now) and, when a load
-    /// failed, continues the capped failover chain down the parked
-    /// ranking tail.
+    /// Settles every reservation seated on this epoch's routing edge,
+    /// in edge order: reads each ticket's fate off its shard (the
+    /// execute phase has run every ticket by now) and, when a load
+    /// failed, continues the capped failover chain down the ranking
+    /// tail.
     fn resolve_pending(&mut self, st: &mut RunState) -> Result<(), CoreError> {
-        for p in std::mem::take(&mut st.pending) {
-            let PendingRoute {
-                at,
-                arrival: a,
-                shard,
-                attempt,
-                mut offers,
-                mut failed_accountings,
-                mut queue_on,
-                remaining,
-            } = p;
-            match self.shards[shard].resolve_ticket(a.id) {
-                Ok(TicketOutcome::Executed) => {
-                    if attempt > 0 {
-                        st.retries += 1;
-                    }
-                    st.load_failovers += failed_accountings;
-                    st.metrics.observe("offer_chain_len", offers);
-                    st.routed[shard] += 1;
-                    continue;
-                }
-                Ok(TicketOutcome::Failed { .. }) => {
-                    // The load failed: the shard accounted the
-                    // request (one extra `submitted`) and recovered its
-                    // device; the reservation was cancelled by
-                    // `resolve_ticket`. Continue down the ranking tail.
-                    st.routed[shard] += 1;
-                    failed_accountings += 1;
-                    self.owner.remove(&a.id);
-                }
-                Err(_) => {
-                    return Err(CoreError::DesignMismatch {
-                        detail: "seated ticket did not resolve after the execute phase".into(),
-                    })
-                }
-            }
-            let mut landed = false;
-            for cand in remaining {
-                let s = cand.shard;
-                offers += 1;
-                match self.shards[s].reserve(
-                    at,
-                    AdmissionBid::failover(a, cand.plan),
-                    &mut st.reports[s],
-                )? {
-                    ReserveOutcome::Reserved => {
-                        // Failover loads run synchronously: the epoch's
-                        // execute phase is already over, and a
-                        // same-epoch retry must land before anything
-                        // later can observe the shard.
-                        self.shards[s].execute_reserved(&mut st.reports[s])?;
-                        match self.shards[s].resolve_ticket(a.id) {
-                            Ok(TicketOutcome::Executed) => {
-                                st.retries += 1;
-                                st.load_failovers += failed_accountings;
-                                st.metrics.observe("offer_chain_len", offers);
-                                self.owner.insert(a.id, s);
-                                st.routed[s] += 1;
-                                landed = true;
-                            }
-                            Ok(TicketOutcome::Failed { .. }) => {
-                                st.routed[s] += 1;
-                                failed_accountings += 1;
-                                continue;
-                            }
-                            Err(_) => {
-                                return Err(CoreError::DesignMismatch {
-                                    detail: "reserved failover did not resolve after its drain"
-                                        .into(),
-                                })
-                            }
-                        }
-                        break;
-                    }
-                    ReserveOutcome::Dropped { .. } => {
-                        st.load_failovers += failed_accountings;
-                        st.metrics.observe("offer_chain_len", offers);
-                        st.routed[s] += 1;
-                        landed = true;
-                        break;
-                    }
-                    ReserveOutcome::Failed { .. } => {
-                        st.routed[s] += 1;
-                        failed_accountings += 1;
-                    }
-                    ReserveOutcome::NoRoom => {
-                        if queue_on.is_none() {
-                            queue_on = Some(s);
-                        }
-                    }
-                }
-            }
-            if !landed {
-                st.metrics.observe("offer_chain_len", offers);
-                if let Some(s) = queue_on {
-                    st.load_failovers += failed_accountings;
-                    self.shards[s].enqueue(at, a, &mut st.reports[s])?;
-                    self.owner.insert(a.id, s);
-                    st.routed[s] += 1;
-                } else {
-                    st.load_failovers += failed_accountings.saturating_sub(1);
-                }
+        for (s, chain) in std::mem::take(&mut st.pending) {
+            if self.resolve(s, chain.arrival.id)? {
+                self.close_chain(&chain, ChainEnd::Admitted, st)?;
+            } else {
+                // The load failed: the shard accounted the request and
+                // recovered its device, and resolving cancelled the
+                // reservation. Continue down the ranking tail.
+                self.offer_down(chain, Edge::Resolution, st)?;
             }
         }
         Ok(())

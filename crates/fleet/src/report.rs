@@ -13,8 +13,10 @@ use std::fmt;
 pub struct ShardOutcome {
     /// The shard's device part.
     pub part: Part,
-    /// Requests this shard ended up hosting (admitted, dropped or
-    /// queued here) — the routing decision count.
+    /// Requests routed to this shard and accounted here (admitted,
+    /// queued, dropped or failed) — the routing decision count. Set from
+    /// the shard report's `submitted` when the run ends, so the two are
+    /// one fact.
     pub routed: usize,
     /// The shard's full per-device report.
     pub report: ServiceReport,
@@ -40,7 +42,7 @@ pub struct FleetSample {
 /// [`FleetReport::submitted`] − [`FleetReport::unplaceable`] +
 /// [`FleetReport::load_failovers`] (each failover accounts the same
 /// request on one more shard).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetReport {
     /// The trace that was replayed.
     pub trace_name: String,
@@ -58,8 +60,9 @@ pub struct FleetReport {
     /// each time a request failed to load on one shard and was then
     /// accounted again on another (retried, queued, or dropped there),
     /// this counter moves by one. The failed shard keeps its attributed
-    /// failure record, so `Σ shard_submitted = submitted − unplaceable
-    /// + load_failovers` holds exactly.
+    /// failure record. Derived when the run ends as
+    /// `Σ shard_submitted + unplaceable − submitted`, so that identity
+    /// holds by construction.
     pub load_failovers: usize,
     /// Defragmentation cycles forced by the *fleet-level* trigger (on
     /// top of the per-device threshold cycles counted in the shard
@@ -102,9 +105,8 @@ pub struct FleetReport {
     /// Parked bundles readmitted in a later idle window, residency
     /// clock intact.
     pub parked_readmitted: usize,
-    /// Parked bundles dropped because their residency expired before
-    /// any shard had room: the work they had left was shorter than
-    /// the wait.
+    /// Parked bundles whose residency ended while parked, by expiry
+    /// (the work they had left was shorter than the wait) or departure.
     pub parked_expired: usize,
     /// Bundles still parked when the run ended (the park queue
     /// persists into the next run, like shard state).
@@ -115,10 +117,11 @@ pub struct FleetReport {
     pub shards: Vec<ShardOutcome>,
     /// Fleet-wide fragmentation sampled after every processed instant.
     pub timeline: Vec<FleetSample>,
-    /// Fleet-level deterministic metrics for the run: the epoch count
-    /// and the offer-chain-length histogram (devices offered per routed
-    /// arrival). Shard-level metrics live on the shard reports; merge
-    /// everything with [`FleetReport::metrics_rollup`].
+    /// Fleet-level deterministic metrics for the run: the epoch count,
+    /// the offer-chain-length histogram (devices offered per routed
+    /// arrival) and the park-wait histogram (simulated µs a readmitted
+    /// bundle spent parked). Per-admission facts live in the shard
+    /// reports' [`admissions`](rtm_service::ServiceReport::admissions).
     pub metrics: MetricsRegistry,
 }
 
@@ -141,7 +144,7 @@ impl FleetReport {
 
     /// Admissions that fitted without moving anything.
     pub fn immediate(&self) -> usize {
-        self.sum(|r| r.immediate)
+        self.sum(|r| r.immediate())
     }
 
     /// Requests dropped because their deadline passed.
@@ -227,7 +230,7 @@ impl FleetReport {
     pub fn tiers(&self) -> TierCounts {
         let mut total = TierCounts::default();
         for s in &self.shards {
-            total.absorb(&s.report.tiers);
+            total.absorb(&s.report.tiers());
         }
         total
     }
@@ -301,15 +304,57 @@ impl FleetReport {
         self.timeline.iter().map(|s| s.worst).fold(0.0, f64::max)
     }
 
-    /// The fleet-level metrics merged with every shard report's
-    /// registry: counters add, histograms add bucket-wise — one view of
-    /// queue waits, frames per load and offer chains for the whole run.
-    pub fn metrics_rollup(&self) -> MetricsRegistry {
-        let mut total = self.metrics.clone();
-        for s in &self.shards {
-            total.merge(&s.report.metrics);
-        }
-        total
+    /// The deterministic counter columns of a `BENCH_fleet.json` row, in
+    /// file order: the fleet counters, the shard roll-ups, the per-tier
+    /// split and the plan-pipeline counters. The baseline writer and its
+    /// oracle test both read this list, so a column is named once.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        use QosTier::{Batch, Interactive, Standard};
+        let s = self.plan_stats();
+        let t = self.tiers();
+        let u = |v: usize| v as u64;
+        vec![
+            ("submitted", u(self.submitted)),
+            ("admitted", u(self.admitted())),
+            ("retries", u(self.retries)),
+            ("load_failovers", u(self.load_failovers)),
+            ("unplaceable", u(self.unplaceable)),
+            ("queued_at_end", u(self.queued_at_end())),
+            ("failures", u(self.failures())),
+            ("failures_no_slots", u(self.failures_no_slots())),
+            ("failures_unroutable", u(self.failures_unroutable())),
+            ("defrag_cycles", u(self.defrag_cycles())),
+            ("fleet_defrags", u(self.fleet_defrags)),
+            ("function_moves", u(self.function_moves())),
+            ("cells_moved", self.cells_moved()),
+            ("frames_written", self.frames_written()),
+            ("migrations", u(self.migrations)),
+            ("migrations_in", u(self.migrations_in())),
+            ("migrations_out", u(self.migrations_out())),
+            ("migrations_failed", u(self.migrations_failed)),
+            ("migrations_refused", u(self.migrations_refused)),
+            ("submitted_batch", u(t.submitted_for(Batch))),
+            ("submitted_standard", u(t.submitted_for(Standard))),
+            ("submitted_interactive", u(t.submitted_for(Interactive))),
+            ("admitted_batch", u(t.admitted_for(Batch))),
+            ("admitted_standard", u(t.admitted_for(Standard))),
+            ("admitted_interactive", u(t.admitted_for(Interactive))),
+            ("preemptions", u(self.preemptions)),
+            ("evictions_migrated", u(self.evictions_migrated)),
+            ("evictions_parked", u(self.evictions_parked)),
+            ("parked_readmitted", u(self.parked_readmitted)),
+            ("parked_expired", u(self.parked_expired)),
+            ("parked_at_end", u(self.parked_at_end)),
+            ("make_room_calls", s.make_room_calls),
+            ("previews", s.previews),
+            ("compaction_plans", s.compaction_plans),
+            ("plans_reused", s.plans_reused),
+            ("plans_invalidated", s.plans_invalidated),
+            ("summary_hits", s.summary_hits),
+            ("summary_misses", s.summary_misses),
+            ("route_searches", s.route_searches),
+            ("route_nodes_expanded", s.route_nodes_expanded),
+        ]
     }
 }
 
@@ -429,18 +474,6 @@ mod tests {
             submitted: 11,
             unplaceable: 1,
             retries: 2,
-            load_failovers: 0,
-            fleet_defrags: 0,
-            migrations: 0,
-            migrations_failed: 0,
-            migrations_refused: 0,
-            preemptions: 0,
-            evictions_migrated: 0,
-            evictions_parked: 0,
-            parked_readmitted: 0,
-            parked_expired: 0,
-            parked_at_end: 0,
-            rebalancer: None,
             shards: vec![shard(Part::Xcv50, 6, 5), shard(Part::Xcv100, 4, 4)],
             timeline: vec![
                 FleetSample {
@@ -454,7 +487,7 @@ mod tests {
                     worst: 0.6,
                 },
             ],
-            metrics: MetricsRegistry::new(),
+            ..FleetReport::default()
         };
         assert_eq!(r.shard_submitted(), 10);
         assert_eq!(r.shard_submitted() + r.unplaceable, r.submitted);
@@ -466,5 +499,10 @@ mod tests {
         assert!(shown.contains("9/11"), "{shown}");
         assert!(shown.contains("round-robin"), "{shown}");
         assert!(shown.contains("[1] XCV100"), "{shown}");
+        let counters = r.counters();
+        assert_eq!(counters.len(), 40, "one entry per BENCH_fleet.json column");
+        assert_eq!(counters[0], ("submitted", 11));
+        assert_eq!(counters[1], ("admitted", 9));
+        assert_eq!(counters[39].0, "route_nodes_expanded");
     }
 }

@@ -1,17 +1,15 @@
-//! The perf-baseline oracle, pinned in code: the exact counters of the
-//! checked-in `BENCH_fleet.json` rows, reproduced through the library
-//! API. `ci.sh` already byte-diffs the regenerated JSON against the
-//! checked-in file — but that gate only catches drift *relative to the
-//! file*, so a regenerated baseline would silently absorb a behaviour
-//! change. This oracle pins the pre-refactor numbers in source: the
-//! epoch-based engine (and any future rework of the stepping loop)
-//! must keep the sequential path's counters **exactly** as they were
-//! when the fleet loop was a single inline match.
+//! The perf-baseline oracle: every counter column of the checked-in
+//! `BENCH_fleet.json` rows, reproduced through the library API. `ci.sh`
+//! already byte-diffs the regenerated JSON against the checked-in file;
+//! this oracle reads the same file, so a change to the fleet loop that
+//! moves any counter fails here under `cargo test` too, and the
+//! baseline is pinned once — in the file — not twice.
 //!
-//! Debug pins the two cheap ends of the three-device policy sweep; the
-//! full sweep plus the rebalancing row runs in release, and the N = 16
-//! / N = 64 scale rows are `#[ignore]`d (minutes of single-core debug
-//! wall) and run by `ci.sh` in release via `RTM_STRESS=1`.
+//! Debug pins the two cheap ends of the three-device policy sweep, the
+//! rebalancing row and the two tiered rows; release adds the middle of
+//! the sweep, and the N = 16 / N = 64 scale rows are `#[ignore]`d
+//! (minutes of single-core debug wall) and run by `ci.sh` in release
+//! via `RTM_STRESS=1`.
 
 use rtm_fleet::rebalance::WorstShardDrain;
 use rtm_fleet::routing::{standard_policies, FragAware, RoundRobin};
@@ -20,85 +18,55 @@ use rtm_fpga::part::Part;
 use rtm_service::trace::Scenario;
 use rtm_service::ServiceConfig;
 
-/// One pinned `BENCH_fleet.json` row: the counters that move when the
-/// stepping loop changes behaviour. (The JSON gate pins every field;
-/// this oracle pins the load-bearing ones with named literals so a
-/// diff here reads as a behaviour change, not a file regen.)
-struct Expected {
-    devices: usize,
-    policy: &'static str,
-    submitted: usize,
-    admitted: usize,
-    retries: usize,
-    queued_at_end: usize,
-    defrag_cycles: usize,
-    function_moves: usize,
-    cells_moved: u64,
-    frames_written: u64,
-    migrations: usize,
-    migrations_refused: usize,
-    make_room_calls: u64,
-    previews: u64,
-    plans_reused: u64,
-    summary_hits: u64,
-    summary_misses: u64,
+/// The checked-in baseline, one run per line.
+const BASELINE: &str = include_str!("../../../BENCH_fleet.json");
+
+/// Asserts that `report` reproduces every counter column of the
+/// baseline row carrying its tags. `preemption` is the one tag the
+/// report does not carry.
+fn assert_row(report: &FleetReport, preemption: bool) {
+    let tags = format!(
+        "{{\"scenario\": \"{}\", \"devices\": {}, \"preemption\": {preemption}, \
+         \"policy\": \"{}\", \"rebalancer\": \"{}\", ",
+        report.trace_name,
+        report.shards.len(),
+        report.policy,
+        report.rebalancer.as_deref().unwrap_or("none"),
+    );
+    let row = BASELINE
+        .lines()
+        .find_map(|line| line.trim().strip_prefix(tags.as_str()))
+        .unwrap_or_else(|| panic!("BENCH_fleet.json has no row tagged {tags}"));
+    let pinned: Vec<(&str, u64)> = row
+        .trim_end_matches(',')
+        .trim_end_matches('}')
+        .split(", ")
+        .map(|column| {
+            let (name, value) = column
+                .split_once(": ")
+                .unwrap_or_else(|| panic!("malformed column {column:?}"));
+            let value = value
+                .parse()
+                .unwrap_or_else(|_| panic!("counter {name} is not a number: {value}"));
+            (name.trim_matches('"'), value)
+        })
+        .collect();
+    assert_eq!(report.counters(), pinned, "{report}");
 }
 
-fn assert_row(report: &FleetReport, want: &Expected) {
-    let s = report.plan_stats();
-    assert_eq!(report.shards.len(), want.devices, "{report}");
-    assert_eq!(report.policy, want.policy, "{report}");
-    assert_eq!(report.submitted, want.submitted, "{report}");
-    assert_eq!(report.admitted(), want.admitted, "admitted: {report}");
-    assert_eq!(report.retries, want.retries, "retries: {report}");
-    assert_eq!(
-        report.queued_at_end(),
-        want.queued_at_end,
-        "queued: {report}"
-    );
-    assert_eq!(
-        report.defrag_cycles(),
-        want.defrag_cycles,
-        "defrag_cycles: {report}"
-    );
-    assert_eq!(
-        report.function_moves(),
-        want.function_moves,
-        "function_moves: {report}"
-    );
-    assert_eq!(
-        report.cells_moved(),
-        want.cells_moved,
-        "cells_moved: {report}"
-    );
-    assert_eq!(
-        report.frames_written(),
-        want.frames_written,
-        "frames_written: {report}"
-    );
-    assert_eq!(report.migrations, want.migrations, "migrations: {report}");
-    assert_eq!(
-        report.migrations_refused, want.migrations_refused,
-        "migrations_refused: {report}"
-    );
-    assert_eq!(
-        s.make_room_calls, want.make_room_calls,
-        "make_room_calls: {report}"
-    );
-    assert_eq!(s.previews, want.previews, "previews: {report}");
-    assert_eq!(s.plans_reused, want.plans_reused, "plans_reused: {report}");
-    assert_eq!(s.summary_hits, want.summary_hits, "summary_hits: {report}");
-    assert_eq!(
-        s.summary_misses, want.summary_misses,
-        "summary_misses: {report}"
-    );
+/// The baseline suite's three-device fleet, byte for byte.
+fn small_fleet() -> FleetConfig {
+    FleetConfig::heterogeneous(
+        &[Part::Xcv50, Part::Xcv50, Part::Xcv100],
+        ServiceConfig::default(),
+    )
 }
 
-/// The baseline suite's three-device fleet and trace, byte for byte.
+/// A run of the baseline suite's contended x4 trace on the three-device
+/// fleet.
 fn small_fleet_report(policy_index: usize, rebalance: bool) -> FleetReport {
-    let parts = [Part::Xcv50, Part::Xcv50, Part::Xcv100];
     let trace = Scenario::AdversarialFragmenter.fleet_trace(Part::Xcv50, 4, 42, 170_000);
-    let mut config = FleetConfig::heterogeneous(&parts, ServiceConfig::default());
+    let mut config = small_fleet();
     if rebalance {
         config = config.with_rebalance_threshold(0.4);
     }
@@ -109,136 +77,44 @@ fn small_fleet_report(policy_index: usize, rebalance: bool) -> FleetReport {
     fleet.run(&trace).unwrap()
 }
 
-/// The pre-refactor counters of the four `adversarial-fragmenter-x4`
-/// policy rows (BENCH_fleet.json rows 1-4), as of the last inline
-/// (non-epoch) fleet loop.
-fn x4_rows() -> [Expected; 4] {
-    [
-        Expected {
-            devices: 3,
-            policy: "round-robin",
-            submitted: 40,
-            admitted: 37,
-            retries: 3,
-            queued_at_end: 3,
-            defrag_cycles: 2,
-            function_moves: 12,
-            cells_moved: 576,
-            frames_written: 87264,
-            migrations: 0,
-            migrations_refused: 0,
-            make_room_calls: 80,
-            previews: 0,
-            plans_reused: 39,
-            summary_hits: 0,
-            summary_misses: 0,
-        },
-        Expected {
-            devices: 3,
-            policy: "least-utilized",
-            submitted: 40,
-            admitted: 40,
-            retries: 2,
-            queued_at_end: 0,
-            defrag_cycles: 1,
-            function_moves: 8,
-            cells_moved: 384,
-            frames_written: 55824,
-            migrations: 0,
-            migrations_refused: 0,
-            make_room_calls: 73,
-            previews: 0,
-            plans_reused: 41,
-            summary_hits: 0,
-            summary_misses: 0,
-        },
-        Expected {
-            devices: 3,
-            policy: "best-fit-area",
-            submitted: 40,
-            admitted: 40,
-            retries: 0,
-            queued_at_end: 0,
-            defrag_cycles: 1,
-            function_moves: 3,
-            cells_moved: 144,
-            frames_written: 23520,
-            migrations: 0,
-            migrations_refused: 0,
-            make_room_calls: 73,
-            previews: 0,
-            plans_reused: 41,
-            summary_hits: 0,
-            summary_misses: 0,
-        },
-        Expected {
-            devices: 3,
-            policy: "frag-aware",
-            submitted: 40,
-            admitted: 40,
-            retries: 0,
-            queued_at_end: 0,
-            defrag_cycles: 1,
-            function_moves: 8,
-            cells_moved: 384,
-            frames_written: 54384,
-            migrations: 0,
-            migrations_refused: 0,
-            make_room_calls: 154,
-            previews: 120,
-            plans_reused: 41,
-            summary_hits: 74,
-            summary_misses: 46,
-        },
-    ]
-}
-
-/// The three-device policy sweep reproduces its pre-refactor counters.
+/// The three-device policy sweep reproduces its baseline rows.
 #[test]
 fn x4_policy_sweep_matches_the_pinned_baseline() {
-    let rows = x4_rows();
     // Debug (14x slower on the 1-core CI box) pins the two ends of the
     // sweep; release pins all four.
     let sampled: Vec<usize> = if cfg!(debug_assertions) {
         vec![0, 3]
     } else {
-        (0..rows.len()).collect()
+        (0..standard_policies().len()).collect()
     };
     for i in sampled {
-        assert_row(&small_fleet_report(i, false), &rows[i]);
+        assert_row(&small_fleet_report(i, false), false);
     }
 }
 
 /// The rebalancing-migration row (round-robin + worst-shard-drain on
-/// the same contended fleet) reproduces its pre-refactor counters —
-/// the path where the epoch loop's migration edge could most easily
-/// have drifted.
+/// the same contended fleet) — the path where the epoch loop's
+/// migration edge could most easily drift.
 #[test]
 fn x4_rebalancing_row_matches_the_pinned_baseline() {
     let report = small_fleet_report(0, true);
-    assert_row(
-        &report,
-        &Expected {
-            devices: 3,
-            policy: "round-robin",
-            submitted: 40,
-            admitted: 40,
-            retries: 5,
-            queued_at_end: 0,
-            defrag_cycles: 0,
-            function_moves: 0,
-            cells_moved: 0,
-            frames_written: 0,
-            migrations: 7,
-            migrations_refused: 46,
-            make_room_calls: 145,
-            previews: 0,
-            plans_reused: 47,
-            summary_hits: 330,
-            summary_misses: 66,
-        },
-    );
-    assert!(report.rebalancer.as_deref() == Some("worst-shard-drain"));
+    assert_eq!(report.rebalancer.as_deref(), Some("worst-shard-drain"));
+    assert_row(&report, false);
+}
+
+/// The tiered QoS rows, without and with preemption: per-tier
+/// admissions and the whole eviction flow (migrated, parked,
+/// readmitted, expired).
+#[test]
+fn tiered_rows_match_the_pinned_baseline() {
+    let trace = Scenario::TieredMix.fleet_trace(Part::Xcv50, 3, 7, 170_000);
+    for preemption in [false, true] {
+        let config = small_fleet().with_preemption(preemption);
+        let report = FleetService::new(config, Box::<RoundRobin>::default())
+            .run(&trace)
+            .unwrap();
+        assert_row(&report, preemption);
+    }
 }
 
 /// The N = 16 scale rows (frag-aware sweep and round-robin +
@@ -252,55 +128,13 @@ fn n16_rows_match_the_pinned_baseline() {
 
     let config = FleetConfig::heterogeneous(&parts, ServiceConfig::default());
     let mut fleet = FleetService::new(config, Box::<FragAware>::default());
-    assert_row(
-        &fleet.run(&trace).unwrap(),
-        &Expected {
-            devices: 16,
-            policy: "frag-aware",
-            submitted: 170,
-            admitted: 170,
-            retries: 0,
-            queued_at_end: 0,
-            defrag_cycles: 3,
-            function_moves: 11,
-            cells_moved: 528,
-            frames_written: 89472,
-            migrations: 0,
-            migrations_refused: 0,
-            make_room_calls: 680,
-            previews: 680,
-            plans_reused: 173,
-            summary_hits: 2453,
-            summary_misses: 267,
-        },
-    );
+    assert_row(&fleet.run(&trace).unwrap(), false);
 
     let config =
         FleetConfig::heterogeneous(&parts, ServiceConfig::default()).with_rebalance_threshold(0.4);
     let mut fleet = FleetService::new(config, Box::<RoundRobin>::default())
         .with_rebalancer(Box::<WorstShardDrain>::default());
-    assert_row(
-        &fleet.run(&trace).unwrap(),
-        &Expected {
-            devices: 16,
-            policy: "round-robin",
-            submitted: 170,
-            admitted: 170,
-            retries: 12,
-            queued_at_end: 0,
-            defrag_cycles: 0,
-            function_moves: 0,
-            cells_moved: 0,
-            frames_written: 0,
-            migrations: 24,
-            migrations_refused: 0,
-            make_room_calls: 212,
-            previews: 0,
-            plans_reused: 194,
-            summary_hits: 3931,
-            summary_misses: 304,
-        },
-    );
+    assert_row(&fleet.run(&trace).unwrap(), false);
 }
 
 /// The N = 64 frag-aware sweep: the plan-reuse poster row (one preview
@@ -312,26 +146,5 @@ fn n64_row_matches_the_pinned_baseline() {
     let trace = Scenario::AdversarialFragmenter.fleet_trace(Part::Xcv50, 65, 42, 170_000);
     let config = FleetConfig::heterogeneous(&parts, ServiceConfig::default());
     let mut fleet = FleetService::new(config, Box::<FragAware>::default());
-    assert_row(
-        &fleet.run(&trace).unwrap(),
-        &Expected {
-            devices: 64,
-            policy: "frag-aware",
-            submitted: 650,
-            admitted: 650,
-            retries: 0,
-            queued_at_end: 0,
-            defrag_cycles: 0,
-            function_moves: 0,
-            cells_moved: 0,
-            frames_written: 0,
-            migrations: 0,
-            migrations_refused: 0,
-            make_room_calls: 2600,
-            previews: 2600,
-            plans_reused: 650,
-            summary_hits: 40502,
-            summary_misses: 1098,
-        },
-    );
+    assert_row(&fleet.run(&trace).unwrap(), false);
 }

@@ -20,7 +20,7 @@ use rtm_fleet::routing::{LeastUtilized, RoundRobin, RoutingPolicy};
 use rtm_fleet::{FleetConfig, FleetReport, FleetService};
 use rtm_fpga::part::Part;
 use rtm_sched::task::Micros;
-use rtm_service::trace::{Arrival, Trace, TraceEvent};
+use rtm_service::trace::{Arrival, Scenario, Trace, TraceEvent};
 use rtm_service::{AdmissionBid, QosTier, RuntimeService, ServiceConfig, ServiceReport};
 
 /// One full traced run on a fresh fleet, with the failure-injection
@@ -62,8 +62,8 @@ fn failover_trace() -> Trace {
 
 /// Execute-time `LoadFailed` anchor: shard 0's first ticket execution
 /// is forced to fail, so the resolution edge must walk the parked
-/// ranking tail and land the request on shard 1. The failover
-/// accounting identity is asserted explicitly.
+/// ranking tail and land the request on shard 1. The explicit
+/// `load_failovers` value tests its derivation from the shard reports.
 #[test]
 fn forced_load_failure_fails_over_down_the_ranking_tail() {
     let parts = [Part::Xcv50, Part::Xcv50];
@@ -82,16 +82,53 @@ fn forced_load_failure_fails_over_down_the_ranking_tail() {
     );
     assert_eq!(baseline.admitted(), 3, "every request lands: {baseline}");
     assert_eq!(baseline.retries, 1, "the failover is a retry: {baseline}");
-    let shard_submitted: usize = baseline.shards.iter().map(|s| s.report.submitted).sum();
-    assert_eq!(
-        shard_submitted,
-        baseline.submitted - baseline.unplaceable + baseline.load_failovers,
-        "failover accounting identity: {baseline}"
-    );
     assert!(
         base_stream.contains("\"rejected\""),
         "the forced failure must be visible in the stream"
     );
+    // The fleet-level metrics no baseline row carries: one offer-chain
+    // sample per routed arrival (the failed-over one offered both
+    // shards), one epoch per arrival instant.
+    let chain = baseline
+        .metrics
+        .histogram("offer_chain_len")
+        .expect("every routed arrival samples its offer chain");
+    assert_eq!((chain.count(), chain.sum()), (3, 4), "{baseline}");
+    assert_eq!(baseline.metrics.counter("epochs"), 3, "{baseline}");
+}
+
+/// Pins what neither `BENCH_fleet.json` nor the JSONL trace carries,
+/// on the gated tiered row with preemption on: the fleet metrics
+/// (epochs, offer chains, park waits), the timeline length and the
+/// per-tier waits. A refactor of the offer chain or of the per-tier
+/// roll-up that moved any of them would otherwise go unseen.
+#[test]
+fn tiered_preemption_row_pins_metrics_timeline_and_tier_waits() {
+    let parts = [Part::Xcv50, Part::Xcv50, Part::Xcv100];
+    let trace = Scenario::TieredMix.fleet_trace(Part::Xcv50, 3, 7, 170_000);
+    let config = FleetConfig::heterogeneous(&parts, ServiceConfig::default()).with_preemption(true);
+    let report = FleetService::new(config, Box::new(RoundRobin::default()))
+        .run(&trace)
+        .expect("tiered run stays up");
+
+    assert_eq!(report.metrics.counter("epochs"), 80, "{report}");
+    let chain = report
+        .metrics
+        .histogram("offer_chain_len")
+        .expect("offer chains");
+    assert_eq!((chain.count(), chain.sum()), (41, 178), "{report}");
+    let park = report
+        .metrics
+        .histogram("park_wait_us")
+        .expect("park waits");
+    assert_eq!((park.count(), park.sum()), (23, 15_701_627), "{report}");
+    assert_eq!(report.timeline.len(), 93, "{report}");
+
+    // Per tier, indexed [batch, standard, interactive].
+    let tiers = report.tiers();
+    assert_eq!(tiers.submitted, [18, 12, 11], "{report}");
+    assert_eq!(tiers.admitted, [18, 12, 9], "{report}");
+    assert_eq!(tiers.waited, [432_769, 0, 113_964], "{report}");
 }
 
 /// The chain-exhausted variant: a single-shard fleet has no ranking

@@ -152,16 +152,6 @@ proptest! {
                 count(&events, tag, |k| matches!(k, EventKind::MigrationRestored { .. })),
                 r.migrations_restored, "restores; {}", ctx
             );
-            // Metric identities: one histogram sample per admission.
-            let m = &r.metrics;
-            prop_assert_eq!(
-                m.histogram("queue_wait_us").map(|h| h.count()).unwrap_or(0) as usize,
-                r.admitted, "queue_wait_us samples != admitted; {}", ctx
-            );
-            prop_assert_eq!(
-                m.histogram("frames_per_load").map(|h| h.count()).unwrap_or(0) as usize,
-                r.admitted, "frames_per_load samples != admitted; {}", ctx
-            );
         }
 
         // Fleet-level identities (the FLEET_SHARD tag).

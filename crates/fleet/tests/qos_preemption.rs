@@ -9,6 +9,7 @@
 //! * per-tier counters and the whole report identical on a repeat run;
 //! * a preemption sees batch functions seated earlier in the same
 //!   routing edge, even on shards the capped offer chain never reached;
+//! * a parked id stays visible to departures and to duplicate checks;
 //! * monotonicity: adding lower-tier load never reduces the high-tier
 //!   admission count (preemption makes interactive service independent
 //!   of batch pressure);
@@ -22,7 +23,9 @@ use rtm_fpga::config::layout::{tile_bit_location, PIP_BITS_BASE};
 use rtm_fpga::geom::Rect;
 use rtm_fpga::part::Part;
 use rtm_service::trace::{Arrival, Scenario, Trace, TraceEvent};
-use rtm_service::{AdmissionBid, QosTier, RuntimeService, ServiceConfig, ServiceReport};
+use rtm_service::{
+    AdmissionBid, Displacement, QosTier, RuntimeService, ServiceConfig, ServiceReport,
+};
 
 fn tiered_fleet(preemption: bool) -> FleetService {
     let config = FleetConfig::homogeneous(3, ServiceConfig::default()).with_preemption(preemption);
@@ -145,6 +148,70 @@ fn preemption_sees_a_victim_seated_earlier_in_the_same_edge() {
     );
 }
 
+/// The three arrivals of
+/// `preemption_sees_a_victim_seated_earlier_in_the_same_edge` (batch
+/// id 1 is parked at t=1000), a `middle` event at t=2000, and the
+/// departure of id 0 at t=3000, which frees shard 0 for the parked
+/// bundle. Returns the report and which shards hold id 1 at the end.
+fn parked_id_run(middle: TraceEvent) -> (rtm_fleet::FleetReport, Vec<usize>) {
+    let arrival = |id, rows, cols, tier| {
+        TraceEvent::Arrival(Arrival {
+            id,
+            rows,
+            cols,
+            duration: None,
+            deadline: None,
+            tier,
+        })
+    };
+    let mut trace = Trace::new("parked-id");
+    trace.push(0, arrival(0, 14, 20, QosTier::Interactive));
+    trace.push(1_000, arrival(1, 10, 16, QosTier::Batch));
+    trace.push(1_000, arrival(2, 10, 10, QosTier::Interactive));
+    trace.push(2_000, middle);
+    trace.push(3_000, TraceEvent::Departure { id: 0 });
+
+    let config = FleetConfig::homogeneous(2, ServiceConfig::default().with_part(Part::Xcv50))
+        .with_preemption(true)
+        .with_max_offer_attempts(1);
+    let mut fleet = FleetService::new(config, Box::new(RoundRobin::default()));
+    let report = fleet.run(&trace).unwrap();
+    assert_eq!(report.evictions_parked, 1, "id 1 is parked: {report}");
+    let holders = (0..2).filter(|&s| fleet.shards()[s].holds(1)).collect();
+    (report, holders)
+}
+
+/// Regression: a departure of a parked id ends its residency. The
+/// bundle is dropped and counted as `parked_expired`, so it is never
+/// readmitted when shard 0 frees up.
+#[test]
+fn departure_of_a_parked_id_drops_its_bundle() {
+    let (report, holders) = parked_id_run(TraceEvent::Departure { id: 1 });
+    assert_eq!(report.parked_expired, 1, "{report}");
+    assert_eq!(report.parked_readmitted, 0, "{report}");
+    assert_eq!(report.parked_at_end, 0, "{report}");
+    assert!(holders.is_empty(), "no shard may hold id 1: {holders:?}");
+}
+
+/// Regression: an arrival reusing a parked id is refused on the
+/// routing edge as unplaceable, so the parked bundle stays the only
+/// holder of the id and readmits on shard 0.
+#[test]
+fn arrival_reusing_a_parked_id_is_unplaceable() {
+    let reuse = TraceEvent::Arrival(Arrival {
+        id: 1,
+        rows: 4,
+        cols: 4,
+        duration: None,
+        deadline: None,
+        tier: QosTier::Standard,
+    });
+    let (report, holders) = parked_id_run(reuse);
+    assert_eq!(report.unplaceable, 1, "{report}");
+    assert_eq!(report.parked_readmitted, 1, "{report}");
+    assert_eq!(holders, vec![0], "exactly one shard holds id 1: {report}");
+}
+
 /// Readback equivalence modulo the relocation offset — the migration
 /// net's oracle, applied to the eviction path: every cell-config and
 /// state bit of the evicted function's region reads the same after
@@ -247,8 +314,8 @@ proptest! {
     }
 
     /// Evict-then-readmit round-trips flip-flop state frame-exactly:
-    /// the extraction bundle produced by `evict_out` readmits through
-    /// `evict_in` (on a sibling or back onto the freed source) with
+    /// the bundle an eviction `extract` produces readmits through an
+    /// eviction `readmit` (on a sibling or back onto the freed source) with
     /// every cell-config and state bit intact, and the eviction
     /// counters land on the reports.
     #[test]
@@ -273,7 +340,7 @@ proptest! {
         src.admit(0, AdmissionBid::direct(a), &mut rep_src).unwrap();
         let (_, _, old_region) = src.resident_functions()[0];
 
-        let bundle = src.evict_out(42, &mut rep_src).unwrap();
+        let bundle = src.extract(42, Displacement::Eviction, &mut rep_src).unwrap();
         prop_assert_eq!(rep_src.evictions_out, 1);
         prop_assert_eq!(src.resident_count(), 0);
         prop_assert!(src.manager().bookkeeping_consistent());
@@ -283,7 +350,9 @@ proptest! {
         } else {
             (&mut src, &mut rep_src)
         };
-        target.evict_in(10_000, &bundle, None, rep).unwrap();
+        target
+            .readmit(10_000, &bundle, None, Displacement::Eviction, rep)
+            .unwrap();
         prop_assert_eq!(rep.evictions_in, 1);
         prop_assert!(target.holds(42));
         prop_assert!(target.manager().bookkeeping_consistent());

@@ -38,9 +38,6 @@ fn round_robin_spreads_and_departures_find_their_shard() {
     assert_eq!(report.retries, 0, "everything fitted first try");
     assert_eq!(fleet.shards()[0].resident_count(), 1);
     assert_eq!(fleet.shards()[1].resident_count(), 1);
-    for s in &report.shards {
-        assert_eq!(s.routed, s.report.submitted, "routed == hosted");
-    }
 
     // State persists: a second trace departs a survivor from the first.
     let mut second = Trace::new("second");

@@ -94,7 +94,9 @@ pub enum EventKind {
     Executed {
         /// Trace id of the request.
         id: u64,
-        /// Configuration frames the load wrote.
+        /// Configuration frames the admission's rearrangement moves
+        /// wrote (0 when the function fitted without moving anything);
+        /// the function's own frames are not counted.
         frames: usize,
     },
     /// The request was admitted.
@@ -117,7 +119,9 @@ pub enum EventKind {
     Load {
         /// Trace id of the request.
         id: u64,
-        /// Configuration frames written (function + rearrangement moves).
+        /// Configuration frames the admission's rearrangement moves
+        /// wrote (0 when the function fitted without moving anything);
+        /// the function's own frames are not counted.
         frames: usize,
     },
     /// A resident function departed and its region was released.

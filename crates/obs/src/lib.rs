@@ -8,9 +8,10 @@
 //!    deterministic: replaying a trace on a fresh fleet reproduces the
 //!    merged stream byte for byte.
 //! 2. **Metrics registry** ([`metrics`]) — named counters and
-//!    log2-bucketed histograms over deterministic quantities (queue
-//!    wait in simulated µs, frames per load, offer-chain length),
-//!    deltaed into `ServiceReport`/`FleetReport`.
+//!    log2-bucketed histograms over deterministic quantities (epochs,
+//!    offer-chain length, park waits in simulated µs), recorded into
+//!    `FleetReport`. Per-admission facts live in the service's typed
+//!    report instead.
 //! 3. **Wall-clock phase profiler** ([`profile`]) — per-phase
 //!    `Instant` accumulators for the fleet's epoch loop, printed
 //!    beside gated output and never into it. This module is the only

@@ -70,28 +70,6 @@ impl Histogram {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// The part of `self` accumulated since `base` was a snapshot of it.
-    pub fn delta_since(&self, base: &Histogram) -> Histogram {
-        let mut d = Histogram {
-            count: self.count - base.count,
-            sum: self.sum - base.sum,
-            buckets: [0; 32],
-        };
-        for i in 0..32 {
-            d.buckets[i] = self.buckets[i] - base.buckets[i];
-        }
-        d
-    }
-
-    /// Folds `other` into `self`.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        for i in 0..32 {
-            self.buckets[i] += other.buckets[i];
-        }
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -176,38 +154,6 @@ impl MetricsRegistry {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty()
     }
-
-    /// The part of `self` accumulated since `base` was a snapshot of it
-    /// — the same delta pattern `ServiceReport` uses for `PlanStats`.
-    pub fn delta_since(&self, base: &MetricsRegistry) -> MetricsRegistry {
-        let mut d = MetricsRegistry::new();
-        for (&name, &v) in &self.counters {
-            let dv = v - base.counter(name);
-            if dv > 0 {
-                d.counters.insert(name, dv);
-            }
-        }
-        for (&name, h) in &self.histograms {
-            let dh = match base.histograms.get(name) {
-                Some(b) => h.delta_since(b),
-                None => h.clone(),
-            };
-            if dh.count() > 0 {
-                d.histograms.insert(name, dh);
-            }
-        }
-        d
-    }
-
-    /// Folds `other` into `self` (counters add, histograms merge).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (&name, &v) in &other.counters {
-            self.add(name, v);
-        }
-        for (&name, h) in &other.histograms {
-            self.histograms.entry(name).or_default().merge(h);
-        }
-    }
 }
 
 impl fmt::Display for MetricsRegistry {
@@ -257,26 +203,6 @@ mod tests {
         assert_eq!(h.bucket(1), 1);
         assert_eq!(h.bucket(3), 2);
         assert_eq!(h.bucket(11), 1);
-    }
-
-    #[test]
-    fn delta_and_merge_are_inverse_of_accumulation() {
-        let mut reg = MetricsRegistry::new();
-        reg.inc("a");
-        reg.observe("w", 7);
-        let base = reg.clone();
-        reg.add("a", 2);
-        reg.inc("b");
-        reg.observe("w", 9);
-        let delta = reg.delta_since(&base);
-        assert_eq!(delta.counter("a"), 2);
-        assert_eq!(delta.counter("b"), 1);
-        assert_eq!(delta.histogram("w").unwrap().count(), 1);
-        assert_eq!(delta.histogram("w").unwrap().sum(), 9);
-
-        let mut rebuilt = base.clone();
-        rebuilt.merge(&delta);
-        assert_eq!(rebuilt, reg, "base + delta == total");
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use config::{QueueOrder, ServiceConfig};
 pub use report::{ServiceReport, TierCounts};
 pub use rtm_sched::qos::QosTier;
 pub use service::{
-    AdmissionBid, BidProvenance, MigratingFunction, OfferOutcome, ReserveOutcome, RuntimeService,
+    AdmissionBid, Displacement, MigratingFunction, OfferOutcome, ReserveOutcome, RuntimeService,
     TicketOutcome,
 };
 pub use trace::{Scenario, Trace, TraceEvent};

@@ -1,7 +1,6 @@
 //! The structured outcome of one service run.
 
 use rtm_core::PlanStats;
-use rtm_obs::MetricsRegistry;
 use rtm_place::frag::FragMetrics;
 use rtm_sched::admission::AdmissionOutcome;
 use rtm_sched::qos::QosTier;
@@ -9,7 +8,9 @@ use rtm_sched::task::Micros;
 use std::fmt;
 
 /// Per-tier admission/latency roll-up, indexed by [`QosTier::index`]
-/// (`[batch, standard, interactive]`).
+/// (`[batch, standard, interactive]`): a view built by
+/// [`ServiceReport::tiers`] from the stored per-tier submissions and the
+/// admission records.
 ///
 /// Simulated counters only, so the roll-up is deterministic and safe
 /// to compare byte-exact — the fleet baseline
@@ -103,7 +104,9 @@ pub struct FragSample {
     pub metrics: FragMetrics,
 }
 
-/// One admitted function.
+/// One admitted function: the record every admission-derived figure of
+/// a [`ServiceReport`] (immediate admissions, per-tier admitted counts
+/// and waits) is read from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionRecord {
     /// The trace-level id of the function.
@@ -112,6 +115,8 @@ pub struct AdmissionRecord {
     pub at: Micros,
     /// Queue time between arrival and admission (µs).
     pub waited: Micros,
+    /// The function's QoS tier.
+    pub tier: QosTier,
     /// How it was admitted (shared vocabulary with `rtm-sched`).
     pub outcome: AdmissionOutcome,
 }
@@ -136,16 +141,21 @@ pub struct DefragSummary {
 /// Everything one [`RuntimeService::run`](crate::RuntimeService::run)
 /// produced: admission/rejection counts, relocation traffic, and the
 /// fragmentation timeline.
+///
+/// The report is the shard's typed ledger: each lifecycle transition
+/// (submission, admission, failure, displacement, departure) writes it
+/// at one site in the service, and figures that follow from another
+/// field are derived rather than stored ([`ServiceReport::immediate`]
+/// and [`ServiceReport::tiers`] read the admission records).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServiceReport {
     /// The trace that was replayed.
     pub trace_name: String,
     /// Arrival events seen.
     pub submitted: usize,
-    /// Functions admitted (sum of immediate and after-rearrangement).
+    /// Functions admitted (sum of immediate and after-rearrangement);
+    /// one [`AdmissionRecord`] each.
     pub admitted: usize,
-    /// Admissions that fitted without moving anything.
-    pub immediate: usize,
     /// Requests dropped because their deadline passed before they could
     /// start.
     pub rejected_deadline: usize,
@@ -188,9 +198,9 @@ pub struct ServiceReport {
     /// preemption-driven migration target or from the fleet's park
     /// queue in a later idle window.
     pub evictions_in: usize,
-    /// Per-tier admission/latency roll-up ([batch, standard,
-    /// interactive], indexed by [`QosTier::index`]).
-    pub tiers: TierCounts,
+    /// Arrival events seen, per tier ([batch, standard, interactive],
+    /// indexed by [`QosTier::index`]); see [`ServiceReport::tiers`].
+    pub tier_submitted: [usize; 3],
     /// Defragmentation cycles the service initiated.
     pub defrag_cycles: usize,
     /// Whole-function moves executed (admission rearrangements plus
@@ -207,7 +217,7 @@ pub struct ServiceReport {
     /// *moved* functions for the same traffic (ms) — zero actually
     /// incurred here, the paper's claim.
     pub baseline_halt_ms: f64,
-    /// Per-admission records.
+    /// Per-admission records, in admission order.
     pub admissions: Vec<AdmissionRecord>,
     /// Per-cycle defragmentation summaries.
     pub defrags: Vec<DefragSummary>,
@@ -220,13 +230,6 @@ pub struct ServiceReport {
     /// [`RuntimeService::finish`](crate::RuntimeService::finish) as the
     /// delta of the manager's lifetime counters over this run).
     pub plan_stats: PlanStats,
-    /// Deterministic observability metrics for the run — named counters
-    /// and log2-bucketed histograms (queue wait in simulated µs, frames
-    /// per load, moves per admission) deltaed by
-    /// [`RuntimeService::finish`](crate::RuntimeService::finish) exactly
-    /// like [`ServiceReport::plan_stats`]. Simulated quantities only, so
-    /// the registry is deterministic and safe to compare byte-exact.
-    pub metrics: MetricsRegistry,
     /// Requests still queued when the trace (and all residencies with
     /// known durations) ran out.
     pub queued_at_end: usize,
@@ -243,6 +246,36 @@ impl ServiceReport {
             trace_name: trace_name.into(),
             ..ServiceReport::default()
         }
+    }
+
+    /// Admissions that fitted without moving anything.
+    pub fn immediate(&self) -> usize {
+        self.admissions
+            .iter()
+            .filter(|a| matches!(a.outcome, AdmissionOutcome::Immediate { .. }))
+            .count()
+    }
+
+    /// The per-tier roll-up: submissions as stored, admissions and
+    /// their total wait read from the admission records.
+    pub fn tiers(&self) -> TierCounts {
+        let mut t = TierCounts {
+            submitted: self.tier_submitted,
+            ..TierCounts::default()
+        };
+        for a in &self.admissions {
+            t.admitted[a.tier.index()] += 1;
+            t.waited[a.tier.index()] += a.waited;
+        }
+        t
+    }
+
+    /// Counts one arrival this shard accepted responsibility for: the
+    /// one write site of [`ServiceReport::submitted`] and its per-tier
+    /// split.
+    pub(crate) fn record_submission(&mut self, tier: QosTier) {
+        self.submitted += 1;
+        self.tier_submitted[tier.index()] += 1;
     }
 
     /// Fraction of submitted requests that were admitted.
@@ -281,14 +314,15 @@ impl ServiceReport {
 impl fmt::Display for ServiceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "service report — trace '{}'", self.trace_name)?;
+        let immediate = self.immediate();
         writeln!(
             f,
             "  admissions : {}/{} ({} immediate, {} after rearrangement), \
              {} deadline-rejected, {} failed, {} cancelled",
             self.admitted,
             self.submitted,
-            self.immediate,
-            self.admitted - self.immediate,
+            immediate,
+            self.admitted - immediate,
             self.rejected_deadline,
             self.failures,
             self.cancelled,
@@ -305,11 +339,12 @@ impl fmt::Display for ServiceReport {
                 self.migrations_in, self.migrations_out, self.migrations_restored
             )?;
         }
-        if self.tiers.is_tiered() || self.evictions_out + self.evictions_in > 0 {
+        let tiers = self.tiers();
+        if tiers.is_tiered() || self.evictions_out + self.evictions_in > 0 {
             writeln!(
                 f,
-                "  tiers      : {} — {} evicted out, {} readmitted in",
-                self.tiers, self.evictions_out, self.evictions_in
+                "  tiers      : {tiers} — {} evicted out, {} readmitted in",
+                self.evictions_out, self.evictions_in
             )?;
         }
         writeln!(
@@ -361,20 +396,45 @@ mod tests {
         let mut r = ServiceReport::new("t");
         assert_eq!(r.admission_rate(), 1.0, "vacuously perfect");
         r.submitted = 4;
+        r.tier_submitted = [1, 0, 3];
         r.admitted = 3;
-        r.immediate = 2;
         let region = Rect::new(ClbCoord::new(0, 0), 2, 2);
-        for (i, waited) in [(0u64, 0), (1, 10_000), (2, 20_000)] {
+        let rearranged = AdmissionOutcome::AfterRearrange {
+            region,
+            moves: 1,
+            cells_moved: 4,
+        };
+        for (i, waited, tier, outcome) in [
+            (
+                0u64,
+                0,
+                QosTier::Interactive,
+                AdmissionOutcome::Immediate { region },
+            ),
+            (1, 10_000, QosTier::Batch, rearranged),
+            (
+                2,
+                20_000,
+                QosTier::Interactive,
+                AdmissionOutcome::Immediate { region },
+            ),
+        ] {
             r.admissions.push(AdmissionRecord {
                 trace_id: i,
                 at: waited,
                 waited,
-                outcome: AdmissionOutcome::Immediate { region },
+                tier,
+                outcome,
             });
         }
         assert!((r.admission_rate() - 0.75).abs() < 1e-9);
         assert!((r.mean_wait() - 10_000.0).abs() < 1e-9);
         assert_eq!(r.max_wait(), 20_000);
+        assert_eq!(r.immediate(), 2);
+        let tiers = r.tiers();
+        assert_eq!(tiers.submitted, [1, 0, 3]);
+        assert_eq!(tiers.admitted, [1, 0, 2]);
+        assert_eq!(tiers.waited, [10_000, 0, 20_000]);
         let shown = r.to_string();
         assert!(shown.contains("3/4"), "{shown}");
         assert!(shown.contains("trace 't'"), "{shown}");

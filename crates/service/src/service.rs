@@ -11,7 +11,7 @@ use rtm_core::{
 use rtm_fpga::part::Part;
 use rtm_netlist::random::RandomCircuit;
 use rtm_netlist::techmap::{map_to_luts, MappedNetlist};
-use rtm_obs::{EventBuffer, EventKind, EventSink, MetricsRegistry, RejectReason, RtmEvent};
+use rtm_obs::{EventBuffer, EventKind, EventSink, RejectReason, RtmEvent};
 use rtm_place::defrag::Move;
 use rtm_sched::admission::AdmissionOutcome;
 use rtm_sched::qos::{victim_cost, QosTier};
@@ -25,29 +25,15 @@ struct Queued {
     queued_at: Micros,
 }
 
-/// Where an admission bid came from — typed provenance replacing the
-/// historical loose `(arrival, Option<RoomPlan>)` pair of `offer`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BidProvenance {
-    /// Offered straight to this service (single-device callers, tests).
-    Direct,
-    /// Routed here by a fleet policy's first-choice ranking.
-    Routed,
-    /// Re-offered here after the load failed on a better-ranked sibling.
-    Failover,
-}
-
 /// A typed admission bid: the arrival (which carries its
-/// [`QosTier`]), an optional epoch-stamped rearrangement plan the
+/// [`QosTier`]) and an optional epoch-stamped rearrangement plan the
 /// caller already computed for this request on this device (typically
-/// from a frag-aware routing preview), and the bid's provenance.
-/// [`RuntimeService::reserve`] and [`RuntimeService::admit`] consume
-/// bids.
+/// from a frag-aware routing preview). [`RuntimeService::reserve`] and
+/// [`RuntimeService::admit`] consume bids.
 #[derive(Debug, Clone)]
 pub struct AdmissionBid {
     arrival: Arrival,
     plan: Option<RoomPlan>,
-    provenance: BidProvenance,
 }
 
 impl AdmissionBid {
@@ -56,32 +42,13 @@ impl AdmissionBid {
         AdmissionBid {
             arrival,
             plan: None,
-            provenance: BidProvenance::Direct,
         }
     }
 
-    /// A bid delivered by a fleet router's first-choice ranking.
+    /// A bid delivered by a fleet router, carrying the room plan its
+    /// ranking previewed for this device, if any.
     pub fn routed(arrival: Arrival, plan: Option<RoomPlan>) -> Self {
-        AdmissionBid {
-            arrival,
-            plan,
-            provenance: BidProvenance::Routed,
-        }
-    }
-
-    /// A bid re-offered after a load failure on a better-ranked sibling.
-    pub fn failover(arrival: Arrival, plan: Option<RoomPlan>) -> Self {
-        AdmissionBid {
-            arrival,
-            plan,
-            provenance: BidProvenance::Failover,
-        }
-    }
-
-    /// Folds a caller-held room plan into the bid.
-    pub fn with_plan(mut self, plan: Option<RoomPlan>) -> Self {
-        self.plan = plan;
-        self
+        AdmissionBid { arrival, plan }
     }
 
     /// The arrival being bid.
@@ -93,43 +60,6 @@ impl AdmissionBid {
     pub fn plan(&self) -> Option<&RoomPlan> {
         self.plan.as_ref()
     }
-
-    /// Where the bid came from.
-    pub fn provenance(&self) -> BidProvenance {
-        self.provenance
-    }
-}
-
-/// What became of one admission attempt.
-enum Attempt {
-    /// Admitted and resident.
-    Admitted,
-    /// Dropped (deterministic refusal: duplicate id or synthesis
-    /// failure), already recorded in the report.
-    Dropped,
-    /// The load itself failed on *this* device (placement or routing
-    /// congestion), recorded in the report with its attributed reason.
-    /// Unlike [`Attempt::Dropped`] this is device-specific: the same
-    /// request may well succeed on a sibling.
-    Failed,
-    /// Cannot be placed right now; stays at the head of the queue.
-    NoRoom,
-}
-
-/// Outcome of the sequential *decide* step, before any frames are
-/// written. Mirrors [`ReserveOutcome`] without the accounting the
-/// public wrapper adds.
-enum Decision {
-    /// A ticket was seated and queued for execution.
-    Seated,
-    /// Deterministic refusal (duplicate id or synthesis failure),
-    /// recorded and attributed.
-    Dropped(RejectReason),
-    /// The reservation failed on this device (planned move hit
-    /// congestion, or allocation failed), recorded and attributed.
-    Failed(RejectReason),
-    /// Cannot be placed right now; nothing recorded.
-    NoRoom,
 }
 
 /// What became of one [`RuntimeService::admit`] — the immediate,
@@ -217,8 +147,6 @@ struct PendingTicket {
     start: Micros,
     duration: Option<Micros>,
     tier: QosTier,
-    had_routed_plan: bool,
-    provenance: BidProvenance,
 }
 
 /// Execution fate of a ticket, parked until the caller resolves it. A
@@ -230,9 +158,28 @@ enum ResolvedTicket {
     Failed(FunctionId, RejectReason),
 }
 
+/// Why a resident leaves its shard through [`RuntimeService::extract`]
+/// and arrives on another through [`RuntimeService::readmit`]. The
+/// mechanics are the same either way (a checkpointed extraction bundle,
+/// readmitted frame for frame); the kind picks the counters and events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Displacement {
+    /// A rebalancing migration: [`ServiceReport::migrations_out`] and
+    /// [`ServiceReport::migrations_in`], `MigrationOut` and `MigrationIn`
+    /// events.
+    Migration,
+    /// A preemptive eviction, readmitted on a sibling or later from the
+    /// fleet's park queue: [`ServiceReport::evictions_out`] and
+    /// [`ServiceReport::evictions_in`], `Evicted` and `Readmitted`
+    /// events. Tracked apart from migrations so the rebalancing identity
+    /// `Σ migrations_out == Σ migrations_in` survives bundles that are
+    /// parked instead of readmitted.
+    Eviction,
+}
+
 /// A function in flight between shards: the service-level wrapper a
-/// fleet carries from [`RuntimeService::migrate_out`] to
-/// [`RuntimeService::migrate_in`]. Besides the core-level
+/// fleet carries from [`RuntimeService::extract`] to
+/// [`RuntimeService::readmit`]. Besides the core-level
 /// [`ExtractedFunction`] snapshot it keeps the *service* identity — the
 /// trace id and the absolute residency expiry — so the function's
 /// lifecycle continues seamlessly on the new device: it departs at the
@@ -351,12 +298,6 @@ pub struct RuntimeService {
     /// emitted *here*, from the manager's reports — the manager itself
     /// has no simulated clock to stamp them with.
     events: Option<EventBuffer>,
-    /// Deterministic metric accumulators for the service's whole life;
-    /// [`RuntimeService::finish`] deltas them into the report exactly
-    /// like `PlanStats`.
-    metrics: MetricsRegistry,
-    /// Snapshot of `metrics` at the start of the current run.
-    metrics_base: MetricsRegistry,
     /// Seated admissions awaiting execution, in decide order. Drained
     /// by [`RuntimeService::execute_reserved`] — and defensively by
     /// every entry point that could otherwise observe a half-admitted
@@ -404,8 +345,6 @@ impl RuntimeService {
             stats_base: PlanStats::default(),
             head_blocked: None,
             events: None,
-            metrics: MetricsRegistry::new(),
-            metrics_base: MetricsRegistry::new(),
             tickets: VecDeque::new(),
             resolved: BTreeMap::new(),
             schedule_version: 0,
@@ -663,8 +602,7 @@ impl RuntimeService {
     ) -> Result<(), CoreError> {
         self.execute_reserved(report)?;
         self.now = self.now.max(at);
-        report.submitted += 1;
-        report.tiers.submitted[arrival.tier.index()] += 1;
+        report.record_submission(arrival.tier);
         if let Some(s) = self.sink() {
             s.emit(
                 self.now,
@@ -735,23 +673,15 @@ impl RuntimeService {
                 },
             );
         }
-        let decision = self.decide(&q, bid.plan, bid.provenance, report)?;
-        if matches!(decision, Decision::NoRoom) {
+        let outcome = self.decide(&q, bid.plan, report)?;
+        if outcome == ReserveOutcome::NoRoom {
             if let (Some(b), Some(m)) = (self.events.as_ref(), mark) {
                 b.truncate(m);
             }
+        } else {
+            report.record_submission(q.arrival.tier);
         }
-        let tier = q.arrival.tier;
-        if !matches!(decision, Decision::NoRoom) {
-            report.submitted += 1;
-            report.tiers.submitted[tier.index()] += 1;
-        }
-        Ok(match decision {
-            Decision::NoRoom => ReserveOutcome::NoRoom,
-            Decision::Seated => ReserveOutcome::Reserved,
-            Decision::Dropped(reason) => ReserveOutcome::Dropped { reason },
-            Decision::Failed(reason) => ReserveOutcome::Failed { reason },
-        })
+        Ok(outcome)
     }
 
     /// The *execute* half of two-phase admission: implements every
@@ -821,21 +751,31 @@ impl RuntimeService {
         report: &mut ServiceReport,
     ) -> Result<OfferOutcome, CoreError> {
         let id = bid.arrival.id;
-        match self.reserve(at, bid, report)? {
-            ReserveOutcome::NoRoom => Ok(OfferOutcome::NoRoom),
-            ReserveOutcome::Dropped { reason } => Ok(OfferOutcome::Dropped { reason }),
-            ReserveOutcome::Failed { reason } => Ok(OfferOutcome::LoadFailed { reason }),
-            ReserveOutcome::Reserved => {
-                self.execute_reserved(report)?;
-                // A reserved bid always resolves after its drain, so an
-                // UnknownTicket here is a real invariant breach — let it
-                // propagate.
-                match self.resolve_ticket(id)? {
-                    TicketOutcome::Executed => Ok(OfferOutcome::Admitted),
-                    TicketOutcome::Failed { reason } => Ok(OfferOutcome::LoadFailed { reason }),
-                }
-            }
-        }
+        let decided = self.reserve(at, bid, report)?;
+        self.execute_reserved(report)?;
+        self.admission_fate(id, decided)
+    }
+
+    /// The fate of a decided request once its ticket, if one was seated,
+    /// has been drained: a seated ticket resolves to admitted or failed,
+    /// and every other decision maps across as is.
+    fn admission_fate(
+        &mut self,
+        id: u64,
+        decided: ReserveOutcome,
+    ) -> Result<OfferOutcome, CoreError> {
+        Ok(match decided {
+            ReserveOutcome::NoRoom => OfferOutcome::NoRoom,
+            ReserveOutcome::Dropped { reason } => OfferOutcome::Dropped { reason },
+            ReserveOutcome::Failed { reason } => OfferOutcome::LoadFailed { reason },
+            // A reserved bid always resolves after its drain, so an
+            // UnknownTicket here is a real invariant breach — let it
+            // propagate.
+            ReserveOutcome::Reserved => match self.resolve_ticket(id)? {
+                TicketOutcome::Executed => OfferOutcome::Admitted,
+                TicketOutcome::Failed { reason } => OfferOutcome::LoadFailed { reason },
+            },
+        })
     }
 
     /// Serves the wait queue, samples the fragmentation timeline, and
@@ -939,8 +879,6 @@ impl RuntimeService {
         let totals = self.mgr.plan_stats();
         report.plan_stats = totals.delta_since(self.stats_base);
         self.stats_base = totals;
-        report.metrics = self.metrics.delta_since(&self.metrics_base);
-        self.metrics_base = self.metrics.clone();
     }
 
     /// Unloads a resident function, or cancels a queued one (counted as
@@ -955,11 +893,8 @@ impl RuntimeService {
         // pending ticket — execute first so it departs as a resident,
         // exactly as it would have under inline execution.
         self.execute_reserved(report)?;
-        if let Some(fid) = self.resident.remove(&trace_id) {
-            self.tier_of.remove(&trace_id);
-            if self.expiry.remove(&trace_id).is_some() {
-                self.schedule_version += 1;
-            }
+        if let Some(fid) = self.resident_function_id(trace_id) {
+            self.forget_resident(trace_id);
             self.mgr.unload(fid)?;
             report.departures += 1;
             if let Some(s) = self.sink() {
@@ -990,42 +925,45 @@ impl RuntimeService {
         Ok(())
     }
 
-    /// Extracts a resident function off this shard for migration to a
-    /// sibling: the outbound migration step. The function's residency
-    /// bookkeeping (trace id, absolute expiry) travels with the
-    /// returned [`MigratingFunction`]; the counter moves optimistically
-    /// ([`ServiceReport::migrations_out`]) and is moved back by
-    /// [`RuntimeService::restore_migrated`] if the readmission on the
-    /// target fails — so completed-migration counters always balance
-    /// fleet-wide.
+    /// Extracts a resident function off this shard: the outbound half
+    /// of a [`Displacement`]. The function's residency bookkeeping
+    /// (trace id, tier, absolute expiry) travels with the returned
+    /// [`MigratingFunction`]. The kind's outbound counter moves at once;
+    /// a migration's is moved back by [`RuntimeService::restore_migrated`]
+    /// if the readmission on the target fails, so completed-migration
+    /// counters always balance fleet-wide.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Place`] when `trace_id` is not resident
     /// here (queued requests are routed, not migrated).
-    pub fn migrate_out(
+    pub fn extract(
         &mut self,
         trace_id: u64,
+        kind: Displacement,
         report: &mut ServiceReport,
     ) -> Result<MigratingFunction, CoreError> {
         self.execute_reserved(report)?;
-        let fid = self
-            .resident
-            .get(&trace_id)
-            .copied()
-            .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask {
-                id: trace_id,
-            }))?;
+        let fid = self.resident_function_id(trace_id).ok_or(CoreError::Place(
+            rtm_place::PlaceError::UnknownTask { id: trace_id },
+        ))?;
         let extracted = self.mgr.extract_function(fid)?;
-        self.resident.remove(&trace_id);
-        let tier = self.tier_of.remove(&trace_id).unwrap_or(QosTier::Standard);
-        let expiry = self.expiry.remove(&trace_id);
-        if expiry.is_some() {
-            self.schedule_version += 1;
-        }
-        report.migrations_out += 1;
+        let (tier, expiry) = self.forget_resident(trace_id);
+        let event = match kind {
+            Displacement::Migration => {
+                report.migrations_out += 1;
+                EventKind::MigrationOut { id: trace_id }
+            }
+            Displacement::Eviction => {
+                report.evictions_out += 1;
+                EventKind::Evicted {
+                    id: trace_id,
+                    tier: tier.index() as u8,
+                }
+            }
+        };
         if let Some(s) = self.sink() {
-            s.emit(self.now, EventKind::MigrationOut { id: trace_id });
+            s.emit(self.now, event);
         }
         Ok(MigratingFunction {
             trace_id,
@@ -1035,26 +973,29 @@ impl RuntimeService {
         })
     }
 
-    /// Readmits a migrating function onto this shard: the inbound
-    /// migration step. `plan` is the target-side rearrangement plan the
-    /// fleet computed while scoring this shard (revalidated exactly
-    /// like any caller-held plan — stale ⇒ re-planned, never
-    /// executed). On success the function is resident here with its
-    /// original expiry and the admission rearrangement traffic is
-    /// accounted like any other relocation work.
+    /// Readmits a displaced function onto this shard: the inbound half
+    /// of a [`Displacement`] — a migration target, a preemption victim's
+    /// new shard, or a parked bundle's later idle window. `plan` is the
+    /// target-side rearrangement plan the caller computed while scoring
+    /// this shard (revalidated exactly like any caller-held plan —
+    /// stale ⇒ re-planned, never executed). On success the function is
+    /// resident here with its original tier and expiry, and the
+    /// admission rearrangement traffic is accounted like any other
+    /// relocation work.
     ///
     /// # Errors
     ///
     /// Returns an error when the shard already holds the id, no room
     /// can be made, or the implementation fails — in every case this
     /// shard is left without orphan state and the caller still owns the
-    /// bundle, so the source can
-    /// [`RuntimeService::restore_migrated`] it.
-    pub fn migrate_in(
+    /// bundle: it can stay parked, or be
+    /// [restored](RuntimeService::restore_migrated) to its source.
+    pub fn readmit(
         &mut self,
         at: Micros,
         m: &MigratingFunction,
         plan: Option<RoomPlan>,
+        kind: Displacement,
         report: &mut ServiceReport,
     ) -> Result<(), CoreError> {
         self.execute_reserved(report)?;
@@ -1075,15 +1016,22 @@ impl RuntimeService {
         let lr = self
             .mgr
             .readmit_function(&m.extracted, &plan, |_, _, _| {})?;
-        self.resident.insert(m.trace_id, lr.id);
-        self.tier_of.insert(m.trace_id, m.tier);
-        if let Some(e) = m.expiry {
-            self.expiry.insert(m.trace_id, e);
-            self.schedule_version += 1;
-        }
-        report.migrations_in += 1;
+        self.make_resident(m.trace_id, lr.id, m.tier, m.expiry);
+        let event = match kind {
+            Displacement::Migration => {
+                report.migrations_in += 1;
+                EventKind::MigrationIn { id: m.trace_id }
+            }
+            Displacement::Eviction => {
+                report.evictions_in += 1;
+                EventKind::Readmitted {
+                    id: m.trace_id,
+                    tier: m.tier.index() as u8,
+                }
+            }
+        };
         if let Some(s) = self.sink() {
-            s.emit(self.now, EventKind::MigrationIn { id: m.trace_id });
+            s.emit(self.now, event);
         }
         self.account_moves(&lr.moves, &lr.relocations, report);
         Ok(())
@@ -1108,15 +1056,10 @@ impl RuntimeService {
         report: &mut ServiceReport,
     ) -> Result<(), CoreError> {
         let fid = self.mgr.restore_function(&m.extracted)?;
-        self.resident.insert(m.trace_id, fid);
-        self.tier_of.insert(m.trace_id, m.tier);
-        if let Some(e) = m.expiry {
-            self.expiry.insert(m.trace_id, e);
-            self.schedule_version += 1;
-        }
+        self.make_resident(m.trace_id, fid, m.tier, m.expiry);
         debug_assert!(
             report.migrations_out > 0,
-            "restore must be given the report that recorded the migrate_out"
+            "restore must be given the report that recorded the extraction"
         );
         report.migrations_out = report.migrations_out.saturating_sub(1);
         report.migrations_restored += 1;
@@ -1124,6 +1067,36 @@ impl RuntimeService {
             s.emit(self.now, EventKind::MigrationRestored { id: m.trace_id });
         }
         Ok(())
+    }
+
+    /// Enters `trace_id` in the residency tables: the one write site
+    /// shared by admission, readmission and restore.
+    fn make_resident(
+        &mut self,
+        trace_id: u64,
+        fid: FunctionId,
+        tier: QosTier,
+        expiry: Option<Micros>,
+    ) {
+        self.resident.insert(trace_id, fid);
+        self.tier_of.insert(trace_id, tier);
+        if let Some(e) = expiry {
+            self.expiry.insert(trace_id, e);
+            self.schedule_version += 1;
+        }
+    }
+
+    /// Drops `trace_id` from the residency tables, returning the tier
+    /// and expiry it held: the one removal site shared by departure and
+    /// extraction.
+    fn forget_resident(&mut self, trace_id: u64) -> (QosTier, Option<Micros>) {
+        self.resident.remove(&trace_id);
+        let tier = self.tier_of.remove(&trace_id).unwrap_or(QosTier::Standard);
+        let expiry = self.expiry.remove(&trace_id);
+        if expiry.is_some() {
+            self.schedule_version += 1;
+        }
+        (tier, expiry)
     }
 
     /// The cheapest resident this shard could sacrifice to seat an
@@ -1158,112 +1131,6 @@ impl RuntimeService {
                 Some((*tid, victim_cost(f.region.area(), remaining)))
             })
             .min_by_key(|(tid, cost)| (*cost, *tid))
-    }
-
-    /// Extracts a resident off this shard because a higher-tier arrival
-    /// preempted it: the outbound half of evict-via-migrate-or-park.
-    /// Mechanically [`RuntimeService::migrate_out`] — the same
-    /// checkpointed extraction bundle — but accounted as an eviction
-    /// ([`ServiceReport::evictions_out`], an `Evicted` event) so the
-    /// rebalancing identity `Σ migrations_out == Σ migrations_in`
-    /// survives bundles that are *parked* instead of readmitted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Place`] when `trace_id` is not resident
-    /// here.
-    pub fn evict_out(
-        &mut self,
-        trace_id: u64,
-        report: &mut ServiceReport,
-    ) -> Result<MigratingFunction, CoreError> {
-        self.execute_reserved(report)?;
-        let fid = self
-            .resident
-            .get(&trace_id)
-            .copied()
-            .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask {
-                id: trace_id,
-            }))?;
-        let extracted = self.mgr.extract_function(fid)?;
-        self.resident.remove(&trace_id);
-        let tier = self.tier_of.remove(&trace_id).unwrap_or(QosTier::Standard);
-        let expiry = self.expiry.remove(&trace_id);
-        if expiry.is_some() {
-            self.schedule_version += 1;
-        }
-        report.evictions_out += 1;
-        if let Some(s) = self.sink() {
-            s.emit(
-                self.now,
-                EventKind::Evicted {
-                    id: trace_id,
-                    tier: tier.index() as u8,
-                },
-            );
-        }
-        Ok(MigratingFunction {
-            trace_id,
-            extracted,
-            expiry,
-            tier,
-        })
-    }
-
-    /// Readmits an evicted bundle onto this shard — as the migration
-    /// target of a preemption, or from the fleet's park queue in a
-    /// later idle window. Mechanically [`RuntimeService::migrate_in`]
-    /// but accounted as an eviction readmission
-    /// ([`ServiceReport::evictions_in`], a `Readmitted` event).
-    ///
-    /// # Errors
-    ///
-    /// Exactly like [`RuntimeService::migrate_in`]: on any error this
-    /// shard holds no orphan state and the caller still owns the
-    /// bundle (it can stay parked, or be restored to its source).
-    pub fn evict_in(
-        &mut self,
-        at: Micros,
-        m: &MigratingFunction,
-        plan: Option<RoomPlan>,
-        report: &mut ServiceReport,
-    ) -> Result<(), CoreError> {
-        self.execute_reserved(report)?;
-        self.now = self.now.max(at);
-        if self.resident.contains_key(&m.trace_id) {
-            return Err(CoreError::Place(rtm_place::PlaceError::DuplicateTask {
-                id: m.trace_id,
-            }));
-        }
-        let (rows, cols) = m.shape();
-        let plan = self
-            .mgr
-            .revalidate_room_plan(rows, cols, plan)
-            .ok_or(CoreError::Place(rtm_place::PlaceError::NoFit {
-                rows,
-                cols,
-            }))?;
-        let lr = self
-            .mgr
-            .readmit_function(&m.extracted, &plan, |_, _, _| {})?;
-        self.resident.insert(m.trace_id, lr.id);
-        self.tier_of.insert(m.trace_id, m.tier);
-        if let Some(e) = m.expiry {
-            self.expiry.insert(m.trace_id, e);
-            self.schedule_version += 1;
-        }
-        report.evictions_in += 1;
-        if let Some(s) = self.sink() {
-            s.emit(
-                self.now,
-                EventKind::Readmitted {
-                    id: m.trace_id,
-                    tier: m.tier.index() as u8,
-                },
-            );
-        }
-        self.account_moves(&lr.moves, &lr.relocations, report);
-        Ok(())
     }
 
     /// Serves the queue in the configured [`QueueOrder`]: drops requests
@@ -1330,47 +1197,23 @@ impl RuntimeService {
                     },
                 );
             }
-            match self.try_admit(&q, None, BidProvenance::Direct, report)? {
-                Attempt::NoRoom => {
-                    if let (Some(b), Some(m)) = (self.events.as_ref(), mark) {
-                        b.truncate(m);
-                    }
-                    self.head_blocked = Some((q.arrival.id, self.mgr.epoch()));
-                    break;
+            // The full two-phase pipeline, inline: decide, execute,
+            // resolve. The queue path therefore emits exactly the same
+            // event sequence and touches exactly the same counters as a
+            // fleet-routed admission.
+            let decided = self.decide(&q, None, report)?;
+            self.execute_reserved(report)?;
+            if self.admission_fate(q.arrival.id, decided)? == OfferOutcome::NoRoom {
+                if let (Some(b), Some(m)) = (self.events.as_ref(), mark) {
+                    b.truncate(m);
                 }
-                Attempt::Admitted | Attempt::Dropped | Attempt::Failed => {
-                    self.head_blocked = None;
-                    self.queue.pop_front();
-                }
+                self.head_blocked = Some((q.arrival.id, self.mgr.epoch()));
+                break;
             }
+            self.head_blocked = None;
+            self.queue.pop_front();
         }
         Ok(())
-    }
-
-    /// Admits one queued request through the full two-phase pipeline,
-    /// inline: decide (seat a ticket), execute it, resolve it. The
-    /// queue path therefore emits exactly the same event sequence and
-    /// touches exactly the same counters as a fleet-routed admission,
-    /// whichever phase its execute step would have run in.
-    fn try_admit(
-        &mut self,
-        q: &Queued,
-        routed_plan: Option<RoomPlan>,
-        provenance: BidProvenance,
-        report: &mut ServiceReport,
-    ) -> Result<Attempt, CoreError> {
-        match self.decide(q, routed_plan, provenance, report)? {
-            Decision::NoRoom => Ok(Attempt::NoRoom),
-            Decision::Dropped(_) => Ok(Attempt::Dropped),
-            Decision::Failed(_) => Ok(Attempt::Failed),
-            Decision::Seated => {
-                self.execute_reserved(report)?;
-                match self.resolve_ticket(q.arrival.id)? {
-                    TicketOutcome::Executed => Ok(Attempt::Admitted),
-                    TicketOutcome::Failed { .. } => Ok(Attempt::Failed),
-                }
-            }
-        }
     }
 
     /// The sequential decide step: the routing/feasibility pipeline up
@@ -1385,34 +1228,24 @@ impl RuntimeService {
         &mut self,
         q: &Queued,
         routed_plan: Option<RoomPlan>,
-        provenance: BidProvenance,
         report: &mut ServiceReport,
-    ) -> Result<Decision, CoreError> {
+    ) -> Result<ReserveOutcome, CoreError> {
         let a = q.arrival;
-        let had_routed_plan = routed_plan.is_some();
         // A duplicate of a still-resident id would orphan the earlier
         // function in the bookkeeping: refuse it outright.
         if self.resident.contains_key(&a.id) {
-            report.failures += 1;
-            if let Some(s) = self.sink() {
-                s.emit(
-                    self.now,
-                    EventKind::Rejected {
-                        id: a.id,
-                        reason: RejectReason::DuplicateOrSynthesis,
-                    },
-                );
-            }
-            return Ok(Decision::Dropped(RejectReason::DuplicateOrSynthesis));
+            let reason = RejectReason::DuplicateOrSynthesis;
+            self.reject(a.id, reason, report);
+            return Ok(ReserveOutcome::Dropped { reason });
         }
         // The rearrangement the load would need, so the admission
         // decision can weigh its cost *before* committing. A valid
         // routed plan answers for free; otherwise plan once now.
         let Some(plan) = self.mgr.revalidate_room_plan(a.rows, a.cols, routed_plan) else {
-            return Ok(Decision::NoRoom);
+            return Ok(ReserveOutcome::NoRoom);
         };
         if !plan.is_empty() && !self.config.policy.rearranges() {
-            return Ok(Decision::NoRoom);
+            return Ok(ReserveOutcome::NoRoom);
         }
         // The reconfiguration port is busy for the whole move traffic;
         // the incoming function starts afterwards. If that would miss
@@ -1421,24 +1254,13 @@ impl RuntimeService {
         // and `serve_queue` rejects it once the deadline itself passes.
         let start = self.now + plan.cells_moved() as Micros * self.config.us_per_clb;
         if a.deadline.map(|d| start > d).unwrap_or(false) {
-            return Ok(Decision::NoRoom);
+            return Ok(ReserveOutcome::NoRoom);
         }
 
-        let design = match self.design_for(&a) {
-            Ok(d) => d,
-            Err(_) => {
-                report.failures += 1;
-                if let Some(s) = self.sink() {
-                    s.emit(
-                        self.now,
-                        EventKind::Rejected {
-                            id: a.id,
-                            reason: RejectReason::DuplicateOrSynthesis,
-                        },
-                    );
-                }
-                return Ok(Decision::Dropped(RejectReason::DuplicateOrSynthesis));
-            }
+        let Ok(design) = self.design_for(&a) else {
+            let reason = RejectReason::DuplicateOrSynthesis;
+            self.reject(a.id, reason, report);
+            return Ok(ReserveOutcome::Dropped { reason });
         };
         match self.mgr.reserve_room(a.rows, a.cols, &plan, |_, _, _| {}) {
             Err(e) => {
@@ -1449,22 +1271,9 @@ impl RuntimeService {
                 // records the casualty — attributed, so fleet autopsies
                 // can tell area pressure from wiring congestion — and
                 // keeps running.
-                report.failures += 1;
-                let reason = match e.load_failure_reason() {
-                    LoadFailureReason::NoFreeSlots => {
-                        report.failures_no_slots += 1;
-                        RejectReason::NoFreeSlots
-                    }
-                    LoadFailureReason::Unroutable => {
-                        report.failures_unroutable += 1;
-                        RejectReason::Unroutable
-                    }
-                    LoadFailureReason::Other => RejectReason::LoadOther,
-                };
-                if let Some(s) = self.sink() {
-                    s.emit(self.now, EventKind::Rejected { id: a.id, reason });
-                }
-                Ok(Decision::Failed(reason))
+                let reason = load_reject_reason(&e);
+                self.reject(a.id, reason, report);
+                Ok(ReserveOutcome::Failed { reason })
             }
             Ok(ticket) => {
                 if let Some(s) = self.sink() {
@@ -1484,21 +1293,18 @@ impl RuntimeService {
                     start,
                     duration: a.duration,
                     tier: a.tier,
-                    had_routed_plan,
-                    provenance,
                 });
-                Ok(Decision::Seated)
+                Ok(ReserveOutcome::Reserved)
             }
         }
     }
 
     /// Executes one seated ticket: the implementation half of an
     /// admission.
-    /// Success makes the function resident and emits the
-    /// `Admitted`/`Load`/`Executed` record; failure is absorbed,
-    /// attributed and parked (reservation kept) for
-    /// [`RuntimeService::resolve_ticket`]. Either way the outcome joins
-    /// the resolved set.
+    /// Success makes the function resident and records the admission;
+    /// failure is absorbed, attributed and parked (reservation kept)
+    /// for [`RuntimeService::resolve_ticket`]. Either way the outcome
+    /// joins the resolved set.
     fn execute_one(
         &mut self,
         pt: PendingTicket,
@@ -1506,65 +1312,28 @@ impl RuntimeService {
     ) -> Result<(), CoreError> {
         let id = pt.trace_id;
         let fid = pt.ticket.id();
-        self.metrics.inc("deferred_loads");
-        if self.force_fail_loads > 0 {
-            // Injected failure (see `force_execute_failures`): account
-            // it exactly like a real execute refusal — nothing was
-            // written, the arena reservation stays seated until the
-            // ticket is resolved.
+        let executed = if self.force_fail_loads > 0 {
+            // Injected failure (see `force_execute_failures`): nothing
+            // is written, exactly like a real execute refusal.
             self.force_fail_loads -= 1;
-            report.failures += 1;
-            if let Some(s) = self.sink() {
-                s.emit(
-                    self.now,
-                    EventKind::Rejected {
-                        id,
-                        reason: RejectReason::LoadOther,
-                    },
-                );
-            }
-            if let Some(ResolvedTicket::Failed(old_fid, _)) = self
-                .resolved
-                .insert(id, ResolvedTicket::Failed(fid, RejectReason::LoadOther))
-            {
-                let _ = self.mgr.cancel_reservation(old_fid);
-            }
-            return Ok(());
-        }
-        match self.mgr.execute_reserved(&pt.design, pt.ticket) {
-            Err(e) => {
+            Err(RejectReason::LoadOther)
+        } else {
+            self.mgr
+                .execute_reserved(&pt.design, pt.ticket)
+                .map_err(|e| load_reject_reason(&e))
+        };
+        let resolved = match executed {
+            Err(reason) => {
                 // Same absorption/attribution as a decide-time failure;
                 // the arena reservation deliberately stays seated until
                 // the ticket is resolved, so sibling-facing metrics are
                 // identical whichever phase ran this code.
-                report.failures += 1;
-                let reason = match e.load_failure_reason() {
-                    LoadFailureReason::NoFreeSlots => {
-                        report.failures_no_slots += 1;
-                        RejectReason::NoFreeSlots
-                    }
-                    LoadFailureReason::Unroutable => {
-                        report.failures_unroutable += 1;
-                        RejectReason::Unroutable
-                    }
-                    LoadFailureReason::Other => RejectReason::LoadOther,
-                };
-                if let Some(s) = self.sink() {
-                    s.emit(self.now, EventKind::Rejected { id, reason });
-                }
-                // A reused trace id whose earlier failed ticket was
-                // never resolved would leak that ticket's arena
-                // reservation when we overwrite the entry: release it.
-                if let Some(ResolvedTicket::Failed(old_fid, _)) = self
-                    .resolved
-                    .insert(id, ResolvedTicket::Failed(fid, reason))
-                {
-                    let _ = self.mgr.cancel_reservation(old_fid);
-                }
+                self.reject(id, reason, report);
+                ResolvedTicket::Failed(fid, reason)
             }
             Ok(lr) => {
+                let waited = self.now - pt.queued_at;
                 let outcome = if lr.moves.is_empty() {
-                    report.immediate += 1;
                     AdmissionOutcome::Immediate { region: lr.region }
                 } else {
                     AdmissionOutcome::AfterRearrange {
@@ -1573,12 +1342,19 @@ impl RuntimeService {
                         cells_moved: lr.cells_moved(),
                     }
                 };
+                // The admission's one write site: the counter and its
+                // record, from which immediate admissions and the
+                // per-tier roll-up are derived.
                 report.admitted += 1;
-                let waited = self.now - pt.queued_at;
-                report.tiers.admitted[pt.tier.index()] += 1;
-                report.tiers.waited[pt.tier.index()] += waited;
-                let frames = lr.frames_total();
+                report.admissions.push(AdmissionRecord {
+                    trace_id: id,
+                    at: self.now,
+                    waited,
+                    tier: pt.tier,
+                    outcome,
+                });
                 if let Some(s) = self.sink() {
+                    let frames = lr.frames_total();
                     s.emit(
                         self.now,
                         EventKind::Admitted {
@@ -1590,48 +1366,34 @@ impl RuntimeService {
                     s.emit(self.now, EventKind::Load { id, frames });
                     s.emit(self.now, EventKind::Executed { id, frames });
                 }
-                self.metrics.observe("queue_wait_us", waited);
-                self.metrics.observe("frames_per_load", frames as u64);
-                self.metrics
-                    .observe("moves_per_admission", lr.moves.len() as u64);
-                // Per-tier roll-ups in the deterministic registry: an
-                // admitted counter and a wait histogram per tier.
-                let (tier_admitted, tier_wait) = match pt.tier {
-                    QosTier::Batch => ("tier_batch_admitted", "tier_batch_wait_us"),
-                    QosTier::Standard => ("tier_standard_admitted", "tier_standard_wait_us"),
-                    QosTier::Interactive => {
-                        ("tier_interactive_admitted", "tier_interactive_wait_us")
-                    }
-                };
-                self.metrics.inc(tier_admitted);
-                self.metrics.observe(tier_wait, waited);
-                if pt.had_routed_plan {
-                    self.metrics.inc("admissions_with_routed_plan");
-                }
-                if pt.provenance == BidProvenance::Failover {
-                    self.metrics.inc("failover_admissions");
-                }
-                report.admissions.push(AdmissionRecord {
-                    trace_id: id,
-                    at: self.now,
-                    waited,
-                    outcome,
-                });
                 self.account_moves(&lr.moves, &lr.relocations, report);
-                if let Some(d) = pt.duration {
-                    self.expiry.insert(id, pt.start + d);
-                    self.schedule_version += 1;
-                }
-                self.resident.insert(id, lr.id);
-                self.tier_of.insert(id, pt.tier);
-                if let Some(ResolvedTicket::Failed(old_fid, _)) =
-                    self.resolved.insert(id, ResolvedTicket::Executed)
-                {
-                    let _ = self.mgr.cancel_reservation(old_fid);
-                }
+                let expiry = pt.duration.map(|d| pt.start + d);
+                self.make_resident(id, lr.id, pt.tier, expiry);
+                ResolvedTicket::Executed
             }
+        };
+        // A reused trace id whose earlier failed ticket was never
+        // resolved would leak that ticket's arena reservation when we
+        // overwrite the entry: release it.
+        if let Some(ResolvedTicket::Failed(old_fid, _)) = self.resolved.insert(id, resolved) {
+            let _ = self.mgr.cancel_reservation(old_fid);
         }
         Ok(())
+    }
+
+    /// Records a refused or failed admission of `id` on this shard: the
+    /// one write site of [`ServiceReport::failures`], its no-slots and
+    /// unroutable subsets, and the `Rejected` event.
+    fn reject(&self, id: u64, reason: RejectReason, report: &mut ServiceReport) {
+        report.failures += 1;
+        match reason {
+            RejectReason::NoFreeSlots => report.failures_no_slots += 1,
+            RejectReason::Unroutable => report.failures_unroutable += 1,
+            _ => {}
+        }
+        if let Some(s) = self.sink() {
+            s.emit(self.now, EventKind::Rejected { id, reason });
+        }
     }
 
     /// Folds executed relocation traffic into the report totals.
@@ -1666,5 +1428,14 @@ impl RuntimeService {
         let ffs = (area / 48).clamp(2, 4) as usize;
         let seed = self.config.design_seed ^ a.id.wrapping_mul(0x9e37_79b9);
         map_to_luts(&RandomCircuit::free_running(ffs, gates, seed).generate())
+    }
+}
+
+/// The attributed reason a reservation or load failed with.
+fn load_reject_reason(e: &CoreError) -> RejectReason {
+    match e.load_failure_reason() {
+        LoadFailureReason::NoFreeSlots => RejectReason::NoFreeSlots,
+        LoadFailureReason::Unroutable => RejectReason::Unroutable,
+        LoadFailureReason::Other => RejectReason::LoadOther,
     }
 }

@@ -92,7 +92,7 @@ fn adversarial_scenario_recovers_through_defrag() {
         "the comb must shatter free space: {report}"
     );
     assert!(
-        report.defrag_cycles >= 1 || report.admitted > report.immediate,
+        report.defrag_cycles >= 1 || report.admitted > report.immediate(),
         "recovery needs relocation (defrag or load-time rearrangement): {report}"
     );
     // The oversized requests were admitted — the whole point of

@@ -26,7 +26,7 @@ fn lifecycle_admit_expire_depart() {
     let report = service.run(&trace).unwrap();
     assert_eq!(report.submitted, 2);
     assert_eq!(report.admitted, 2);
-    assert_eq!(report.immediate, 2, "an empty device fits everything");
+    assert_eq!(report.immediate(), 2, "an empty device fits everything");
     assert_eq!(report.departures, 2);
     assert_eq!(report.resident_at_end, 0);
     assert_eq!(service.manager().functions().count(), 0);
@@ -113,7 +113,7 @@ fn no_rearrange_policy_defers_what_transparent_admits() {
     let report = service.run(&trace).unwrap();
     assert_eq!(report.admitted, 5, "{report}");
     assert!(
-        report.admitted - report.immediate >= 1,
+        report.admitted - report.immediate() >= 1,
         "the big request needed a rearrangement: {report}"
     );
     assert!(report.function_moves > 0);

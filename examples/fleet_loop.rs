@@ -77,79 +77,21 @@ fn fleet_trace(scenario: Scenario, copies: u64, seed: u64) -> Trace {
     scenario.fleet_trace(Part::Xcv50, copies, seed, 170_000)
 }
 
-/// One deterministic counter block of the perf baseline, JSON-ready.
-fn json_block(devices: usize, preemption: bool, report: &FleetReport) -> String {
-    let s = report.plan_stats();
-    let tiers = report.tiers();
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "    {{\"scenario\": \"{}\", \"devices\": {}, \"preemption\": {}, \
-         \"policy\": \"{}\", \"rebalancer\": \"{}\", \
-         \"submitted\": {}, \"admitted\": {}, \"retries\": {}, \
-         \"load_failovers\": {}, \"unplaceable\": {}, \"queued_at_end\": {}, \
-         \"failures\": {}, \"failures_no_slots\": {}, \"failures_unroutable\": {}, \
-         \"defrag_cycles\": {}, \"fleet_defrags\": {}, \"function_moves\": {}, \
-         \"cells_moved\": {}, \"frames_written\": {}, \
-         \"migrations\": {}, \"migrations_in\": {}, \"migrations_out\": {}, \
-         \"migrations_failed\": {}, \"migrations_refused\": {}, \
-         \"submitted_batch\": {}, \"submitted_standard\": {}, \
-         \"submitted_interactive\": {}, \
-         \"admitted_batch\": {}, \"admitted_standard\": {}, \
-         \"admitted_interactive\": {}, \
-         \"preemptions\": {}, \"evictions_migrated\": {}, \
-         \"evictions_parked\": {}, \"parked_readmitted\": {}, \
-         \"parked_expired\": {}, \"parked_at_end\": {}, \
-         \"make_room_calls\": {}, \"previews\": {}, \"compaction_plans\": {}, \
-         \"plans_reused\": {}, \"plans_invalidated\": {}, \
-         \"summary_hits\": {}, \"summary_misses\": {}, \
-         \"route_searches\": {}, \"route_nodes_expanded\": {}}}",
+/// One deterministic counter block of the perf baseline, JSON-ready:
+/// the row's tags, then every [`FleetReport::counters`] column.
+fn json_block(preemption: bool, report: &FleetReport) -> String {
+    let mut out = format!(
+        "    {{\"scenario\": \"{}\", \"devices\": {}, \"preemption\": {preemption}, \
+         \"policy\": \"{}\", \"rebalancer\": \"{}\"",
         report.trace_name,
-        devices,
-        preemption,
+        report.shards.len(),
         report.policy,
         report.rebalancer.as_deref().unwrap_or("none"),
-        report.submitted,
-        report.admitted(),
-        report.retries,
-        report.load_failovers,
-        report.unplaceable,
-        report.queued_at_end(),
-        report.failures(),
-        report.failures_no_slots(),
-        report.failures_unroutable(),
-        report.defrag_cycles(),
-        report.fleet_defrags,
-        report.function_moves(),
-        report.cells_moved(),
-        report.frames_written(),
-        report.migrations,
-        report.migrations_in(),
-        report.migrations_out(),
-        report.migrations_failed,
-        report.migrations_refused,
-        tiers.submitted_for(QosTier::Batch),
-        tiers.submitted_for(QosTier::Standard),
-        tiers.submitted_for(QosTier::Interactive),
-        tiers.admitted_for(QosTier::Batch),
-        tiers.admitted_for(QosTier::Standard),
-        tiers.admitted_for(QosTier::Interactive),
-        report.preemptions,
-        report.evictions_migrated,
-        report.evictions_parked,
-        report.parked_readmitted,
-        report.parked_expired,
-        report.parked_at_end,
-        s.make_room_calls,
-        s.previews,
-        s.compaction_plans,
-        s.plans_reused,
-        s.plans_invalidated,
-        s.summary_hits,
-        s.summary_misses,
-        s.route_searches,
-        s.route_nodes_expanded,
     );
+    for (name, value) in report.counters() {
+        let _ = write!(out, ", \"{name}\": {value}");
+    }
+    out.push('}');
     out
 }
 
@@ -201,7 +143,7 @@ fn baseline(path: &str, profile_all: bool) -> Result<(), Box<dyn std::error::Err
         if let Some(p) = fleet.profiler() {
             println!("{}", p.share_table());
         }
-        blocks.push(json_block(parts.len(), preemption, &report));
+        blocks.push(json_block(preemption, &report));
     };
 
     // 1. The example's three-device fleet, all four policies, on the

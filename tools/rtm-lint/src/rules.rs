@@ -375,7 +375,7 @@ fn panic_hygiene(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding>
 /// mention `execute_reserved` in its body. Methods that legitimately
 /// skip the drain (`finish` is infallible and only runs after the
 /// final settle; `restore_migrated` is the rollback arm of an
-/// already-drained `migrate_out`) carry allowlist entries with the
+/// already-drained migration `extract`) carry allowlist entries with the
 /// written argument.
 fn flush_discipline(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
     if !rel.ends_with("crates/service/src/service.rs") {
