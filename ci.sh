@@ -66,6 +66,16 @@ echo "==> trace smoke: fleet_loop --trace (JSONL export, self-validating)"
 cargo run --release --example fleet_loop -- --trace target/fleet_trace.jsonl > /dev/null
 test -s target/fleet_trace.jsonl
 
+echo "==> trace gate: fleet_loop --trace vs checked-in BENCH_trace.jsonl"
+# The event stream carries simulated time only, so it is byte-stable
+# and gated exactly like the counters below. Regenerate with:
+#   cargo run --release --example fleet_loop -- --trace BENCH_trace.jsonl
+if ! diff -u BENCH_trace.jsonl target/fleet_trace.jsonl; then
+  echo "trace drifted from BENCH_trace.jsonl — investigate, then"
+  echo "regenerate it if the change is intentional."
+  exit 1
+fi
+
 echo "==> perf gate: fleet_loop --baseline vs checked-in BENCH_fleet.json"
 # Deterministic counters (admissions, frames written, make_room passes,
 # plans reused, ...) are exact-match gated; wall time and the
