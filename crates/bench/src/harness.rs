@@ -37,7 +37,7 @@ pub fn build_harness(netlist: &Netlist) -> (MappedNetlist, TransparencyHarness<'
 ///
 /// Panics if the device is full (cannot happen in these experiments).
 pub fn nearby_free_slot(h: &TransparencyHarness<'_>, src: CellLoc) -> CellLoc {
-    find_aux_sites(h.device(), &h.placed().netdb, src.0, 1, &[src]).expect("free slot exists")[0]
+    find_aux_sites(h.device(), src.0, 1, &[src]).expect("free slot exists")[0]
 }
 
 /// A free slot at (approximately) `distance` CLBs from `src`, for the
@@ -52,7 +52,7 @@ pub fn distant_free_slot(h: &TransparencyHarness<'_>, src: CellLoc, distance: u1
         (src.0.row + distance).min(dev.rows() - 1),
         (src.0.col + distance).min(dev.cols() - 1),
     );
-    find_aux_sites(dev, &h.placed().netdb, target, 1, &[src]).expect("free slot exists")[0]
+    find_aux_sites(dev, target, 1, &[src]).expect("free slot exists")[0]
 }
 
 /// Indices of the sequential cells of the harness's design.

@@ -8,7 +8,7 @@ use std::fmt;
 /// from capacity.
 ///
 /// A load walks two phases that can fail for different reasons:
-/// placement (`implement_reserved` could not find cell slots inside the
+/// placement (`implement_counted` could not find cell slots inside the
 /// region, or no region existed at all) and routing (free slots
 /// existed, but a net could not be wired through the congested switch
 /// fabric). Absorbed per-request failures used to be a single opaque

@@ -12,7 +12,7 @@
 use crate::error::CoreError;
 use crate::relocation::{relocate_cell, RelocationOptions, RelocationReport, StepRecord};
 use rtm_fpga::config::ConfigMemory;
-use rtm_fpga::geom::{ClbCoord, Rect};
+use rtm_fpga::geom::Rect;
 use rtm_fpga::part::Part;
 use rtm_fpga::Device;
 use rtm_netlist::techmap::MappedNetlist;
@@ -20,7 +20,7 @@ use rtm_place::alloc::Strategy;
 use rtm_place::defrag::{make_room, plan_compaction, predict_metrics, Move};
 use rtm_place::frag::FragMetrics;
 use rtm_place::TaskArena;
-use rtm_sim::design::{implement_reserved, PlacedDesign};
+use rtm_sim::design::{implement_counted, PlacedDesign};
 use rtm_sim::place::CellLoc;
 use rtm_sim::route::RouteStats;
 use std::cell::{Cell, RefCell};
@@ -1004,6 +1004,8 @@ impl RunTimeManager {
             let frame = f.pre_config.read_frame(addr)?;
             self.dev.write_frame(addr, frame)?;
         }
+        // The frames bring the routing back; the unload released its holds.
+        f.placed.netdb.hold_all(&mut self.dev);
         self.functions.insert(
             id,
             LoadedFunction {
@@ -1017,12 +1019,14 @@ impl RunTimeManager {
         Ok(id)
     }
 
-    /// True while the function table and the area bookkeeping agree:
-    /// same ids, same regions, and every placed cell slot of every
-    /// function configured on the device. The invariant every migration
-    /// path (extract, readmit, restore, failure rollback) must
-    /// preserve — orphan arena tasks poison compaction plans, orphan
-    /// cells poison later loads.
+    /// True while the function table, the area bookkeeping and the
+    /// device agree: same ids, same regions, every placed cell slot of
+    /// every function configured on the device, and each routing node's
+    /// hold count on the device equal to the number of the functions'
+    /// live nets that hold it. The invariant every migration path
+    /// (extract, readmit, restore, failure rollback) must preserve —
+    /// orphan arena tasks poison compaction plans, orphan cells and
+    /// holds poison later loads.
     pub fn bookkeeping_consistent(&self) -> bool {
         let tasks = self.arena.tasks();
         if tasks.len() != self.functions.len() + self.reserved.len() {
@@ -1038,15 +1042,22 @@ impl RunTimeManager {
         {
             return false;
         }
-        self.functions.iter().all(|(id, f)| {
-            tasks.get(id) == Some(&f.region)
-                && f.placed.placement.cell_locs.iter().all(|loc| {
-                    self.dev
-                        .clb(loc.0)
-                        .map(|clb| clb.cells[loc.1].is_used())
-                        .unwrap_or(false)
-                })
-        })
+        let mut holds = BTreeMap::new();
+        for f in self.functions.values() {
+            for node in f.placed.netdb.nets().flat_map(|(_, net)| net.nodes()) {
+                *holds.entry(node).or_insert(0) += 1;
+            }
+        }
+        holds == self.dev.held_nodes().collect()
+            && self.functions.iter().all(|(id, f)| {
+                tasks.get(id) == Some(&f.region)
+                    && f.placed.placement.cell_locs.iter().all(|loc| {
+                        self.dev
+                            .clb(loc.0)
+                            .map(|clb| clb.cells[loc.1].is_used())
+                            .unwrap_or(false)
+                    })
+            })
     }
 
     /// Runs a full defragmentation cycle: plans an ordered compaction
@@ -1163,13 +1174,7 @@ impl RunTimeManager {
         cols: u16,
         observer: impl FnMut(&Device, &PlacedDesign, &StepRecord),
     ) -> Result<LoadReport, CoreError> {
-        // Plan the rearrangement here; execution is shared with the
-        // plan-reuse entry point.
-        self.bump_stats(|s| s.make_room_calls += 1);
-        let plan = make_room(&self.arena, rows, cols).ok_or(CoreError::Place(
-            rtm_place::PlaceError::NoFit { rows, cols },
-        ))?;
-        self.load_executing(design, rows, cols, plan, observer)
+        self.load_executing(design, rows, cols, None, observer)
     }
 
     /// Like [`RunTimeManager::load`], but executes a previously returned
@@ -1195,32 +1200,19 @@ impl RunTimeManager {
         plan: &RoomPlan,
         observer: impl FnMut(&Device, &PlacedDesign, &StepRecord),
     ) -> Result<LoadReport, CoreError> {
-        let moves = if plan.valid_for(self.epoch, rows, cols) {
-            self.bump_stats(|s| s.plans_reused += 1);
-            plan.moves.clone()
-        } else {
-            self.bump_stats(|s| {
-                s.plans_invalidated += 1;
-                s.make_room_calls += 1;
-            });
-            make_room(&self.arena, rows, cols).ok_or(CoreError::Place(
-                rtm_place::PlaceError::NoFit { rows, cols },
-            ))?
-        };
-        self.load_executing(design, rows, cols, moves, observer)
+        self.load_executing(design, rows, cols, Some(plan), observer)
     }
 
-    /// Executes an epoch-valid rearrangement plan, then places, routes
-    /// and configures the incoming function — the single-shot
-    /// composition of the two-phase pipeline: seat a reservation,
-    /// implement it, and cancel the reservation right away if the
-    /// implementation fails.
+    /// The single-shot composition of the two-phase pipeline: seat a
+    /// reservation (rearranging as `plan` says, or as a fresh plan
+    /// does), implement the incoming function in it, and cancel the
+    /// reservation right away if the implementation fails.
     fn load_executing(
         &mut self,
         design: &MappedNetlist,
         rows: u16,
         cols: u16,
-        plan: Vec<Move>,
+        plan: Option<&RoomPlan>,
         mut observer: impl FnMut(&Device, &PlacedDesign, &StepRecord),
     ) -> Result<LoadReport, CoreError> {
         let ticket = self.seat_reservation(rows, cols, plan, &mut observer)?;
@@ -1255,29 +1247,34 @@ impl RunTimeManager {
         plan: &RoomPlan,
         mut observer: impl FnMut(&Device, &PlacedDesign, &StepRecord),
     ) -> Result<AdmissionTicket, CoreError> {
-        let moves = if plan.valid_for(self.epoch, rows, cols) {
-            self.bump_stats(|s| s.plans_reused += 1);
-            plan.moves.clone()
-        } else {
-            self.bump_stats(|s| {
-                s.plans_invalidated += 1;
-                s.make_room_calls += 1;
-            });
-            make_room(&self.arena, rows, cols).ok_or(CoreError::Place(
-                rtm_place::PlaceError::NoFit { rows, cols },
-            ))?
-        };
-        self.seat_reservation(rows, cols, moves, &mut observer)
+        self.seat_reservation(rows, cols, Some(plan), &mut observer)
     }
 
-    /// Executes validated rearrangement moves and seats the reservation.
+    /// Takes the moves of `plan` if it is valid for this epoch and shape
+    /// (counted reused), or plans them again (counted invalidated when a
+    /// plan was given), executes them and seats the reservation.
     fn seat_reservation(
         &mut self,
         rows: u16,
         cols: u16,
-        plan: Vec<Move>,
+        plan: Option<&RoomPlan>,
         observer: &mut impl FnMut(&Device, &PlacedDesign, &StepRecord),
     ) -> Result<AdmissionTicket, CoreError> {
+        let plan = match plan {
+            Some(plan) if plan.valid_for(self.epoch, rows, cols) => {
+                self.bump_stats(|s| s.plans_reused += 1);
+                plan.moves.clone()
+            }
+            stale => {
+                if stale.is_some() {
+                    self.bump_stats(|s| s.plans_invalidated += 1);
+                }
+                self.bump_stats(|s| s.make_room_calls += 1);
+                make_room(&self.arena, rows, cols).ok_or(CoreError::Place(
+                    rtm_place::PlaceError::NoFit { rows, cols },
+                ))?
+            }
+        };
         let mut relocations = Vec::new();
         for mv in &plan {
             let reports = self.relocate_function_inner(mv.id, mv.to, observer)?;
@@ -1330,19 +1327,14 @@ impl RunTimeManager {
             Some(r) => *r,
             None => return Err(CoreError::Place(rtm_place::PlaceError::UnknownTask { id })),
         };
-        // Other functions' wires may cross this region (relocation paths
-        // are not region-bounded): reserve them so the router cannot
-        // bridge nets. Pending reservations contribute nothing — they
-        // own no nets yet.
-        let reserved = self.foreign_nodes(None);
         let mut routed = RouteStats::default();
-        let implemented = implement_reserved(&mut self.dev, design, region, &reserved, &mut routed);
+        let implemented = implement_counted(&mut self.dev, design, region, &mut routed);
         self.count_routing(routed);
         let placed = match implemented {
             Ok(placed) => placed,
             Err(e) => {
-                // A failed implementation leaves partly configured
-                // cells and partly routed nets behind: restore the last
+                // A failed implementation releases its nets but leaves
+                // partly configured cells behind: restore the last
                 // configuration checkpoint — the paper's recovery copy
                 // doing exactly its job. The arena reservation stays
                 // seated until the caller cancels it.
@@ -1399,10 +1391,7 @@ impl RunTimeManager {
         self.arena.release(id)?;
         self.bump_epoch();
         let mut placed = f.placed;
-        let nets: Vec<_> = placed.netdb.nets().map(|(n, _)| n).collect();
-        for n in nets {
-            placed.netdb.remove_net(&mut self.dev, n);
-        }
+        placed.netdb.remove_all(&mut self.dev);
         let all_locs: Vec<_> = placed
             .placement
             .cell_locs
@@ -1469,16 +1458,12 @@ impl RunTimeManager {
         self.arena.relocate(id, to)?;
         self.bump_epoch();
 
-        // All routing of this move must respect every other function's
-        // wires: reserve their nodes in the moving function's database.
-        let reserved = self.foreign_nodes(Some(id));
         let f = self
             .functions
             .get_mut(&id)
             .ok_or_else(|| CoreError::DesignMismatch {
                 detail: format!("function {id} tracked by the arena but not the table"),
             })?;
-        f.placed.netdb.reserve(reserved);
         let routed_before = f.placed.netdb.route_stats();
         let dr = to.origin.row as i32 - from.origin.row as i32;
         let dc = to.origin.col as i32 - from.origin.col as i32;
@@ -1508,47 +1493,26 @@ impl RunTimeManager {
                 continue;
             }
             let opts = RelocationOptions::default();
-            let report = relocate_cell(
+            match relocate_cell(
                 &mut self.dev,
                 &mut f.placed,
                 src,
                 dst,
                 &opts,
                 &mut *observer,
-            )
-            .inspect_err(|_| {
-                // Leave no dangling reservations behind on failure.
-            });
-            match report {
+            ) {
                 Ok(report) => reports.push(report),
                 Err(e) => {
-                    f.placed.netdb.clear_reservations();
                     let routed = f.placed.netdb.route_stats().delta_since(routed_before);
                     self.count_routing(routed);
                     return Err(e);
                 }
             }
         }
-        f.placed.netdb.clear_reservations();
         f.region = to;
         let routed = f.placed.netdb.route_stats().delta_since(routed_before);
         self.count_routing(routed);
         Ok(reports)
-    }
-
-    /// Every routing node owned by functions other than `except` — the
-    /// set that must be reserved before routing on their behalf.
-    fn foreign_nodes(&self, except: Option<FunctionId>) -> Vec<rtm_fpga::routing::RouteNode> {
-        let mut nodes = Vec::new();
-        for (fid, f) in &self.functions {
-            if Some(*fid) == except {
-                continue;
-            }
-            nodes.extend(f.placed.netdb.all_nodes());
-        }
-        nodes.sort();
-        nodes.dedup();
-        nodes
     }
 
     /// Relocates a single cell of a loaded function — the tool's
@@ -1578,12 +1542,10 @@ impl RunTimeManager {
                 cell: dst.1,
             });
         }
-        let reserved = self.foreign_nodes(Some(id));
         let f = self
             .functions
             .get_mut(&id)
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
-        f.placed.netdb.reserve(reserved);
         let routed_before = f.placed.netdb.route_stats();
         let result = relocate_cell(
             &mut self.dev,
@@ -1593,7 +1555,6 @@ impl RunTimeManager {
             &RelocationOptions::default(),
             &mut observer,
         );
-        f.placed.netdb.clear_reservations();
         let routed = f.placed.netdb.route_stats().delta_since(routed_before);
         self.count_routing(routed);
         let report = result?;
@@ -1654,15 +1615,10 @@ impl fmt::Display for ManagerStatus {
     }
 }
 
-/// Convenience: the translated rectangle of a move (used by callers
-/// replaying plans).
-pub fn translate(rect: Rect, to_origin: ClbCoord) -> Rect {
-    Rect::new(to_origin, rect.rows, rect.cols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtm_fpga::geom::ClbCoord;
     use rtm_netlist::random::RandomCircuit;
     use rtm_netlist::techmap::map_to_luts;
 
@@ -1704,6 +1660,27 @@ mod tests {
         let r = mgr.load(&d, 8, 8, |_, _, _| {}).unwrap();
         mgr.unload(r.id).unwrap();
         assert_eq!(mgr.functions().count(), 0);
+    }
+
+    #[test]
+    fn failed_routing_releases_its_nets() {
+        let mut mgr = RunTimeManager::new(Part::Xcv50);
+        let first = map_to_luts(&RandomCircuit::free_running(4, 10, 1).generate()).unwrap();
+        mgr.load(&first, 4, 4, |_, _, _| {}).unwrap();
+        let held: BTreeMap<_, _> = mgr.device().held_nodes().collect();
+        assert_eq!(held.values().map(|n| u32::from(*n)).sum::<u32>(), 190);
+        // The second design's cells fit its region, but one of its nets
+        // cannot be wired through it: routing fails, not placement.
+        let second = map_to_luts(&RandomCircuit::free_running(4, 12, 0).generate()).unwrap();
+        let err = mgr.load(&second, 2, 3, |_, _, _| {}).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Sim(rtm_sim::SimError::Unroutable { .. })),
+            "{err}"
+        );
+        // The nets it did route are released with it.
+        assert_eq!(mgr.device().held_nodes().collect::<BTreeMap<_, _>>(), held);
+        assert_eq!(mgr.functions().count(), 1);
+        assert!(mgr.bookkeeping_consistent());
     }
 
     #[test]
@@ -1793,9 +1770,7 @@ mod tests {
         let f = mgr.function(r.id).unwrap();
         let src = f.placed.placement.cell_locs[0];
         // A free slot inside the function's own region.
-        let dst =
-            crate::relocation::find_aux_sites(mgr.device(), &f.placed.netdb, src.0, 1, &[src])
-                .unwrap()[0];
+        let dst = crate::relocation::find_aux_sites(mgr.device(), src.0, 1, &[src]).unwrap()[0];
         assert!(r.region.contains(dst.0), "aux search stays near src");
         let report = mgr.relocate_cell_of(r.id, src, dst, |_, _, _| {}).unwrap();
         assert_eq!(report.src, src);

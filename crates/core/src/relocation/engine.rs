@@ -156,7 +156,7 @@ pub fn relocate_cell(
             cell: src.1,
         });
     }
-    if !free_slot(dev, &placed.netdb, dst) {
+    if !free_slot(dev, dst) {
         return Err(CoreError::DestinationBusy {
             tile: dst.0,
             cell: dst.1,
@@ -320,7 +320,7 @@ impl<F: FnMut(&Device, &PlacedDesign, &StepRecord)> Engine<'_, F> {
             detail: format!("gated cell {}/{} has no routed enable", src.0, src.1),
         })?;
         let out_net = out_net.expect("checked by caller");
-        let aux = find_aux_sites(self.dev, &self.placed.netdb, dst.0, 3, &[src, dst])?;
+        let aux = find_aux_sites(self.dev, dst.0, 3, &[src, dst])?;
         check_ram_columns(self.dev, &[aux[0].0.col, aux[1].0.col, aux[2].0.col])?;
         let (mux_loc, or_loc, comb_loc) = (aux[0], aux[1], aux[2]);
         self.aux_sites_used = aux.clone();
@@ -600,8 +600,7 @@ pub fn relocate_cell_staged(
             .ok_or_else(|| CoreError::DesignMismatch {
                 detail: format!("waypoint from {} out of bounds", cur.0),
             })?;
-        let waypoint =
-            crate::relocation::plan::find_aux_sites(dev, &placed.netdb, target, 1, &[cur, dst])?[0];
+        let waypoint = crate::relocation::plan::find_aux_sites(dev, target, 1, &[cur, dst])?[0];
         reports.push(relocate_cell(
             dev,
             placed,

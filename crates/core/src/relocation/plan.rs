@@ -8,7 +8,6 @@ use rtm_fpga::routing::{RouteNode, Wire};
 use rtm_fpga::storage::{ClockingClass, StorageKind};
 use rtm_fpga::Device;
 use rtm_sim::place::CellLoc;
-use rtm_sim::route::NetDb;
 use std::fmt;
 
 /// Which relocation procedure a cell requires (paper §2's three
@@ -117,9 +116,9 @@ impl fmt::Display for StepKind {
     }
 }
 
-/// True if the cell slot is unused on the device and none of its pins
-/// carry a routed net.
-pub fn free_slot(dev: &Device, netdb: &NetDb, loc: CellLoc) -> bool {
+/// True if the cell slot is unused on the device and no routed net holds
+/// any of its pins.
+pub fn free_slot(dev: &Device, loc: CellLoc) -> bool {
     let Ok(clb) = dev.clb(loc.0) else {
         return false;
     };
@@ -137,7 +136,7 @@ pub fn free_slot(dev: &Device, netdb: &NetDb, loc: CellLoc) -> bool {
         Wire::CellIn(c, 3),
     ];
     pins.iter()
-        .all(|w| netdb.users_of(RouteNode::new(loc.0, *w)).is_empty())
+        .all(|w| dev.node_holds(RouteNode::new(loc.0, *w)) == 0)
 }
 
 /// Finds `count` free cell slots near `center` (spiral search by
@@ -150,7 +149,6 @@ pub fn free_slot(dev: &Device, netdb: &NetDb, loc: CellLoc) -> bool {
 /// device.
 pub fn find_aux_sites(
     dev: &Device,
-    netdb: &NetDb,
     center: ClbCoord,
     count: usize,
     exclude: &[CellLoc],
@@ -173,7 +171,7 @@ pub fn find_aux_sites(
                     if exclude.contains(&loc) || found.contains(&loc) {
                         continue;
                     }
-                    if free_slot(dev, netdb, loc) {
+                    if free_slot(dev, loc) {
                         found.push(loc);
                         if found.len() == count {
                             return Ok(found);
@@ -191,6 +189,7 @@ mod tests {
     use super::*;
     use rtm_fpga::lut::Lut;
     use rtm_fpga::part::Part;
+    use rtm_sim::route::NetDb;
 
     #[test]
     fn classification() {
@@ -219,15 +218,14 @@ mod tests {
     #[test]
     fn free_slot_detects_usage() {
         let mut dev = Device::new(Part::Xcv50);
-        let db = NetDb::new();
         let loc = (ClbCoord::new(3, 3), 1);
-        assert!(free_slot(&dev, &db, loc));
+        assert!(free_slot(&dev, loc));
         let cfg = LogicCell {
             lut: Lut::constant(true),
             ..LogicCell::default()
         };
         dev.set_cell(loc.0, loc.1, cfg).unwrap();
-        assert!(!free_slot(&dev, &db, loc));
+        assert!(!free_slot(&dev, loc));
     }
 
     #[test]
@@ -238,16 +236,15 @@ mod tests {
         let sink = RouteNode::new(ClbCoord::new(2, 3), Wire::CellIn(0, 1));
         db.route_net(&mut dev, src, &[sink], None).unwrap();
         // Pin occupied by the net -> slot not free even though unconfigured.
-        assert!(!free_slot(&dev, &db, (ClbCoord::new(2, 3), 0)));
-        assert!(free_slot(&dev, &db, (ClbCoord::new(2, 3), 1)));
+        assert!(!free_slot(&dev, (ClbCoord::new(2, 3), 0)));
+        assert!(free_slot(&dev, (ClbCoord::new(2, 3), 1)));
     }
 
     #[test]
     fn aux_site_search_finds_nearby() {
         let dev = Device::new(Part::Xcv50);
-        let db = NetDb::new();
         let center = ClbCoord::new(8, 8);
-        let sites = find_aux_sites(&dev, &db, center, 3, &[(center, 0)]).unwrap();
+        let sites = find_aux_sites(&dev, center, 3, &[(center, 0)]).unwrap();
         assert_eq!(sites.len(), 3);
         for (tile, _) in &sites {
             assert!(center.manhattan(*tile) <= 1, "sites should be close");
@@ -267,8 +264,7 @@ mod tests {
                 dev.set_cell(tile, c, cfg).unwrap();
             }
         }
-        let db = NetDb::new();
-        let err = find_aux_sites(&dev, &db, ClbCoord::new(0, 0), 1, &[]).unwrap_err();
+        let err = find_aux_sites(&dev, ClbCoord::new(0, 0), 1, &[]).unwrap_err();
         assert!(matches!(err, CoreError::NoAuxiliarySite { .. }));
     }
 }

@@ -103,7 +103,7 @@ pub fn relocate_sink_path(
     // Phase 2: disconnect the original branch and adopt the replica.
     let before = dev.config().snapshot();
     netdb.remove_sink(dev, net, sink);
-    netdb.absorb(net, replica);
+    netdb.absorb(dev, net, replica);
     let retire_frames = dev.config().diff_frames(&before);
 
     Ok(RoutingRelocationReport {

@@ -10,18 +10,26 @@
 //! * [`Device::write_frame`] (the path used by the bitstream/JTAG stack)
 //!   writes raw frame data and incrementally re-decodes the affected typed
 //!   resources, exactly as the silicon would.
+//!
+//! One record is not configuration: the routing-node occupancy, a count
+//! per node of the routed nets that hold it. Several designs share one
+//! device, each with its own net database, and every search must avoid
+//! the nodes all of them hold, so the count lives here, once per device.
+//! The net databases write it ([`Device::hold_node`],
+//! [`Device::release_node`]) where they commit and retract paths; frame
+//! writes never touch it. The buffer is allocated when the first net is
+//! routed, so a device that is never routed on costs nothing for it.
 
 use crate::cell::{LogicCell, CELL_CONFIG_BITS};
 use crate::clb::{Clb, CELLS_PER_CLB};
 use crate::config::layout::{
-    self, cell_config_bit, frame_bit_owner, pip_config_bit, state_bit, PIP_BITS_BASE,
-    STATE_BITS_BASE,
+    cell_config_bit, frame_bit_owner, pip_config_bit, state_bit, PIP_BITS_BASE, STATE_BITS_BASE,
 };
 use crate::config::{ConfigMemory, Frame, FrameAddress, FrameWriteEffect};
 use crate::error::FpgaError;
 use crate::geom::{ClbCoord, Rect};
 use crate::part::Part;
-use crate::routing::{fixed_link, pip_exists, pip_table, Pip, RouteNode, Wire};
+use crate::routing::{fixed_link, pip_exists, pip_table, Pip, RouteNode, Wire, WIRE_COUNT};
 use std::collections::BTreeSet;
 
 /// A Virtex-class device instance.
@@ -34,6 +42,9 @@ pub struct Device {
     state: Vec<[bool; CELLS_PER_CLB]>,
     pips: BTreeSet<Pip>,
     config: ConfigMemory,
+    /// Routed nets holding each node, at `tile index * WIRE_COUNT +
+    /// wire index`; empty until the first hold.
+    holds: Vec<u8>,
 }
 
 impl Device {
@@ -46,6 +57,7 @@ impl Device {
             state: vec![[false; CELLS_PER_CLB]; n],
             pips: BTreeSet::new(),
             config: ConfigMemory::new(part),
+            holds: Vec::new(),
         }
     }
 
@@ -230,11 +242,6 @@ impl Device {
         self.pips.iter()
     }
 
-    /// Active PIPs within one tile.
-    pub fn pips_in_tile(&self, tile: ClbCoord) -> impl Iterator<Item = &Pip> {
-        self.pips.iter().filter(move |p| p.tile == tile)
-    }
-
     /// Active PIPs that drive `node`'s wire.
     pub fn pips_driving(&self, node: RouteNode) -> Vec<Pip> {
         self.pips
@@ -280,6 +287,72 @@ impl Device {
             .into_iter()
             .filter(|n| matches!(n.wire, Wire::CellIn(_, _) | Wire::CellCe(_)))
             .collect()
+    }
+
+    /// Records one more routed net holding `node`. Nodes off the array
+    /// are ignored: no search reaches them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if 255 nets already hold `node`.
+    pub fn hold_node(&mut self, node: RouteNode) {
+        let Some(at) = self.node_index(node) else {
+            return;
+        };
+        if self.holds.is_empty() {
+            self.holds = vec![0; self.clbs.len() * WIRE_COUNT];
+        }
+        assert!(self.holds[at] < u8::MAX, "too many nets hold {node}");
+        self.holds[at] += 1;
+    }
+
+    /// Records one routed net fewer holding `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no net holds `node`.
+    pub fn release_node(&mut self, node: RouteNode) {
+        if let Some(at) = self.node_index(node) {
+            let held = self.holds.get(at).is_some_and(|n| *n > 0);
+            assert!(held, "{node} released but not held");
+            self.holds[at] -= 1;
+        }
+    }
+
+    fn node_index(&self, node: RouteNode) -> Option<usize> {
+        let tile = self.idx(node.tile).ok()?;
+        Some(tile * WIRE_COUNT + node.wire.index())
+    }
+
+    /// How many routed nets hold `node`.
+    pub fn node_holds(&self, node: RouteNode) -> u8 {
+        let counts = self.tile_holds(node.tile);
+        counts.get(node.wire.index()).copied().unwrap_or(0)
+    }
+
+    /// The hold counts of `tile`'s wires, by wire index. Empty off the
+    /// array and before the first net is routed.
+    pub fn tile_holds(&self, tile: ClbCoord) -> &[u8] {
+        let Ok(tile) = self.idx(tile) else {
+            return &[];
+        };
+        let at = tile * WIRE_COUNT;
+        self.holds.get(at..at + WIRE_COUNT).unwrap_or(&[])
+    }
+
+    /// Every node some routed net holds, with its hold count, in tile
+    /// then wire-index order.
+    pub fn held_nodes(&self) -> impl Iterator<Item = (RouteNode, u8)> + '_ {
+        let cols = usize::from(self.cols());
+        self.holds
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| **n > 0)
+            .map(move |(at, n)| {
+                let tile = at / WIRE_COUNT;
+                let coord = ClbCoord::new((tile / cols) as u16, (tile % cols) as u16);
+                (RouteNode::new(coord, Wire::from_index(at % WIRE_COUNT)), *n)
+            })
     }
 
     /// Reads a configuration frame (readback path).
@@ -346,14 +419,6 @@ impl Device {
             *slot = self.config.get_bit(addr, offset)?;
         }
         Ok(LogicCell::decode(&bits))
-    }
-
-    /// The frames a full copy of `coord`'s CLB configuration must write
-    /// (the cell-configuration minors of the tile's column).
-    pub fn clb_config_frames(&self, coord: ClbCoord) -> Vec<FrameAddress> {
-        layout::clb_config_minors()
-            .map(|m| FrameAddress::clb(coord.col, m))
-            .collect()
     }
 
     /// Rectangular region occupancy: CLB coordinates in `rect` whose CLB is
@@ -518,6 +583,36 @@ mod tests {
         dev.add_pip(Pip::new(tile, Wire::CellOut(1), Wire::Out(Dir::South, 1)))
             .unwrap();
         assert_eq!(dev.pips_driving(node).len(), 2);
+    }
+
+    #[test]
+    fn node_holds_count_nets_and_allocate_on_first_hold() {
+        let mut dev = small();
+        let node = RouteNode::new(ClbCoord::new(3, 4), Wire::Out(Dir::East, 0));
+        assert!(
+            dev.tile_holds(node.tile).is_empty(),
+            "nothing before a hold"
+        );
+        dev.hold_node(node);
+        dev.hold_node(node);
+        assert_eq!(dev.node_holds(node), 2);
+        assert_eq!(dev.tile_holds(node.tile).len(), WIRE_COUNT);
+        assert_eq!(dev.held_nodes().collect::<Vec<_>>(), vec![(node, 2)]);
+        // Frame writes leave the holds alone, even one driving the node.
+        let mut other = small();
+        let pip = Pip::new(node.tile, Wire::CellOut(0), node.wire);
+        let addr = other.add_pip(pip).unwrap()[0];
+        dev.write_frame(addr, other.read_frame(addr).unwrap())
+            .unwrap();
+        assert!(dev.has_pip(&pip));
+        assert_eq!(dev.node_holds(node), 2);
+        dev.release_node(node);
+        dev.release_node(node);
+        assert_eq!(dev.held_nodes().count(), 0);
+        // Nodes off the array hold nothing.
+        let off = RouteNode::new(ClbCoord::new(16, 0), Wire::CellOut(0));
+        dev.hold_node(off);
+        assert_eq!(dev.node_holds(off), 0);
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl PlacedDesign {
         self.placement.feed_locs[i]
     }
 
-    /// Location of the tap cell for primary output `i`.
-    pub fn tap_loc(&self, i: usize) -> CellLoc {
-        self.placement.tap_locs[i]
-    }
-
     /// The observation location of each primary output: its tap cell.
     /// Taps consume the producing net, so these locations are stable
     /// across relocations of the producing cells (like the device's
@@ -74,29 +69,6 @@ impl PlacedDesign {
     pub fn dx_node(loc: CellLoc) -> RouteNode {
         RouteNode::new(loc.0, Wire::CellDx(loc.1 as u8))
     }
-
-    /// The device cell configuration for mapped cell `i`.
-    pub fn cell_config(&self, i: usize) -> LogicCell {
-        let c = &self.design.cells[i];
-        mark_used(LogicCell {
-            lut: c.lut,
-            storage: c.storage,
-            clocking: c.clocking,
-            registered_output: c.registered_output,
-            ram_mode: false,
-            uses_ce: c.ce.is_some(),
-            d_bypass: false,
-        })
-    }
-
-    /// The net currently driven from `loc`, if any.
-    pub fn net_at(&self, loc: CellLoc) -> Option<NetId> {
-        let node = Self::out_node(loc);
-        self.netdb
-            .nets()
-            .find(|(_, n)| n.source == node)
-            .map(|(id, _)| id)
-    }
 }
 
 /// The device cell configuration used for input feed cells: an unused
@@ -120,33 +92,33 @@ pub fn mark_used(mut config: LogicCell) -> LogicCell {
 }
 
 /// Implements `design` on `dev` inside `region`: places cells, configures
-/// the device and routes every net (kept within `region`).
+/// the device and routes every net (kept within `region`). The routes
+/// avoid every node the nets of other designs on `dev` hold.
 ///
 /// # Errors
 ///
 /// Returns placement errors for undersized regions and
-/// [`SimError::Unroutable`] on congestion.
+/// [`SimError::Unroutable`] on congestion. A failed implementation
+/// releases every net it routed, but leaves its cell configuration for
+/// the caller to restore.
 pub fn implement(
     dev: &mut Device,
     design: &MappedNetlist,
     region: Rect,
 ) -> Result<PlacedDesign, SimError> {
-    implement_reserved(dev, design, region, &[], &mut RouteStats::default())
+    implement_counted(dev, design, region, &mut RouteStats::default())
 }
 
-/// Like [`implement`], but with routing nodes used by *other* designs on
-/// the same device marked unusable (see `NetDb::reserve`). Required
-/// whenever several designs share the device. The router's work is
-/// added to `route_stats` whether or not the implementation succeeds.
+/// Like [`implement`], adding the router's work to `route_stats`
+/// whether or not the implementation succeeds.
 ///
 /// # Errors
 ///
 /// As [`implement`].
-pub fn implement_reserved(
+pub fn implement_counted(
     dev: &mut Device,
     design: &MappedNetlist,
     region: Rect,
-    reserved: &[rtm_fpga::routing::RouteNode],
     route_stats: &mut RouteStats,
 ) -> Result<PlacedDesign, SimError> {
     let placement = place(design, region, dev.bounds())?;
@@ -197,7 +169,6 @@ pub fn implement_reserved(
     }
 
     let mut netdb = NetDb::new();
-    netdb.reserve(reserved.iter().copied());
     let routed = route_nets(
         dev,
         &mut netdb,
@@ -207,8 +178,7 @@ pub fn implement_reserved(
         region,
     );
     route_stats.merge(netdb.route_stats());
-    let (feed_nets, cell_nets) = routed?;
-    netdb.clear_reservations();
+    let (feed_nets, cell_nets) = routed.inspect_err(|_| netdb.remove_all(dev))?;
     Ok(PlacedDesign {
         design: design.clone(),
         placement,

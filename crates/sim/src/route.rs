@@ -1,12 +1,15 @@
 //! The router and live net database.
 //!
 //! Nets are routed with breadth-first search over the device routing
-//! graph (PIP candidates + fixed segment links), with full occupancy
-//! tracking. The database stays live after implementation: the relocation
-//! engine *extends* nets (paralleling a replica input), adds *parallel
-//! source* nets (paralleling outputs, Fig. 2 phase 2 / Fig. 5), and
-//! retires sinks or whole nets (disconnecting the original CLB), all while
-//! other nets keep their resources.
+//! graph (PIP candidates + fixed segment links). Every node a net holds
+//! is counted on the device ([`Device::hold_node`]): one record shared by
+//! the net databases of all the designs on it, so a search avoids every
+//! node another net holds, whichever database that net belongs to. The
+//! database stays live after implementation: the relocation engine
+//! *extends* nets (paralleling a replica input), adds *parallel source*
+//! nets (paralleling outputs, Fig. 2 phase 2 / Fig. 5), and retires sinks
+//! or whole nets (disconnecting the original CLB), all while other nets
+//! keep their resources.
 //!
 //! The search is dense: it runs over a *window* (the `within` region, or
 //! the whole device), numbers every window node by a packed
@@ -22,7 +25,7 @@ use rtm_fpga::routing::{
     SINGLE_DELAY_PS, WIRE_COUNT,
 };
 use rtm_fpga::Device;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Identifier of a routed net within a [`NetDb`].
@@ -149,6 +152,65 @@ impl RoutedNet {
         }
         panic!("node {node} not on net");
     }
+
+    /// Activates a found path: PIPs on the device, refcounts, and a hold
+    /// on each node the net did not hold yet.
+    fn commit(&mut self, dev: &mut Device, sink: RouteNode, path: Vec<RouteNode>) {
+        for pair in path.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if a.tile == b.tile {
+                let pip = Pip::new(a.tile, a.wire, b.wire);
+                let count = self.pip_refs.entry(pip).or_insert(0);
+                if *count == 0 {
+                    dev.add_pip(pip).expect("router only proposes valid pips");
+                }
+                *count += 1;
+            }
+        }
+        for node in &path {
+            let count = self.node_refs.entry(*node).or_insert(0);
+            if *count == 0 {
+                dev.hold_node(*node);
+            }
+            *count += 1;
+        }
+        self.paths.insert(sink, path);
+    }
+
+    /// Releases a sink's path: PIPs, refcounts, and the holds of the
+    /// nodes no other path of the net uses.
+    fn retract(&mut self, dev: &mut Device, sink: RouteNode) {
+        let path = self.paths.remove(&sink).expect("sink present");
+        for pair in path.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            if a.tile == b.tile {
+                let pip = Pip::new(a.tile, a.wire, b.wire);
+                let count = self.pip_refs.get_mut(&pip).expect("pip refcounted");
+                *count -= 1;
+                if *count == 0 {
+                    self.pip_refs.remove(&pip);
+                    dev.remove_pip(&pip).expect("pip active");
+                }
+            }
+        }
+        for node in &path {
+            let count = self.node_refs.get_mut(node).expect("node refcounted");
+            *count -= 1;
+            if *count == 0 {
+                self.node_refs.remove(node);
+                dev.release_node(*node);
+            }
+        }
+    }
+
+    /// Retracts every path and releases the source.
+    fn release(mut self, dev: &mut Device) {
+        let sinks: Vec<RouteNode> = self.sinks().collect();
+        for sink in sinks {
+            self.retract(dev, sink);
+        }
+        dev.release_node(self.source);
+    }
 }
 
 /// Delay along a node sequence (PIP hops + segment drives).
@@ -198,16 +260,11 @@ impl RouteStats {
     }
 }
 
-/// Sentinel net id marking nodes reserved by *foreign* net databases
-/// (other designs sharing the device). Reserved nodes are unusable for
-/// routing but carry no local net.
-pub const RESERVED: NetId = usize::MAX;
-
-/// The live net database: routed nets plus wire occupancy.
-#[derive(Debug, Clone, Default)]
+/// The live net database of one design: its routed nets. The nodes they
+/// hold are counted on the device, which every database on it shares.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetDb {
     nets: Vec<Option<RoutedNet>>,
-    occupancy: HashMap<RouteNode, Vec<NetId>>,
     stats: RouteStats,
 }
 
@@ -215,39 +272,6 @@ impl NetDb {
     /// An empty database.
     pub fn new() -> Self {
         NetDb::default()
-    }
-
-    /// Marks nodes used by other designs' nets as unusable. Several
-    /// designs share one physical device but keep separate net databases;
-    /// before routing in this database, the caller must reserve every
-    /// node the others occupy, or the router may silently bridge nets.
-    pub fn reserve<I: IntoIterator<Item = RouteNode>>(&mut self, nodes: I) {
-        for node in nodes {
-            let users = self.occupancy.entry(node).or_default();
-            if !users.contains(&RESERVED) {
-                users.push(RESERVED);
-            }
-        }
-    }
-
-    /// Releases every reservation made with [`NetDb::reserve`].
-    pub fn clear_reservations(&mut self) {
-        self.occupancy.retain(|_, users| {
-            users.retain(|u| *u != RESERVED);
-            !users.is_empty()
-        });
-    }
-
-    /// All nodes currently owned by this database's live nets (the set a
-    /// foreign database must reserve).
-    pub fn all_nodes(&self) -> Vec<RouteNode> {
-        let mut out: Vec<RouteNode> = self
-            .nets()
-            .flat_map(|(_, n)| n.nodes().collect::<Vec<_>>())
-            .collect();
-        out.sort();
-        out.dedup();
-        out
     }
 
     /// The net behind `id`, if it still exists.
@@ -268,11 +292,6 @@ impl NetDb {
         self.stats
     }
 
-    /// The nets using `node` (pass-through owner first).
-    pub fn users_of(&self, node: RouteNode) -> &[NetId] {
-        self.occupancy.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// Routes a new net from `source` to every sink, in order.
     ///
     /// # Errors
@@ -286,29 +305,21 @@ impl NetDb {
         sinks: &[RouteNode],
         within: Option<Rect>,
     ) -> Result<NetId, SimError> {
-        let id = self.nets.len();
         let mut net = RoutedNet::new(source);
-        self.occupancy.entry(source).or_default().push(id);
-        let mut search = self.search(dev, id, within);
-        let mut added: Vec<RouteNode> = Vec::new();
+        dev.hold_node(source);
+        let mut search = Search::new(dev, within);
         for sink in sinks {
             match self.find_path(&mut search, &net, *sink) {
-                Ok(path) => {
-                    self.commit_path(dev, &mut net, id, *sink, path);
-                    added.push(*sink);
-                }
+                Ok(path) => net.commit(dev, *sink, path),
                 Err(e) => {
                     // Roll back everything committed for this net.
-                    for s in added.iter().rev() {
-                        Self::retract_path(dev, &mut net, &mut self.occupancy, id, *s);
-                    }
-                    remove_occupant(&mut self.occupancy, source, id);
+                    net.release(dev);
                     return Err(e);
                 }
             }
         }
         self.nets.push(Some(net));
-        Ok(id)
+        Ok(self.nets.len() - 1)
     }
 
     /// Extends an existing net to one more sink (paralleling a replica
@@ -329,18 +340,11 @@ impl NetDb {
         within: Option<Rect>,
     ) -> Result<(), SimError> {
         let mut net = self.nets[id].take().expect("live net");
-        let mut search = self.search(dev, id, within);
-        match self.find_path(&mut search, &net, sink) {
-            Ok(path) => {
-                self.commit_path(dev, &mut net, id, sink, path);
-                self.nets[id] = Some(net);
-                Ok(())
-            }
-            Err(e) => {
-                self.nets[id] = Some(net);
-                Err(e)
-            }
-        }
+        let mut search = Search::new(dev, within);
+        let found = self.find_path(&mut search, &net, sink);
+        let result = found.map(|path| net.commit(dev, sink, path));
+        self.nets[id] = Some(net);
+        result
     }
 
     /// Removes one sink (and the branch exclusively feeding it).
@@ -349,14 +353,14 @@ impl NetDb {
     ///
     /// Panics if `id` is not a live net or `sink` is not on it.
     pub fn remove_sink(&mut self, dev: &mut Device, id: NetId, sink: RouteNode) {
-        let mut net = self.nets[id].take().expect("live net");
+        let net = self.nets[id].as_mut().expect("live net");
         assert!(net.paths.contains_key(&sink), "sink {sink} not on net {id}");
-        Self::retract_path(dev, &mut net, &mut self.occupancy, id, sink);
-        self.nets[id] = Some(net);
+        net.retract(dev, sink);
     }
 
-    /// Merges net `from` into net `into`: all of `from`'s paths, resource
-    /// refcounts and occupancy move to `into`. Used by two-phase routing
+    /// Merges net `from` into net `into`: all of `from`'s paths and
+    /// resource refcounts move to `into`, and a node both nets held (the
+    /// shared source) is held once. Used by two-phase routing
     /// relocation (paper Fig. 5): the replica path is routed as a
     /// temporary net, the original branch retired, then the replica
     /// absorbed into the original net's bookkeeping. No device bits
@@ -366,7 +370,7 @@ impl NetDb {
     ///
     /// Panics if either id is dead, the nets have different sources, or
     /// they share a sink.
-    pub fn absorb(&mut self, into: NetId, from: NetId) {
+    pub fn absorb(&mut self, dev: &mut Device, into: NetId, from: NetId) {
         assert_ne!(into, from, "cannot absorb a net into itself");
         let from_net = self.nets[from].take().expect("live source net");
         let into_net = self.nets[into].as_mut().expect("live target net");
@@ -382,26 +386,11 @@ impl NetDb {
             into_net.paths.insert(sink, path);
         }
         for (node, count) in from_net.node_refs {
-            // The shared source is counted once in each net; collapse.
-            *into_net.node_refs.entry(node).or_insert(0) += count;
-            // A node lists `from` exactly when `from` holds a refcount on
-            // it, so relabelling these nodes relabels every occurrence.
-            if let Some(users) = self.occupancy.get_mut(&node) {
-                for u in users.iter_mut() {
-                    if *u == from {
-                        *u = into;
-                    }
-                }
-                let mut seen = Vec::new();
-                users.retain(|u| {
-                    if seen.contains(u) {
-                        false
-                    } else {
-                        seen.push(*u);
-                        true
-                    }
-                });
+            let refs = into_net.node_refs.entry(node).or_insert(0);
+            if *refs > 0 {
+                dev.release_node(node);
             }
+            *refs += count;
         }
         for (pip, count) in from_net.pip_refs {
             *into_net.pip_refs.entry(pip).or_insert(0) += count;
@@ -428,38 +417,24 @@ impl NetDb {
     ///
     /// Panics if `id` is not a live net.
     pub fn remove_net(&mut self, dev: &mut Device, id: NetId) {
-        let mut net = self.nets[id].take().expect("live net");
-        let sinks: Vec<RouteNode> = net.sinks().collect();
-        for sink in sinks {
-            Self::retract_path(dev, &mut net, &mut self.occupancy, id, sink);
-        }
-        remove_occupant(&mut self.occupancy, net.source, id);
+        self.nets[id].take().expect("live net").release(dev);
     }
 
-    /// Starts the search state of one `route_net`/`extend_net` call for
-    /// net `id`: the window of `within`, with every window node that
-    /// another net or a reservation uses marked blocked.
-    fn search(&self, dev: &Device, id: NetId, within: Option<Rect>) -> Search {
-        let window = Window::new(dev, within);
-        debug_assert!(
-            window.len() <= OUTSIDE as usize,
-            "packed ids stay below OUTSIDE"
-        );
-        let mut slots = vec![FREE; window.len()];
-        // Iteration order only decides the order slots are marked.
-        for (node, users) in &self.occupancy {
-            if !users.is_empty() && users.as_slice() != [id] {
-                if let Some(at) = window.id(*node) {
-                    slots[at as usize] = BLOCKED;
-                }
-            }
+    /// Removes every net, releasing all their resources.
+    pub fn remove_all(&mut self, dev: &mut Device) {
+        for net in self.nets.drain(..).flatten() {
+            net.release(dev);
         }
-        Search {
-            window,
-            tables: WireTables::get(),
-            slots,
-            queue: Vec::new(),
-            outside: Vec::new(),
+    }
+
+    /// Holds every live net's nodes on `dev` again, for a database put
+    /// back on the device its nets were released from: frame writes
+    /// restore the routing but not the holds.
+    pub fn hold_all(&self, dev: &mut Device) {
+        for (_, net) in self.nets() {
+            for node in net.nodes() {
+                dev.hold_node(node);
+            }
         }
     }
 
@@ -490,67 +465,6 @@ impl NetDb {
         let mut path = net.chain_to(branch[0]);
         path.extend_from_slice(&branch[1..]);
         Ok(path)
-    }
-
-    /// Activates a found path: PIPs on the device, refcounts, occupancy.
-    fn commit_path(
-        &mut self,
-        dev: &mut Device,
-        net: &mut RoutedNet,
-        id: NetId,
-        sink: RouteNode,
-        path: Vec<RouteNode>,
-    ) {
-        for pair in path.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.tile == b.tile {
-                let pip = Pip::new(a.tile, a.wire, b.wire);
-                let count = net.pip_refs.entry(pip).or_insert(0);
-                if *count == 0 {
-                    dev.add_pip(pip).expect("router only proposes valid pips");
-                }
-                *count += 1;
-            }
-        }
-        for node in &path {
-            let count = net.node_refs.entry(*node).or_insert(0);
-            if *count == 0 {
-                self.occupancy.entry(*node).or_default().push(id);
-            }
-            *count += 1;
-        }
-        net.paths.insert(sink, path);
-    }
-
-    /// Releases a sink's path: PIPs, refcounts, occupancy.
-    fn retract_path(
-        dev: &mut Device,
-        net: &mut RoutedNet,
-        occupancy: &mut HashMap<RouteNode, Vec<NetId>>,
-        id: NetId,
-        sink: RouteNode,
-    ) {
-        let path = net.paths.remove(&sink).expect("sink present");
-        for pair in path.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.tile == b.tile {
-                let pip = Pip::new(a.tile, a.wire, b.wire);
-                let count = net.pip_refs.get_mut(&pip).expect("pip refcounted");
-                *count -= 1;
-                if *count == 0 {
-                    net.pip_refs.remove(&pip);
-                    dev.remove_pip(&pip).expect("pip active");
-                }
-            }
-        }
-        for node in &path {
-            let count = net.node_refs.get_mut(node).expect("node refcounted");
-            *count -= 1;
-            if *count == 0 {
-                net.node_refs.remove(node);
-                remove_occupant(occupancy, *node, id);
-            }
-        }
     }
 }
 
@@ -627,7 +541,7 @@ impl Window {
 
 /// A slot not yet visited whose node is free to use.
 const FREE: u32 = u32::MAX;
-/// A slot whose node another net or a reservation uses.
+/// A slot whose node a net other than the searching one holds.
 const BLOCKED: u32 = u32::MAX - 1;
 /// A slot whose node is one of the net's own (a search start).
 const ROOT: u32 = u32::MAX - 2;
@@ -663,6 +577,35 @@ struct Search {
 }
 
 impl Search {
+    /// The search state of one `route_net`/`extend_net` call: the window
+    /// of `within`, with every window node a net holds marked blocked.
+    /// The searching net's own nodes turn [`ROOT`] when a search starts.
+    fn new(dev: &Device, within: Option<Rect>) -> Search {
+        let window = Window::new(dev, within);
+        debug_assert!(
+            window.len() <= OUTSIDE as usize,
+            "packed ids stay below OUTSIDE"
+        );
+        let mut slots = vec![FREE; window.len()];
+        for tile in window.rect.iter() {
+            let (row, col) = window.relative(tile);
+            for (wire, holds) in dev.tile_holds(tile).iter().enumerate() {
+                if *holds > 0 {
+                    if let Some(at) = window.pack(row, col, wire as u32) {
+                        slots[at as usize] = BLOCKED;
+                    }
+                }
+            }
+        }
+        Search {
+            window,
+            tables: WireTables::get(),
+            slots,
+            queue: Vec::new(),
+            outside: Vec::new(),
+        }
+    }
+
     /// Searches from `net`'s nodes to `sink`. Returns the branch from
     /// the net node it grew from to the sink (if reached) and the number
     /// of nodes expanded.
@@ -815,15 +758,6 @@ impl Search {
     }
 }
 
-fn remove_occupant(occupancy: &mut HashMap<RouteNode, Vec<NetId>>, node: RouteNode, id: NetId) {
-    if let Some(users) = occupancy.get_mut(&node) {
-        users.retain(|u| *u != id);
-        if users.is_empty() {
-            occupancy.remove(&node);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -832,7 +766,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rtm_fpga::part::Part;
     use rtm_fpga::routing::Dir;
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
 
     /// The destination wires one PIP reaches from `wire`.
     fn pip_fanout(wire: Wire) -> &'static [Wire] {
@@ -849,14 +783,13 @@ mod tests {
     }
 
     /// The reference search: the hashed breadth-first search the dense
-    /// one replaced, kept verbatim (a `HashMap` parent map, occupancy
-    /// looked up per candidate, a `VecDeque` frontier). Returns the path
-    /// or error and the number of nodes popped.
+    /// one replaced (a `HashMap` parent map, the device's holds looked up
+    /// per candidate, a `VecDeque` frontier). The net's own nodes are
+    /// start nodes, visited before any hold is looked up. Returns the
+    /// path or error and the number of nodes popped.
     fn reference_find_path(
-        db: &NetDb,
         dev: &Device,
         net: &RoutedNet,
-        id: NetId,
         sink: RouteNode,
         within: Option<Rect>,
     ) -> (Result<Vec<RouteNode>, SimError>, u64) {
@@ -869,8 +802,7 @@ mod tests {
                     return false;
                 }
             }
-            let users = db.users_of(node);
-            users.is_empty() || users == [id]
+            dev.node_holds(node) == 0
         };
         let mut pops = 0;
         let mut parent: HashMap<RouteNode, RouteNode> = HashMap::new();
@@ -954,28 +886,20 @@ mod tests {
         sinks: &[RouteNode],
         within: Option<Rect>,
     ) -> Result<NetId, SimError> {
-        let id = db.nets.len();
         let mut net = RoutedNet::new(source);
-        db.occupancy.entry(source).or_default().push(id);
-        let mut added = Vec::new();
+        dev.hold_node(source);
         for sink in sinks {
-            let found = reference_find_path(db, dev, &net, id, *sink, within);
+            let found = reference_find_path(dev, &net, *sink, within);
             match counted(&mut db.stats, found) {
-                Ok(path) => {
-                    db.commit_path(dev, &mut net, id, *sink, path);
-                    added.push(*sink);
-                }
+                Ok(path) => net.commit(dev, *sink, path),
                 Err(e) => {
-                    for s in added.iter().rev() {
-                        NetDb::retract_path(dev, &mut net, &mut db.occupancy, id, *s);
-                    }
-                    remove_occupant(&mut db.occupancy, source, id);
+                    net.release(dev);
                     return Err(e);
                 }
             }
         }
         db.nets.push(Some(net));
-        Ok(id)
+        Ok(db.nets.len() - 1)
     }
 
     /// [`NetDb::extend_net`] over the reference search.
@@ -987,86 +911,109 @@ mod tests {
         within: Option<Rect>,
     ) -> Result<(), SimError> {
         let mut net = db.nets[id].take().unwrap();
-        let found = reference_find_path(db, dev, &net, id, sink, within);
-        let result = counted(&mut db.stats, found).map(|path| {
-            db.commit_path(dev, &mut net, id, sink, path);
-        });
+        let found = reference_find_path(dev, &net, sink, within);
+        let result = counted(&mut db.stats, found).map(|path| net.commit(dev, sink, path));
         db.nets[id] = Some(net);
         result
     }
 
     /// One router operation, applied to a dense and a reference copy.
+    /// The `Other` operations act on a second database sharing the
+    /// device, as another design does.
     #[derive(Debug, Clone)]
     enum Op {
         Route(RouteNode, Vec<RouteNode>, Option<Rect>),
         Extend(NetId, RouteNode, Option<Rect>),
         Absorb(NetId, NetId),
         RemoveNet(NetId),
-        Reserve(Vec<RouteNode>),
-        ClearReservations,
+        RouteOther(RouteNode, Vec<RouteNode>, Option<Rect>),
+        ClearOther,
+    }
+
+    /// One device with two databases on it, as two designs share one.
+    struct Side {
+        dev: Device,
+        db: NetDb,
+        other: NetDb,
+    }
+
+    impl Side {
+        fn new(part: Part) -> Side {
+            Side {
+                dev: Device::new(part),
+                db: NetDb::new(),
+                other: NetDb::new(),
+            }
+        }
+
+        /// The device's holds, asserted to count the nodes of both
+        /// databases' live nets.
+        fn holds(&self) -> BTreeMap<RouteNode, u8> {
+            let held: BTreeMap<RouteNode, u8> = self.dev.held_nodes().collect();
+            let mut want = BTreeMap::new();
+            for (_, net) in self.db.nets().chain(self.other.nets()) {
+                for node in net.nodes() {
+                    *want.entry(node).or_insert(0) += 1;
+                }
+            }
+            assert_eq!(held, want, "holds are the live nets' nodes");
+            held
+        }
     }
 
     /// A dense router and a reference router driven in lockstep.
     struct Twin {
-        dense: (Device, NetDb),
-        reference: (Device, NetDb),
+        dense: Side,
+        reference: Side,
     }
 
     impl Twin {
         fn new(part: Part) -> Twin {
             Twin {
-                dense: (Device::new(part), NetDb::new()),
-                reference: (Device::new(part), NetDb::new()),
+                dense: Side::new(part),
+                reference: Side::new(part),
             }
         }
 
         /// Applies `op` to both copies and asserts they agree on the
         /// result, on the work done and on everything left behind.
         fn apply(&mut self, op: &Op) {
-            let (dd, db) = (&mut self.dense.0, &mut self.dense.1);
-            let (rd, rb) = (&mut self.reference.0, &mut self.reference.1);
-            let (dense_before, reference_before) = (db.route_stats(), rb.route_stats());
+            let (d, r) = (&mut self.dense, &mut self.reference);
             match op.clone() {
                 Op::Route(source, sinks, within) => {
-                    let got = db.route_net(dd, source, &sinks, within);
-                    let want = reference_route_net(rb, rd, source, &sinks, within);
+                    let got = d.db.route_net(&mut d.dev, source, &sinks, within);
+                    let want = reference_route_net(&mut r.db, &mut r.dev, source, &sinks, within);
                     assert_eq!(got, want, "{op:?}");
                 }
                 Op::Extend(id, sink, within) => {
-                    let got = db.extend_net(dd, id, sink, within);
-                    let want = reference_extend_net(rb, rd, id, sink, within);
+                    let got = d.db.extend_net(&mut d.dev, id, sink, within);
+                    let want = reference_extend_net(&mut r.db, &mut r.dev, id, sink, within);
                     assert_eq!(got, want, "{op:?}");
                 }
                 Op::Absorb(into, from) => {
-                    db.absorb(into, from);
-                    rb.absorb(into, from);
+                    d.db.absorb(&mut d.dev, into, from);
+                    r.db.absorb(&mut r.dev, into, from);
                 }
                 Op::RemoveNet(id) => {
-                    db.remove_net(dd, id);
-                    rb.remove_net(rd, id);
+                    d.db.remove_net(&mut d.dev, id);
+                    r.db.remove_net(&mut r.dev, id);
                 }
-                Op::Reserve(nodes) => {
-                    db.reserve(nodes.clone());
-                    rb.reserve(nodes);
+                Op::RouteOther(source, sinks, within) => {
+                    let got = d.other.route_net(&mut d.dev, source, &sinks, within);
+                    let want =
+                        reference_route_net(&mut r.other, &mut r.dev, source, &sinks, within);
+                    assert_eq!(got, want, "{op:?}");
                 }
-                Op::ClearReservations => {
-                    db.clear_reservations();
-                    rb.clear_reservations();
+                Op::ClearOther => {
+                    d.other.remove_all(&mut d.dev);
+                    r.other.remove_all(&mut r.dev);
                 }
             }
-            assert_eq!(
-                db.route_stats().delta_since(dense_before),
-                rb.route_stats().delta_since(reference_before),
-                "work done by {op:?}"
-            );
-            assert_eq!(db.nets, rb.nets, "nets after {op:?}");
-            assert_eq!(db.occupancy, rb.occupancy, "occupancy after {op:?}");
-            let pips = |d: &Device| {
-                let mut v: Vec<Pip> = d.pips().copied().collect();
-                v.sort();
-                v
-            };
-            assert_eq!(pips(dd), pips(rd), "device after {op:?}");
+            // Equal lifetime counters after every op: equal work by each.
+            assert_eq!(d.db, r.db, "nets and work after {op:?}");
+            assert_eq!(d.other, r.other, "other nets and work after {op:?}");
+            assert_eq!(d.holds(), r.holds(), "holds after {op:?}");
+            assert!(d.dev.pips().eq(r.dev.pips()), "device after {op:?}");
         }
     }
 
@@ -1133,9 +1080,6 @@ mod tests {
     /// A random operation on `db` (a copy of either twin's database).
     fn random_op(rng: &mut StdRng, dev: &Device, db: &NetDb) -> Op {
         let live: Vec<(NetId, &RoutedNet)> = db.nets().collect();
-        let any_tile = |rng: &mut StdRng| {
-            ClbCoord::new(rng.gen_range(0..dev.rows()), rng.gen_range(0..dev.cols()))
-        };
         match rng.gen_range(0..12) {
             // Extend an existing net, from anywhere on it.
             0..=2 if !live.is_empty() => {
@@ -1184,29 +1128,29 @@ mod tests {
                 }
             }
             6 if !live.is_empty() => Op::RemoveNet(live[rng.gen_range(0..live.len())].0),
+            // Another design's net, in the way of this database's.
             7 => {
-                let near = any_tile(rng);
-                let nodes = (0..rng.gen_range(1..60))
-                    .map(|_| {
-                        let tile = tile_near(rng, dev, near, 3);
-                        RouteNode::new(tile, Wire::from_index(rng.gen_range(0..WIRE_COUNT)))
-                    })
-                    .collect();
-                Op::Reserve(nodes)
+                let (source, sinks, within) = fresh_net(rng, dev);
+                Op::RouteOther(source, sinks, within)
             }
-            8 => Op::ClearReservations,
-            // A fresh multi-sink net.
+            8 => Op::ClearOther,
             _ => {
-                let near = any_tile(rng);
-                let source = RouteNode::new(near, Wire::CellOut(rng.gen_range(0..4u8)));
-                let sinks: Vec<RouteNode> = (0..rng.gen_range(1..4))
-                    .map(|_| RouteNode::new(tile_near(rng, dev, near, 3), sink_wire(rng)))
-                    .collect();
-                let mut tiles = vec![near];
-                tiles.extend(sinks.iter().map(|s| s.tile));
-                Op::Route(source, sinks, window_for(rng, &tiles))
+                let (source, sinks, within) = fresh_net(rng, dev);
+                Op::Route(source, sinks, within)
             }
         }
+    }
+
+    /// A fresh multi-sink net around a random tile, and its window.
+    fn fresh_net(rng: &mut StdRng, dev: &Device) -> (RouteNode, Vec<RouteNode>, Option<Rect>) {
+        let near = ClbCoord::new(rng.gen_range(0..dev.rows()), rng.gen_range(0..dev.cols()));
+        let source = RouteNode::new(near, Wire::CellOut(rng.gen_range(0..4u8)));
+        let sinks: Vec<RouteNode> = (0..rng.gen_range(1..4))
+            .map(|_| RouteNode::new(tile_near(rng, dev, near, 3), sink_wire(rng)))
+            .collect();
+        let mut tiles = vec![near];
+        tiles.extend(sinks.iter().map(|s| s.tile));
+        (source, sinks, window_for(rng, &tiles))
     }
 
     #[test]
@@ -1218,7 +1162,7 @@ mod tests {
         let sink = RouteNode::new(ClbCoord::new(5, 6), Wire::In(Dir::West, 0));
         let window = Rect::new(ClbCoord::new(5, 5), 1, 1);
         twin.apply(&Op::Route(source, vec![sink], Some(window)));
-        assert!(twin.dense.1.net_with_sink(sink).is_some());
+        assert!(twin.dense.db.net_with_sink(sink).is_some());
     }
 
     #[test]
@@ -1230,7 +1174,7 @@ mod tests {
         twin.apply(&Op::Route(out(5, 2, 0), vec![pin(5, 8, 0, 0)], None));
         let window = Rect::new(ClbCoord::new(4, 7), 3, 3);
         twin.apply(&Op::Extend(0, pin(6, 8, 1, 1), Some(window)));
-        let net = twin.dense.1.net(0).unwrap();
+        let net = twin.dense.db.net(0).unwrap();
         assert_eq!(net.sinks().count(), 2);
         assert!(net.nodes().any(|n| !window.contains(n.tile)));
     }
@@ -1240,15 +1184,15 @@ mod tests {
 
         /// The dense search returns what the hashed search returned and
         /// pops exactly as many nodes, through random sequences of
-        /// routes, extensions, paralleled sinks, absorbs, removals and
-        /// reservations on XCV50 and XCV100 devices.
+        /// routes, extensions, paralleled sinks, absorbs, removals and a
+        /// second database's nets on XCV50 and XCV100 devices.
         #[test]
         fn dense_search_matches_hashed_reference(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
             let part = if rng.gen_bool(0.5) { Part::Xcv50 } else { Part::Xcv100 };
             let mut twin = Twin::new(part);
             for _ in 0..16 {
-                let op = random_op(&mut rng, &twin.dense.0, &twin.dense.1);
+                let op = random_op(&mut rng, &twin.dense.dev, &twin.dense.db);
                 twin.apply(&op);
             }
         }
@@ -1328,7 +1272,7 @@ mod tests {
         }
         db.remove_net(&mut d, id1);
         for n in used_before {
-            assert!(db.users_of(n).is_empty());
+            assert_eq!(d.node_holds(n), 0, "{n}");
         }
     }
 
@@ -1397,7 +1341,7 @@ mod tests {
         assert!(matches!(err, SimError::Unroutable { .. }));
         // Nothing leaked.
         assert_eq!(d.pips().count(), 0);
-        assert!(db.users_of(out(0, 0, 0)).is_empty());
+        assert_eq!(d.held_nodes().count(), 0);
     }
 
     #[test]
@@ -1415,6 +1359,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::Unroutable { .. }));
         assert_eq!(d.pips().count(), 0, "first sink's pips rolled back");
+        assert_eq!(d.held_nodes().count(), 0, "and its holds");
     }
 
     #[test]
@@ -1426,59 +1371,56 @@ mod tests {
         let s2 = pin(8, 6, 0, 2);
         let orig = db.route_net(&mut d, source, &[s1], None).unwrap();
         let replica = db.route_net(&mut d, source, &[s2], None).unwrap();
-        // An unrelated net and a reservation must come through untouched.
-        let other = db
+        assert_eq!(d.node_holds(source), 2, "both nets hold the source");
+        // Another design's net must come through untouched.
+        let mut other = NetDb::new();
+        let bystander = other
             .route_net(&mut d, out(2, 2, 1), &[pin(2, 4, 1, 0)], None)
             .unwrap();
-        let reserved = RouteNode::new(ClbCoord::new(10, 10), Wire::Out(Dir::East, 3));
-        db.reserve([reserved]);
-        let bystanders: Vec<(RouteNode, Vec<NetId>)> = db
-            .net(other)
-            .unwrap()
-            .nodes()
-            .chain([reserved])
-            .map(|n| (n, db.users_of(n).to_vec()))
-            .collect();
-        db.absorb(orig, replica);
-        for (node, users) in &bystanders {
-            assert_eq!(db.users_of(*node), users.as_slice(), "{node}");
+        let bystanders: Vec<RouteNode> = other.net(bystander).unwrap().nodes().collect();
+        db.absorb(&mut d, orig, replica);
+        for node in &bystanders {
+            assert_eq!(d.node_holds(*node), 1, "{node}");
         }
-        db.clear_reservations();
-        db.remove_net(&mut d, other);
+        other.remove_net(&mut d, bystander);
         assert!(db.net(replica).is_none(), "absorbed net is gone");
         let n = db.net(orig).unwrap();
         assert_eq!(n.sinks().count(), 2);
         assert!(n.sink_delay_ps(s1).is_some());
         assert!(n.sink_delay_ps(s2).is_some());
-        // Occupancy relabelled: every node now lists only `orig`.
-        for node in n.nodes() {
-            assert_eq!(db.users_of(node), &[orig], "{node}");
-        }
+        // One hold per node, the shared source included.
+        let held: BTreeMap<RouteNode, u8> = d.held_nodes().collect();
+        let want: BTreeMap<RouteNode, u8> = n.nodes().map(|node| (node, 1)).collect();
+        assert_eq!(held, want);
         // And removal still releases everything.
         db.remove_net(&mut d, orig);
         assert_eq!(d.pips().count(), 0);
+        assert_eq!(d.held_nodes().count(), 0);
     }
 
     #[test]
-    fn reservations_block_routing_and_clear() {
+    fn another_database_blocks_routing_until_it_releases() {
+        // Both windows end at tile (5, 5), so the sink one tile east is
+        // reached only over the east single landing on it.
         let mut d = dev();
-        let mut db = NetDb::new();
-        // Reserve every wire of the corridor between source and sink.
-        let source = out(2, 2, 0);
-        let sink = pin(2, 4, 0, 0);
-        let corridor: Vec<RouteNode> = Wire::all()
-            .map(|w| RouteNode::new(ClbCoord::new(2, 3), w))
-            .collect();
-        db.reserve(corridor.clone());
-        // The only row-2 path is blocked; the router detours or fails
-        // within a 1-row region.
-        let region = Rect::new(ClbCoord::new(2, 2), 1, 3);
-        let err = db
-            .route_net(&mut d, source, &[sink], Some(region))
+        let (mut mine, mut theirs) = (NetDb::new(), NetDb::new());
+        let sink = RouteNode::new(ClbCoord::new(5, 6), Wire::In(Dir::West, 0));
+        let single = RouteNode::new(ClbCoord::new(5, 5), Wire::Out(Dir::East, 0));
+        let window = Some(Rect::new(ClbCoord::new(5, 5), 1, 1));
+        let wider = Some(Rect::new(ClbCoord::new(5, 4), 1, 2));
+        let held = theirs
+            .route_net(&mut d, out(5, 4, 0), &[sink], wider)
+            .unwrap();
+        assert!(theirs.net(held).unwrap().nodes().any(|n| n == single));
+        let err = mine
+            .route_net(&mut d, out(5, 5, 0), &[sink], window)
             .unwrap_err();
         assert!(matches!(err, SimError::Unroutable { .. }));
-        db.clear_reservations();
-        db.route_net(&mut d, source, &[sink], Some(region)).unwrap();
+        theirs.remove_net(&mut d, held);
+        let id = mine
+            .route_net(&mut d, out(5, 5, 0), &[sink], window)
+            .unwrap();
+        assert!(mine.net(id).unwrap().nodes().any(|n| n == single));
     }
 
     #[test]

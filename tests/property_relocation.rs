@@ -52,8 +52,10 @@ proptest! {
             prop_assert!(report.frames_total() > 0);
             // The vacated slot must be unconfigured and unrouted.
             prop_assert!(!h.device().clb(src.0).unwrap().cells[src.1].is_used());
-            prop_assert!(h.placed().netdb.users_of(
-                rtm::sim::design::PlacedDesign::out_node(src)).is_empty());
+            prop_assert_eq!(
+                h.device().node_holds(rtm::sim::design::PlacedDesign::out_node(src)),
+                0
+            );
             h.run_cycles(5).unwrap();
         }
         h.run_cycles(15).unwrap();

@@ -246,14 +246,17 @@ fn epoch_discipline(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
 /// but not `Sync` (fine shard-locally, fatal if shared), `Rc` is
 /// neither, `static mut` and `unsafe` are manual review forever. Every
 /// use must carry a written confinement argument in the allowlist.
+/// A `Cell` followed by `(` is a tuple variant or constructor of the
+/// workspace's own (`CellSrc::Cell(i)`): the std types have none.
 fn shard_locality(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding>) {
     if !matches!(kind, FileKind::Lib | FileKind::Bin) {
         return;
     }
     for (i, t) in toks.iter().enumerate() {
         if let Some(id) = t.ident() {
+            let called = toks.get(i + 1).is_some_and(|n| n.is_punct('('));
             let msg = match id {
-                "Cell" | "RefCell" | "UnsafeCell" => Some(format!(
+                "Cell" | "RefCell" | "UnsafeCell" if !called => Some(format!(
                     "interior mutability (`{id}`) in shard state: \
                      `Send` but not `Sync`, so it must stay confined to one shard — \
                      allowlist with the confinement argument or use owned state"
@@ -602,6 +605,18 @@ mod tests {
                    fn f() { unsafe { G = 1 } }";
         let f = run("crates/x/src/lib.rs", FileKind::Lib, src);
         assert_eq!(f.iter().filter(|f| f.rule == "shard-locality").count(), 5);
+    }
+
+    #[test]
+    fn shard_locality_skips_variants_named_cell() {
+        let variants = "enum E { Cell(usize) } fn f(i: usize) -> E { E::Cell(i) }";
+        let f = run("crates/x/src/lib.rs", FileKind::Lib, variants);
+        assert!(f.iter().all(|f| f.rule != "shard-locality"), "{f:?}");
+        let std_cells = "use std::cell::Cell; \
+                         struct S { c: Cell<u32> } \
+                         fn f() -> S { S { c: Cell::new(0) } }";
+        let f = run("crates/x/src/lib.rs", FileKind::Lib, std_cells);
+        assert_eq!(f.iter().filter(|f| f.rule == "shard-locality").count(), 3);
     }
 
     #[test]
