@@ -7,11 +7,12 @@
 //! local-repacking / ordered-compaction planner) and executes it with
 //! **dynamic relocation** — staged, cell by cell, while the moved
 //! functions keep running. A complete configuration copy is kept for
-//! recovery, exactly as the paper's tool does.
+//! recovery, exactly as the paper's tool does: the checkpoint level of
+//! the device's frame journal (see [`RunTimeManager::checkpoint`]).
 
 use crate::error::CoreError;
 use crate::relocation::{relocate_cell, RelocationOptions, RelocationReport, StepRecord};
-use rtm_fpga::config::ConfigMemory;
+use rtm_fpga::config::{Frame, FrameAddress};
 use rtm_fpga::geom::Rect;
 use rtm_fpga::part::Part;
 use rtm_fpga::Device;
@@ -407,9 +408,10 @@ impl MigrationPlan {
 /// ([`RunTimeManager::readmit_function`]) — and everything needed to
 /// put it back *exactly* as it was on the source
 /// ([`RunTimeManager::restore_function`]) should the readmission fail.
-/// The pre-extraction configuration snapshot is the migration's
-/// checkpoint: restore is a frame-exact rollback, so a failed migration
-/// can never leave orphan state on either device.
+/// The unload's undo records — each frame the teardown changed, with
+/// its content before — are the migration's checkpoint: restore writes
+/// them back, a frame-exact rollback, so a failed migration can never
+/// leave orphan state on either device.
 #[derive(Debug, Clone)]
 pub struct ExtractedFunction {
     id: FunctionId,
@@ -419,9 +421,11 @@ pub struct ExtractedFunction {
     /// Live storage-element state per design cell, captured at
     /// extraction so the readmitted copy resumes instead of resetting.
     states: Vec<bool>,
-    /// Full source-configuration snapshot taken *before* the extraction
-    /// — the checkpoint a failed migration restores from.
-    pre_config: ConfigMemory,
+    /// The source device's part.
+    part: Part,
+    /// The frames the unload changed, with their content before it, in
+    /// address order — what a failed migration writes back.
+    undo: Vec<(FrameAddress, Frame)>,
     /// The source epoch right after the extraction; restore demands it
     /// still matches (nothing else may have touched the source since).
     post_epoch: u64,
@@ -465,12 +469,6 @@ impl ExtractedFunction {
     /// `design().cells`.
     pub fn states(&self) -> &[bool] {
         &self.states
-    }
-
-    /// The pre-extraction source-configuration snapshot (readback of
-    /// the whole device as it was with the function still resident).
-    pub fn pre_config(&self) -> &ConfigMemory {
-        &self.pre_config
     }
 }
 
@@ -534,7 +532,6 @@ pub struct RunTimeManager {
     /// counts them against the arena.
     reserved: BTreeMap<FunctionId, Rect>,
     next_id: FunctionId,
-    recovery: ConfigMemory,
     /// Allocation strategy for incoming functions.
     pub strategy: Strategy,
     /// Mutation epoch: bumped on every arena-visible change (load,
@@ -584,16 +581,16 @@ impl RunTimeManager {
     /// assert_eq!(mgr.fragmentation().utilisation(), 0.0);
     /// ```
     pub fn new(part: Part) -> Self {
-        let dev = Device::new(part);
+        let mut dev = Device::new(part);
+        // The blank device is the first recovery checkpoint.
+        dev.checkpoint();
         let arena = TaskArena::new(dev.bounds());
-        let recovery = dev.config().snapshot();
         RunTimeManager {
             dev,
             arena,
             functions: BTreeMap::new(),
             reserved: BTreeMap::new(),
             next_id: 1,
-            recovery,
             strategy: Strategy::BestFit,
             epoch: 0,
             stats: Cell::new(PlanStats::default()),
@@ -879,11 +876,11 @@ impl RunTimeManager {
     /// Snapshots resident function `id` and removes it from this
     /// device: the outbound half of a cross-device migration. The
     /// returned [`ExtractedFunction`] carries the design, the live
-    /// storage state, the source implementation, and a pre-extraction
-    /// configuration checkpoint — enough to re-implement the function
-    /// on another manager ([`RunTimeManager::readmit_function`]) or to
-    /// roll this device back exactly
-    /// ([`RunTimeManager::restore_function`]) if the readmission fails.
+    /// storage state, the source implementation, and the unload's undo
+    /// records — enough to re-implement the function on another manager
+    /// ([`RunTimeManager::readmit_function`]) or to roll this device back
+    /// exactly ([`RunTimeManager::restore_function`]) if the readmission
+    /// fails.
     ///
     /// # Errors
     ///
@@ -895,7 +892,6 @@ impl RunTimeManager {
             .functions
             .get(&id)
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
-        let pre_config = self.dev.config().snapshot();
         let mut states = Vec::with_capacity(f.design.cells.len());
         for (i, cell) in f.design.cells.iter().enumerate() {
             let loc = f.placed.cell_loc(i);
@@ -905,19 +901,27 @@ impl RunTimeManager {
                 false
             });
         }
-        let snapshot = ExtractedFunction {
-            id,
-            design: f.design.clone(),
-            region: f.region,
-            placed: f.placed.clone(),
-            states,
-            pre_config,
-            post_epoch: 0, // stamped below, after the teardown
-        };
-        self.unload(id)?;
+        let (design, region, placed) = (f.design.clone(), f.region, f.placed.clone());
+        // The undo records come from a mark opened here, not from the
+        // checkpoint: writes made since the last checkpoint are not the
+        // extraction's to roll back.
+        let mark = self.dev.open_mark();
+        if let Err(e) = self.unload_uncheckpointed(id) {
+            self.dev.close_mark(mark);
+            return Err(e);
+        }
+        let undo = self.dev.config().undo_records(&mark);
+        self.dev.close_mark(mark);
+        self.checkpoint();
         Ok(ExtractedFunction {
+            id,
+            design,
+            region,
+            placed,
+            states,
+            part: self.dev.part(),
+            undo,
             post_epoch: self.epoch,
-            ..snapshot
         })
     }
 
@@ -969,12 +973,11 @@ impl RunTimeManager {
     }
 
     /// Puts an extracted function back onto this (source) device by
-    /// rolling the configuration back to the extraction checkpoint —
-    /// the recovery path of a failed migration. The rollback is
-    /// frame-exact: after it, the device configuration equals the
-    /// pre-extraction snapshot bit for bit, the region is re-claimed in
-    /// the arena, and the function table entry is reinstated (under a
-    /// fresh id). Returns the new id.
+    /// writing the extraction's undo records back — the recovery path of
+    /// a failed migration. The rollback is frame-exact: after it, the
+    /// device configuration equals the pre-extraction configuration bit
+    /// for bit, the region is re-claimed in the arena, and the function
+    /// table entry is reinstated (under a fresh id). Returns the new id.
     ///
     /// # Errors
     ///
@@ -983,11 +986,11 @@ impl RunTimeManager {
     /// device state) or belongs to a different part, and
     /// [`CoreError::Place`] if the original region is no longer free.
     pub fn restore_function(&mut self, f: &ExtractedFunction) -> Result<FunctionId, CoreError> {
-        if f.pre_config.part() != self.dev.part() {
+        if f.part != self.dev.part() {
             return Err(CoreError::DesignMismatch {
                 detail: format!(
                     "restore of a {} extraction onto a {} device",
-                    f.pre_config.part(),
+                    f.part,
                     self.dev.part()
                 ),
             });
@@ -1000,9 +1003,8 @@ impl RunTimeManager {
         let id = self.next_id;
         self.arena.allocate_at(id, f.region)?;
         self.bump_epoch();
-        for addr in self.dev.config().diff_frames(&f.pre_config) {
-            let frame = f.pre_config.read_frame(addr)?;
-            self.dev.write_frame(addr, frame)?;
+        for (addr, image) in &f.undo {
+            self.dev.write_frame(*addr, image.clone())?;
         }
         // The frames bring the routing back; the unload released its holds.
         f.placed.netdb.hold_all(&mut self.dev);
@@ -1384,6 +1386,14 @@ impl RunTimeManager {
     ///
     /// Returns [`CoreError::Place`] for unknown ids.
     pub fn unload(&mut self, id: FunctionId) -> Result<(), CoreError> {
+        self.unload_uncheckpointed(id)?;
+        self.checkpoint();
+        Ok(())
+    }
+
+    /// [`RunTimeManager::unload`] without the closing checkpoint, so an
+    /// extraction can take the teardown's undo records first.
+    fn unload_uncheckpointed(&mut self, id: FunctionId) -> Result<(), CoreError> {
         let f = self
             .functions
             .remove(&id)
@@ -1405,7 +1415,6 @@ impl RunTimeManager {
                 .set_cell(loc.0, loc.1, rtm_fpga::cell::LogicCell::default())?;
             self.dev.set_cell_state(loc.0, loc.1, false)?;
         }
-        self.checkpoint();
         Ok(())
     }
 
@@ -1562,26 +1571,24 @@ impl RunTimeManager {
         Ok(report)
     }
 
-    /// Takes a fresh recovery snapshot of the configuration ("the program
-    /// always keeps a complete copy of the current configuration",
-    /// paper §4).
+    /// Makes the current configuration the recovery checkpoint ("the
+    /// program always keeps a complete copy of the current
+    /// configuration", paper §4). The copy is the checkpoint level of the
+    /// device's frame journal: nothing is copied here, and each frame's
+    /// first change afterwards saves its checkpointed content.
     pub fn checkpoint(&mut self) {
-        self.recovery = self.dev.config().snapshot();
+        self.dev.checkpoint();
     }
 
-    /// Restores the last checkpoint into the device (system recovery).
+    /// Restores the last checkpoint into the device (system recovery),
+    /// writing back the frames changed since, and returns how many
+    /// differed from it.
     ///
     /// # Errors
     ///
     /// Propagates frame-write errors (cannot occur for a matching part).
     pub fn recover(&mut self) -> Result<usize, CoreError> {
-        let frames = self.dev.config().diff_frames(&self.recovery);
-        let n = frames.len();
-        for addr in frames {
-            let frame = self.recovery.read_frame(addr)?;
-            self.dev.write_frame(addr, frame)?;
-        }
-        Ok(n)
+        Ok(self.dev.recover()?)
     }
 
     /// One-line status for the CLI.
@@ -1618,6 +1625,8 @@ impl fmt::Display for ManagerStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, ProptestConfig};
+    use proptest::{prop_assert, prop_assert_eq, proptest};
     use rtm_fpga::geom::ClbCoord;
     use rtm_netlist::random::RandomCircuit;
     use rtm_netlist::techmap::map_to_luts;
@@ -2169,5 +2178,128 @@ mod tests {
         let p2 = mgr.plan_room(16, 12).expect("still satisfiable");
         let revalidated = mgr.revalidate_room_plan(4, 4, Some(p2)).unwrap();
         assert_eq!(revalidated.shape(), (4, 4));
+    }
+
+    /// Out-of-band writes through the device, as a fault or a stray tool
+    /// would make them: each flips one random configuration bit.
+    fn vandalise(mgr: &mut RunTimeManager, picks: &[u16]) {
+        let part = mgr.dev.part();
+        for &pick in picks {
+            let addr = match pick % 3 {
+                0 => FrameAddress::clb(pick % part.clb_cols(), pick % 48),
+                1 => FrameAddress::iob(pick % 2, pick % 54),
+                _ => FrameAddress::clock(pick % 8),
+            };
+            let mut frame = mgr.dev.read_frame(addr).unwrap();
+            let bit = usize::from(pick) % frame.len();
+            frame.set(bit, !frame.get(bit));
+            mgr.dev.write_frame(addr, frame).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Recover and restore from the journal equal the full copy they
+        /// replaced: the test keeps its own `snapshot()` after each
+        /// completed public op, and after out-of-band writes `recover`
+        /// must rewrite exactly the frames that differ from it; an
+        /// extraction restored must equal a snapshot taken just before
+        /// it, even when the extraction started in a dirty interval.
+        #[test]
+        fn journal_recovery_equals_a_full_copy(
+            ops in proptest::collection::vec(
+                (0u8..10, any::<u16>(), any::<u16>()),
+                6..24,
+            ),
+        ) {
+            let mut mgr = RunTimeManager::new(Part::Xcv50);
+            let mut ckpt = mgr.device().config().snapshot();
+            let mut parked: Vec<ExtractedFunction> = Vec::new();
+            let mut seed = 100;
+            for (op, a, b) in ops {
+                let ids: Vec<FunctionId> = mgr.functions().map(|(id, _)| id).collect();
+                let victim = (!ids.is_empty()).then(|| ids[usize::from(a) % ids.len()]);
+                let done: Result<(), CoreError> = match (op, victim) {
+                    (0 | 1, _) => {
+                        seed += 1;
+                        let (rows, cols) = (4 + a % 5, 4 + b % 5);
+                        mgr.load(&small_design(seed), rows, cols, |_, _, _| {}).map(|_| ())
+                    }
+                    (2, Some(id)) => mgr.unload(id),
+                    (3, Some(id)) => {
+                        let r = mgr.function(id).unwrap().region;
+                        let row = a % (17 - r.rows);
+                        let col = b % (25 - r.cols);
+                        let to = Rect::new(ClbCoord::new(row, col), r.rows, r.cols);
+                        mgr.relocate_function(id, to, |_, _, _| {}).map(|_| ())
+                    }
+                    (4, Some(id)) => {
+                        let f = mgr.function(id).unwrap();
+                        let locs = &f.placed.placement.cell_locs;
+                        let src = locs[usize::from(b) % locs.len()];
+                        let dst = f
+                            .region
+                            .iter()
+                            .flat_map(|t| (0..4).map(move |c| (t, c)))
+                            .find(|&slot| crate::relocation::free_slot(&mgr.dev, slot));
+                        match dst {
+                            Some(dst) => mgr.relocate_cell_of(id, src, dst, |_, _, _| {}).map(|_| ()),
+                            None => Ok(()),
+                        }
+                    }
+                    (5, _) => mgr.defragment(|_, _, _| {}).map(|_| ()),
+                    (6, Some(id)) => mgr.extract_function(id).map(|f| parked.push(f)),
+                    (6, None) | (7, _) if !parked.is_empty() => {
+                        let f = parked.remove(usize::from(a) % parked.len());
+                        let (rows, cols) = f.shape();
+                        match mgr.plan_room(rows, cols) {
+                            Some(plan) => mgr.readmit_function(&f, &plan, |_, _, _| {}).map(|_| ()),
+                            None => Ok(()),
+                        }
+                    }
+                    (8, _) => {
+                        // A failed load: the cells fit the region but a net
+                        // cannot be wired through it.
+                        let unroutable =
+                            map_to_luts(&RandomCircuit::free_running(4, 12, 0).generate()).unwrap();
+                        let failed = mgr.load(&unroutable, 2, 3, |_, _, _| {});
+                        prop_assert!(failed.is_err());
+                        prop_assert!(mgr.device().config().diff_frames(&ckpt).is_empty());
+                        // Out-of-band writes: recover rewrites exactly the
+                        // frames that differ from the full copy.
+                        vandalise(&mut mgr, &[a, b, a ^ b]);
+                        let dirty = mgr.device().config().diff_frames(&ckpt).len();
+                        prop_assert!(dirty > 0);
+                        prop_assert_eq!(mgr.recover().unwrap(), dirty);
+                        prop_assert!(mgr.device().config().diff_frames(&ckpt).is_empty());
+                        Ok(())
+                    }
+                    (9, Some(id)) => {
+                        // Extraction in a dirty interval: the restore must
+                        // bring back the writes made before it, not roll
+                        // them back to the checkpoint.
+                        let region = mgr.function(id).unwrap().region;
+                        let tile = ClbCoord::new(a % 16, b % 24);
+                        let cell = usize::from(a % 4);
+                        let state = mgr.dev.cell_state(tile, cell).unwrap();
+                        mgr.dev.set_cell_state(tile, cell, !state).unwrap();
+                        let pre_extract = mgr.device().config().snapshot();
+                        let f = mgr.extract_function(id).unwrap();
+                        prop_assert_eq!(f.region(), region);
+                        mgr.restore_function(&f).unwrap();
+                        prop_assert!(mgr.device().config().diff_frames(&pre_extract).is_empty());
+                        Ok(())
+                    }
+                    _ => Ok(()),
+                };
+                if done.is_ok() {
+                    // Every completed op ends on a checkpoint.
+                    prop_assert_eq!(mgr.recover().unwrap(), 0);
+                }
+                prop_assert!(mgr.bookkeeping_consistent());
+                ckpt = mgr.device().config().snapshot();
+            }
+        }
     }
 }

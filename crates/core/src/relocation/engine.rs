@@ -3,7 +3,7 @@
 //! executable device edits.
 //!
 //! Every procedure step is an ordinary set of configuration-memory
-//! writes; the engine snapshots the configuration around each step so the
+//! writes; the engine opens a frame-journal mark around each step so the
 //! report carries the exact frame traffic (the input to the cost model),
 //! and an observer callback is invoked after each step so a harness can
 //! keep the system clocking — the relocation happens *while the circuit
@@ -253,9 +253,12 @@ impl<F: FnMut(&Device, &PlacedDesign, &StepRecord)> Engine<'_, F> {
         kind: StepKind,
         body: impl FnOnce(&mut Device, &mut PlacedDesign, &RelocationOptions) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        let before = self.dev.config().snapshot();
-        body(self.dev, self.placed, self.opts)?;
-        let frames = self.dev.config().diff_frames(&before);
+        // Closed on the failure path too: a mark left open would make
+        // every later step nest under a dead level.
+        let mark = self.dev.open_mark();
+        let done = body(self.dev, self.placed, self.opts);
+        let frames = self.dev.close_mark(mark);
+        done?;
         let record = StepRecord {
             step: kind,
             frames,
@@ -616,6 +619,8 @@ pub fn relocate_cell_staged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{any, ProptestConfig};
+    use proptest::{prop_assert_eq, proptest};
     use rtm_fpga::geom::ClbCoord;
     use rtm_fpga::part::Part;
     use rtm_netlist::random::RandomCircuit;
@@ -709,6 +714,51 @@ mod tests {
         ));
     }
 
+    /// A failing step closes its mark: the journal ends with no level
+    /// left open, and the device checkpoints and recovers as a clean one.
+    #[test]
+    fn a_failed_step_leaves_no_open_mark() {
+        let tiny = RelocationOptions {
+            within: Some(Rect::new(ClbCoord::new(2, 2), 3, 3)),
+            ..Default::default()
+        };
+        let far = (ClbCoord::new(25, 25), 0);
+        // Unarmed: a mark left open would keep logging under a dead level.
+        let (mut dev, mut placed) = setup(4);
+        let src = placed.placement.cell_locs[0];
+        let err = relocate_cell(&mut dev, &mut placed, src, far, &tiny, |_, _, _| {});
+        assert!(matches!(
+            err,
+            Err(CoreError::Sim(rtm_sim::SimError::Unroutable { .. }))
+        ));
+        let cfg = LogicCell {
+            lut: Lut::constant(true),
+            ..LogicCell::default()
+        };
+        dev.set_cell(ClbCoord::new(20, 20), 0, cfg).unwrap();
+        assert!(dev.config().checkpoint_records().is_empty());
+
+        // Checkpointed: the steps that completed before the failure are
+        // the checkpoint level's to undo.
+        let (mut dev, mut placed) = setup(4);
+        dev.checkpoint();
+        let clean = dev.config().snapshot();
+        let err = relocate_cell(&mut dev, &mut placed, src, far, &tiny, |_, _, _| {});
+        assert!(err.is_err());
+        let dirty = dev.config().diff_frames(&clean).len();
+        assert!(dirty > 0, "the copy step ran before the routing failed");
+        assert_eq!(dev.recover().unwrap(), dirty);
+        assert!(dev.config().diff_frames(&clean).is_empty());
+        dev.checkpoint();
+        assert_eq!(dev.recover().unwrap(), 0);
+        dev.set_cell(ClbCoord::new(20, 20), 0, cfg).unwrap();
+        let written = dev.config().diff_frames(&clean).len();
+        assert!(written > 0);
+        assert_eq!(dev.recover().unwrap(), written);
+        assert!(dev.config().diff_frames(&clean).is_empty());
+        assert!(dev.clb(ClbCoord::new(20, 20)).unwrap().cells[0] == LogicCell::default());
+    }
+
     #[test]
     fn ram_column_hazard_rejected() {
         let (mut dev, mut placed) = setup(5);
@@ -754,6 +804,83 @@ mod tests {
         assert!(report.columns_touched().contains(&src.0.col));
         assert!(report.to_string().contains("relocation"));
         assert_eq!(placed.placement.cell_locs[0], dst, "table updated");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every step's frame list equals the test-only reference: a
+        /// snapshot before the relocation and after each step, diffed —
+        /// the accounting the journal replaced. Two-phase, gated and
+        /// staged relocations, on unarmed and checkpointed devices.
+        #[test]
+        fn step_frames_match_snapshot_diffs(
+            kind in 0u8..3,
+            seed in 0u64..1_000,
+            pick in 0usize..64,
+            to in (0u16..28, 0u16..42, 0usize..4),
+            sequential in any::<bool>(),
+            staged in any::<bool>(),
+            armed in any::<bool>(),
+        ) {
+            let netlist = match kind {
+                0 => RandomCircuit::free_running(3, 8, seed),
+                1 => RandomCircuit::gated(3, 8, seed),
+                _ => RandomCircuit::asynchronous(2, 8, seed),
+            }
+            .generate();
+            let mapped = map_to_luts(&netlist).unwrap();
+            let mut dev = Device::new(Part::Xcv200);
+            let region = Rect::new(ClbCoord::new(2, 2), 8, 8);
+            let mut placed = implement(&mut dev, &mapped, region).unwrap();
+            if armed {
+                dev.checkpoint();
+            }
+            let at_checkpoint = dev.config().snapshot();
+            // Storage cells take the gated and asynchronous procedures.
+            let cells = &placed.design.cells;
+            let storage: Vec<usize> = (0..cells.len())
+                .filter(|&i| cells[i].storage.is_sequential())
+                .collect();
+            let victim = match (sequential, storage.len()) {
+                (true, n) if n > 0 => storage[pick % n],
+                _ => pick % cells.len(),
+            };
+            let src = placed.placement.cell_locs[victim];
+            let dst = (ClbCoord::new(to.0, to.1), to.2);
+            let mut prev = dev.config().snapshot();
+            let mut steps = 0;
+            let observer = |d: &Device, _: &PlacedDesign, r: &StepRecord| {
+                assert_eq!(r.frames, d.config().diff_frames(&prev), "{:?}", r.step);
+                prev = d.config().snapshot();
+                steps += 1;
+            };
+            let opts = RelocationOptions::default();
+            let moved = if staged {
+                relocate_cell_staged(&mut dev, &mut placed, src, dst, 5, &opts, observer)
+                    .map(|reports| reports.iter().map(|r| r.steps.len()).sum())
+            } else {
+                relocate_cell(&mut dev, &mut placed, src, dst, &opts, observer)
+                    .map(|report| report.steps.len())
+            };
+            if let Ok(n) = moved {
+                prop_assert_eq!(n, steps);
+            }
+            // The steps folded into the checkpoint level (or, unarmed,
+            // left nothing behind).
+            let logged: Vec<FrameAddress> = dev
+                .config()
+                .checkpoint_records()
+                .into_iter()
+                .map(|(addr, _)| addr)
+                .collect();
+            let expected = if armed {
+                dev.config().diff_frames(&at_checkpoint)
+            } else {
+                Vec::new()
+            };
+            prop_assert_eq!(logged, expected);
+        }
     }
 
     #[test]

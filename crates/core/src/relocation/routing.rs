@@ -88,9 +88,10 @@ pub fn relocate_sink_path(
     // Phase 1: duplicate — route a parallel branch from the same source
     // as a temporary net. Its path is automatically disjoint from the
     // original (those nodes are occupied by `net`).
-    let before = dev.config().snapshot();
-    let replica = netdb.route_net(dev, source, &[sink], within)?;
-    let duplicate_frames = dev.config().diff_frames(&before);
+    let mark = dev.open_mark();
+    let replica = netdb.route_net(dev, source, &[sink], within);
+    let duplicate_frames = dev.close_mark(mark);
+    let replica = replica?;
     let new_delay_ps = netdb
         .net(replica)
         .expect("just routed")
@@ -101,10 +102,10 @@ pub fn relocate_sink_path(
     between_phases(dev);
 
     // Phase 2: disconnect the original branch and adopt the replica.
-    let before = dev.config().snapshot();
+    let mark = dev.open_mark();
     netdb.remove_sink(dev, net, sink);
     netdb.absorb(dev, net, replica);
-    let retire_frames = dev.config().diff_frames(&before);
+    let retire_frames = dev.close_mark(mark);
 
     Ok(RoutingRelocationReport {
         net,
@@ -138,19 +139,23 @@ mod tests {
             .route_net(&mut dev, source, &[sink, other_sink], None)
             .unwrap();
 
-        let mut observed_parallel = false;
+        let before = dev.config().snapshot();
+        let mut paralleled = None;
         let report = relocate_sink_path(&mut dev, &mut db, net, sink, None, |d| {
             // While paralleled: two pips drive the sink's pin path — the
             // sink must still be reachable.
             assert!(d.sinks_of(source).contains(&sink));
-            observed_parallel = true;
+            paralleled = Some(d.config().snapshot());
         })
         .unwrap();
-        assert!(observed_parallel);
+        let paralleled = paralleled.expect("between_phases ran");
         assert!(report.old_delay_ps > 0);
         assert!(report.new_delay_ps > 0);
         assert!(!report.duplicate_frames.is_empty());
         assert!(!report.retire_frames.is_empty());
+        // Each phase lists exactly the frames it changed.
+        assert_eq!(report.duplicate_frames, paralleled.diff_frames(&before));
+        assert_eq!(report.retire_frames, dev.config().diff_frames(&paralleled));
 
         // After: still connected, other sink untouched, net bookkeeping
         // coherent.

@@ -62,6 +62,7 @@ fn extract_readmit_roundtrip_is_readback_equivalent_modulo_offset() {
     assert_eq!(plan.cells(), 64);
     assert!(plan.room().is_empty(), "the target has contiguous room");
 
+    let pre_extract = src.device().config().snapshot();
     let extracted = src.extract_function(r.id).unwrap();
     assert_eq!(extracted.shape(), (8, 8));
     assert_eq!(extracted.region(), r.region);
@@ -83,7 +84,7 @@ fn extract_readmit_roundtrip_is_readback_equivalent_modulo_offset() {
     );
     assert!(dst.bookkeeping_consistent());
     assert_eq!(dst.functions().count(), 2);
-    assert_readback_equivalent(extracted.pre_config(), extracted.region(), &dst, lr.region);
+    assert_readback_equivalent(&pre_extract, extracted.region(), &dst, lr.region);
     // Both residents are real functions: unload them cleanly.
     dst.unload(lr.id).unwrap();
     dst.unload(blocker.id).unwrap();
@@ -97,6 +98,7 @@ fn restore_from_checkpoint_is_frame_exact() {
     let b = mgr.load(&small_design(4), 8, 8, |_, _, _| {}).unwrap();
     let frag_before = mgr.fragmentation();
 
+    let pre_extract = mgr.device().config().snapshot();
     let extracted = mgr.extract_function(a.id).unwrap();
     assert_eq!(mgr.functions().count(), 1);
     // The failed-migration path: put it back from the checkpoint.
@@ -107,11 +109,7 @@ fn restore_from_checkpoint_is_frame_exact() {
     assert_eq!(mgr.fragmentation(), frag_before);
     // Frame-exact: the device configuration equals the pre-extraction
     // snapshot bit for bit.
-    assert!(mgr
-        .device()
-        .config()
-        .diff_frames(extracted.pre_config())
-        .is_empty());
+    assert!(mgr.device().config().diff_frames(&pre_extract).is_empty());
     // The restored function is fully alive: relocate and unload it.
     let to = Rect::new(ClbCoord::new(0, 18), 16, 6);
     mgr.relocate_function(new_id, to, |_, _, _| {}).unwrap();

@@ -74,7 +74,7 @@
 //! subsystem revisits the decision. With a [`RebalancePolicy`]
 //! installed ([`FleetService::with_rebalancer`]), the fleet migrates
 //! resident functions between devices during **idle port windows** —
-//! extract with live state and a configuration checkpoint, readmit
+//! extract with live state and the unload's undo records, readmit
 //! through the plan-reuse pipeline, restore frame-exactly on failure —
 //! repairing aged placements (round-robin's combs) that neither
 //! admission-time routing nor per-device compaction can fix. A

@@ -122,6 +122,7 @@ proptest! {
                     let Some(plan) =
                         shards[src].manager().plan_migration(fid, shards[dst].manager())
                     else { continue };
+                    let pre_extract = shards[src].manager().device().config().snapshot();
                     let bundle = shards[src]
                         .extract(tid, Displacement::Migration, &mut reports[src])
                         .unwrap();
@@ -137,7 +138,7 @@ proptest! {
                                 .expect("migrated function resident on target")
                                 .2;
                             assert_readback_equivalent(
-                                bundle.extracted().pre_config(),
+                                &pre_extract,
                                 old_region,
                                 &shards[dst],
                                 new_region,
@@ -149,7 +150,7 @@ proptest! {
                                 .manager()
                                 .device()
                                 .config()
-                                .diff_frames(bundle.extracted().pre_config())
+                                .diff_frames(&pre_extract)
                                 .is_empty(), "restore must be frame-exact");
                         }
                     }
@@ -175,6 +176,7 @@ proptest! {
                         != OfferOutcome::Admitted { continue; }
                     forced_failure = true;
                     let restored_before = reports[src].migrations_restored;
+                    let pre_extract = shards[src].manager().device().config().snapshot();
                     let bundle = shards[src]
                         .extract(tid, Displacement::Migration, &mut reports[src])
                         .unwrap();
@@ -186,7 +188,7 @@ proptest! {
                         .manager()
                         .device()
                         .config()
-                        .diff_frames(bundle.extracted().pre_config())
+                        .diff_frames(&pre_extract)
                         .is_empty(), "failed migration restores frame-exactly");
                     prop_assert_eq!(reports[src].migrations_restored, restored_before + 1);
                 }

@@ -340,6 +340,7 @@ proptest! {
         src.admit(0, AdmissionBid::direct(a), &mut rep_src).unwrap();
         let (_, _, old_region) = src.resident_functions()[0];
 
+        let pre_extract = src.manager().device().config().snapshot();
         let bundle = src.extract(42, Displacement::Eviction, &mut rep_src).unwrap();
         prop_assert_eq!(rep_src.evictions_out, 1);
         prop_assert_eq!(src.resident_count(), 0);
@@ -364,7 +365,7 @@ proptest! {
             .expect("readmitted function resident")
             .2;
         assert_readback_equivalent(
-            bundle.extracted().pre_config(),
+            &pre_extract,
             old_region,
             target,
             new_region,

@@ -11,4 +11,4 @@ pub mod layout;
 mod memory;
 
 pub use frame::{BlockType, Frame, FrameAddress};
-pub use memory::{ConfigMemory, FrameWriteEffect};
+pub use memory::{ConfigMemory, FrameWriteEffect, JournalMark};

@@ -25,7 +25,7 @@ use crate::clb::{Clb, CELLS_PER_CLB};
 use crate::config::layout::{
     cell_config_bit, frame_bit_owner, pip_config_bit, state_bit, PIP_BITS_BASE, STATE_BITS_BASE,
 };
-use crate::config::{ConfigMemory, Frame, FrameAddress, FrameWriteEffect};
+use crate::config::{ConfigMemory, Frame, FrameAddress, FrameWriteEffect, JournalMark};
 use crate::error::FpgaError;
 use crate::geom::{ClbCoord, Rect};
 use crate::part::Part;
@@ -410,6 +410,46 @@ impl Device {
             self.clbs[idx].cells[cell] = decoded;
         }
         Ok(effect)
+    }
+
+    /// Makes the current configuration the recovery checkpoint (see
+    /// [`ConfigMemory::checkpoint`]).
+    pub fn checkpoint(&mut self) {
+        self.config.checkpoint();
+    }
+
+    /// Writes the last checkpoint back into the device through
+    /// [`Device::write_frame`], so the typed resources follow, and
+    /// starts a fresh checkpoint level. Returns the number of frames that
+    /// differed from the checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Propagates frame-write errors (cannot occur: every image came from
+    /// a write to this part).
+    pub fn recover(&mut self) -> Result<usize, FpgaError> {
+        let images = self.config.checkpoint_records();
+        let n = images.len();
+        // The checkpoint level already holds an image of each of these
+        // frames, so writing them back saves nothing new.
+        for (addr, image) in images {
+            self.write_frame(addr, image)?;
+        }
+        self.config.checkpoint();
+        Ok(n)
+    }
+
+    /// Opens a journal level on the configuration (see
+    /// [`ConfigMemory::open_mark`]).
+    pub fn open_mark(&mut self) -> JournalMark {
+        self.config.open_mark()
+    }
+
+    /// Closes the innermost journal level and returns the frames whose
+    /// content changed since it was opened, in address order (see
+    /// [`ConfigMemory::close_mark`]).
+    pub fn close_mark(&mut self, mark: JournalMark) -> Vec<FrameAddress> {
+        self.config.close_mark(mark)
     }
 
     fn decode_cell_from_config(&self, tile: ClbCoord, cell: usize) -> Result<LogicCell, FpgaError> {

@@ -205,7 +205,7 @@ impl MigratingFunction {
         self.tier
     }
 
-    /// The core-level snapshot (design, state, checkpoint).
+    /// The core-level snapshot (design, state, the unload's undo records).
     pub fn extracted(&self) -> &ExtractedFunction {
         &self.extracted
     }
