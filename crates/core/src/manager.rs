@@ -154,6 +154,11 @@ pub struct PlanStats {
     pub route_searches: u64,
     /// Search-queue pops across those searches.
     pub route_nodes_expanded: u64,
+    /// Frame before-images the device's configuration journal saved: at
+    /// the recovery checkpoint, around extractions and around
+    /// relocation steps (an image folded into an enclosing level counts
+    /// once). The cost of keeping the paper's §4 recovery copy.
+    pub checkpoint_frames_copied: u64,
 }
 
 impl PlanStats {
@@ -171,6 +176,7 @@ impl PlanStats {
             summary_misses: self.summary_misses - base.summary_misses,
             route_searches: self.route_searches - base.route_searches,
             route_nodes_expanded: self.route_nodes_expanded - base.route_nodes_expanded,
+            checkpoint_frames_copied: self.checkpoint_frames_copied - base.checkpoint_frames_copied,
         }
     }
 
@@ -185,6 +191,7 @@ impl PlanStats {
         self.summary_misses += other.summary_misses;
         self.route_searches += other.route_searches;
         self.route_nodes_expanded += other.route_nodes_expanded;
+        self.checkpoint_frames_copied += other.checkpoint_frames_copied;
     }
 }
 
@@ -194,7 +201,7 @@ impl fmt::Display for PlanStats {
             f,
             "{} make_room ({} previews), {} compactions, {} plans reused, \
              {} invalidated, summary cache {}/{} hits, {} route searches \
-             ({} nodes expanded)",
+             ({} nodes expanded), {} checkpoint frames copied",
             self.make_room_calls,
             self.previews,
             self.compaction_plans,
@@ -204,6 +211,7 @@ impl fmt::Display for PlanStats {
             self.summary_hits + self.summary_misses,
             self.route_searches,
             self.route_nodes_expanded,
+            self.checkpoint_frames_copied,
         )
     }
 }
@@ -611,7 +619,10 @@ impl RunTimeManager {
     /// Lifetime planning counters (see [`PlanStats`]). A service takes
     /// per-run deltas with [`PlanStats::delta_since`].
     pub fn plan_stats(&self) -> PlanStats {
-        self.stats.get()
+        PlanStats {
+            checkpoint_frames_copied: self.dev.config().images_saved(),
+            ..self.stats.get()
+        }
     }
 
     /// Advances the mutation epoch. Every arena-visible mutation must
@@ -1743,10 +1754,19 @@ mod tests {
         let moved = mgr.plan_stats().delta_since(loaded);
         assert!(moved.route_searches > 0, "relocation re-routes nets");
         assert!(moved.route_nodes_expanded >= moved.route_searches);
-        // Unloading tears nets down without searching.
+        // Unloading tears nets down without searching; only the frames
+        // it changes are journaled.
         let before_unload = mgr.plan_stats();
         mgr.unload(r.id).unwrap();
-        assert_eq!(mgr.plan_stats(), before_unload);
+        let unloaded = mgr.plan_stats().delta_since(before_unload);
+        assert!(unloaded.checkpoint_frames_copied > 0);
+        assert_eq!(
+            unloaded,
+            PlanStats {
+                checkpoint_frames_copied: unloaded.checkpoint_frames_copied,
+                ..PlanStats::default()
+            }
+        );
     }
 
     #[test]

@@ -354,6 +354,7 @@ impl FleetReport {
             ("summary_misses", s.summary_misses),
             ("route_searches", s.route_searches),
             ("route_nodes_expanded", s.route_nodes_expanded),
+            ("checkpoint_frames_copied", s.checkpoint_frames_copied),
         ]
     }
 }
@@ -500,9 +501,10 @@ mod tests {
         assert!(shown.contains("round-robin"), "{shown}");
         assert!(shown.contains("[1] XCV100"), "{shown}");
         let counters = r.counters();
-        assert_eq!(counters.len(), 40, "one entry per BENCH_fleet.json column");
+        assert_eq!(counters.len(), 41, "one entry per BENCH_fleet.json column");
         assert_eq!(counters[0], ("submitted", 11));
         assert_eq!(counters[1], ("admitted", 9));
         assert_eq!(counters[39].0, "route_nodes_expanded");
+        assert_eq!(counters[40].0, "checkpoint_frames_copied");
     }
 }

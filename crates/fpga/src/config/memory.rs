@@ -122,6 +122,8 @@ struct Journal {
     serial: u64,
     /// Per frame, densely indexed; allocated by the first save.
     stamps: Vec<u64>,
+    /// Images saved over the memory's life.
+    saved: u64,
 }
 
 impl fmt::Debug for Journal {
@@ -157,6 +159,7 @@ impl Journal {
                 image: image.clone(),
                 prior,
             });
+            self.saved += 1;
         }
     }
 }
@@ -409,6 +412,13 @@ impl ConfigMemory {
         changed
     }
 
+    /// Before-images the journal has saved over this memory's life, at
+    /// every level. An image folded into an enclosing level was saved
+    /// once. A clone starts from zero.
+    pub fn images_saved(&self) -> u64 {
+        self.journal.saved
+    }
+
     /// The frames that changed since `mark` was opened, with their
     /// content at that point, in address order: what writing back undoes
     /// the level.
@@ -623,6 +633,9 @@ mod tests {
             assert_eq!(*image, at_checkpoint.read_frame(*addr).unwrap());
         }
         assert_eq!(mem.journal.log.len(), 2, "one image per frame per level");
+        // Saved: `a` at the checkpoint, `b` at the outer mark, both at
+        // the inner mark; folding copied nothing.
+        assert_eq!(mem.images_saved(), 4);
     }
 
     #[test]
