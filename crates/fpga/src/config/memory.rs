@@ -109,37 +109,53 @@ struct Undo {
 /// Every level has a serial that is never reused: the checkpoint level's
 /// is `base` (zero while unarmed), each open mark's is in `marks`. A
 /// frame's stamp is the serial of the level that holds its newest image,
-/// so "already saved at this level" is one indexed compare.
+/// so "already saved at this level" is one indexed compare. The log, the
+/// marks and the stamps sit behind one box that the first mark or save
+/// allocates: arming a memory allocates nothing, and the journal adds
+/// four words to every device.
 #[derive(Default)]
 struct Journal {
+    levels: Option<Box<Levels>>,
+    base: u64,
+    /// The last serial handed out.
+    serial: u64,
+    /// Images saved over the memory's life.
+    saved: u64,
+}
+
+#[derive(Default)]
+struct Levels {
     /// Saved images, in save order; each open mark owns a suffix.
     log: Vec<Undo>,
     /// Open marks, innermost last: where each starts in `log`, and its
     /// serial.
     marks: Vec<(usize, u64)>,
-    base: u64,
-    /// The last serial handed out.
-    serial: u64,
     /// Per frame, densely indexed; allocated by the first save.
     stamps: Vec<u64>,
-    /// Images saved over the memory's life.
-    saved: u64,
 }
 
 impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Journal")
-            .field("images", &self.log.len())
-            .field("marks", &self.marks)
+            .field("images", &self.log().len())
+            .field("marks", &self.marks())
             .field("base", &self.base)
             .finish()
     }
 }
 
 impl Journal {
+    fn log(&self) -> &[Undo] {
+        self.levels.as_ref().map_or(&[], |l| &l.log)
+    }
+
+    fn marks(&self) -> &[(usize, u64)] {
+        self.levels.as_ref().map_or(&[], |l| &l.marks)
+    }
+
     /// The serial of the innermost level; zero when nothing is logged.
     fn level(&self) -> u64 {
-        self.marks.last().map_or(self.base, |m| m.1)
+        self.marks().last().map_or(self.base, |m| m.1)
     }
 
     /// Saves `image` as the before-image of the frame at dense index `at`
@@ -149,12 +165,13 @@ impl Journal {
         if level == 0 {
             return;
         }
-        if self.stamps.is_empty() {
-            self.stamps = vec![0; frames];
+        let l = self.levels.get_or_insert_with(Box::default);
+        if l.stamps.is_empty() {
+            l.stamps = vec![0; frames];
         }
-        let prior = std::mem::replace(&mut self.stamps[at], level);
+        let prior = std::mem::replace(&mut l.stamps[at], level);
         if prior != level {
-            self.log.push(Undo {
+            l.log.push(Undo {
                 addr,
                 image: image.clone(),
                 prior,
@@ -355,10 +372,12 @@ impl ConfigMemory {
     /// first change saves its before-image. Meant for a memory with no
     /// open mark; any that is open is dropped with its images.
     pub fn checkpoint(&mut self) {
-        debug_assert!(self.journal.marks.is_empty(), "checkpoint inside a mark");
         let j = &mut self.journal;
-        j.marks.clear();
-        j.log.clear();
+        if let Some(l) = j.levels.as_mut() {
+            debug_assert!(l.marks.is_empty(), "checkpoint inside a mark");
+            l.marks.clear();
+            l.log.clear();
+        }
         j.serial += 1;
         j.base = j.serial;
     }
@@ -369,9 +388,10 @@ impl ConfigMemory {
     pub fn open_mark(&mut self) -> JournalMark {
         let j = &mut self.journal;
         j.serial += 1;
-        j.marks.push((j.log.len(), j.serial));
+        let l = j.levels.get_or_insert_with(Box::default);
+        l.marks.push((l.log.len(), j.serial));
         JournalMark {
-            depth: j.marks.len(),
+            depth: l.marks.len(),
         }
     }
 
@@ -385,30 +405,32 @@ impl ConfigMemory {
     pub fn close_mark(&mut self, mark: JournalMark) -> Vec<FrameAddress> {
         debug_assert_eq!(
             mark.depth,
-            self.journal.marks.len(),
+            self.journal.marks().len(),
             "marks close innermost first"
         );
-        let Some((start, _)) = self.journal.marks.pop() else {
+        let Some((start, _)) = self.journal.levels.as_mut().and_then(|l| l.marks.pop()) else {
             return Vec::new();
         };
         let changed = self.changed_since(start).map(|(addr, _)| addr).collect();
         let part = self.part;
-        let j = &mut self.journal;
-        let parent = j.level();
+        let parent = self.journal.level();
+        let Some(l) = self.journal.levels.as_mut() else {
+            return changed;
+        };
         if parent == 0 {
-            j.log.truncate(start);
+            l.log.truncate(start);
             return changed;
         }
         let mut kept = start;
-        for i in start..j.log.len() {
-            let (addr, prior) = (j.log[i].addr, j.log[i].prior);
-            j.stamps[frame_index(part, addr)] = parent;
+        for i in start..l.log.len() {
+            let (addr, prior) = (l.log[i].addr, l.log[i].prior);
+            l.stamps[frame_index(part, addr)] = parent;
             if prior != parent {
-                j.log.swap(kept, i);
+                l.log.swap(kept, i);
                 kept += 1;
             }
         }
-        j.log.truncate(kept);
+        l.log.truncate(kept);
         changed
     }
 
@@ -423,7 +445,7 @@ impl ConfigMemory {
     /// content at that point, in address order: what writing back undoes
     /// the level.
     pub fn undo_records(&self, mark: &JournalMark) -> Vec<(FrameAddress, Frame)> {
-        match self.journal.marks.get(mark.depth - 1) {
+        match self.journal.marks().get(mark.depth - 1) {
             Some(&(start, _)) => self.owned_changes(start),
             None => Vec::new(),
         }
@@ -445,19 +467,17 @@ impl ConfigMemory {
     /// The frames logged from `start` on whose content now differs from
     /// their oldest image there, in address order with that image.
     fn changed_since(&self, start: usize) -> impl Iterator<Item = (FrameAddress, &Frame)> {
-        let mut logged: Vec<(FrameAddress, &Frame)> = self.journal.log[start..]
+        let mut logged: Vec<(FrameAddress, &Frame)> = self.journal.log()[start..]
             .iter()
             .map(|u| (u.addr, &u.image))
             .collect();
         // Stable: an enclosing level's image precedes a nested one's.
         logged.sort_by_key(|(addr, _)| *addr);
         logged.dedup_by_key(|(addr, _)| *addr);
+        // Every saved frame is in the map: each save comes with a write.
         logged
             .into_iter()
-            .filter(|(addr, image)| match self.frames.get(addr) {
-                Some(now) => now != *image,
-                None => image.as_bits().count_ones() > 0,
-            })
+            .filter(|(addr, image)| self.frames.get(addr) != Some(*image))
     }
 
     /// Packs every non-zero frame as address + payload words (a trivial
@@ -595,9 +615,8 @@ mod tests {
             .write_frame(addr, same)
             .unwrap()
             .is_transparent_rewrite());
-        assert!(mem.journal.log.is_empty());
         assert!(
-            mem.journal.stamps.is_empty(),
+            mem.journal.levels.is_none(),
             "nothing saved, nothing allocated"
         );
         assert!(mem.checkpoint_records().is_empty());
@@ -632,7 +651,7 @@ mod tests {
         for (addr, image) in &records {
             assert_eq!(*image, at_checkpoint.read_frame(*addr).unwrap());
         }
-        assert_eq!(mem.journal.log.len(), 2, "one image per frame per level");
+        assert_eq!(mem.journal.log().len(), 2, "one image per frame per level");
         // Saved: `a` at the checkpoint, `b` at the outer mark, both at
         // the inner mark; folding copied nothing.
         assert_eq!(mem.images_saved(), 4);
@@ -642,16 +661,20 @@ mod tests {
     fn closing_the_outermost_mark_of_an_unarmed_memory_drops_its_log() {
         let mut mem = ConfigMemory::new(Part::Xcv50);
         flip(&mut mem, FrameAddress::clb(0, 0), 0);
-        assert!(mem.journal.log.is_empty(), "unarmed: no mark, no log");
+        assert!(mem.journal.levels.is_none(), "unarmed: no mark, no log");
         let outer = mem.open_mark();
         let inner = mem.open_mark();
         flip(&mut mem, FrameAddress::clb(0, 1), 0);
         assert_eq!(mem.close_mark(inner), vec![FrameAddress::clb(0, 1)]);
-        assert_eq!(mem.journal.log.len(), 1, "folded into the open outer mark");
+        assert_eq!(
+            mem.journal.log().len(),
+            1,
+            "folded into the open outer mark"
+        );
         flip(&mut mem, FrameAddress::clb(0, 1), 1);
         assert_eq!(mem.close_mark(outer), vec![FrameAddress::clb(0, 1)]);
-        assert!(mem.journal.log.is_empty());
-        assert!(mem.journal.marks.is_empty());
+        assert!(mem.journal.log().is_empty());
+        assert!(mem.journal.marks().is_empty());
         assert!(mem.checkpoint_records().is_empty());
         // A later mark starts from scratch.
         let again = mem.open_mark();
@@ -667,11 +690,11 @@ mod tests {
         flip(&mut armed, FrameAddress::clb(6, 6), 4);
         let mut plain_copy = plain.clone();
         flip(&mut plain_copy, FrameAddress::clb(6, 6), 4);
-        assert!(!armed.journal.log.is_empty());
+        assert!(!armed.journal.log().is_empty());
         assert_eq!(armed, plain_copy, "same frames, different journals");
         for copy in [armed.snapshot(), armed.clone()] {
             assert_eq!(copy, armed);
-            assert!(copy.journal.log.is_empty() && copy.journal.base == 0);
+            assert!(copy.journal.levels.is_none() && copy.journal.base == 0);
             assert!(copy.checkpoint_records().is_empty());
         }
     }
