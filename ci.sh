@@ -26,6 +26,12 @@ echo "==> cargo check: the standalone benchmark against the library API"
 # and AdmissionBid; a public-API edit that breaks it fails here.
 cargo check -q --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark self-test: every workload at tiny scale, traced and untraced"
+# Each pass must report correct: true and failed: 0 (the report
+# identities and the pinned counters), so a perf change is checked for
+# both here rather than by hand.
+cargo test --release -q --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q
 
