@@ -363,53 +363,6 @@ impl AdmissionPreview {
     }
 }
 
-/// A cross-device migration plan: the evidence that moving one resident
-/// function from a *source* manager onto a *target* manager is
-/// executable right now, stamped on **both** sides. The source side
-/// carries the epoch the function's geometry was read at; the target
-/// side carries an epoch-stamped [`RoomPlan`] from the target's own
-/// planner. Either stamp going stale means the plan describes a layout
-/// that no longer exists, and the plan must be re-planned, never
-/// executed — [`RunTimeManager::migration_plan_valid`] is the source
-/// check, and [`RunTimeManager::readmit_function`] applies the standard
-/// room-plan revalidation on the target.
-#[derive(Debug, Clone)]
-pub struct MigrationPlan {
-    src_epoch: u64,
-    id: FunctionId,
-    rows: u16,
-    cols: u16,
-    room: RoomPlan,
-}
-
-impl MigrationPlan {
-    /// The function the plan would migrate (source-manager id).
-    pub fn id(&self) -> FunctionId {
-        self.id
-    }
-
-    /// The source-manager epoch the plan was computed at.
-    pub fn src_epoch(&self) -> u64 {
-        self.src_epoch
-    }
-
-    /// The migrating function's shape.
-    pub fn shape(&self) -> (u16, u16) {
-        (self.rows, self.cols)
-    }
-
-    /// CLBs the function occupies (the port-time cost of copying it).
-    pub fn cells(&self) -> u32 {
-        self.rows as u32 * self.cols as u32
-    }
-
-    /// The target-side rearrangement plan the readmission would execute
-    /// first (empty when the function fits the target as-is).
-    pub fn room(&self) -> &RoomPlan {
-        &self.room
-    }
-}
-
 /// A resident function snapshotted off its device mid-migration by
 /// [`RunTimeManager::extract_function`]: everything needed to
 /// re-implement it on another manager
@@ -850,38 +803,6 @@ impl RunTimeManager {
         let mut scratch = self.arena.clone();
         scratch.release(id).ok()?;
         Some(scratch.fragmentation())
-    }
-
-    /// Plans — without executing anything — the migration of resident
-    /// function `id` from this manager onto `target`: the returned
-    /// [`MigrationPlan`] carries this manager's epoch stamp and the
-    /// target's epoch-stamped [`RoomPlan`] for the function's shape.
-    /// `None` when `id` is unknown or the target cannot make room even
-    /// with compaction.
-    pub fn plan_migration(&self, id: FunctionId, target: &RunTimeManager) -> Option<MigrationPlan> {
-        let region = self.arena.task_rect(id)?;
-        let room = target.plan_room(region.rows, region.cols)?;
-        Some(MigrationPlan {
-            src_epoch: self.epoch,
-            id,
-            rows: region.rows,
-            cols: region.cols,
-            room,
-        })
-    }
-
-    /// True while `plan` is still executable on this (source) manager:
-    /// the epoch stamp matches and the function still holds the shape
-    /// the plan was computed for. A stale plan must be re-planned,
-    /// never executed — its geometry (and the target's room plan)
-    /// describe a layout that no longer exists.
-    pub fn migration_plan_valid(&self, plan: &MigrationPlan) -> bool {
-        plan.src_epoch == self.epoch
-            && self
-                .arena
-                .task_rect(plan.id)
-                .map(|r| (r.rows, r.cols) == (plan.rows, plan.cols))
-                .unwrap_or(false)
     }
 
     /// Snapshots resident function `id` and removes it from this

@@ -54,17 +54,13 @@ fn extract_readmit_roundtrip_is_readback_equivalent_modulo_offset() {
     let blocker = dst.load(&small_design(2), 16, 4, |_, _, _| {}).unwrap();
     let r = src.load(&small_design(1), 8, 8, |_, _, _| {}).unwrap();
 
-    let plan = src
-        .plan_migration(r.id, &dst)
-        .expect("target can host the shape");
-    assert!(src.migration_plan_valid(&plan));
-    assert_eq!(plan.shape(), (8, 8));
-    assert_eq!(plan.cells(), 64);
-    assert!(plan.room().is_empty(), "the target has contiguous room");
+    let room = dst.plan_room(8, 8).expect("target can host the shape");
+    assert!(room.is_empty(), "the target has contiguous room");
 
     let pre_extract = src.device().config().snapshot();
     let extracted = src.extract_function(r.id).unwrap();
     assert_eq!(extracted.shape(), (8, 8));
+    assert_eq!(extracted.cells(), 64);
     assert_eq!(extracted.region(), r.region);
     // The source is fully clean: no orphan arena state, no leftover
     // configuration, and the manager keeps working.
@@ -74,7 +70,7 @@ fn extract_readmit_roundtrip_is_readback_equivalent_modulo_offset() {
     assert!(src.bookkeeping_consistent());
     src.defragment(|_, _, _| {}).unwrap();
 
-    let lr = dst.readmit_function(&extracted, &plan.room().clone(), |_, _, _| {});
+    let lr = dst.readmit_function(&extracted, &room, |_, _, _| {});
     let lr = lr.unwrap();
     assert_eq!((lr.region.rows, lr.region.cols), (8, 8));
     assert_ne!(
@@ -135,47 +131,18 @@ fn restore_refuses_a_stale_checkpoint() {
 }
 
 #[test]
-fn stale_migration_plans_are_detected_not_executed() {
-    let mut src = RunTimeManager::new(Part::Xcv50);
-    let dst = RunTimeManager::new(Part::Xcv50);
-    let r = src.load(&small_design(7), 8, 8, |_, _, _| {}).unwrap();
-    let plan = src.plan_migration(r.id, &dst).unwrap();
-    assert!(src.migration_plan_valid(&plan));
-    // Any source mutation stales the plan: its geometry (and the
-    // room plan computed for it) describe a layout that is gone.
-    src.load(&small_design(8), 4, 4, |_, _, _| {}).unwrap();
-    assert!(!src.migration_plan_valid(&plan));
-    // A departed function stales it too, shape check included.
-    let plan2 = src.plan_migration(r.id, &dst).unwrap();
-    src.unload(r.id).unwrap();
-    assert!(!src.migration_plan_valid(&plan2));
-    // Unknown ids and impossible targets never plan at all.
-    assert!(src.plan_migration(999, &dst).is_none());
-    let tiny = RunTimeManager::new(Part::Xcv50);
-    let big = {
-        let mut m = RunTimeManager::new(Part::Xcv200);
-        let lr = m.load(&small_design(9), 20, 30, |_, _, _| {}).unwrap();
-        (m, lr.id)
-    };
-    assert!(
-        big.0.plan_migration(big.1, &tiny).is_none(),
-        "a 20x30 function cannot migrate onto a 16x24 device"
-    );
-}
-
-#[test]
 fn stale_room_plan_on_the_target_is_replanned_on_readmit() {
     let mut src = RunTimeManager::new(Part::Xcv50);
     let mut dst = RunTimeManager::new(Part::Xcv50);
     let r = src.load(&small_design(10), 8, 8, |_, _, _| {}).unwrap();
-    let plan = src.plan_migration(r.id, &dst).unwrap();
+    let room = dst.plan_room(8, 8).unwrap();
     // The target mutates between planning and execution: the room
     // plan's epoch stamp no longer matches.
     let filler = dst.load(&small_design(11), 4, 4, |_, _, _| {}).unwrap();
     let extracted = src.extract_function(r.id).unwrap();
     let base = dst.plan_stats();
     let lr = dst
-        .readmit_function(&extracted, plan.room(), |_, _, _| {})
+        .readmit_function(&extracted, &room, |_, _, _| {})
         .unwrap();
     let delta = dst.plan_stats().delta_since(base);
     assert_eq!(delta.plans_invalidated, 1, "stale stamp detected");

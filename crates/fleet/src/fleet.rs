@@ -5,7 +5,7 @@ use crate::engine;
 use crate::rebalance::{MigrationDirective, MigrationOutcome, RebalancePolicy};
 use crate::report::{FleetReport, FleetSample, ShardOutcome};
 use crate::routing::{RouteCandidate, RoutingPolicy};
-use rtm_core::{CoreError, MigrationPlan, RoomPlan};
+use rtm_core::{CoreError, RoomPlan};
 use rtm_obs::{
     EventBuffer, EventKind, EventSink, Phase, PhaseProfiler, RejectReason, RtmEvent, FLEET_SHARD,
 };
@@ -596,16 +596,16 @@ impl FleetService {
     ///
     /// 1. the directive must name a function resident on `from` and a
     ///    distinct in-range target ([`MigrationOutcome::RefusedUnknown`]);
-    /// 2. the target must be able to make room for the function's
-    ///    shape — the epoch-stamped
-    ///    [`MigrationPlan`] is computed here,
-    ///    and a plan that goes stale is re-planned, never executed
-    ///    ([`MigrationOutcome::RefusedNoRoom`]);
+    /// 2. the target's [`RunTimeManager::plan_room`](rtm_core::RunTimeManager::plan_room)
+    ///    must find room for the function's shape
+    ///    ([`MigrationOutcome::RefusedNoRoom`]); the readmission
+    ///    executes that epoch-stamped plan, and re-plans it if it went
+    ///    stale;
     /// 3. the reconfiguration-port time of the copy (function cells
-    ///    plus the target's rearrangement moves, priced at each
-    ///    shard's `us_per_clb`) must fit inside **both** shards' idle
-    ///    windows, so no queued deadline-bound request is ever made
-    ///    late ([`MigrationOutcome::RefusedWindow`]);
+    ///    plus the target's rearrangement moves, priced by each
+    ///    shard's [`RuntimeService::port_time`]) must fit inside
+    ///    **both** shards' idle windows, so no queued deadline-bound
+    ///    request is ever made late ([`MigrationOutcome::RefusedWindow`]);
     /// 4. only then is the function extracted and readmitted. A failed
     ///    readmission restores it on the source from the extraction
     ///    checkpoint, frame for frame
@@ -637,32 +637,26 @@ impl FleetService {
         if d.from == d.to || d.from >= self.shards.len() || d.to >= self.shards.len() {
             return Ok(MigrationOutcome::RefusedUnknown);
         }
-        let Some(fid) = self.shards[d.from].resident_function_id(d.trace_id) else {
+        let (src, dst) = (&self.shards[d.from], &self.shards[d.to]);
+        let Some(region) = src
+            .resident_function_id(d.trace_id)
+            .and_then(|fid| src.manager().function(fid))
+            .map(|f| f.region)
+        else {
             return Ok(MigrationOutcome::RefusedUnknown);
         };
-
-        // Plan the migration (source geometry + target room, both
-        // epoch-stamped). Single-threaded as we are, the plan cannot go
-        // stale between here and execution; the validity check still
-        // runs so the never-execute-stale contract is enforced by code,
-        // not by convention.
-        let src_mgr = self.shards[d.from].manager();
-        let Some(plan) = src_mgr.plan_migration(fid, self.shards[d.to].manager()) else {
+        let Some(room) = dst.manager().plan_room(region.rows, region.cols) else {
             return Ok(MigrationOutcome::RefusedNoRoom);
         };
-        debug_assert!(src_mgr.migration_plan_valid(&plan));
 
         // Port-time cost on each side, against each side's idle window:
         // the source pays the extraction copy, the target pays the
         // readmission copy plus whatever rearrangement its room plan
         // executes first.
-        let src_cost = plan.cells() as Micros * self.shards[d.from].config().us_per_clb;
-        let dst_cost = (plan.cells() + plan.room().cells_moved()) as Micros
-            * self.shards[d.to].config().us_per_clb;
-        let (src_window, dst_window) = (
-            self.shards[d.from].idle_window(),
-            self.shards[d.to].idle_window(),
-        );
+        let cells = region.area();
+        let src_cost = src.port_time(cells);
+        let dst_cost = dst.port_time(cells + room.cells_moved());
+        let (src_window, dst_window) = (src.idle_window(), dst.idle_window());
         if src_cost > src_window || dst_cost > dst_window {
             let (needed, window) = if src_cost > src_window {
                 (src_cost, src_window)
@@ -681,7 +675,7 @@ impl FleetService {
         match self.shards[d.to].readmit(
             now,
             &bundle,
-            Some(plan.room().clone()),
+            Some(room),
             Displacement::Migration,
             &mut reports[d.to],
         ) {
@@ -771,8 +765,7 @@ impl FleetService {
                 // the id).
                 self.shards[s].execute_reserved(&mut st.reports[s])?;
                 if self.shards[s].holds(a.id) {
-                    let part = self.shards[s].part();
-                    if a.rows <= part.clb_rows() && a.cols <= part.clb_cols() {
+                    if self.shards[s].part().holds(a.rows, a.cols) {
                         self.shards[s].enqueue(at, a, &mut st.reports[s])?;
                     } else {
                         // A duplicate whose shape the owning device
@@ -962,10 +955,7 @@ impl FleetService {
     ) -> Result<Option<(usize, ReserveOutcome)>, CoreError> {
         let a = chain.arrival;
         let n = self.shards.len();
-        let fits = |s: &RuntimeService| {
-            let part = s.part();
-            a.rows <= part.clb_rows() && a.cols <= part.clb_cols()
-        };
+        let fits = |s: &RuntimeService| s.part().holds(a.rows, a.cols);
         // The victim search reads each candidate's resident set, and a
         // function seated earlier in this routing edge is not resident
         // until its ticket runs — including on shards the capped offer
@@ -1011,13 +1001,12 @@ impl FleetService {
         }
     }
 
-    /// Evicts `tid` off shard `from` and disposes of the bundle:
-    /// migrated onto the first sibling (index order) whose planned room
-    /// fits inside that sibling's idle window — destination-side check
-    /// only, the source is being preempted *on* the critical path —
-    /// otherwise parked on the fleet's park queue (a `Parked` event on
-    /// the fleet stream). Either way the victim's state travels as a
-    /// checkpointed extraction bundle, frame for frame.
+    /// Evicts `tid` off shard `from` and disposes of the bundle: placed
+    /// on a sibling ([`FleetService::place`], destination-side checks
+    /// only, since the source is being preempted *on* the critical
+    /// path), otherwise parked on the fleet's park queue (a `Parked`
+    /// event on the fleet stream). Either way the victim's state
+    /// travels as a checkpointed extraction bundle, frame for frame.
     fn evict_and_dispose(
         &mut self,
         from: usize,
@@ -1026,47 +1015,12 @@ impl FleetService {
     ) -> Result<(), CoreError> {
         // The victim was looked up on this same shard inside this same
         // sequential edge, so it is resident by construction; a miss
-        // means the bookkeeping diverged and must surface as an error.
-        let Some(fid) = self.shards[from].resident_function_id(tid) else {
-            return Err(CoreError::Place(rtm_place::PlaceError::UnknownTask {
-                id: tid,
-            }));
-        };
-        let n = self.shards.len();
-        let mut target: Option<(usize, MigrationPlan)> = None;
-        for t in (0..n).filter(|&t| t != from) {
-            let Some(plan) = self.shards[from]
-                .manager()
-                .plan_migration(fid, self.shards[t].manager())
-            else {
-                continue;
-            };
-            let dst_cost = (plan.cells() + plan.room().cells_moved()) as Micros
-                * self.shards[t].config().us_per_clb;
-            if dst_cost <= self.shards[t].idle_window() {
-                target = Some((t, plan));
-                break;
-            }
-        }
+        // surfaces as extraction's unknown-id error.
         let bundle =
             self.shards[from].extract(tid, Displacement::Eviction, &mut st.reports[from])?;
-        if let Some((t, plan)) = target {
-            if self.shards[t]
-                .readmit(
-                    self.now,
-                    &bundle,
-                    Some(plan.room().clone()),
-                    Displacement::Eviction,
-                    &mut st.reports[t],
-                )
-                .is_ok()
-            {
-                self.owner.insert(tid, Holder::Shard(t));
-                st.report.evictions_migrated += 1;
-                return Ok(());
-            }
-            // The target cleaned itself up and the bundle is still
-            // whole: fall through to the park queue.
+        if self.place(&bundle, Some(from), &mut st.reports) {
+            st.report.evictions_migrated += 1;
+            return Ok(());
         }
         self.owner.insert(tid, Holder::Parked);
         st.report.evictions_parked += 1;
@@ -1086,68 +1040,76 @@ impl FleetService {
         Ok(())
     }
 
-    /// Retries every parked bundle, oldest first, onto the first shard
-    /// (index order) that can hold its shape, make room for it, and
-    /// absorb the copy inside its idle window. Bundles whose residency
-    /// expired while parked are dropped ([`FleetReport::parked_expired`]);
-    /// the rest stay parked for a later epoch. Returns whether any
-    /// readmission actually moved logic (the caller re-settles queues
-    /// and re-samples the timeline, like after a migration wave).
+    /// Retries every parked bundle, oldest first, through
+    /// [`FleetService::place`]. Bundles whose residency expired while
+    /// parked are dropped ([`FleetReport::parked_expired`]); the rest
+    /// stay parked for a later epoch. Returns whether any readmission
+    /// actually moved logic (the caller re-settles queues and
+    /// re-samples the timeline, like after a migration wave).
     fn readmit_parked(&mut self, st: &mut RunState) -> Result<bool, CoreError> {
         let now = self.now;
-        let n = self.shards.len();
         let mut moved = false;
         let mut still_parked = Vec::new();
         for p in std::mem::take(&mut self.park) {
-            let id = p.bundle.trace_id();
             if p.bundle.expiry().map(|e| e <= now).unwrap_or(false) {
-                self.owner.remove(&id);
+                self.owner.remove(&p.bundle.trace_id());
                 st.report.parked_expired += 1;
-                continue;
-            }
-            let (rows, cols) = p.bundle.shape();
-            let mut seated = None;
-            for t in 0..n {
-                let part = self.shards[t].part();
-                if rows > part.clb_rows() || cols > part.clb_cols() {
-                    continue;
-                }
-                let Some(plan) = self.shards[t].manager().plan_room(rows, cols) else {
-                    continue;
-                };
-                let cost = (p.bundle.cells() + plan.cells_moved()) as Micros
-                    * self.shards[t].config().us_per_clb;
-                if cost > self.shards[t].idle_window() {
-                    continue;
-                }
-                if self.shards[t]
-                    .readmit(
-                        now,
-                        &p.bundle,
-                        Some(plan),
-                        Displacement::Eviction,
-                        &mut st.reports[t],
-                    )
-                    .is_ok()
-                {
-                    seated = Some(t);
-                    break;
-                }
-            }
-            match seated {
-                Some(t) => {
-                    self.owner.insert(id, Holder::Shard(t));
-                    st.report.parked_readmitted += 1;
-                    st.report
-                        .metrics
-                        .observe("park_wait_us", now.saturating_sub(p.parked_at));
-                    moved = true;
-                }
-                None => still_parked.push(p),
+            } else if self.place(&p.bundle, None, &mut st.reports) {
+                st.report.parked_readmitted += 1;
+                st.report
+                    .metrics
+                    .observe("park_wait_us", now.saturating_sub(p.parked_at));
+                moved = true;
+            } else {
+                still_parked.push(p);
             }
         }
         self.park = still_parked;
         Ok(moved)
+    }
+
+    /// The one placement step for a displaced function: readmits
+    /// `bundle` as an eviction on the first shard, in index order and
+    /// other than `skip`, whose part holds the bundle's shape, whose
+    /// room plan succeeds, and whose idle window covers the copy (the
+    /// bundle's CLBs plus the plan's moves), so a readmission never
+    /// makes a queued deadline-bound request late. A readmission that
+    /// fails leaves that shard clean and the bundle whole, and the
+    /// search moves on to the next shard. Returns whether the bundle
+    /// was placed; its owner entry then names the new shard.
+    fn place(
+        &mut self,
+        bundle: &MigratingFunction,
+        skip: Option<usize>,
+        reports: &mut [ServiceReport],
+    ) -> bool {
+        let (rows, cols) = bundle.shape();
+        for t in (0..self.shards.len()).filter(|&t| Some(t) != skip) {
+            let shard = &self.shards[t];
+            if !shard.part().holds(rows, cols) {
+                continue;
+            }
+            let Some(plan) = shard.manager().plan_room(rows, cols) else {
+                continue;
+            };
+            if shard.port_time(bundle.cells() + plan.cells_moved()) > shard.idle_window() {
+                continue;
+            }
+            if self.shards[t]
+                .readmit(
+                    self.now,
+                    bundle,
+                    Some(plan),
+                    Displacement::Eviction,
+                    &mut reports[t],
+                )
+                .is_ok()
+            {
+                self.owner.insert(bundle.trace_id(), Holder::Shard(t));
+                return true;
+            }
+        }
+        false
     }
 
     /// Settles every reservation seated on this epoch's routing edge,

@@ -90,7 +90,7 @@ fn rank_targets(shards: &[RuntimeService], from: usize, rows: u16, cols: u16) ->
     let mut targets: Vec<(usize, bool, f64, f64)> = shards
         .iter()
         .enumerate()
-        .filter(|(i, s)| *i != from && rows <= s.part().clb_rows() && cols <= s.part().clb_cols())
+        .filter(|(i, s)| *i != from && s.part().holds(rows, cols))
         .map(|(i, s)| {
             let m = s.manager().summary().frag;
             (
@@ -284,9 +284,7 @@ impl RebalancePolicy for UtilizationLevelling {
             let target = shards
                 .iter()
                 .enumerate()
-                .filter(|(i, s)| {
-                    *i != src && rows <= s.part().clb_rows() && cols <= s.part().clb_cols()
-                })
+                .filter(|(i, s)| *i != src && s.part().holds(rows, cols))
                 .min_by(|(a, sa), (b, sb)| {
                     let (ua, ub) = (
                         sa.manager().fragmentation().utilisation(),

@@ -66,7 +66,7 @@ pub fn eligible(arrival: &Arrival, shards: &[RuntimeService]) -> Vec<usize> {
     shards
         .iter()
         .enumerate()
-        .filter(|(_, s)| arrival.rows <= s.part().clb_rows() && arrival.cols <= s.part().clb_cols())
+        .filter(|(_, s)| s.part().holds(arrival.rows, arrival.cols))
         .map(|(i, _)| i)
         .collect()
 }

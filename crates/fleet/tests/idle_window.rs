@@ -2,6 +2,7 @@
 //! deterministically: a migration scheduled into an idle window
 //! shorter than its reconfiguration cost is refused — and the queued
 //! request whose deadline defined that window still starts on time.
+//! Every other refusal leaves the function where it was, too.
 
 use rtm_fleet::rebalance::{MigrationDirective, MigrationOutcome};
 use rtm_fleet::routing::RoundRobin;
@@ -135,4 +136,43 @@ fn migration_into_a_long_window_proceeds() {
         "the departure reached the migrated function's new shard\n{report}"
     );
     assert_eq!(fleet.shards()[1].resident_count(), 1);
+}
+
+#[test]
+fn refused_migrations_leave_the_function_on_its_source() {
+    // A 20x28 resident of an XCV200; the XCV50 beside it (16x24 CLBs)
+    // can never hold that shape.
+    let config = FleetConfig::heterogeneous(&[Part::Xcv200, Part::Xcv50], ServiceConfig::default());
+    let mut fleet = FleetService::new(config, Box::new(RoundRobin::default()));
+    let mut trace = Trace::new("setup");
+    trace.push(0, arrival(0, 20, 28, None));
+    assert_eq!(fleet.run(&trace).unwrap().admitted(), 1);
+    let mut reports: Vec<ServiceReport> = (0..2)
+        .map(|i| ServiceReport::new(format!("migrate#{i}")))
+        .collect();
+
+    let directive = |trace_id, from, to| MigrationDirective { trace_id, from, to };
+    let cases = [
+        (directive(0, 0, 0), MigrationOutcome::RefusedUnknown),
+        (directive(0, 0, 2), MigrationOutcome::RefusedUnknown),
+        (directive(0, 1, 0), MigrationOutcome::RefusedUnknown),
+        (directive(7, 0, 1), MigrationOutcome::RefusedUnknown),
+        (directive(0, 0, 1), MigrationOutcome::RefusedNoRoom),
+    ];
+    for (d, expected) in cases {
+        assert_eq!(fleet.migrate(d, &mut reports).unwrap(), expected, "{d:?}");
+        assert!(
+            fleet.shards()[0].resident_function_id(0).is_some(),
+            "{d:?}: still resident on its source"
+        );
+        assert_eq!(fleet.shards()[1].resident_count(), 0, "{d:?}");
+        assert!(
+            fleet
+                .shards()
+                .iter()
+                .all(|s| s.manager().bookkeeping_consistent()),
+            "{d:?}"
+        );
+        assert!(reports.iter().all(|r| r.migrations_out == 0), "{d:?}");
+    }
 }

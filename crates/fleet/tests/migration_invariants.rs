@@ -118,17 +118,16 @@ proptest! {
                     let dst = (src + 1 + b as usize % (n - 1)) % n;
                     if dst == src { continue; }
                     let residents = shards[src].resident_functions();
-                    let (tid, fid, old_region) = residents[sel % residents.len()];
-                    let Some(plan) =
-                        shards[src].manager().plan_migration(fid, shards[dst].manager())
+                    let (tid, _, old_region) = residents[sel % residents.len()];
+                    let Some(room) =
+                        shards[dst].manager().plan_room(old_region.rows, old_region.cols)
                     else { continue };
                     let pre_extract = shards[src].manager().device().config().snapshot();
                     let bundle = shards[src]
                         .extract(tid, Displacement::Migration, &mut reports[src])
                         .unwrap();
-                    let room = Some(plan.room().clone());
                     let inbound = shards[dst].readmit(
-                        now, &bundle, room, Displacement::Migration, &mut reports[dst]);
+                        now, &bundle, Some(room), Displacement::Migration, &mut reports[dst]);
                     match inbound {
                         Ok(()) => {
                             let new_region = shards[dst]

@@ -73,6 +73,11 @@ impl Part {
         }
     }
 
+    /// True when a `rows`×`cols` function fits this part's CLB array.
+    pub fn holds(self, rows: u16, cols: u16) -> bool {
+        rows <= self.clb_rows() && cols <= self.clb_cols()
+    }
+
     /// Total CLBs.
     pub fn clb_count(self) -> u32 {
         self.clb_rows() as u32 * self.clb_cols() as u32
@@ -147,6 +152,16 @@ mod tests {
         assert_eq!(p.clb_cols(), 42);
         assert_eq!(p.clb_count(), 1176);
         assert_eq!(p.cell_count(), 4704);
+    }
+
+    #[test]
+    fn holds_its_own_clb_array_and_nothing_larger() {
+        for p in Part::ALL {
+            let (rows, cols) = (p.clb_rows(), p.clb_cols());
+            assert!(p.holds(rows, cols), "{p}");
+            assert!(!p.holds(rows + 1, cols), "{p}");
+            assert!(!p.holds(rows, cols + 1), "{p}");
+        }
     }
 
     #[test]

@@ -215,8 +215,8 @@ impl MigratingFunction {
         self.extracted.shape()
     }
 
-    /// CLBs the function occupies — the reconfiguration-port time a
-    /// device pays (× `us_per_clb`) to copy it off or on.
+    /// CLBs the function occupies: a device copies it off or on in
+    /// [`RuntimeService::port_time`] of this many cells.
     pub fn cells(&self) -> u32 {
         self.extracted.cells()
     }
@@ -506,11 +506,18 @@ impl RuntimeService {
             .filter_map(|q| {
                 q.arrival.deadline.map(|d| {
                     d.saturating_sub(self.now)
-                        .saturating_sub(q.arrival.area() as Micros * self.config.us_per_clb)
+                        .saturating_sub(self.port_time(q.arrival.area()))
                 })
             })
             .min()
             .unwrap_or(Micros::MAX)
+    }
+
+    /// Reconfiguration-port time (µs) this shard spends writing `cells`
+    /// CLBs, at its configured `us_per_clb`: the one price of a copy or
+    /// a rearrangement, on every admission, migration and eviction path.
+    pub fn port_time(&self, cells: u32) -> Micros {
+        cells as Micros * self.config.us_per_clb
     }
 
     /// Replays `trace` to completion: every event is processed in time
@@ -1252,7 +1259,7 @@ impl RuntimeService {
         // the deadline, don't move running functions for nothing — the
         // request stays queued: a departure may yet shrink the plan,
         // and `serve_queue` rejects it once the deadline itself passes.
-        let start = self.now + plan.cells_moved() as Micros * self.config.us_per_clb;
+        let start = self.now + self.port_time(plan.cells_moved());
         if a.deadline.map(|d| start > d).unwrap_or(false) {
             return Ok(ReserveOutcome::NoRoom);
         }
@@ -1411,11 +1418,7 @@ impl RuntimeService {
             report.frames_written += cost.frames_written;
             report.reconfig_ms += cost.millis();
         }
-        report.baseline_halt_ms += moves
-            .iter()
-            .map(|m| m.cells_moved() as Micros * self.config.us_per_clb)
-            .sum::<Micros>() as f64
-            / 1000.0;
+        report.baseline_halt_ms += self.port_time(cells) as f64 / 1000.0;
     }
 
     /// A synthetic free-running design sized for the request. The logic
