@@ -18,6 +18,16 @@ use rtm_sched::qos::{victim_cost, QosTier};
 use rtm_sched::task::Micros;
 use std::collections::{BTreeMap, VecDeque};
 
+/// One resident function's record: the manager id it runs under, its
+/// QoS tier and, for a duration-bound residency, the simulated instant
+/// it expires.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    fid: FunctionId,
+    tier: QosTier,
+    expiry: Option<Micros>,
+}
+
 /// A queued request.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
@@ -273,14 +283,10 @@ pub struct RuntimeService {
     config: ServiceConfig,
     mgr: RunTimeManager,
     now: Micros,
-    /// Trace id → manager function id for resident functions.
-    resident: BTreeMap<u64, FunctionId>,
-    /// Trace id → simulated time its residency expires.
-    expiry: BTreeMap<u64, Micros>,
-    /// Trace id → QoS tier of every resident — the candidate set
-    /// [`RuntimeService::preemption_victim`] ranks when a higher-tier
-    /// reserve cannot be seated.
-    tier_of: BTreeMap<u64, QosTier>,
+    /// Trace id → residency record, one per resident function. Kept in
+    /// trace-id order, which is the order due residencies depart in and
+    /// the tie-break of [`RuntimeService::preemption_victim`].
+    resident: BTreeMap<u64, Resident>,
     queue: VecDeque<Queued>,
     /// Manager plan-stats snapshot at the start of the current run —
     /// [`RuntimeService::finish`] reports the delta.
@@ -339,8 +345,6 @@ impl RuntimeService {
             mgr,
             now: 0,
             resident: BTreeMap::new(),
-            expiry: BTreeMap::new(),
-            tier_of: BTreeMap::new(),
             queue: VecDeque::new(),
             stats_base: PlanStats::default(),
             head_blocked: None,
@@ -428,7 +432,7 @@ impl RuntimeService {
     /// The earliest known residency expiration, if any — the shard's
     /// contribution to a fleet-wide event clock.
     pub fn next_expiry(&self) -> Option<Micros> {
-        self.expiry.values().min().copied()
+        self.resident.values().filter_map(|r| r.expiry).min()
     }
 
     /// The shard's next **self-scheduled** event: the read-only peek a
@@ -468,7 +472,7 @@ impl RuntimeService {
     pub fn resident_functions(&self) -> Vec<(u64, FunctionId, rtm_fpga::geom::Rect)> {
         self.resident
             .iter()
-            .filter_map(|(tid, fid)| self.mgr.function(*fid).map(|f| (*tid, *fid, f.region)))
+            .filter_map(|(tid, r)| self.mgr.function(r.fid).map(|f| (*tid, r.fid, f.region)))
             .collect()
     }
 
@@ -477,7 +481,7 @@ impl RuntimeService {
     /// resolve a single migration directive without materialising the
     /// whole resident set.
     pub fn resident_function_id(&self, trace_id: u64) -> Option<FunctionId> {
-        self.resident.get(&trace_id).copied()
+        self.resident.get(&trace_id).map(|r| r.fid)
     }
 
     /// The requests waiting in this shard's queue, in queue order — a
@@ -578,9 +582,9 @@ impl RuntimeService {
         self.execute_reserved(report)?;
         self.now = self.now.max(now);
         let due: Vec<u64> = self
-            .expiry
+            .resident
             .iter()
-            .filter(|(_, t)| **t <= now)
+            .filter(|(_, r)| r.expiry.is_some_and(|t| t <= now))
             .map(|(id, _)| *id)
             .collect();
         for id in due {
@@ -900,9 +904,8 @@ impl RuntimeService {
         // pending ticket — execute first so it departs as a resident,
         // exactly as it would have under inline execution.
         self.execute_reserved(report)?;
-        if let Some(fid) = self.resident_function_id(trace_id) {
-            self.forget_resident(trace_id);
-            self.mgr.unload(fid)?;
+        if let Some(r) = self.forget_resident(trace_id) {
+            self.mgr.unload(r.fid)?;
             report.departures += 1;
             if let Some(s) = self.sink() {
                 s.emit(self.now, EventKind::Unload { id: trace_id });
@@ -951,11 +954,13 @@ impl RuntimeService {
         report: &mut ServiceReport,
     ) -> Result<MigratingFunction, CoreError> {
         self.execute_reserved(report)?;
-        let fid = self.resident_function_id(trace_id).ok_or(CoreError::Place(
-            rtm_place::PlaceError::UnknownTask { id: trace_id },
-        ))?;
+        let Some(&Resident { fid, tier, expiry }) = self.resident.get(&trace_id) else {
+            return Err(CoreError::Place(rtm_place::PlaceError::UnknownTask {
+                id: trace_id,
+            }));
+        };
         let extracted = self.mgr.extract_function(fid)?;
-        let (tier, expiry) = self.forget_resident(trace_id);
+        self.forget_resident(trace_id);
         let event = match kind {
             Displacement::Migration => {
                 report.migrations_out += 1;
@@ -1076,8 +1081,8 @@ impl RuntimeService {
         Ok(())
     }
 
-    /// Enters `trace_id` in the residency tables: the one write site
-    /// shared by admission, readmission and restore.
+    /// Enters `trace_id`'s residency record: the one write site shared
+    /// by admission, readmission and restore.
     fn make_resident(
         &mut self,
         trace_id: u64,
@@ -1085,25 +1090,21 @@ impl RuntimeService {
         tier: QosTier,
         expiry: Option<Micros>,
     ) {
-        self.resident.insert(trace_id, fid);
-        self.tier_of.insert(trace_id, tier);
-        if let Some(e) = expiry {
-            self.expiry.insert(trace_id, e);
+        self.resident
+            .insert(trace_id, Resident { fid, tier, expiry });
+        if expiry.is_some() {
             self.schedule_version += 1;
         }
     }
 
-    /// Drops `trace_id` from the residency tables, returning the tier
-    /// and expiry it held: the one removal site shared by departure and
-    /// extraction.
-    fn forget_resident(&mut self, trace_id: u64) -> (QosTier, Option<Micros>) {
-        self.resident.remove(&trace_id);
-        let tier = self.tier_of.remove(&trace_id).unwrap_or(QosTier::Standard);
-        let expiry = self.expiry.remove(&trace_id);
-        if expiry.is_some() {
+    /// Removes and returns `trace_id`'s residency record: the one
+    /// removal site shared by departure and extraction.
+    fn forget_resident(&mut self, trace_id: u64) -> Option<Resident> {
+        let r = self.resident.remove(&trace_id)?;
+        if r.expiry.is_some() {
             self.schedule_version += 1;
         }
-        (tier, expiry)
+        Some(r)
     }
 
     /// The cheapest resident this shard could sacrifice to seat an
@@ -1125,16 +1126,10 @@ impl RuntimeService {
     pub fn preemption_victim(&self, tier: QosTier, exclude: &[u64]) -> Option<(u64, u128)> {
         self.resident
             .iter()
-            .filter(|(tid, _)| {
-                if exclude.contains(tid) {
-                    return false;
-                }
-                let resident_tier = self.tier_of.get(tid).copied().unwrap_or(QosTier::Standard);
-                tier.may_preempt(resident_tier)
-            })
-            .filter_map(|(tid, fid)| {
-                let f = self.mgr.function(*fid)?;
-                let remaining = self.expiry.get(tid).map(|e| e.saturating_sub(self.now));
+            .filter(|(tid, r)| !exclude.contains(tid) && tier.may_preempt(r.tier))
+            .filter_map(|(tid, r)| {
+                let f = self.mgr.function(r.fid)?;
+                let remaining = r.expiry.map(|e| e.saturating_sub(self.now));
                 Some((*tid, victim_cost(f.region.area(), remaining)))
             })
             .min_by_key(|(tid, cost)| (*cost, *tid))
