@@ -30,7 +30,7 @@ use rtm_fpga::part::Part;
 use rtm_netlist::itc99;
 use rtm_netlist::random::RandomCircuit;
 use rtm_netlist::techmap::map_to_luts;
-use rtm_obs::{to_jsonl_stream, EventBuffer, EventKind, EventSink};
+use rtm_obs::{to_jsonl_stream, EventBuffer, EventKind};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

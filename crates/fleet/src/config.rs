@@ -34,10 +34,6 @@ pub struct FleetConfig {
     /// healthy majority would dilute out of a mean. Set above `1.0` to
     /// disable (the default: rebalancing is opt-in).
     pub rebalance_threshold: f64,
-    /// Cap on migrations executed per rebalance trigger: bounds the
-    /// port time one trigger wave can consume, the same way
-    /// [`FleetConfig::max_offer_attempts`] bounds routing cost.
-    pub max_migrations_per_trigger: usize,
     /// QoS-tier preemption: when a high-tier reservation strikes out on
     /// every ranked shard, evict the cheapest lower-tier resident
     /// (smallest CLB footprint × remaining runtime) — migrating it to a
@@ -57,11 +53,6 @@ impl FleetConfig {
     /// ones.
     pub const DEFAULT_MAX_OFFER_ATTEMPTS: usize = 8;
 
-    /// The default cap on migrations per rebalance trigger (see
-    /// [`FleetConfig::max_migrations_per_trigger`]): enough to repair a
-    /// comb in a couple of waves without monopolising the port.
-    pub const DEFAULT_MAX_MIGRATIONS_PER_TRIGGER: usize = 4;
-
     /// A fleet of `n` identical shards.
     pub fn homogeneous(n: usize, shard: ServiceConfig) -> Self {
         FleetConfig {
@@ -69,7 +60,6 @@ impl FleetConfig {
             fleet_frag_threshold: 2.0,
             max_offer_attempts: Self::DEFAULT_MAX_OFFER_ATTEMPTS,
             rebalance_threshold: 2.0,
-            max_migrations_per_trigger: Self::DEFAULT_MAX_MIGRATIONS_PER_TRIGGER,
             preemption: false,
         }
     }
@@ -82,7 +72,6 @@ impl FleetConfig {
             fleet_frag_threshold: 2.0,
             max_offer_attempts: Self::DEFAULT_MAX_OFFER_ATTEMPTS,
             rebalance_threshold: 2.0,
-            max_migrations_per_trigger: Self::DEFAULT_MAX_MIGRATIONS_PER_TRIGGER,
             preemption: false,
         }
     }
@@ -96,12 +85,6 @@ impl FleetConfig {
     /// Replaces the fleet-level rebalancing threshold.
     pub fn with_rebalance_threshold(mut self, threshold: f64) -> Self {
         self.rebalance_threshold = threshold;
-        self
-    }
-
-    /// Replaces the per-trigger migration cap.
-    pub fn with_max_migrations_per_trigger(mut self, cap: usize) -> Self {
-        self.max_migrations_per_trigger = cap.max(1);
         self
     }
 

@@ -6,9 +6,7 @@ use crate::rebalance::{MigrationDirective, MigrationOutcome, RebalancePolicy};
 use crate::report::{FleetReport, FleetSample, ShardOutcome};
 use crate::routing::{RouteCandidate, RoutingPolicy};
 use rtm_core::{CoreError, RoomPlan};
-use rtm_obs::{
-    EventBuffer, EventKind, EventSink, Phase, PhaseProfiler, RejectReason, RtmEvent, FLEET_SHARD,
-};
+use rtm_obs::{EventBuffer, EventKind, Phase, PhaseProfiler, RejectReason, RtmEvent, FLEET_SHARD};
 use rtm_sched::task::Micros;
 use rtm_service::trace::{Arrival, Trace, TraceEvent};
 use rtm_service::{
@@ -493,10 +491,7 @@ impl FleetService {
                 }
             };
             let mut moved = false;
-            for d in directives
-                .into_iter()
-                .take(self.config.max_migrations_per_trigger)
-            {
+            for d in directives {
                 match self.migrate(d, &mut st.reports)? {
                     MigrationOutcome::Completed => {
                         st.report.migrations += 1;

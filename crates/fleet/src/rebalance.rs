@@ -67,10 +67,11 @@ pub enum MigrationOutcome {
 }
 
 /// A fleet rebalancing planner: reads the shards (read-only) and
-/// proposes migrations, best first. The fleet executes at most
-/// [`FleetConfig::max_migrations_per_trigger`](crate::FleetConfig::max_migrations_per_trigger)
-/// of them per trigger, each still subject to the idle-window and
-/// room checks — a planner proposes, the safety machinery disposes.
+/// proposes migrations, best first. The fleet executes every proposal
+/// of a trigger, each still subject to the idle-window and room checks
+/// — a planner proposes, the safety machinery disposes. A planner
+/// bounds the port time one trigger wave can consume by capping its
+/// own proposals (`max_directives` on both planners here).
 pub trait RebalancePolicy: fmt::Debug + Send {
     /// The planner's name (reported in the
     /// [`FleetReport`](crate::FleetReport)).

@@ -4,7 +4,7 @@
 //!
 //! 1. **Deterministic event stream** ([`event`], [`sink`]) — structured
 //!    [`RtmEvent`]s stamped with *simulated* time and shard index,
-//!    recorded through the [`EventSink`] trait. Streams are fully
+//!    recorded into one [`EventBuffer`] per shard. Streams are fully
 //!    deterministic: replaying a trace on a fresh fleet reproduces the
 //!    merged stream byte for byte.
 //! 2. **Metrics registry** ([`metrics`]) — named counters and
@@ -28,4 +28,4 @@ pub mod sink;
 pub use event::{to_jsonl_stream, EventKind, RejectReason, RtmEvent, FLEET_SHARD};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{Phase, PhaseProfiler, Stopwatch};
-pub use sink::{EventBuffer, EventSink, NullSink};
+pub use sink::EventBuffer;

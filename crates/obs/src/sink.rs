@@ -1,37 +1,17 @@
-//! Event sinks: where the deterministic stream goes.
+//! The event buffer: where the deterministic stream goes.
 //!
-//! The service and fleet layers thread an `Option<&dyn EventSink>`
-//! through their hot paths — `None` (or [`NullSink`]) costs one branch
-//! and zero allocations. [`EventBuffer`] is the recording sink: it is
-//! `Send`-but-not-`Sync` (a `RefCell` inside), which is exactly the
-//! shard-locality contract — each buffer belongs to one shard and moves
-//! with it; buffers are only merged between epochs, in shard-index
-//! order.
+//! The service and fleet layers keep an `Option<EventBuffer>` — `None`
+//! is disabled tracing and costs one branch and zero allocations.
+//! [`EventBuffer`] is `Send`-but-not-`Sync` (a `RefCell` inside), which
+//! is exactly the shard-locality contract — each buffer belongs to one
+//! shard and moves with it; buffers are only merged between epochs, in
+//! shard-index order.
 
 use crate::event::{EventKind, RtmEvent};
 use rtm_sched::task::Micros;
 use std::cell::RefCell;
 
-/// A destination for deterministic events.
-///
-/// `emit` takes `&self` so sinks can be threaded through non-mutating
-/// planning paths; `Send` so a sink can live inside a shard that moves
-/// across threads.
-pub trait EventSink: Send {
-    /// Records one event at simulated time `at`. The sink supplies the
-    /// shard tag (the emitter does not know which shard it is).
-    fn emit(&self, at: Micros, kind: EventKind);
-}
-
-/// A sink that drops everything — the disabled-tracing path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&self, _at: Micros, _kind: EventKind) {}
-}
-
-/// An in-memory recording sink tagged with its shard index.
+/// An in-memory recording buffer tagged with its shard index.
 ///
 /// Shard-local by design: interior mutability via `RefCell` keeps the
 /// buffer `Send` (it moves with its shard) but not `Sync` (two threads
@@ -55,6 +35,17 @@ impl EventBuffer {
     /// The shard tag stamped onto every event.
     pub fn shard(&self) -> u32 {
         self.shard
+    }
+
+    /// Records one event at simulated time `at`, tagged with this
+    /// buffer's shard (the emitter does not know which shard it is).
+    /// Takes `&self` so emitters on non-mutating paths can record too.
+    pub fn emit(&self, at: Micros, kind: EventKind) {
+        self.events.borrow_mut().push(RtmEvent {
+            at,
+            shard: self.shard,
+            kind,
+        });
     }
 
     /// Number of buffered events.
@@ -84,16 +75,6 @@ impl EventBuffer {
     /// Drains and returns everything recorded so far, oldest first.
     pub fn take(&self) -> Vec<RtmEvent> {
         std::mem::take(&mut *self.events.borrow_mut())
-    }
-}
-
-impl EventSink for EventBuffer {
-    fn emit(&self, at: Micros, kind: EventKind) {
-        self.events.borrow_mut().push(RtmEvent {
-            at,
-            shard: self.shard,
-            kind,
-        });
     }
 }
 
@@ -146,14 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_a_no_op() {
-        NullSink.emit(0, EventKind::EpochBoundary);
-    }
-
-    #[test]
     fn buffers_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<EventBuffer>();
-        assert_send::<NullSink>();
     }
 }

@@ -11,7 +11,7 @@ use rtm_core::{
 use rtm_fpga::part::Part;
 use rtm_netlist::random::RandomCircuit;
 use rtm_netlist::techmap::{map_to_luts, MappedNetlist};
-use rtm_obs::{EventBuffer, EventKind, EventSink, RejectReason, RtmEvent};
+use rtm_obs::{EventBuffer, EventKind, RejectReason, RtmEvent};
 use rtm_place::defrag::Move;
 use rtm_sched::admission::AdmissionOutcome;
 use rtm_sched::qos::{victim_cost, QosTier};
@@ -385,13 +385,6 @@ impl RuntimeService {
             .unwrap_or_default()
     }
 
-    /// The event sink, when tracing is enabled — the internal
-    /// `Option<&dyn EventSink>` threaded through the admission,
-    /// departure, defragmentation and migration paths.
-    fn sink(&self) -> Option<&dyn EventSink> {
-        self.events.as_ref().map(|b| b as &dyn EventSink)
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
@@ -614,7 +607,7 @@ impl RuntimeService {
         self.execute_reserved(report)?;
         self.now = self.now.max(at);
         report.record_submission(arrival.tier);
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(
                 self.now,
                 EventKind::Arrival {
@@ -674,7 +667,7 @@ impl RuntimeService {
         // The Arrival event must precede the outcome event, but a NoRoom
         // bid records nothing — emit speculatively and roll back.
         let mark = self.events.as_ref().map(EventBuffer::mark);
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(
                 self.now,
                 EventKind::Arrival {
@@ -851,7 +844,7 @@ impl RuntimeService {
             return Ok(false);
         }
         report.defrag_cycles += 1;
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(
                 self.now,
                 EventKind::DefragCycle {
@@ -907,7 +900,7 @@ impl RuntimeService {
         if let Some(r) = self.forget_resident(trace_id) {
             self.mgr.unload(r.fid)?;
             report.departures += 1;
-            if let Some(s) = self.sink() {
+            if let Some(s) = self.events.as_ref() {
                 s.emit(self.now, EventKind::Unload { id: trace_id });
             }
         } else {
@@ -974,7 +967,7 @@ impl RuntimeService {
                 }
             }
         };
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(self.now, event);
         }
         Ok(MigratingFunction {
@@ -1042,7 +1035,7 @@ impl RuntimeService {
                 }
             }
         };
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(self.now, event);
         }
         self.account_moves(&lr.moves, &lr.relocations, report);
@@ -1075,7 +1068,7 @@ impl RuntimeService {
         );
         report.migrations_out = report.migrations_out.saturating_sub(1);
         report.migrations_restored += 1;
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(self.now, EventKind::MigrationRestored { id: m.trace_id });
         }
         Ok(())
@@ -1190,7 +1183,7 @@ impl RuntimeService {
             // Dequeued precedes the admission outcome; a NoRoom head
             // stays queued, so its speculative event rolls back.
             let mark = self.events.as_ref().map(EventBuffer::mark);
-            if let Some(s) = self.sink() {
+            if let Some(s) = self.events.as_ref() {
                 s.emit(
                     self.now,
                     EventKind::Dequeued {
@@ -1278,7 +1271,7 @@ impl RuntimeService {
                 Ok(ReserveOutcome::Failed { reason })
             }
             Ok(ticket) => {
-                if let Some(s) = self.sink() {
+                if let Some(s) = self.events.as_ref() {
                     s.emit(
                         self.now,
                         EventKind::Reserved {
@@ -1355,7 +1348,7 @@ impl RuntimeService {
                     tier: pt.tier,
                     outcome,
                 });
-                if let Some(s) = self.sink() {
+                if let Some(s) = self.events.as_ref() {
                     let frames = lr.frames_total();
                     s.emit(
                         self.now,
@@ -1393,7 +1386,7 @@ impl RuntimeService {
             RejectReason::Unroutable => report.failures_unroutable += 1,
             _ => {}
         }
-        if let Some(s) = self.sink() {
+        if let Some(s) = self.events.as_ref() {
             s.emit(self.now, EventKind::Rejected { id, reason });
         }
     }
