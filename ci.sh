@@ -10,7 +10,7 @@ echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rtm-lint (static analysis: shard-locality / plan-pipeline discipline)"
-# Five rules over every workspace .rs file; every accepted finding is
+# Six rules over every workspace .rs file; every accepted finding is
 # justified in lint-allow.toml (stale entries fail the run). The lint
 # prints its own runtime — keep it sub-second. Rules and allowlist
 # policy: ARCHITECTURE.md, "Static analysis & concurrency-readiness".
@@ -123,5 +123,15 @@ if ! grep -E 'execute [1-9][0-9]*\.[0-9]%' target/fleet_baseline.log > /dev/null
   echo "no scale row showed a nonzero execute phase share"
   exit 1
 fi
+
+echo "==> north-star trajectories (printed for the log, never gated)"
+# Workspace .rs lines (the ROADMAP's own command) and lint-allow.toml
+# entries; ROADMAP.md records both per change and both should fall.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  echo "workspace .rs lines: $(git ls-files '*.rs' | grep -v '^benchmark/' | xargs cat | wc -l)"
+else
+  echo "workspace .rs lines: skipped (not a git checkout)"
+fi
+echo "lint-allow.toml entries: $(grep -c '^\[\[allow\]\]' lint-allow.toml)"
 
 echo "CI OK"
