@@ -512,7 +512,7 @@ impl FleetService {
             //    deadline-bound request late. Bundles whose residency
             //    expired while parked are dropped, not readmitted.
             if !self.park.is_empty() {
-                moved |= self.readmit_parked(&mut st)?;
+                moved |= self.readmit_parked(&mut st);
             }
             drop(triggers);
             if moved {
@@ -1041,7 +1041,7 @@ impl FleetService {
     /// stay parked for a later epoch. Returns whether any readmission
     /// actually moved logic (the caller re-settles queues and
     /// re-samples the timeline, like after a migration wave).
-    fn readmit_parked(&mut self, st: &mut RunState) -> Result<bool, CoreError> {
+    fn readmit_parked(&mut self, st: &mut RunState) -> bool {
         let now = self.now;
         let mut moved = false;
         let mut still_parked = Vec::new();
@@ -1060,7 +1060,7 @@ impl FleetService {
             }
         }
         self.park = still_parked;
-        Ok(moved)
+        moved
     }
 
     /// The one placement step for a displaced function: readmits
