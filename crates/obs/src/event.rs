@@ -89,16 +89,6 @@ pub enum EventKind {
         /// Rearrangement moves the seated room plan will execute.
         moves: usize,
     },
-    /// A reserved admission finished implementing: design placed, nets
-    /// routed, configuration frames written.
-    Executed {
-        /// Trace id of the request.
-        id: u64,
-        /// Configuration frames the admission's rearrangement moves
-        /// wrote (0 when the function fitted without moving anything);
-        /// the function's own frames are not counted.
-        frames: usize,
-    },
     /// The request was admitted.
     Admitted {
         /// Trace id of the request.
@@ -115,7 +105,8 @@ pub enum EventKind {
         /// Why.
         reason: RejectReason,
     },
-    /// A function's design was written to the device.
+    /// A reserved admission finished implementing: the function's
+    /// design was placed, routed and written to the device.
     Load {
         /// Trace id of the request.
         id: u64,
@@ -191,7 +182,6 @@ impl EventKind {
             EventKind::Enqueued { .. } => "enqueued",
             EventKind::Dequeued { .. } => "dequeued",
             EventKind::Reserved { .. } => "reserved",
-            EventKind::Executed { .. } => "executed",
             EventKind::Admitted { .. } => "admitted",
             EventKind::Rejected { .. } => "rejected",
             EventKind::Load { .. } => "load",
@@ -251,9 +241,6 @@ impl RtmEvent {
             }
             EventKind::Reserved { id, moves } => {
                 s.push_str(&format!(",\"id\":{id},\"moves\":{moves}"));
-            }
-            EventKind::Executed { id, frames } => {
-                s.push_str(&format!(",\"id\":{id},\"frames\":{frames}"));
             }
             EventKind::Admitted { id, waited, moves } => {
                 s.push_str(&format!(
@@ -334,13 +321,6 @@ impl RtmEvent {
                 c.lit(",\"moves\":")?;
                 let moves = usize::try_from(c.u64()?).ok()?;
                 EventKind::Reserved { id, moves }
-            }
-            "executed" => {
-                c.lit(",\"id\":")?;
-                let id = c.u64()?;
-                c.lit(",\"frames\":")?;
-                let frames = usize::try_from(c.u64()?).ok()?;
-                EventKind::Executed { id, frames }
             }
             "admitted" => {
                 c.lit(",\"id\":")?;
@@ -495,11 +475,6 @@ mod tests {
                 at: 9,
                 shard: 1,
                 kind: EventKind::Reserved { id: 2, moves: 3 },
-            },
-            RtmEvent {
-                at: 9,
-                shard: 1,
-                kind: EventKind::Executed { id: 2, frames: 228 },
             },
             RtmEvent {
                 at: 9,

@@ -1349,7 +1349,6 @@ impl RuntimeService {
                     outcome,
                 });
                 if let Some(s) = self.events.as_ref() {
-                    let frames = lr.frames_total();
                     s.emit(
                         self.now,
                         EventKind::Admitted {
@@ -1358,8 +1357,13 @@ impl RuntimeService {
                             moves: lr.moves.len(),
                         },
                     );
-                    s.emit(self.now, EventKind::Load { id, frames });
-                    s.emit(self.now, EventKind::Executed { id, frames });
+                    s.emit(
+                        self.now,
+                        EventKind::Load {
+                            id,
+                            frames: lr.frames_total(),
+                        },
+                    );
                 }
                 self.account_moves(&lr.moves, &lr.relocations, report);
                 let expiry = pt.duration.map(|d| pt.start + d);
