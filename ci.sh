@@ -114,15 +114,18 @@ fi
 echo "==> QoS demo smoke: fleet_loop --tiered (exits nonzero unless preemption helps)"
 cargo run --release --example fleet_loop -- --tiered > /dev/null
 
-echo "==> profile smoke: the execute phase carries the load work"
-# The scale rows' share tables must show a nonzero execute phase — the
-# two-phase pipeline actually moving implementation work off the
-# routing edge. Shares are wall-clock and never gated beyond this
-# presence check.
-if ! grep -E 'execute [1-9][0-9]*\.[0-9]%' target/fleet_baseline.log > /dev/null; then
-  echo "no scale row showed a nonzero execute phase share"
-  exit 1
-fi
+echo "==> profile smoke: both scale rows print a share table with routing in it"
+# Each scale row (N = 256 and N = 1024) must be followed by its phase
+# share table, with a nonzero routing share: the routing edge admits
+# inline, so it carries the load work. Shares are wall-clock; this is a
+# presence check, never a gate on their values.
+for n in 256 1024; do
+  if ! grep -A1 -E "N=$n " target/fleet_baseline.log \
+    | grep -E 'routing ([1-9][0-9]*\.[0-9]|0\.[1-9])%' > /dev/null; then
+    echo "the N=$n scale row printed no share table with a nonzero routing share"
+    exit 1
+  fi
+done
 
 echo "==> north-star trajectories (printed for the log, never gated)"
 # Workspace .rs lines (the ROADMAP's own command) and lint-allow.toml

@@ -34,15 +34,14 @@ pub struct FleetConfig {
     /// healthy majority would dilute out of a mean. Set above `1.0` to
     /// disable (the default: rebalancing is opt-in).
     pub rebalance_threshold: f64,
-    /// QoS-tier preemption: when a high-tier reservation strikes out on
+    /// QoS-tier preemption: when a high-tier arrival strikes out on
     /// every ranked shard, evict the cheapest lower-tier resident
     /// (smallest CLB footprint × remaining runtime) — migrating it to a
     /// sibling shard with room, otherwise parking its extracted bundle
-    /// for deadline-safe readmission in a later idle window — and seat
+    /// for deadline-safe readmission in a later idle window — and admit
     /// the high-tier request in the freed region. Runs on the routing
-    /// edge, after draining every shard it may evict from. Off by
-    /// default: untiered workloads and existing baselines are
-    /// unaffected.
+    /// edge, right after the arrival's offer chain. Off by default:
+    /// untiered workloads and existing baselines are unaffected.
     pub preemption: bool,
 }
 

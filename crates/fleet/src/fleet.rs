@@ -4,14 +4,13 @@ use crate::config::FleetConfig;
 use crate::engine;
 use crate::rebalance::{MigrationDirective, MigrationOutcome, RebalancePolicy};
 use crate::report::{FleetReport, FleetSample, ShardOutcome};
-use crate::routing::{RouteCandidate, RoutingPolicy};
+use crate::routing::RoutingPolicy;
 use rtm_core::{CoreError, RoomPlan};
 use rtm_obs::{EventBuffer, EventKind, Phase, PhaseProfiler, RejectReason, RtmEvent, FLEET_SHARD};
 use rtm_sched::task::Micros;
 use rtm_service::trace::{Arrival, Trace, TraceEvent};
 use rtm_service::{
-    AdmissionBid, Displacement, MigratingFunction, ReserveOutcome, RuntimeService, ServiceReport,
-    TicketOutcome,
+    AdmissionBid, Displacement, MigratingFunction, OfferOutcome, RuntimeService, ServiceReport,
 };
 use std::collections::BTreeMap;
 
@@ -24,36 +23,19 @@ struct RunState {
     report: FleetReport,
     /// One report per shard, in shard order.
     reports: Vec<ServiceReport>,
-    /// Reservations seated on this epoch's routing edge, in edge order,
-    /// each with the shard holding it, awaiting execution (the epoch's
-    /// execute phase) and resolution ([`FleetService::resolve_pending`]).
-    pending: Vec<(usize, PendingRoute)>,
 }
 
 /// One routed arrival's capped offer chain: the value
-/// [`FleetService::route`], [`FleetService::try_preempt`] and
-/// [`FleetService::resolve_pending`] advance until a shard admits,
-/// drops or queues the arrival, and [`FleetService::close_chain`] closes.
-struct PendingRoute {
+/// [`FleetService::route`] and [`FleetService::try_preempt`] advance
+/// until a shard admits, drops or queues the arrival, and
+/// [`FleetService::close_chain`] closes.
+struct OfferChain {
     at: Micros,
     arrival: Arrival,
     /// Devices offered so far (the `offer_chain_len` sample).
     offers: u64,
     /// Best-ranked shard that said "no room" — the queue slot.
     queue_on: Option<usize>,
-    /// The not-yet-offered tail of the capped ranking.
-    remaining: std::vec::IntoIter<RouteCandidate>,
-}
-
-/// Which edge of the epoch an offer chain is walked on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Edge {
-    /// The routing edge: a seated reservation waits for the execute
-    /// phase, and a chain that runs out may preempt.
-    Routing,
-    /// The resolution edge, after a load failed: the execute phase is
-    /// over, so a seated failover executes at once.
-    Resolution,
 }
 
 /// How an offer chain ended.
@@ -63,14 +45,15 @@ enum ChainEnd {
     Admitted,
     /// A shard dropped it (duplicate id or synthesis failure).
     Dropped,
-    /// No shard seated it.
+    /// No shard admitted or dropped it: it queues on the chain's queue
+    /// slot, if it has one.
     Unseated,
 }
 
 /// Who holds a trace id the fleet tracks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Holder {
-    /// The shard with this index: resident, queued or reserved there.
+    /// The shard with this index: resident or queued there.
     Shard(usize),
     /// An evicted bundle waiting in the park queue.
     Parked,
@@ -304,9 +287,11 @@ impl FleetService {
     /// residency expiry), advances every shard to that horizon as an
     /// independent shard-local segment, and then applies the
     /// cross-shard edges in fixed shard-index order: trace-event
-    /// routing (which only reserves), the execute phase that drains
-    /// every shard's tickets, ticket resolution, the fragmentation
-    /// sample, the fleet defrag trigger and the rebalancing migrations.
+    /// routing (each arrival admitted in one step, see
+    /// [`RuntimeService::admit`]), the settle sweep, the fragmentation
+    /// sample, the fleet defrag trigger, the rebalancing migrations and
+    /// the park-queue readmission. Nothing runs between the routing
+    /// edge and the settle sweep.
     /// Every step runs on the calling thread in a fixed order, so the
     /// [`FleetReport`] is a pure function of the trace and the fleet's
     /// starting state.
@@ -343,7 +328,6 @@ impl FleetService {
             reports: (0..n)
                 .map(|i| ServiceReport::new(format!("{}#{i}", trace.name())))
                 .collect(),
-            pending: Vec::new(),
         };
 
         let events = trace.events();
@@ -383,7 +367,8 @@ impl FleetService {
             }
 
             // 2. Cross-shard edges, in stream order: trace events at
-            //    this instant.
+            //    this instant. Each arrival is admitted, dropped or
+            //    queued before the next one is ranked.
             let routing = profiler.map(|p| p.start(Phase::Routing));
             while idx < events.len() && events[idx].at <= now {
                 match events[idx].event {
@@ -393,26 +378,6 @@ impl FleetService {
                 idx += 1;
             }
             drop(routing);
-
-            // 2b. Execute phase: the routing edge above only
-            //     *reserved*; each shard now drains its own ticket
-            //     queue — implementing designs and writing frames.
-            //     Tickets a shard already drained on the edge (a later
-            //     reserve, departure or preemption touched it) are
-            //     gone, so this runs what is left.
-            // 2c. Resolution edge: collect every seated ticket's fate
-            //     in edge order and run failover chains for load
-            //     failures.
-            if !st.pending.is_empty() {
-                {
-                    let _t = profiler.map(|p| p.start(Phase::Execute));
-                    for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
-                        s.execute_reserved(rep)?;
-                    }
-                }
-                let _t = profiler.map(|p| p.start(Phase::Routing));
-                self.resolve_pending(&mut st)?;
-            }
 
             // 3. Shard-local again: every shard serves its queue,
             //    samples fragmentation and runs its own
@@ -712,33 +677,30 @@ impl FleetService {
         Ok(())
     }
 
-    /// Routes one arrival: rank, then walk the ranking with the
-    /// two-phase admission API — each candidate gets a
-    /// [`RuntimeService::reserve`] (decide only: routing/feasibility,
-    /// plan validation, arena reservation; no frames) — capped at
-    /// [`FleetConfig::max_offer_attempts`]. The first shard to seat a
-    /// ticket wins; the ranking tail stays on its [`PendingRoute`] so
-    /// [`FleetService::resolve_pending`] can continue the failover
-    /// chain if the load later fails. Requests nobody can seat queue on
-    /// the best-ranked device that reported "no room", or are rejected
-    /// as unplaceable if no device could ever hold them. A candidate
-    /// that carries a previewed [`RoomPlan`] hands it to the shard's
-    /// reserve, so the admission executes the routing plan instead of
+    /// Routes one arrival: rank, then offer the arrival down the
+    /// ranking, capped at [`FleetConfig::max_offer_attempts`]. Each
+    /// offer is one [`RuntimeService::admit`] (reserve, execute and
+    /// resolve in one call), so an admission or a drop ends the chain
+    /// at once. When the whole ranking said "no room" (or worse), the
+    /// arrival may preempt a lower-tier resident
+    /// ([`FleetService::try_preempt`]); otherwise it queues on the
+    /// best-ranked device that reported "no room", or is rejected as
+    /// unplaceable if no device could ever hold it. A candidate that
+    /// carries a previewed [`RoomPlan`] hands it to the shard's
+    /// admission, so the load executes the routing plan instead of
     /// planning again.
     ///
     /// Failure handling splits by determinism:
     ///
-    /// * [`ReserveOutcome::Dropped`] (duplicate id or synthesis
-    ///   failure) consumes the request — the same design would fail on
-    ///   every shard.
-    /// * [`ReserveOutcome::Failed`] (device-specific planned-move
-    ///   congestion at decide time) moves on to the next-ranked device
-    ///   instead of consuming the request. Every shard that recorded
-    ///   such a failure accounted the request once, which is what
-    ///   [`FleetReport::load_failovers`] counts:
+    /// * [`OfferOutcome::Dropped`] (duplicate id or synthesis failure)
+    ///   consumes the request — the same design would fail on every
+    ///   shard.
+    /// * [`OfferOutcome::LoadFailed`] (device-specific congestion, when
+    ///   seating the reservation or when implementing the design) moves
+    ///   on to the next-ranked device instead of consuming the request.
+    ///   Every shard that recorded such a failure accounted the request
+    ///   once, which is what [`FleetReport::load_failovers`] counts:
     ///   `Σ shard_submitted = submitted − unplaceable + load_failovers`.
-    ///   Execute-time failures surface the same way, after the execute
-    ///   phase, through [`FleetService::resolve_pending`].
     fn route(&mut self, at: Micros, a: Arrival, st: &mut RunState) -> Result<(), CoreError> {
         st.report.submitted += 1;
 
@@ -753,12 +715,6 @@ impl FleetService {
                 return Ok(());
             }
             Some(Holder::Shard(s)) => {
-                // Drain that shard's tickets first: an owner entry may
-                // point at a reservation seated earlier this edge, and
-                // the duplicate judgement below must see it as a
-                // resident (or as a failed load that no longer holds
-                // the id).
-                self.shards[s].execute_reserved(&mut st.reports[s])?;
                 if self.shards[s].holds(a.id) {
                     if self.shards[s].part().holds(a.rows, a.cols) {
                         self.shards[s].enqueue(at, a, &mut st.reports[s])?;
@@ -784,14 +740,31 @@ impl FleetService {
             return Ok(());
         }
         ranking.truncate(self.config.max_offer_attempts.max(1));
-        let chain = PendingRoute {
+        let mut chain = OfferChain {
             at,
             arrival: a,
             offers: 0,
             queue_on: None,
-            remaining: ranking.into_iter(),
         };
-        self.offer_down(chain, Edge::Routing, st)
+        for cand in ranking {
+            match self.offer(&mut chain, cand.shard, cand.plan, st)? {
+                OfferOutcome::Admitted => return self.close_chain(&chain, ChainEnd::Admitted, st),
+                OfferOutcome::Dropped { .. } => {
+                    return self.close_chain(&chain, ChainEnd::Dropped, st)
+                }
+                // A failure is recorded (and attributed) on this shard
+                // and device-specific, so the next-ranked device gets its
+                // chance instead of the request being consumed.
+                OfferOutcome::LoadFailed { .. } | OfferOutcome::NoRoom => {}
+            }
+        }
+        // The whole ranking said "no room" (or worse), but the arrival
+        // may outrank somebody already seated.
+        let mut end = ChainEnd::Unseated;
+        if self.config.preemption && chain.queue_on.is_some() {
+            end = self.try_preempt(&mut chain, st)?;
+        }
+        self.close_chain(&chain, end, st)
     }
 
     /// Rejects an arrival at the routing edge as unplaceable: the fleet
@@ -809,100 +782,30 @@ impl FleetService {
         }
     }
 
-    /// Offers the chain's arrival down the rest of its capped ranking
-    /// until a shard seats or drops it. On the routing edge a seated
-    /// reservation waits on `st.pending` for the execute phase, and a
-    /// chain that runs out may still preempt a lower-tier resident. On
-    /// the resolution edge (a failover after a failed load) the execute
-    /// phase is over, so a seated reservation executes at once: a
-    /// same-epoch retry must land before anything later can observe the
-    /// shard.
-    fn offer_down(
-        &mut self,
-        mut chain: PendingRoute,
-        edge: Edge,
-        st: &mut RunState,
-    ) -> Result<(), CoreError> {
-        while let Some(cand) = chain.remaining.next() {
-            let s = cand.shard;
-            match self.offer(&mut chain, s, cand.plan, st)? {
-                ReserveOutcome::Reserved => match edge {
-                    Edge::Routing => {
-                        st.pending.push((s, chain));
-                        return Ok(());
-                    }
-                    Edge::Resolution => {
-                        self.shards[s].execute_reserved(&mut st.reports[s])?;
-                        if self.resolve(s, chain.arrival.id)? {
-                            return self.close_chain(&chain, ChainEnd::Admitted, st);
-                        }
-                    }
-                },
-                ReserveOutcome::Dropped { .. } => {
-                    return self.close_chain(&chain, ChainEnd::Dropped, st)
-                }
-                // A failure is recorded (and attributed) on this shard
-                // and device-specific, so the next-ranked device gets its
-                // chance instead of the request being consumed.
-                ReserveOutcome::Failed { .. } | ReserveOutcome::NoRoom => {}
-            }
-        }
-        // Preemption edge: the whole ranking said "no room" (or worse),
-        // but the arrival may outrank somebody already seated.
-        if edge == Edge::Routing && self.config.preemption && chain.queue_on.is_some() {
-            match self.try_preempt(&mut chain, st)? {
-                Some((s, ReserveOutcome::Reserved)) => {
-                    st.report.preemptions += 1;
-                    st.pending.push((s, chain));
-                    return Ok(());
-                }
-                Some(_) => return self.close_chain(&chain, ChainEnd::Dropped, st),
-                None => {}
-            }
-        }
-        self.close_chain(&chain, ChainEnd::Unseated, st)
-    }
-
     /// Offers the chain's arrival to shard `s`, with the room plan the
-    /// ranking previewed there: counts the offer, and records the
-    /// holder of a seated reservation or the first "no room" shard as
+    /// ranking previewed there: counts the offer, and records the shard
+    /// that admitted it as the owner, or the first "no room" shard as
     /// the queue slot.
     fn offer(
         &mut self,
-        chain: &mut PendingRoute,
+        chain: &mut OfferChain,
         s: usize,
         plan: Option<RoomPlan>,
         st: &mut RunState,
-    ) -> Result<ReserveOutcome, CoreError> {
+    ) -> Result<OfferOutcome, CoreError> {
         chain.offers += 1;
         let bid = AdmissionBid::routed(chain.arrival, plan);
-        let outcome = self.shards[s].reserve(chain.at, bid, &mut st.reports[s])?;
+        let outcome = self.shards[s].admit(chain.at, bid, &mut st.reports[s])?;
         match outcome {
-            ReserveOutcome::Reserved => {
+            OfferOutcome::Admitted => {
                 self.owner.insert(chain.arrival.id, Holder::Shard(s));
             }
-            ReserveOutcome::NoRoom => {
+            OfferOutcome::NoRoom => {
                 chain.queue_on.get_or_insert(s);
             }
-            ReserveOutcome::Dropped { .. } | ReserveOutcome::Failed { .. } => {}
+            OfferOutcome::Dropped { .. } | OfferOutcome::LoadFailed { .. } => {}
         }
         Ok(outcome)
-    }
-
-    /// Reads the fate of `id`'s executed ticket off shard `s`: whether
-    /// the load executed. A failed load no longer holds the id (the
-    /// resolution cancelled its reservation), so its owner entry goes.
-    fn resolve(&mut self, s: usize, id: u64) -> Result<bool, CoreError> {
-        match self.shards[s].resolve_ticket(id) {
-            Ok(TicketOutcome::Executed) => Ok(true),
-            Ok(TicketOutcome::Failed { .. }) => {
-                self.owner.remove(&id);
-                Ok(false)
-            }
-            Err(_) => Err(CoreError::DesignMismatch {
-                detail: "a seated ticket did not resolve after its shard drained".into(),
-            }),
-        }
     }
 
     /// Closes an arrival's offer chain: the one site that samples
@@ -913,7 +816,7 @@ impl FleetService {
     /// load and the request is spent.
     fn close_chain(
         &mut self,
-        chain: &PendingRoute,
+        chain: &OfferChain,
         end: ChainEnd,
         st: &mut RunState,
     ) -> Result<(), CoreError> {
@@ -939,29 +842,21 @@ impl FleetService {
     /// to the freed shard. Evicted residents are migrated to a sibling
     /// with room when one exists, otherwise parked for deadline-safe
     /// readmission in a later idle window ([`FleetService::readmit_parked`]);
-    /// either way their state survives frame-exactly. Returns the shard
-    /// and the reserve outcome that decided the arrival's fate (seated
-    /// or dropped); `None` falls back to the queue path, with the
-    /// chain's offers advanced by whatever the attempts cost.
+    /// either way their state survives frame-exactly.
+    ///
+    /// Only "no room" on the freed shard evicts the next victim. An
+    /// admission counts a [`FleetReport::preemptions`] and a drop ends
+    /// the chain; a failed load ends the episode uncounted, and the
+    /// arrival falls back to the queue path ([`ChainEnd::Unseated`]),
+    /// with the chain's offers advanced by whatever the attempts cost.
     fn try_preempt(
         &mut self,
-        chain: &mut PendingRoute,
+        chain: &mut OfferChain,
         st: &mut RunState,
-    ) -> Result<Option<(usize, ReserveOutcome)>, CoreError> {
+    ) -> Result<ChainEnd, CoreError> {
         let a = chain.arrival;
         let n = self.shards.len();
         let fits = |s: &RuntimeService| s.part().holds(a.rows, a.cols);
-        // The victim search reads each candidate's resident set, and a
-        // function seated earlier in this routing edge is not resident
-        // until its ticket runs — including on shards the capped offer
-        // chain never reached, so no reserve drained them. Drain every
-        // candidate first (flush-on-touch, as `route` does for
-        // duplicates).
-        for (s, rep) in self.shards.iter_mut().zip(&mut st.reports) {
-            if fits(s) {
-                s.execute_reserved(rep)?;
-            }
-        }
         // Residents displaced during this episode: a victim whose
         // bundle migrated to a sibling is resident again and must not
         // be picked twice, or two shards with room for each other's
@@ -981,17 +876,20 @@ impl FleetService {
                 })
                 .min_by_key(|&(cost, tid, _)| (cost, tid));
             let Some((_, tid, vs)) = victim else {
-                return Ok(None);
+                return Ok(ChainEnd::Unseated);
             };
             displaced.push(tid);
             self.evict_and_dispose(vs, tid, st)?;
             match self.offer(chain, vs, None, st)? {
-                decided @ (ReserveOutcome::Reserved | ReserveOutcome::Dropped { .. }) => {
-                    return Ok(Some((vs, decided)))
+                OfferOutcome::Admitted => {
+                    st.report.preemptions += 1;
+                    return Ok(ChainEnd::Admitted);
                 }
-                // Still no room (or a failed reservation): the next lap
-                // evicts the next-cheapest not-yet-displaced victim.
-                ReserveOutcome::Failed { .. } | ReserveOutcome::NoRoom => {}
+                OfferOutcome::Dropped { .. } => return Ok(ChainEnd::Dropped),
+                OfferOutcome::LoadFailed { .. } => return Ok(ChainEnd::Unseated),
+                // Still no room: the next lap evicts the next-cheapest
+                // not-yet-displaced victim.
+                OfferOutcome::NoRoom => {}
             }
         }
     }
@@ -1105,25 +1003,6 @@ impl FleetService {
             }
         }
         false
-    }
-
-    /// Settles every reservation seated on this epoch's routing edge,
-    /// in edge order: reads each ticket's fate off its shard (the
-    /// execute phase has run every ticket by now) and, when a load
-    /// failed, continues the capped failover chain down the ranking
-    /// tail.
-    fn resolve_pending(&mut self, st: &mut RunState) -> Result<(), CoreError> {
-        for (s, chain) in std::mem::take(&mut st.pending) {
-            if self.resolve(s, chain.arrival.id)? {
-                self.close_chain(&chain, ChainEnd::Admitted, st)?;
-            } else {
-                // The load failed: the shard accounted the request and
-                // recovered its device, and resolving cancelled the
-                // reservation. Continue down the ranking tail.
-                self.offer_down(chain, Edge::Resolution, st)?;
-            }
-        }
-        Ok(())
     }
 }
 

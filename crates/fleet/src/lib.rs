@@ -23,26 +23,26 @@
 //!    then the expensive non-mutating
 //!    [`preview_admission`](rtm_core::RunTimeManager::preview_admission)
 //!    on the top-K survivors only);
-//! 2. the fleet **reserves** the request on each ranked device in turn
+//! 2. the fleet **admits** the request on each ranked device in turn
 //!    — **cross-device retry**, capped by
-//!    [`FleetConfig::max_offer_attempts`] — seating an epoch-stamped
-//!    admission ticket on the first that takes it
-//!    ([`RuntimeService::reserve`](rtm_service::RuntimeService::reserve)
-//!    accounts the request and reserves the arena region but writes no
-//!    frames); a candidate previewed in step 1 carries its epoch-stamped
-//!    [`RoomPlan`](rtm_core::RoomPlan) inside the ticket, which the
-//!    execute step replays via
+//!    [`FleetConfig::max_offer_attempts`] — until one takes it. Each
+//!    offer is one
+//!    [`RuntimeService::admit`](rtm_service::RuntimeService::admit):
+//!    it decides and reserves the arena region, implements the design
+//!    and writes the configuration frames, and resolves the outcome, all
+//!    before the next arrival is ranked. A candidate previewed in step 1
+//!    carries its epoch-stamped [`RoomPlan`](rtm_core::RoomPlan) into
+//!    the admission, which replays it via
 //!    [`load_with_plan`](rtm_core::RunTimeManager::load_with_plan)
 //!    without planning again (stale plans are detected and re-planned,
 //!    never executed);
-//! 3. the ticket is **executed** —
-//!    [`RuntimeService::execute_reserved`](rtm_service::RuntimeService::execute_reserved)
-//!    implements the design and writes configuration frames — in the
-//!    epoch's execute phase, right after the routing edge, when every
-//!    shard drains its own ticket queue; a device-specific *load*
-//!    failure (placement/routing congestion) is then resolved,
-//!    recorded and attributed on that shard, and the next-ranked device
-//!    gets the request — counted in [`FleetReport::load_failovers`];
+//! 3. a device-specific *load* failure (placement/routing congestion,
+//!    when reserving or when implementing) is recorded and attributed
+//!    on that shard, and the next-ranked device gets the request at
+//!    once — counted in [`FleetReport::load_failovers`]. With QoS
+//!    preemption on ([`FleetConfig::preemption`]), an arrival the whole
+//!    ranking refused may evict a lower-tier resident and take its
+//!    region;
 //! 4. if nobody can place it right now, the request queues on the
 //!    best-ranked device that reported "no room" (served later in that
 //!    shard's [`QueueOrder`](rtm_service::QueueOrder));
@@ -63,8 +63,7 @@
 //! (departures, queue service, threshold defrag) up to the next
 //! cross-shard event horizon, then applies the cross-shard edges
 //! (routing, migration, the fleet defrag trigger) in shard-index order.
-//! Each routing edge is followed by an **execute phase**: every shard
-//! drains its own ticket queue before the tickets are resolved. One
+//! Admission runs inline on the routing edge, one arrival at a time. One
 //! thread walks the whole epoch in a fixed order, so a run is a pure
 //! function of the trace and the configuration — `tests/determinism.rs`
 //! pins equal reports and byte-identical event streams for repeat runs

@@ -84,10 +84,12 @@ pub struct FleetReport {
     /// migration may never make a queued request late), or a directive
     /// naming a function that is not resident where claimed.
     pub migrations_refused: usize,
-    /// High-tier arrivals seated by preemptive eviction: the whole
+    /// High-tier arrivals admitted by preemptive eviction: the whole
     /// routing chain said "no room", a strictly-lower-tier resident
     /// was evicted (see [`FleetReport::evictions_out`]) and the
-    /// arrival took the freed region. Zero unless
+    /// arrival was admitted in the freed region. An eviction after
+    /// which the arrival's load fails, or it is dropped, counts no
+    /// preemption. Zero unless
     /// [`FleetConfig::preemption`](crate::FleetConfig::preemption) is
     /// on.
     pub preemptions: usize,

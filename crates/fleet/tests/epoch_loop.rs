@@ -1,12 +1,14 @@
-//! The epoch loop's two-phase admission and its clock.
+//! The epoch loop's admission step and its clock.
 //!
-//! The routing edge only *decides* (ranking + reservation); each shard
-//! implements its tickets in the execute phase that follows, and the
-//! resolution edge settles them. The failure path gets deterministic
-//! anchors: a forced execute-time `LoadFailed` (via the
-//! failure-injection seam) must fail over down the parked ranking tail,
-//! keeping the report identity
-//! `Σ shard_submitted = submitted − unplaceable + load_failovers`.
+//! The routing edge admits each arrival in one step: every offer is a
+//! shard's `admit` (reserve, execute, resolve), so a load that fails is
+//! settled before the next arrival is ranked. The failure path gets
+//! deterministic anchors: a forced execute-time `LoadFailed` (via the
+//! failure-injection seam) must fail over down the ranking tail at
+//! once, keeping the report identity
+//! `Σ shard_submitted = submitted − unplaceable + load_failovers`, and
+//! a failed load right after a preemptive eviction must end the
+//! preemption episode uncounted and queue the arrival.
 //!
 //! The horizon min-heap rides along: `HorizonClock` must agree with
 //! the `engine::horizon` reference scan over arbitrary admission /
@@ -19,6 +21,7 @@ use rtm_fleet::engine::{horizon, HorizonClock};
 use rtm_fleet::routing::{LeastUtilized, RoundRobin, RoutingPolicy};
 use rtm_fleet::{FleetConfig, FleetReport, FleetService};
 use rtm_fpga::part::Part;
+use rtm_obs::EventKind;
 use rtm_sched::task::Micros;
 use rtm_service::trace::{Arrival, Scenario, Trace, TraceEvent};
 use rtm_service::{AdmissionBid, QosTier, RuntimeService, ServiceConfig, ServiceReport};
@@ -61,8 +64,8 @@ fn failover_trace() -> Trace {
 }
 
 /// Execute-time `LoadFailed` anchor: shard 0's first ticket execution
-/// is forced to fail, so the resolution edge must walk the parked
-/// ranking tail and land the request on shard 1. The explicit
+/// is forced to fail, so the offer chain must walk on down the ranking
+/// tail and land the request on shard 1. The explicit
 /// `load_failovers` value tests its derivation from the shard reports.
 #[test]
 fn forced_load_failure_fails_over_down_the_ranking_tail() {
@@ -95,6 +98,125 @@ fn forced_load_failure_fails_over_down_the_ranking_tail() {
         .expect("every routed arrival samples its offer chain");
     assert_eq!((chain.count(), chain.sum()), (3, 4), "{baseline}");
     assert_eq!(baseline.metrics.counter("epochs"), 3, "{baseline}");
+}
+
+/// A failed load fails over before the next arrival of the same
+/// instant is ranked: arrival 0's forced failure on shard 0 lands it on
+/// shard 1 at once, so least-utilized then ranks the still-empty shard
+/// 0 first for arrival 1. Had the failover waited for the end of the
+/// routing edge, arrival 1 would have been ranked while the failed
+/// load's region was still reserved on shard 0, and both functions
+/// would sit on shard 1.
+#[test]
+fn failed_load_fails_over_before_the_next_same_instant_arrival() {
+    let mut trace = Trace::new("same-instant-failover");
+    for id in 0..2u64 {
+        trace.push(
+            0,
+            TraceEvent::Arrival(Arrival {
+                id,
+                rows: 6,
+                cols: 6,
+                duration: None,
+                deadline: None,
+                tier: QosTier::Standard,
+            }),
+        );
+    }
+    let config = FleetConfig::homogeneous(2, ServiceConfig::default().with_part(Part::Xcv50));
+    let mut fleet = FleetService::new(config, Box::new(LeastUtilized));
+    fleet.force_execute_failures(0, 1);
+    let report = fleet.run(&trace).expect("failover run stays up");
+
+    assert!(fleet.shards()[1].holds(0), "id 0 fails over to shard 1");
+    assert!(fleet.shards()[0].holds(1), "id 1 is ranked onto shard 0");
+    assert_eq!(report.failures(), 1, "{report}");
+    assert_eq!(report.load_failovers, 1, "{report}");
+    assert_eq!(report.retries, 1, "{report}");
+    assert_eq!(report.admitted(), 2, "{report}");
+    let chain = report
+        .metrics
+        .histogram("offer_chain_len")
+        .expect("every routed arrival samples its offer chain");
+    assert_eq!((chain.count(), chain.sum()), (2, 3), "{report}");
+    assert_eq!(report.metrics.counter("epochs"), 1, "{report}");
+}
+
+/// A failed load right after a preemptive eviction ends the episode:
+/// no preemption is counted (the arrival did not take the freed
+/// region), no second victim is evicted, and the arrival queues on its
+/// queue slot, where the settle sweep of the same epoch admits it into
+/// the freed region. Two XCV50s are filled with eight 8x12 batch
+/// functions, four each; an interactive 8x12 then evicts batch id 0
+/// off shard 0 (parked, since shard 1 is full) and its load there is
+/// forced to fail.
+#[test]
+fn failed_load_after_an_eviction_queues_without_a_preemption() {
+    let arrival = |id, tier| {
+        TraceEvent::Arrival(Arrival {
+            id,
+            rows: 8,
+            cols: 12,
+            duration: None,
+            deadline: None,
+            tier,
+        })
+    };
+    let config = FleetConfig::homogeneous(2, ServiceConfig::default().with_part(Part::Xcv50))
+        .with_preemption(true);
+    let mut fleet = FleetService::new(config, Box::new(RoundRobin::default()));
+    fleet.enable_events();
+    let mut fill = Trace::new("fill");
+    for id in 0..8u64 {
+        fill.push(id * 1_000, arrival(id, QosTier::Batch));
+    }
+    let filled = fleet.run(&fill).expect("fill run stays up");
+    assert_eq!(filled.admitted(), 8, "{filled}");
+    assert_eq!(fleet.shards()[0].resident_count(), 4);
+    assert_eq!(fleet.shards()[1].resident_count(), 4);
+    fleet.take_events();
+
+    fleet.force_execute_failures(0, 1);
+    let mut late = Trace::new("late-interactive");
+    late.push(100_000, arrival(8, QosTier::Interactive));
+    let report = fleet.run(&late).expect("preemption run stays up");
+
+    assert_eq!(report.preemptions, 0, "{report}");
+    assert_eq!(report.evictions_parked, 1, "{report}");
+    assert_eq!(report.evictions_migrated, 0, "{report}");
+    assert_eq!(report.failures(), 1, "{report}");
+    assert_eq!(
+        report.tiers().admitted_for(QosTier::Interactive),
+        1,
+        "{report}"
+    );
+    assert_eq!(report.parked_at_end, 1, "{report}");
+    assert_eq!(report.queued_at_end(), 0, "{report}");
+    assert!(fleet.shards()[0].holds(8), "id 8 seats on shard 0");
+    // Admitted from the queue: enqueued first, then dequeued and
+    // admitted by the settle sweep.
+    let kinds: Vec<EventKind> = fleet
+        .take_events()
+        .into_iter()
+        .filter(|e| e.shard == 0)
+        .map(|e| e.kind)
+        .collect();
+    let enqueued = kinds
+        .iter()
+        .position(|k| *k == EventKind::Enqueued { id: 8 });
+    let dequeued = kinds
+        .iter()
+        .position(|k| matches!(k, EventKind::Dequeued { id: 8, .. }));
+    let admitted = kinds
+        .iter()
+        .position(|k| matches!(k, EventKind::Admitted { id: 8, .. }));
+    assert!(
+        matches!((enqueued, dequeued, admitted), (Some(q), Some(d), Some(a)) if q < d && d < a),
+        "id 8 must be admitted from the queue: {kinds:?}"
+    );
+    for s in fleet.shards() {
+        assert!(s.manager().bookkeeping_consistent());
+    }
 }
 
 /// Pins what neither `BENCH_fleet.json` nor the JSONL trace carries,

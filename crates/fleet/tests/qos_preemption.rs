@@ -106,11 +106,11 @@ fn tiered_reports_identical_on_repeat_runs() {
 /// earlier in the same routing edge, on a shard the capped offer chain
 /// never offered the preempting arrival. Two XCV50s, round-robin, one
 /// offer per arrival: at t=0 an interactive 14×20 fills most of shard
-/// 0; at t=1000 a batch 10×16 is reserved on shard 1, then an
+/// 0; at t=1000 a batch 10×16 is admitted on shard 1, then an
 /// interactive 10×10 is offered shard 0 only and strikes out. Its
-/// preemption must find the batch function on shard 1 (its ticket has
-/// not run yet: nothing drained shard 1 since), evict it — parked,
-/// since shard 0 has no room for it — and seat there.
+/// preemption must find the batch function on shard 1 (resident since
+/// its own offer, earlier in the same edge), evict it — parked, since
+/// shard 0 has no room for it — and seat there.
 #[test]
 fn preemption_sees_a_victim_seated_earlier_in_the_same_edge() {
     let arrival = |id, rows, cols, tier| {

@@ -22,10 +22,13 @@ pub enum Phase {
     Horizon,
     /// Shard-local segments (advance/settle sweeps).
     Segments,
-    /// Trace delivery and routing edges.
+    /// Trace delivery and routing edges, admission execution included:
+    /// the fleet admits each arrival inline on the routing edge.
     Routing,
-    /// Admission execution (the shard-local ticket drains after each
-    /// routing edge).
+    /// Admission execution as a phase of its own. The fleet never
+    /// starts it (execution counts under [`Phase::Routing`]), so it
+    /// reads 0; the variant stays so every display of the table keeps
+    /// its columns.
     Execute,
     /// Fleet defrag trigger and rebalance-migration edges.
     Triggers,

@@ -251,15 +251,16 @@ impl MigratingFunction {
 /// [`RuntimeService::run`] owns the clock for a single device. A
 /// multi-device fleet drives the same machinery through the stepping
 /// API instead — [`RuntimeService::advance_to`],
-/// [`RuntimeService::reserve`] / [`RuntimeService::execute_reserved`] /
-/// [`RuntimeService::resolve_ticket`] (or the one-shot
-/// [`RuntimeService::admit`]), [`RuntimeService::enqueue`],
+/// [`RuntimeService::admit`], [`RuntimeService::enqueue`],
 /// [`RuntimeService::depart`] and [`RuntimeService::settle`] — keeping
 /// one shared clock across all shards while each shard keeps its own
 /// queue, residency table and defragmentation trigger. Admission is
-/// two-phase: the *decide* step seats an epoch-stamped ticket on the
-/// routing edge, and the heavy *execute* step (cells, nets,
-/// configuration frames) runs when the shard drains its ticket queue.
+/// two-phase inside: the *decide* step seats an epoch-stamped ticket,
+/// and the heavy *execute* step (cells, nets, configuration frames)
+/// runs when the shard drains its ticket queue. `admit` runs both at
+/// once; a caller that wants them apart uses
+/// [`RuntimeService::reserve`] / [`RuntimeService::execute_reserved`] /
+/// [`RuntimeService::resolve_ticket`].
 ///
 /// # Examples
 ///
@@ -631,9 +632,10 @@ impl RuntimeService {
     /// reserves the arena region and accounts the request — but writes
     /// no cells, nets or frames. The heavy implementation work runs
     /// when this shard next drains its ticket queue
-    /// ([`RuntimeService::execute_reserved`] — inside the epoch's
-    /// execute phase, for a fleet), and the fate of the ticket is
-    /// fetched with [`RuntimeService::resolve_ticket`].
+    /// ([`RuntimeService::execute_reserved`], or the next entry point
+    /// that touches admission state), and the fate of the ticket is
+    /// fetched with [`RuntimeService::resolve_ticket`]. A fleet does
+    /// not defer: it admits in one call ([`RuntimeService::admit`]).
     ///
     /// On [`ReserveOutcome::NoRoom`] nothing is recorded and the caller
     /// may probe another device; the other outcomes account the request
@@ -741,9 +743,9 @@ impl RuntimeService {
     }
 
     /// One-shot admission: [`RuntimeService::reserve`], then
-    /// immediately execute and resolve — the single-device form of the
-    /// two-phase pipeline, running the same machinery as a fleet's
-    /// execute phase.
+    /// immediately execute and resolve — the one admission step a
+    /// fleet offers each ranked shard, and the same machinery the
+    /// queue path runs.
     ///
     /// # Errors
     ///
@@ -1105,9 +1107,10 @@ impl RuntimeService {
     /// remaining runtime) among residents of a *strictly* lower tier,
     /// ties broken on trace id. `None` when nothing here is evictable
     /// by `tier`. A `&self` read that does not drain: a function whose
-    /// ticket is still pending is not a resident yet, so callers drain
-    /// this shard ([`RuntimeService::execute_reserved`]) first — the
-    /// fleet's preemption edge does so for every candidate shard.
+    /// ticket is still pending is not a resident yet, so a caller that
+    /// reserves drains this shard ([`RuntimeService::execute_reserved`])
+    /// first. A fleet admits in one call, so nothing of its own is ever
+    /// pending.
     ///
     /// `exclude` lists trace ids that are off the table — the fleet
     /// passes the residents it already displaced during the current

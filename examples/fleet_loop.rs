@@ -35,8 +35,9 @@
 //! printed next to each row are for the log, never gated. The
 //! scale-tier rows also print the epoch loop's wall-clock
 //! **phase-share table** (stdout only, never in the JSON) — the
-//! `execute` phase shows the implementation work the routing edge
-//! hands off; pass `--profile` to print the table for every row.
+//! `routing` phase carries the admissions, which execute inline on the
+//! routing edge, so `execute` reads 0; pass `--profile` to print the
+//! table for every row.
 //!
 //! ## QoS tiers: `--tiered`
 //!
@@ -323,7 +324,7 @@ fn trace_export(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 /// interactive flash crowd) over the three-device fleet twice — with
 /// preemptive eviction off, then on — and prints both reports plus the
 /// per-tier comparison. With preemption on, a striking-out interactive
-/// reservation evicts the cheapest batch resident (smallest CLB
+/// arrival evicts the cheapest batch resident (smallest CLB
 /// footprint × remaining runtime), migrates the bundle to a sibling
 /// with room inside its idle window or parks it for deadline-safe
 /// readmission, and seats in the freed region.
