@@ -375,7 +375,6 @@ impl AdmissionPreview {
 /// leave orphan state on either device.
 #[derive(Debug, Clone)]
 pub struct ExtractedFunction {
-    id: FunctionId,
     design: MappedNetlist,
     region: Rect,
     placed: PlacedDesign,
@@ -393,11 +392,6 @@ pub struct ExtractedFunction {
 }
 
 impl ExtractedFunction {
-    /// The id the function had on the source manager.
-    pub fn source_id(&self) -> FunctionId {
-        self.id
-    }
-
     /// The mapped design.
     pub fn design(&self) -> &MappedNetlist {
         &self.design
@@ -846,7 +840,6 @@ impl RunTimeManager {
         self.dev.close_mark(mark);
         self.checkpoint();
         Ok(ExtractedFunction {
-            id,
             design,
             region,
             placed,

@@ -250,11 +250,6 @@ impl FleetService {
         &self.config
     }
 
-    /// The routing policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Current simulated time (µs).
     pub fn now(&self) -> Micros {
         self.now

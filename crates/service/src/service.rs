@@ -372,11 +372,6 @@ impl RuntimeService {
         self.events = Some(EventBuffer::new(shard));
     }
 
-    /// True when an event buffer is installed.
-    pub fn events_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Drains the recorded events, oldest first (empty when tracing is
     /// disabled).
     pub fn take_events(&mut self) -> Vec<RtmEvent> {
