@@ -26,9 +26,9 @@ pub enum Phase {
     /// the fleet admits each arrival inline on the routing edge.
     Routing,
     /// Admission execution as a phase of its own. The fleet never
-    /// starts it (execution counts under [`Phase::Routing`]), so it
-    /// reads 0; the variant stays so every display of the table keeps
-    /// its columns.
+    /// starts it: execution runs inline on the routing edge and counts
+    /// under [`Phase::Routing`], so this phase reads 0. It stays for
+    /// callers that match or report every phase.
     Execute,
     /// Fleet defrag trigger and rebalance-migration edges.
     Triggers,

@@ -359,7 +359,7 @@ impl RuntimeService {
 
     /// Makes the next `n` ticket executions fail deterministically, as
     /// if the device refused the load — the seam the failover test
-    /// nets use to exercise deferred `LoadFailed` paths on demand.
+    /// nets use to exercise execute-time `LoadFailed` paths on demand.
     #[doc(hidden)]
     pub fn force_execute_failures(&mut self, n: u32) {
         self.force_fail_loads += n;
