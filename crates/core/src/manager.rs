@@ -152,7 +152,8 @@ pub struct PlanStats {
     /// Router path searches run by loads, readmits and relocations (one
     /// per sink, successful or not; see [`RouteStats`]).
     pub route_searches: u64,
-    /// Search-queue pops across those searches.
+    /// Nodes the router expanded across those searches (both passes of
+    /// each; see [`RouteStats`]).
     pub route_nodes_expanded: u64,
     /// Frame before-images the device's configuration journal saved: at
     /// the recovery checkpoint, around extractions and around

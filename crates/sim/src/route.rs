@@ -1,7 +1,7 @@
 //! The router and live net database.
 //!
-//! Nets are routed with breadth-first search over the device routing
-//! graph (PIP candidates + fixed segment links). Every node a net holds
+//! Nets are routed along shortest paths over the device routing graph
+//! (PIP candidates + fixed segment links). Every node a net holds
 //! is counted on the device ([`Device::hold_node`]): one record shared by
 //! the net databases of all the designs on it, so a search avoids every
 //! node another net holds, whichever database that net belongs to. The
@@ -11,12 +11,16 @@
 //! or whole nets (disconnecting the original CLB), all while other nets
 //! keep their resources.
 //!
-//! The search is dense: it runs over a *window* (the `within` region, or
-//! the whole device), numbers every window node by a packed
-//! `(row, column, wire)` id, and keeps visited/parent state in one flat
-//! slot vector. It visits nodes in exactly the order of a plain FIFO
-//! search seeded with the net's nodes, so every path it returns is the
-//! one that search would return.
+//! The search runs over a *window* (the `within` region, or the whole
+//! device) and numbers every window node by a packed `(row, column,
+//! wire)` id, with one mark bit per node. Each sink takes two passes
+//! guided by a hop lower bound from the fabric alone: an
+//! A* pass finds the length `d` of the shortest path, then the plain
+//! FIFO search runs again, queueing only the nodes that can lie on a
+//! path of length `d`. That pruning leaves the FIFO order of the nodes
+//! it keeps unchanged, so every path is the one a plain breadth-first
+//! search seeded with the net's nodes returns, for far fewer nodes
+//! expanded than that search pops.
 
 use crate::error::SimError;
 use rtm_fpga::geom::{ClbCoord, Rect};
@@ -240,7 +244,8 @@ pub fn path_delay_ps(path: &[RouteNode]) -> u64 {
 pub struct RouteStats {
     /// Path searches run: one per sink routed, successful or not.
     pub searches: u64,
-    /// Search-queue pops across those searches.
+    /// Nodes expanded across those searches, in both passes: the
+    /// distance pass's closing pops and the bounded pass's FIFO pops.
     pub nodes_expanded: u64,
 }
 
@@ -309,7 +314,7 @@ impl NetDb {
         dev.hold_node(source);
         let mut search = Search::new(dev, within);
         for sink in sinks {
-            match self.find_path(&mut search, &net, *sink) {
+            match self.find_path(dev, &mut search, &net, *sink) {
                 Ok(path) => net.commit(dev, *sink, path),
                 Err(e) => {
                     // Roll back everything committed for this net.
@@ -341,7 +346,7 @@ impl NetDb {
     ) -> Result<(), SimError> {
         let mut net = self.nets[id].take().expect("live net");
         let mut search = Search::new(dev, within);
-        let found = self.find_path(&mut search, &net, sink);
+        let found = self.find_path(dev, &mut search, &net, sink);
         let result = found.map(|path| net.commit(dev, sink, path));
         self.nets[id] = Some(net);
         result
@@ -438,10 +443,12 @@ impl NetDb {
         }
     }
 
-    /// Breadth-first search from the net's current nodes to `sink`,
-    /// counted in [`NetDb::route_stats`].
+    /// A shortest path from the net's current nodes to `sink`, the one
+    /// a plain breadth-first search finds, counted in
+    /// [`NetDb::route_stats`].
     fn find_path(
         &mut self,
+        dev: &Device,
         search: &mut Search,
         net: &RoutedNet,
         sink: RouteNode,
@@ -452,7 +459,7 @@ impl NetDb {
         if net.node_refs.contains_key(&sink) {
             return Err(SimError::SinkOccupied { pin: sink });
         }
-        let (branch, pops) = search.run(net, sink);
+        let (branch, pops) = search.run(dev, net, sink);
         self.stats.searches += 1;
         self.stats.nodes_expanded += pops;
         let branch = branch.ok_or(SimError::Unroutable {
@@ -468,15 +475,17 @@ impl NetDb {
     }
 }
 
-/// The tiles one search may route through: the `within` region clipped
-/// to the device, or the whole device. A node inside has the packed id
-/// `(row << col_bits | col) << WIRE_BITS | wire`, with row and column
-/// relative to the window origin; the id doubles as its slot index.
+/// The part of the routing graph one search may use: the tiles of the
+/// `within` region clipped to the device (or the whole device), and the
+/// per-wire tables of the graph over them. A node inside has the packed
+/// id `(row << col_bits | col) << WIRE_BITS | wire`, with row and column
+/// relative to the window origin; the id doubles as its mark index.
 struct Window {
     rect: Rect,
     col_bits: u32,
     dev_rows: u16,
     dev_cols: u16,
+    tables: &'static WireTables,
 }
 
 impl Window {
@@ -491,10 +500,11 @@ impl Window {
             col_bits: u32::from(rect.cols).next_power_of_two().trailing_zeros(),
             dev_rows: dev.rows(),
             dev_cols: dev.cols(),
+            tables: WireTables::get(),
         }
     }
 
-    /// Slots needed to index every packed id.
+    /// Marks needed to index every packed id.
     fn len(&self) -> usize {
         usize::from(self.rect.rows) << (self.col_bits + WIRE_BITS)
     }
@@ -528,230 +538,470 @@ impl Window {
         ((tile >> self.col_bits) as i32, (tile & col_mask) as i32)
     }
 
-    /// The node behind packed id `id`.
-    fn node(&self, id: u32) -> RouteNode {
+    /// The device tile of packed id `id`.
+    fn tile(&self, id: u32) -> ClbCoord {
         let (row, col) = self.tile_of(id);
-        let tile = ClbCoord::new(
+        ClbCoord::new(
             self.rect.origin.row + row as u16,
             self.rect.origin.col + col as u16,
-        );
-        RouteNode::new(tile, Wire::from_index((id & WIRE_MASK) as usize))
-    }
-}
-
-/// A slot not yet visited whose node is free to use.
-const FREE: u32 = u32::MAX;
-/// A slot whose node a net other than the searching one holds.
-const BLOCKED: u32 = u32::MAX - 1;
-/// A slot whose node is one of the net's own (a search start).
-const ROOT: u32 = u32::MAX - 2;
-/// Parent references from here up (below [`ROOT`]) name start nodes
-/// outside the window: `OUTSIDE + k` is `Search::outside[k]`. Every
-/// packed id is below it.
-const OUTSIDE: u32 = 1 << 31;
-
-/// The sink of one search: its packed id (or [`FREE`], which no node
-/// has, when it is outside the window), and its window-relative position
-/// when it is on the device but outside the window.
-struct Target {
-    node: RouteNode,
-    id: u32,
-    beyond: Option<(i32, i32, u32)>,
-}
-
-/// Dense breadth-first search state of one `route_net`/`extend_net`
-/// call. It is built when the call starts, reused across the call's
-/// sinks, and dropped when the call returns; no search memory outlives
-/// the call.
-struct Search {
-    window: Window,
-    tables: &'static WireTables,
-    /// Per window node: [`FREE`], [`BLOCKED`], [`ROOT`], or the parent
-    /// reference of a visited node (its parent's packed id, or
-    /// `OUTSIDE + k`).
-    slots: Vec<u32>,
-    /// FIFO of discovered nodes by packed id.
-    queue: Vec<u32>,
-    /// The current search's start nodes outside the window.
-    outside: Vec<RouteNode>,
-}
-
-impl Search {
-    /// The search state of one `route_net`/`extend_net` call: the window
-    /// of `within`, with every window node a net holds marked blocked.
-    /// The searching net's own nodes turn [`ROOT`] when a search starts.
-    fn new(dev: &Device, within: Option<Rect>) -> Search {
-        let window = Window::new(dev, within);
-        debug_assert!(
-            window.len() <= OUTSIDE as usize,
-            "packed ids stay below OUTSIDE"
-        );
-        let mut slots = vec![FREE; window.len()];
-        for tile in window.rect.iter() {
-            let (row, col) = window.relative(tile);
-            for (wire, holds) in dev.tile_holds(tile).iter().enumerate() {
-                if *holds > 0 {
-                    if let Some(at) = window.pack(row, col, wire as u32) {
-                        slots[at as usize] = BLOCKED;
-                    }
-                }
-            }
-        }
-        Search {
-            window,
-            tables: WireTables::get(),
-            slots,
-            queue: Vec::new(),
-            outside: Vec::new(),
-        }
+        )
     }
 
-    /// Searches from `net`'s nodes to `sink`. Returns the branch from
-    /// the net node it grew from to the sink (if reached) and the number
-    /// of nodes expanded.
-    ///
-    /// The visiting order is that of a FIFO seeded with `net.nodes()`:
-    /// every start node is marked visited before any is expanded, each
-    /// node tries its PIP fanout in wire-index order and then its fixed
-    /// link, and each candidate is checked for visited, then for being
-    /// the sink, then for being usable. A candidate outside the window
-    /// is never usable, and the only visited nodes outside it are start
-    /// nodes, which are never the sink; so outside the window a
-    /// candidate ends the search exactly when it is the sink.
-    ///
-    /// Between the searches of one call the net only grows, so start
-    /// nodes stay [`ROOT`] and only the queued nodes are reset. The
-    /// blocked marks stay valid too: the nodes a committed path newly
-    /// occupies all become start nodes.
-    fn run(&mut self, net: &RoutedNet, sink: RouteNode) -> (Option<Vec<RouteNode>>, u64) {
-        let id = self.window.id(sink);
-        let on_device =
-            sink.tile.row < self.window.dev_rows && sink.tile.col < self.window.dev_cols;
-        let target = Target {
-            node: sink,
-            id: id.unwrap_or(FREE),
-            beyond: (id.is_none() && on_device).then(|| {
-                let (row, col) = self.window.relative(sink.tile);
-                (row, col, sink.wire.index() as u32)
-            }),
-        };
-        self.outside.clear();
-        for node in net.nodes() {
-            match self.window.id(node) {
-                Some(at) => self.slots[at as usize] = ROOT,
-                None => self.outside.push(node),
-            }
-        }
-        let mut pops = 0;
-        let mut reached = None;
-        let mut next_outside = OUTSIDE;
-        for node in net.nodes() {
-            pops += 1;
-            let (from, hit) = match self.window.id(node) {
-                Some(at) => (at, self.expand(at, &target)),
-                None => {
-                    let from = next_outside;
-                    next_outside += 1;
-                    (from, self.expand_outside(node, from, &target))
-                }
-            };
-            if hit {
-                reached = Some(from);
-                break;
-            }
-        }
-        let mut head = 0;
-        while reached.is_none() {
-            let Some(&at) = self.queue.get(head) else {
-                break;
-            };
-            head += 1;
-            pops += 1;
-            if self.expand(at, &target) {
-                reached = Some(at);
-            }
-        }
-        let branch = reached.map(|from| self.branch(sink, from));
-        for &at in &self.queue {
-            self.slots[at as usize] = FREE;
-        }
-        self.queue.clear();
-        (branch, pops)
+    /// The node behind packed id `id`.
+    fn node(&self, id: u32) -> RouteNode {
+        RouteNode::new(self.tile(id), Wire::from_index((id & WIRE_MASK) as usize))
     }
 
-    /// Expands window node `at`; true when it reaches the sink.
-    fn expand(&mut self, at: u32, target: &Target) -> bool {
+    /// True when some net holds window node `at`, as the device counts.
+    fn held(&self, dev: &Device, at: u32) -> bool {
+        let holds = dev.tile_holds(self.tile(at));
+        holds.get((at & WIRE_MASK) as usize).is_some_and(|n| *n > 0)
+    }
+
+    /// The [hop bound](Target::bound) from window node `at`.
+    fn bound(&self, target: &Target, at: u32) -> u32 {
+        target.bound(self.tables, self.tile_of(at), (at & WIRE_MASK) as usize)
+    }
+
+    /// The [hop bound](Target::bound) from start node `node`, in or
+    /// outside the window.
+    fn bound_of(&self, target: &Target, node: RouteNode) -> u32 {
+        target.bound(self.tables, self.relative(node.tile), node.wire.index())
+    }
+
+    /// Offers window node `at`'s successors to `offer`: its PIP fanout in
+    /// wire-index order, then its fixed link. True as soon as `offer`
+    /// reports the sink, or when the fixed link lands on the sink beyond
+    /// the window.
+    fn expand(&self, at: u32, target: &Target, mut offer: impl FnMut(u32) -> bool) -> bool {
         let wire = (at & WIRE_MASK) as usize;
         let tile = at & !WIRE_MASK;
         for &to in self.tables.fanout(wire) {
-            if self.visit(tile | u32::from(to), at, target) {
+            if offer(tile | u32::from(to)) {
                 return true;
             }
         }
         let Some((dr, dc, to)) = self.tables.link[wire] else {
             return false;
         };
-        let (row, col) = self.window.tile_of(at);
+        let (row, col) = self.tile_of(at);
         let (row, col, to) = (row + i32::from(dr), col + i32::from(dc), u32::from(to));
-        match self.window.pack(row, col, to) {
-            Some(next) => self.visit(next, at, target),
+        match self.pack(row, col, to) {
+            Some(next) => offer(next),
             None => target.beyond == Some((row, col, to)),
         }
     }
 
-    /// Expands start node `node`, outside the window. Its PIP fanout
-    /// stays in its own tile, outside the window, so only the sink can
-    /// end the search there; its fixed link may enter the window.
-    fn expand_outside(&mut self, node: RouteNode, from: u32, target: &Target) -> bool {
+    /// Offers start node `node`'s successors, outside the window. Its
+    /// PIP fanout stays in its own tile, outside the window, so only the
+    /// sink can end the search there; its fixed link may enter the
+    /// window.
+    fn expand_outside(
+        &self,
+        node: RouteNode,
+        target: &Target,
+        mut offer: impl FnMut(u32) -> bool,
+    ) -> bool {
         let fanout = self.tables.fanout(node.wire.index());
         if node.tile == target.node.tile && fanout.contains(&(target.node.wire.index() as u8)) {
             return true;
         }
-        let link = fixed_link(
-            node.tile,
-            node.wire,
-            self.window.dev_rows,
-            self.window.dev_cols,
-        );
-        match link {
-            Some(next) => match self.window.id(next) {
-                Some(at) => self.visit(at, from, target),
+        match fixed_link(node.tile, node.wire, self.dev_rows, self.dev_cols) {
+            Some(next) => match self.id(next) {
+                Some(at) => offer(at),
                 None => next == target.node,
             },
             None => false,
         }
     }
+}
 
-    /// Offers window node `next` as a child of `from`: true when it is
-    /// the sink, otherwise queues it if it is unvisited and usable.
-    fn visit(&mut self, next: u32, from: u32, target: &Target) -> bool {
-        let slot = self.slots[next as usize];
-        if slot <= ROOT {
-            return false;
+/// The parent of a start node's queue entry, and the id of a sink
+/// outside the window: no packed id is this.
+const NONE: u32 = u32::MAX;
+/// References from here up (below [`NONE`]) name start nodes outside
+/// the window: `OUTSIDE + k` is `Search::outside[k]`. Every packed id is
+/// below it.
+const OUTSIDE: u32 = 1 << 31;
+
+/// Fixed links needed to cross `delta` tiles along one axis, where a
+/// single spans one tile and a hex [`HEX_SPAN`]: whole hexes, then the
+/// rest as singles, or as one more hex and singles back.
+fn links_along(delta: i32) -> u32 {
+    let span = u32::from(HEX_SPAN);
+    let (hexes, rest) = (delta.unsigned_abs() / span, delta.unsigned_abs() % span);
+    hexes + rest.min(span + 1 - rest)
+}
+
+/// The sink of one search: its packed id (or [`NONE`] when it is
+/// outside the window), and its window-relative position, which
+/// `beyond` repeats with its wire when it is on the device but outside
+/// the window.
+struct Target {
+    node: RouteNode,
+    id: u32,
+    at: (i32, i32),
+    beyond: Option<(i32, i32, u32)>,
+}
+
+impl Target {
+    fn new(window: &Window, sink: RouteNode) -> Target {
+        let id = window.id(sink);
+        let on_device = sink.tile.row < window.dev_rows && sink.tile.col < window.dev_cols;
+        let (row, col) = window.relative(sink.tile);
+        Target {
+            node: sink,
+            id: id.unwrap_or(NONE),
+            at: (row, col),
+            beyond: (id.is_none() && on_device).then_some((row, col, sink.wire.index() as u32)),
         }
-        if next == target.id {
-            return true;
-        }
-        if slot == FREE {
-            self.slots[next as usize] = from;
-            self.queue.push(next);
-        }
-        false
     }
 
-    /// The branch from a start node to `sink`, whose parent is `from`.
-    fn branch(&self, sink: RouteNode, mut from: u32) -> Vec<RouteNode> {
-        let mut branch = vec![sink];
-        loop {
-            if from >= OUTSIDE {
-                branch.push(self.outside[(from - OUTSIDE) as usize]);
+    /// A lower bound on the hops (PIPs plus fixed links) to the sink
+    /// from wire index `wire` at window-relative `(row, col)`, from the
+    /// fabric alone. Every link moves along one axis, so the sink is at
+    /// least `N` = [`links_along`] the rows plus along the columns links
+    /// away. With `N > 0` a path takes those links, a PIP between each
+    /// two, one PIP first unless the wire is an `Out`/`HexOut` (the only
+    /// wires with a fixed link), and one PIP last unless the sink is an
+    /// `In`/`HexIn` (the only wires a link lands on): `2N − 1` plus those
+    /// two. With `N = 0` it is 1 unless the node is the sink.
+    ///
+    /// The bound is consistent: it falls by at most 1 across any PIP
+    /// (which keeps `N` and may change only the first-PIP term) and
+    /// across any fixed link (which changes `N` by at most 1 and runs
+    /// from an outbound wire to an inbound one). So it is 0 only at the
+    /// sink and exactly 1 at every node one hop before it.
+    fn bound(&self, tables: &WireTables, (row, col): (i32, i32), wire: usize) -> u32 {
+        let links = links_along(row - self.at.0) + links_along(col - self.at.1);
+        if links == 0 {
+            return u32::from(wire != self.node.wire.index());
+        }
+        let first_pip = u32::from(tables.link[wire].is_none());
+        let last_pip = u32::from(!matches!(self.node.wire, Wire::In(..) | Wire::HexIn(..)));
+        2 * links - 1 + first_pip + last_pip
+    }
+}
+
+/// One bit per window node, by packed id.
+struct Marks(Vec<u64>);
+
+impl Marks {
+    fn new(len: usize) -> Marks {
+        Marks(vec![0; len.div_ceil(64)])
+    }
+
+    fn get(&self, at: u32) -> bool {
+        self.0[(at >> 6) as usize] >> (at & 63) & 1 != 0
+    }
+
+    fn set(&mut self, at: u32) {
+        self.0[(at >> 6) as usize] |= 1 << (at & 63);
+    }
+
+    fn clear(&mut self, at: u32) {
+        self.0[(at >> 6) as usize] &= !(1 << (at & 63));
+    }
+}
+
+/// The distance pass's open set: `(reference, g)` entries in buckets by
+/// `g + h`, each bucket popped last in, first out.
+#[derive(Default)]
+struct Buckets {
+    by_f: Vec<Vec<(u32, u32)>>,
+    /// Every bucket below this one is empty.
+    least: usize,
+}
+
+impl Buckets {
+    fn push(&mut self, f: u32, entry: (u32, u32)) {
+        let f = f as usize;
+        if f >= self.by_f.len() {
+            self.by_f.resize_with(f + 1, Vec::new);
+        }
+        self.by_f[f].push(entry);
+        self.least = self.least.min(f);
+    }
+
+    fn pop(&mut self) -> Option<(u32, u32)> {
+        while let Some(bucket) = self.by_f.get_mut(self.least) {
+            if let Some(entry) = bucket.pop() {
+                return Some(entry);
+            }
+            self.least += 1;
+        }
+        None
+    }
+
+    fn clear(&mut self) {
+        for bucket in &mut self.by_f {
+            bucket.clear();
+        }
+        self.least = 0;
+    }
+}
+
+/// Search state of one `route_net`/`extend_net` call. It is built when
+/// the call starts, reused across the call's sinks, and dropped when the
+/// call returns; no search memory outlives the call.
+struct Search {
+    window: Window,
+    /// Set for the searching net's nodes, for the nodes the running pass
+    /// has closed (distance pass) or queued (bounded pass), and for nodes
+    /// another net holds, found on their first offer. Between the passes
+    /// and searches of one call the net only grows and no other net's
+    /// hold changes, so only the closed and queued marks are cleared.
+    marks: Marks,
+    /// The distance pass's open set.
+    open: Buckets,
+    /// The nodes the distance pass closed, to clear their marks.
+    closed: Vec<u32>,
+    /// The bounded pass's FIFO of `(reference, parent)` entries: the
+    /// start nodes it expands (parent [`NONE`]), then every node it
+    /// queued, with the index of its parent's entry.
+    queue: Vec<(u32, u32)>,
+    /// The current search's start nodes outside the window.
+    outside: Vec<RouteNode>,
+}
+
+impl Search {
+    /// The search state of one `route_net`/`extend_net` call over the
+    /// window of `within`, with no node marked. The searching net's own
+    /// nodes are marked when a search starts; the holds of other nets are
+    /// read as nodes are offered.
+    fn new(dev: &Device, within: Option<Rect>) -> Search {
+        let window = Window::new(dev, within);
+        debug_assert!(
+            window.len() <= OUTSIDE as usize,
+            "packed ids stay below OUTSIDE"
+        );
+        Search {
+            marks: Marks::new(window.len()),
+            window,
+            open: Buckets::default(),
+            closed: Vec::new(),
+            queue: Vec::new(),
+            outside: Vec::new(),
+        }
+    }
+
+    /// Searches from `net`'s nodes to `sink`. Returns the branch from the
+    /// net node it grew from to the sink (if reached) and the number of
+    /// nodes the two passes expanded.
+    ///
+    /// The result is that of the plain FIFO search seeded with
+    /// `net.nodes()`: every start node is marked before any is expanded,
+    /// each node offers its PIP fanout in wire-index order and then its
+    /// fixed link, and each offered node is checked for being the sink,
+    /// then for being marked, then for being usable. A node outside the
+    /// window is never usable, and the only nodes outside it that a
+    /// search expands are start nodes, which are never the sink; so
+    /// outside the window an offer ends the search exactly when it is
+    /// the sink. [`Search::distance`] finds that search's branch length
+    /// `d`, and [`Search::bounded`] replays it, queueing only nodes that
+    /// can lie on a branch of length `d`.
+    fn run(
+        &mut self,
+        dev: &Device,
+        net: &RoutedNet,
+        sink: RouteNode,
+    ) -> (Option<Vec<RouteNode>>, u64) {
+        let target = Target::new(&self.window, sink);
+        self.outside.clear();
+        for node in net.nodes() {
+            match self.window.id(node) {
+                Some(at) => self.marks.set(at),
+                None => self.outside.push(node),
+            }
+        }
+        let (length, pops) = self.distance(dev, net, &target);
+        match length {
+            Some(d) => {
+                let (branch, more) = self.bounded(dev, net, &target, d);
+                (branch, pops + more)
+            }
+            None => (None, pops),
+        }
+    }
+
+    /// The reference of each of `net`'s nodes, in `net.nodes()` order:
+    /// its packed id, or `OUTSIDE + k` for the `k`-th one outside the
+    /// window.
+    fn starts<'a>(&'a self, net: &'a RoutedNet) -> impl Iterator<Item = (u32, RouteNode)> + 'a {
+        let mut next_outside = OUTSIDE;
+        net.nodes().map(move |node| match self.window.id(node) {
+            Some(at) => (at, node),
+            None => {
+                next_outside += 1;
+                (next_outside - 1, node)
+            }
+        })
+    }
+
+    /// The node behind reference `at`.
+    fn node(&self, at: u32) -> RouteNode {
+        match at.checked_sub(OUTSIDE) {
+            Some(k) => self.outside[k as usize],
+            None => self.window.node(at),
+        }
+    }
+
+    /// The distance pass: A* from the start nodes over a bucket queue
+    /// keyed on `g + h`, `h` being the [hop bound](Target::bound). A node
+    /// is closed (marked) when first popped, and since `h` is consistent
+    /// its `g` is the least there is by then; until then it may be
+    /// queued more than once. The first node to offer the sink has
+    /// `h = 1` and the least `g + h` of any open entry, so no branch is
+    /// shorter than its `g + 1`. Returns that length, or `None` when the
+    /// queue runs dry (the sink is unreachable), and the number of nodes
+    /// expanded.
+    fn distance(&mut self, dev: &Device, net: &RoutedNet, target: &Target) -> (Option<u32>, u64) {
+        let mut open = std::mem::take(&mut self.open);
+        for (at, node) in self.starts(net) {
+            open.push(self.window.bound_of(target, node), (at, 0));
+        }
+        let Search {
+            window,
+            marks,
+            closed,
+            outside,
+            ..
+        } = self;
+        let window = &*window;
+        let mut pops = 0;
+        let mut length = None;
+        while let Some((at, g)) = open.pop() {
+            if g > 0 {
+                if marks.get(at) {
+                    continue;
+                }
+                marks.set(at);
+                closed.push(at);
+            }
+            pops += 1;
+            let offer = |next: u32| {
+                if next == target.id {
+                    return true;
+                }
+                if !marks.get(next) {
+                    if window.held(dev, next) {
+                        marks.set(next);
+                    } else {
+                        open.push(g + 1 + window.bound(target, next), (next, g + 1));
+                    }
+                }
+                false
+            };
+            let hit = match at.checked_sub(OUTSIDE) {
+                Some(k) => window.expand_outside(outside[k as usize], target, offer),
+                None => window.expand(at, target, offer),
+            };
+            if hit {
+                length = Some(g + 1);
                 break;
             }
-            branch.push(self.window.node(from));
-            match self.slots[from as usize] {
-                ROOT => break,
-                parent => from = parent,
+        }
+        for &at in closed.iter() {
+            marks.clear(at);
+        }
+        closed.clear();
+        open.clear();
+        self.open = open;
+        (length, pops)
+    }
+
+    /// The bounded pass: the plain FIFO search, except that it queues a
+    /// node only when `g + h ≤ d`, with `g` its level, and expands only
+    /// the start nodes with `h ≤ d`. Returns the branch and the number of
+    /// nodes expanded.
+    ///
+    /// It returns the plain search's branch. Call a node *tight* when its
+    /// level in the plain search has `g + h ≤ d`. Its plain parent, the
+    /// first node in FIFO order to offer it, is one level nearer the
+    /// start, so, `h` being consistent, it is tight too. By induction
+    /// along the plain FIFO, the bounded FIFO is the plain one with the
+    /// nodes that are not tight left out, every kept node with its plain
+    /// parent: the first kept node to offer a tight node is its plain
+    /// parent, and a node that is not tight is offered at no lower level
+    /// than its plain one, so it fails the bound and is never queued.
+    /// The node the plain search reaches the sink from is one hop before
+    /// the sink, at level `d − 1` with `h = 1`: it is tight, and the
+    /// first node of the bounded FIFO to offer the sink.
+    fn bounded(
+        &mut self,
+        dev: &Device,
+        net: &RoutedNet,
+        target: &Target,
+        d: u32,
+    ) -> (Option<Vec<RouteNode>>, u64) {
+        let mut queue = std::mem::take(&mut self.queue);
+        for (at, node) in self.starts(net) {
+            if self.window.bound_of(target, node) <= d {
+                queue.push((at, NONE));
             }
+        }
+        let starts = queue.len();
+        let Search {
+            window,
+            marks,
+            outside,
+            ..
+        } = self;
+        let window = &*window;
+        // The FIFO holds each level after the one before: `g` is the
+        // level of the entry at `head`, and the next level starts at
+        // `level_end`.
+        let (mut head, mut g, mut level_end) = (0, 0, starts);
+        let mut pops = 0;
+        let mut reached = None;
+        while let Some(&(at, _)) = queue.get(head) {
+            if head == level_end {
+                g += 1;
+                level_end = queue.len();
+            }
+            pops += 1;
+            let parent = head as u32;
+            let offer = |next: u32| {
+                if next == target.id {
+                    return true;
+                }
+                if !marks.get(next) && g + 1 + window.bound(target, next) <= d {
+                    marks.set(next);
+                    if !window.held(dev, next) {
+                        queue.push((next, parent));
+                    }
+                }
+                false
+            };
+            let hit = match at.checked_sub(OUTSIDE) {
+                Some(k) => window.expand_outside(outside[k as usize], target, offer),
+                None => window.expand(at, target, offer),
+            };
+            if hit {
+                reached = Some(head);
+                break;
+            }
+            head += 1;
+        }
+        self.queue = queue;
+        let branch = reached.map(|entry| self.branch(target.node, entry));
+        for at in self.queue.drain(..).skip(starts).map(|(at, _)| at) {
+            self.marks.clear(at);
+        }
+        (branch, pops)
+    }
+
+    /// The branch from a start node to `sink`, reached from the node of
+    /// queue entry `entry`.
+    fn branch(&self, sink: RouteNode, mut entry: usize) -> Vec<RouteNode> {
+        let mut branch = vec![sink];
+        loop {
+            let (at, parent) = self.queue[entry];
+            branch.push(self.node(at));
+            if parent == NONE {
+                break;
+            }
+            entry = parent as usize;
         }
         branch.reverse();
         branch
@@ -765,7 +1015,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rtm_fpga::part::Part;
-    use rtm_fpga::routing::Dir;
+    use rtm_fpga::routing::{fixed_link_rev, pip_table, Dir, HEX_PER_DIR, SINGLES_PER_DIR};
     use std::collections::{HashMap, VecDeque};
 
     /// The destination wires one PIP reaches from `wire`.
@@ -976,9 +1226,11 @@ mod tests {
         }
 
         /// Applies `op` to both copies and asserts they agree on the
-        /// result, on the work done and on everything left behind.
+        /// result, on the searches run and on everything left behind,
+        /// and that the dense router's pops stay within its bound.
         fn apply(&mut self, op: &Op) {
             let (d, r) = (&mut self.dense, &mut self.reference);
+            let before = [d.db.stats, r.db.stats, d.other.stats, r.other.stats];
             match op.clone() {
                 Op::Route(source, sinks, within) => {
                     let got = d.db.route_net(&mut d.dev, source, &sinks, within);
@@ -1009,12 +1261,37 @@ mod tests {
                     r.other.remove_all(&mut r.dev);
                 }
             }
-            // Equal lifetime counters after every op: equal work by each.
-            assert_eq!(d.db, r.db, "nets and work after {op:?}");
-            assert_eq!(d.other, r.other, "other nets and work after {op:?}");
+            assert_twins(&d.db, &r.db, [before[0], before[1]], op);
+            assert_twins(&d.other, &r.other, [before[2], before[3]], op);
             assert_eq!(d.holds(), r.holds(), "holds after {op:?}");
             assert!(d.dev.pips().eq(r.dev.pips()), "device after {op:?}");
         }
+    }
+
+    /// The most nodes with `h = 1`: the sink tile's other wires and, for
+    /// an inbound sink, the outbound wires of the eight tiles one fixed
+    /// link away (a single or a hex along either axis). A plain search
+    /// pops every node whose distance from the net is at most `d − 2`,
+    /// and the distance pass closes no node with `g + h > d`; so the
+    /// distance pass expands at most these nodes more than the plain
+    /// search pops, and the bounded pass, whose FIFO is part of the
+    /// plain one, no more than it.
+    const H1_NODES: u64 = WIRE_COUNT as u64 - 1 + 8 * 4 * (SINGLES_PER_DIR + HEX_PER_DIR) as u64;
+
+    /// Asserts that a dense database and its reference twin hold the
+    /// same nets after `op` and ran the same searches during it, and
+    /// that the dense pops are at most twice the reference's plus
+    /// [`H1_NODES`] per search. `before` holds both counters before
+    /// `op`, dense first.
+    fn assert_twins(dense: &NetDb, reference: &NetDb, before: [RouteStats; 2], op: &Op) {
+        assert_eq!(dense.nets, reference.nets, "nets after {op:?}");
+        let d = dense.stats.delta_since(before[0]);
+        let r = reference.stats.delta_since(before[1]);
+        assert_eq!(d.searches, r.searches, "searches in {op:?}");
+        assert!(
+            d.nodes_expanded <= 2 * r.nodes_expanded + H1_NODES * r.searches,
+            "dense {d:?} against reference {r:?} in {op:?}"
+        );
     }
 
     /// A tile within `reach` of `near`, on the device.
@@ -1179,13 +1456,27 @@ mod tests {
         assert!(net.nodes().any(|n| !window.contains(n.tile)));
     }
 
+    #[test]
+    fn a_sink_found_held_earlier_in_the_call_stays_reachable() {
+        // Another design's net drives pin `b`. Every wire that reaches
+        // pin `a` of the same tile also drives `b`, earlier in wire-index
+        // order, so the search for `a` finds `b` held first; the next
+        // search of the same call must still end at `b`.
+        let mut twin = Twin::new(Part::Xcv50);
+        let (a, b) = (pin(5, 6, 1, 1), pin(5, 6, 0, 0));
+        twin.apply(&Op::RouteOther(out(5, 9, 0), vec![b], None));
+        twin.apply(&Op::Route(out(5, 3, 0), vec![a, b], None));
+        let net = twin.dense.db.net(0).unwrap();
+        assert_eq!(net.sinks().collect::<Vec<_>>(), vec![b, a]);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The dense search returns what the hashed search returned and
-        /// pops exactly as many nodes, through random sequences of
-        /// routes, extensions, paralleled sinks, absorbs, removals and a
-        /// second database's nets on XCV50 and XCV100 devices.
+        /// The dense search returns what the hashed search returned,
+        /// within its bound on pops, through random sequences of routes,
+        /// extensions, paralleled sinks, absorbs, removals and a second
+        /// database's nets on XCV50 and XCV100 devices.
         #[test]
         fn dense_search_matches_hashed_reference(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1208,6 +1499,86 @@ mod tests {
 
     fn pin(r: u16, c: u16, cell: u8, p: u8) -> RouteNode {
         RouteNode::new(ClbCoord::new(r, c), Wire::CellIn(cell, p))
+    }
+
+    /// Every node of `dev`, tile by tile.
+    fn all_nodes(dev: &Device) -> impl Iterator<Item = RouteNode> + '_ {
+        dev.bounds()
+            .iter()
+            .flat_map(|tile| Wire::all().map(move |wire| RouteNode::new(tile, wire)))
+    }
+
+    /// The hop count from every node of an empty `dev` to `sink`, by a
+    /// breadth-first search backwards over every PIP and fixed link;
+    /// `u32::MAX` where the sink is unreachable. Indexed by tile, then
+    /// wire.
+    fn hops_to(dev: &Device, sink: RouteNode) -> Vec<u32> {
+        let mut into = vec![Vec::new(); WIRE_COUNT];
+        for (from, to) in pip_table() {
+            into[to.index()].push(*from);
+        }
+        let index = |n: RouteNode| {
+            (usize::from(n.tile.row) * usize::from(dev.cols()) + usize::from(n.tile.col))
+                * WIRE_COUNT
+                + n.wire.index()
+        };
+        let mut hops = vec![u32::MAX; all_nodes(dev).count()];
+        hops[index(sink)] = 0;
+        let mut queue = VecDeque::from([sink]);
+        while let Some(node) = queue.pop_front() {
+            let next = hops[index(node)] + 1;
+            let back = into[node.wire.index()]
+                .iter()
+                .map(|from| RouteNode::new(node.tile, *from))
+                .chain(fixed_link_rev(node.tile, node.wire, dev.rows(), dev.cols()));
+            for prev in back {
+                if hops[index(prev)] == u32::MAX {
+                    hops[index(prev)] = next;
+                    queue.push_back(prev);
+                }
+            }
+        }
+        hops
+    }
+
+    #[test]
+    fn hop_bound_is_consistent_and_admissible() {
+        // Sinks of every wire class, inside the array and on its edges
+        // and corners, on an empty XCV50.
+        let d = dev();
+        let window = Window::new(&d, None);
+        let tiles = [(8, 12), (0, 0), (15, 23), (3, 17), (12, 5)];
+        let wires = [
+            Wire::CellIn(1, 2),
+            Wire::In(Dir::West, 3),
+            Wire::HexIn(Dir::North, 1),
+            Wire::Out(Dir::East, 5),
+            Wire::HexOut(Dir::South, 2),
+        ];
+        for (row, col) in tiles {
+            for wire in wires {
+                let sink = RouteNode::new(ClbCoord::new(row, col), wire);
+                let target = Target::new(&window, sink);
+                let hop_bound = |node| window.bound_of(&target, node);
+                let hops = hops_to(&d, sink);
+                for (node, hops) in all_nodes(&d).zip(hops) {
+                    let h = hop_bound(node);
+                    assert!(h <= hops, "h({node}) = {h} > {hops} hops to {sink}");
+                    assert_eq!(h == 0, node == sink, "h({node}) = {h} toward {sink}");
+                    if let Some(next) = fixed_link(node.tile, node.wire, d.rows(), d.cols()) {
+                        let step = hop_bound(next);
+                        assert!(h <= 1 + step, "link {node} -> {next}: {h} > 1 + {step}");
+                    }
+                }
+                for tile in d.bounds().iter() {
+                    for (from, to) in pip_table() {
+                        let (from, to) = (RouteNode::new(tile, *from), RouteNode::new(tile, *to));
+                        let (h, step) = (hop_bound(from), hop_bound(to));
+                        assert!(h <= 1 + step, "PIP {from} -> {to}: {h} > 1 + {step}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1335,13 +1706,26 @@ mod tests {
         let mut db = NetDb::new();
         // Region containing only the source tile: sink outside.
         let region = Rect::new(ClbCoord::new(0, 0), 1, 1);
+        let (source, sink) = (out(0, 0, 0), pin(5, 5, 0, 0));
         let err = db
-            .route_net(&mut d, out(0, 0, 0), &[pin(5, 5, 0, 0)], Some(region))
+            .route_net(&mut d, source, &[sink], Some(region))
             .unwrap_err();
         assert!(matches!(err, SimError::Unroutable { .. }));
         // Nothing leaked.
         assert_eq!(d.pips().count(), 0);
         assert_eq!(d.held_nodes().count(), 0);
+        // The distance pass proves the sink unreachable with no more
+        // pops than the plain search, and no bounded pass follows.
+        let mut plain = NetDb::new();
+        let want = reference_route_net(&mut plain, &mut d, source, &[sink], Some(region));
+        assert_eq!(want, Err(err));
+        assert_eq!(db.route_stats().searches, 1);
+        assert!(
+            db.route_stats().nodes_expanded <= plain.route_stats().nodes_expanded,
+            "{:?} against {:?}",
+            db.route_stats(),
+            plain.route_stats()
+        );
     }
 
     #[test]
