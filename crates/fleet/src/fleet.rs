@@ -697,7 +697,7 @@ impl FleetService {
     ///   once, which is what [`FleetReport::load_failovers`] counts:
     ///   `Σ shard_submitted = submitted − unplaceable + load_failovers`.
     fn route(&mut self, at: Micros, a: Arrival, st: &mut RunState) -> Result<(), CoreError> {
-        st.report.submitted += 1;
+        st.report.record_submission(a.tier);
 
         // An id the fleet already holds must be judged by its holder,
         // not shipped to a sibling that would happily admit a twin.

@@ -41,7 +41,8 @@ pub struct FleetSample {
 /// totals roll up exactly: the shard reports' `submitted` sum equals
 /// [`FleetReport::submitted`] − [`FleetReport::unplaceable`] +
 /// [`FleetReport::load_failovers`] (each failover accounts the same
-/// request on one more shard).
+/// request once more, on another shard or on the same one), and the
+/// per-tier arrivals sum to [`FleetReport::submitted`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetReport {
     /// The trace that was replayed.
@@ -50,6 +51,10 @@ pub struct FleetReport {
     pub policy: String,
     /// Arrival events seen at the fleet entrance.
     pub submitted: usize,
+    /// [`FleetReport::submitted`] per [`QosTier`] lane, indexed by
+    /// [`QosTier::index`]: each arrival once, however many shards
+    /// accounted it.
+    pub tier_submitted: [usize; 3],
     /// Requests no device of the fleet could ever hold (shape exceeds
     /// every part): rejected at routing time, never queued.
     pub unplaceable: usize,
@@ -57,10 +62,11 @@ pub struct FleetReport {
     /// first-ranked device could not place the request.
     pub retries: usize,
     /// Extra shard accountings caused by device-specific load failures:
-    /// each time a request failed to load on one shard and was then
-    /// accounted again on another (retried, queued, or dropped there),
-    /// this counter moves by one. The failed shard keeps its attributed
-    /// failure record. Derived when the run ends as
+    /// each time a request failed to load on a shard and was then
+    /// accounted again, on another shard (retried, queued, or dropped
+    /// there) or on the same one (queued there after a preemptive
+    /// eviction), this counter moves by one. The failed shard keeps its
+    /// attributed failure record. Derived when the run ends as
     /// `Σ shard_submitted + unplaceable − submitted`, so that identity
     /// holds by construction.
     pub load_failovers: usize,
@@ -227,19 +233,30 @@ impl FleetReport {
         self.sum(|r| r.evictions_in)
     }
 
-    /// The per-tier admission counters rolled up over every shard:
-    /// submitted, admitted and total queue wait per [`QosTier`] lane.
+    /// The per-tier admission counters of the run, per [`QosTier`]
+    /// lane: arrivals submitted at the fleet entrance
+    /// ([`FleetReport::tier_submitted`]; a request accounted on several
+    /// shards counts once, an unplaceable one counts too), and
+    /// admissions and total queue wait rolled up over every shard.
     pub fn tiers(&self) -> TierCounts {
         let mut total = TierCounts::default();
         for s in &self.shards {
             total.absorb(&s.report.tiers());
         }
+        total.submitted = self.tier_submitted;
         total
     }
 
-    /// Fraction of `tier`-lane submissions admitted fleet-wide
-    /// (vacuously 1.0 when the lane saw no traffic) — the headline the
-    /// preemption baselines gate on.
+    /// Counts one arrival at the fleet entrance: the one write site of
+    /// [`FleetReport::submitted`] and its per-tier split.
+    pub(crate) fn record_submission(&mut self, tier: QosTier) {
+        self.submitted += 1;
+        self.tier_submitted[tier.index()] += 1;
+    }
+
+    /// Fraction of `tier`-lane arrivals admitted fleet-wide (vacuously
+    /// 1.0 when the lane saw no traffic) — the headline the preemption
+    /// baselines gate on.
     pub fn tier_admission_rate(&self, tier: QosTier) -> f64 {
         self.tiers().admission_rate(tier)
     }
@@ -475,6 +492,7 @@ mod tests {
             trace_name: "t".into(),
             policy: "round-robin".into(),
             submitted: 11,
+            tier_submitted: [0, 11, 0],
             unplaceable: 1,
             retries: 2,
             shards: vec![shard(Part::Xcv50, 6, 5), shard(Part::Xcv100, 4, 4)],
@@ -496,6 +514,11 @@ mod tests {
         assert_eq!(r.shard_submitted() + r.unplaceable, r.submitted);
         assert_eq!(r.admitted(), 9);
         assert!((r.admission_rate() - 9.0 / 11.0).abs() < 1e-9);
+        assert_eq!(
+            r.tiers().submitted,
+            [0, 11, 0],
+            "arrivals, not shard accountings"
+        );
         assert_eq!(r.peak_mean_frag(), 0.3);
         assert_eq!(r.peak_worst_frag(), 0.6);
         let shown = r.to_string();

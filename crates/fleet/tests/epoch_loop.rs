@@ -190,6 +190,19 @@ fn failed_load_after_an_eviction_queues_without_a_preemption() {
         1,
         "{report}"
     );
+    // Accounted twice on shard 0 (the failed load, then the queue),
+    // but one arrival of its tier.
+    assert_eq!(report.load_failovers, 1, "{report}");
+    assert_eq!(
+        report.tiers().submitted_for(QosTier::Interactive),
+        1,
+        "{report}"
+    );
+    assert_eq!(
+        report.tier_admission_rate(QosTier::Interactive),
+        1.0,
+        "{report}"
+    );
     assert_eq!(report.parked_at_end, 1, "{report}");
     assert_eq!(report.queued_at_end(), 0, "{report}");
     assert!(fleet.shards()[0].holds(8), "id 8 seats on shard 0");
