@@ -37,19 +37,18 @@ cargo test --workspace -q
 
 echo "==> baseline-oracle counter pins and epoch-loop nets (release)"
 # The baseline oracle re-pins BENCH_fleet.json counters through the
-# library API. The epoch-loop file holds the forced-failover anchors and
-# the horizon-clock proptest, which runs its full 32 cases only in
-# release.
-cargo test -q --release -p rtm-fleet --test baseline_oracle
+# library API, the N = 16 and N = 64 scale rows included (ignored in
+# debug, about a second in release). The epoch-loop file holds the
+# forced-failover anchors and the horizon-clock proptest, which runs
+# its full 32 cases only in release.
+cargo test -q --release -p rtm-fleet --test baseline_oracle -- --include-ignored
 cargo test -q --release -p rtm-fleet --test epoch_loop
 
 if [ "${RTM_STRESS:-0}" = "1" ]; then
-  echo "==> RTM_STRESS=1: N=1024 soak + N=16/N=64 oracle scale rows (release)"
+  echo "==> RTM_STRESS=1: N=1024 soak (release)"
   # Opt-in: the soak prints wall, arrivals/s and its phase shares (never
-  # gated); the scale rows re-pin the big BENCH_fleet.json counters
-  # through the library API.
+  # gated).
   cargo test -q --release -p rtm-fleet --test stress_soak -- --ignored --nocapture
-  cargo test -q --release -p rtm-fleet --test baseline_oracle -- --ignored
 fi
 
 echo "==> cargo doc --workspace --no-deps (deny rustdoc warnings)"

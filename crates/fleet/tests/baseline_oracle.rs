@@ -7,9 +7,10 @@
 //!
 //! Debug pins the two cheap ends of the three-device policy sweep, the
 //! rebalancing row and the two tiered rows; release adds the middle of
-//! the sweep, and the N = 16 / N = 64 scale rows are `#[ignore]`d
-//! (minutes of single-core debug wall) and run by `ci.sh` in release
-//! via `RTM_STRESS=1`.
+//! the sweep. The N = 16 / N = 64 scale rows are `#[ignore]`d, as they
+//! take too long in debug, and `ci.sh` runs them on every pass in
+//! release (`--include-ignored`, about a second), so the N = 64 row's
+//! `route_nodes_expanded` is pinned through the library API too.
 
 use rtm_fleet::rebalance::WorstShardDrain;
 use rtm_fleet::routing::{standard_policies, FragAware, RoundRobin};
@@ -118,10 +119,10 @@ fn tiered_rows_match_the_pinned_baseline() {
 }
 
 /// The N = 16 scale rows (frag-aware sweep and round-robin +
-/// rebalancing): minutes of debug wall on the CI box, so `#[ignore]`d
-/// here and run in release by `ci.sh` under `RTM_STRESS=1`.
+/// rebalancing): slow in debug, so `#[ignore]`d here and run in release
+/// by `ci.sh`.
 #[test]
-#[ignore = "scale row: run in release (ci.sh RTM_STRESS=1)"]
+#[ignore = "scale row: run in release (ci.sh passes --include-ignored)"]
 fn n16_rows_match_the_pinned_baseline() {
     let parts = vec![Part::Xcv50; 16];
     let trace = Scenario::AdversarialFragmenter.fleet_trace(Part::Xcv50, 17, 42, 170_000);
@@ -138,9 +139,10 @@ fn n16_rows_match_the_pinned_baseline() {
 }
 
 /// The N = 64 frag-aware sweep: the plan-reuse poster row (one preview
-/// per arrival, zero rearrangement, every plan reused).
+/// per arrival, zero rearrangement, every plan reused), and the
+/// `load-frag64` benchmark workload.
 #[test]
-#[ignore = "scale row: run in release (ci.sh RTM_STRESS=1)"]
+#[ignore = "scale row: run in release (ci.sh passes --include-ignored)"]
 fn n64_row_matches_the_pinned_baseline() {
     let parts = vec![Part::Xcv50; 64];
     let trace = Scenario::AdversarialFragmenter.fleet_trace(Part::Xcv50, 65, 42, 170_000);
