@@ -14,13 +14,13 @@
 //! The search runs over a *window* (the `within` region, or the whole
 //! device) and numbers every window node by a packed `(row, column,
 //! wire)` id, with one mark bit per node. Each sink takes two passes
-//! guided by a hop lower bound from the fabric alone: an
-//! A* pass finds the length `d` of the shortest path, then the plain
-//! FIFO search runs again, queueing only the nodes that can lie on a
-//! path of length `d`. That pruning leaves the FIFO order of the nodes
-//! it keeps unchanged, so every path is the one a plain breadth-first
-//! search seeded with the net's nodes returns, for far fewer nodes
-//! expanded than that search pops.
+//! guided by a hop lower bound from the fabric alone: an A* pass finds
+//! the length `d` of the shortest path, then the plain FIFO search runs
+//! again, queueing only the nodes that can lie on a path of length `d`.
+//! That pruning leaves the FIFO order of the nodes it keeps unchanged,
+//! so every path is the one a plain breadth-first search seeded with
+//! the net's nodes returns, for far fewer nodes expanded than that
+//! search pops.
 
 use crate::error::SimError;
 use rtm_fpga::geom::{ClbCoord, Rect};
