@@ -53,8 +53,8 @@ pub struct FleetReport {
     pub submitted: usize,
     /// [`FleetReport::submitted`] per [`QosTier`] lane, indexed by
     /// [`QosTier::index`]: each arrival once, however many shards
-    /// accounted it.
-    pub tier_submitted: [usize; 3],
+    /// accounted it. Read through [`FleetReport::tiers`].
+    pub(crate) tier_submitted: [usize; 3],
     /// Requests no device of the fleet could ever hold (shape exceeds
     /// every part): rejected at routing time, never queued.
     pub unplaceable: usize,
@@ -234,9 +234,9 @@ impl FleetReport {
     }
 
     /// The per-tier admission counters of the run, per [`QosTier`]
-    /// lane: arrivals submitted at the fleet entrance
-    /// ([`FleetReport::tier_submitted`]; a request accounted on several
-    /// shards counts once, an unplaceable one counts too), and
+    /// lane: arrivals submitted at the fleet entrance (a request
+    /// accounted on several shards counts once, an unplaceable one
+    /// counts too), and
     /// admissions and total queue wait rolled up over every shard.
     pub fn tiers(&self) -> TierCounts {
         let mut total = TierCounts::default();
