@@ -106,6 +106,11 @@ impl Arena {
         out
     }
 
+    /// The summed-area table of the occupancy grid.
+    pub(crate) fn occupancy(&self) -> SumTable {
+        SumTable::new(self.bounds, self.grid.iter().copied())
+    }
+
     /// Area of the largest fully-free rectangle (histogram method,
     /// O(rows × cols)).
     pub fn largest_free_rect(&self) -> u32 {
@@ -119,6 +124,48 @@ impl Arena {
             best = best.max(max_histogram_area(&heights));
         }
         best
+    }
+}
+
+/// A summed-area table over the cells of a rectangle: one O(rows × cols)
+/// pass, then the number of set cells in any rectangle in O(1).
+#[derive(Debug)]
+pub(crate) struct SumTable {
+    area: Rect,
+    /// `(rows + 1) × (cols + 1)` prefix sums: entry `(r, c)` counts the
+    /// set cells in the first `r` rows and `c` columns of `area`.
+    sums: Vec<u32>,
+}
+
+impl SumTable {
+    /// The table of `area`, whose cells `set` gives in row-major order.
+    pub(crate) fn new(area: Rect, set: impl IntoIterator<Item = bool>) -> Self {
+        let (rows, cols) = (area.rows as usize, area.cols as usize);
+        let stride = cols + 1;
+        let mut sums = vec![0u32; (rows + 1) * stride];
+        let mut set = set.into_iter();
+        for r in 0..rows {
+            let mut in_row = 0;
+            for c in 0..cols {
+                in_row += u32::from(set.next() == Some(true));
+                sums[(r + 1) * stride + c + 1] = sums[r * stride + c + 1] + in_row;
+            }
+        }
+        SumTable { area, sums }
+    }
+
+    /// The number of set cells of the table's area that lie in `rect`.
+    pub(crate) fn count(&self, rect: &Rect) -> u32 {
+        let Some(clip) = self.area.intersection(rect) else {
+            return 0;
+        };
+        let stride = self.area.cols as usize + 1;
+        let r0 = (clip.origin.row - self.area.origin.row) as usize;
+        let c0 = (clip.origin.col - self.area.origin.col) as usize;
+        let (r1, c1) = (r0 + clip.rows as usize, c0 + clip.cols as usize);
+        self.sums[r1 * stride + c1] + self.sums[r0 * stride + c0]
+            - self.sums[r0 * stride + c1]
+            - self.sums[r1 * stride + c0]
     }
 }
 
@@ -423,6 +470,36 @@ mod tests {
                 }
             }
             prop_assert_eq!(best, brute);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn occupancy_counts_every_rectangle(rects in proptest::collection::vec(
+            (0u16..6, 0u16..6, 1u16..3, 1u16..3), 0..10))
+        {
+            let bounds = Rect::new(ClbCoord::new(2, 3), 6, 6);
+            let mut a = Arena::new(bounds);
+            for (r, c, h, w) in rects {
+                let _ = a.claim(&Rect::new(ClbCoord::new(2 + r, 3 + c), h, w));
+            }
+            let table = a.occupancy();
+            // Rectangles reaching past the arena count only its cells.
+            for r in 0..10u16 {
+                for c in 0..10u16 {
+                    for h in 0..=(10 - r) {
+                        for w in 0..=(10 - c) {
+                            let rect = Rect::new(ClbCoord::new(r, c), h, w);
+                            let brute = rect
+                                .iter()
+                                .filter(|x| bounds.contains(*x) && a.occupied(*x))
+                                .count() as u32;
+                            prop_assert_eq!(table.count(&rect), brute);
+                        }
+                    }
+                }
+            }
         }
     }
 }

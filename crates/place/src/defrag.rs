@@ -15,7 +15,7 @@
 //! What the *paper* adds is downstream of this planner: executing the
 //! moves with dynamic relocation so the moved tasks never stop.
 
-use crate::arena::{TaskArena, TaskId};
+use crate::arena::{SumTable, TaskArena, TaskId};
 use crate::frag::FragMetrics;
 use rtm_fpga::geom::{ClbCoord, Rect};
 use std::fmt;
@@ -187,48 +187,84 @@ fn free_ignoring(arena: &TaskArena, rect: &Rect, id: TaskId) -> bool {
 /// that frees a contiguous `rows`×`cols` region:
 ///
 /// 1. no moves if the request already fits;
-/// 2. otherwise the single-task move whose relocation opens a fitting
-///    hole, minimising relocated cells (local repacking);
+/// 2. otherwise a single-task move that opens a fitting hole (local
+///    repacking): tasks are tried smallest area first, the lower
+///    [`TaskId`] first among equals, and the first task that has such a
+///    move takes its shortest one, the first in row-major order among
+///    equals;
 /// 3. otherwise full ordered compaction, if that suffices.
 ///
-/// Returns the move list (empty = fits as-is) applied to a scratch copy —
-/// the caller's arena is *not* modified — or `None` when even compaction
-/// cannot help (insufficient total area).
+/// No move is applied to test it. One summed-area table of the arena's
+/// occupancy answers "how many occupied cells in this rectangle" in
+/// O(1). Nothing fits before a move, and a move frees only the task's
+/// own rectangle, so the regions it can open are those whose occupied
+/// cells all lie in that rectangle. A destination is taken when it is
+/// free apart from the task's own cells and misses one of those
+/// regions. The caller's arena is not modified.
+///
+/// Returns the move list (empty = fits as-is), or `None` when none of
+/// the three seats the request: it has a zero side or exceeds the arena,
+/// the arena has fewer free cells than `rows × cols` (no move changes
+/// that count), or the free cells suffice but neither one move nor
+/// compaction gathers them into one region.
 pub fn make_room(arena: &TaskArena, rows: u16, cols: u16) -> Option<Vec<Move>> {
-    let fits = |a: &TaskArena| !a.arena().candidate_origins(rows, cols).is_empty();
-    if fits(arena) {
+    let bounds = arena.arena().bounds();
+    if rows == 0 || cols == 0 || rows > bounds.rows || cols > bounds.cols {
+        return None;
+    }
+    let occupied = arena.arena().occupancy();
+    // The origin of every `rows`×`cols` region of the arena.
+    let origins = Rect::new(
+        bounds.origin,
+        bounds.rows - rows + 1,
+        bounds.cols - cols + 1,
+    );
+    let region = |origin: ClbCoord| Rect::new(origin, rows, cols);
+    if origins.iter().any(|q| occupied.count(&region(q)) == 0) {
         return Some(Vec::new());
+    }
+    if bounds.area() - occupied.count(&bounds) < u32::from(rows) * u32::from(cols) {
+        return None;
     }
 
     // Local repacking: try every single-task move, cheapest first.
     let mut candidates: Vec<(TaskId, Rect)> =
         arena.tasks().iter().map(|(id, r)| (*id, *r)).collect();
     candidates.sort_by_key(|(_, r)| r.area());
-    let bounds = arena.arena().bounds();
-    for (id, from) in &candidates {
+    for (id, from) in candidates {
+        // Cells of `rect` that the moving task holds.
+        let own = |rect: &Rect| rect.intersection(&from).map_or(0, |o| o.area());
+        let Some(near) = origins.intersection(&meeting(&from, rows, cols)) else {
+            continue;
+        };
+        let openable = SumTable::new(
+            near,
+            near.iter().map(|q| {
+                let r = region(q);
+                occupied.count(&r) == own(&r)
+            }),
+        );
+        let open = openable.count(&near);
+        if open == 0 {
+            continue;
+        }
         let mut best: Option<Move> = None;
-        for r in bounds.origin.row..=(bounds.row_end().saturating_sub(from.rows)) {
-            for c in bounds.origin.col..=(bounds.col_end().saturating_sub(from.cols)) {
-                let to = Rect::new(ClbCoord::new(r, c), from.rows, from.cols);
-                if to == *from || !free_ignoring(arena, &to, *id) {
-                    continue;
-                }
-                let mut scratch = arena.clone();
-                scratch.relocate(*id, to).expect("checked feasible");
-                if fits(&scratch) {
-                    let mv = Move {
-                        id: *id,
-                        from: *from,
-                        to,
-                    };
-                    let better = match &best {
-                        None => true,
-                        Some(b) => mv.distance() < b.distance(),
-                    };
-                    if better {
-                        best = Some(mv);
-                    }
-                }
+        let destinations = Rect::new(
+            bounds.origin,
+            bounds.rows - from.rows + 1,
+            bounds.cols - from.cols + 1,
+        );
+        for origin in destinations.iter() {
+            let to = Rect::new(origin, from.rows, from.cols);
+            // Every openable region meets `from`, so `to == from` fails
+            // the second test.
+            let free = occupied.count(&to) == own(&to);
+            if !free || openable.count(&meeting(&to, rows, cols)) == open {
+                continue;
+            }
+            let mv = Move { id, from, to };
+            if best.is_none_or(|b| mv.distance() < b.distance()) {
+                best = Some(mv);
             }
         }
         if let Some(mv) = best {
@@ -239,11 +275,24 @@ pub fn make_room(arena: &TaskArena, rows: u16, cols: u16) -> Option<Vec<Move>> {
     // Full compaction on a scratch copy.
     let mut scratch = arena.clone();
     let moves = compact(&mut scratch);
-    if fits(&scratch) {
-        Some(moves)
-    } else {
+    if scratch.arena().candidate_origins(rows, cols).is_empty() {
         None
+    } else {
+        Some(moves)
     }
+}
+
+/// The origins of the `rows`×`cols` regions that share a cell with the
+/// non-empty `rect`, as a rectangle of origins (it may reach past the
+/// arena; callers clip it).
+fn meeting(rect: &Rect, rows: u16, cols: u16) -> Rect {
+    let top = rect.origin.row.saturating_sub(rows - 1);
+    let left = rect.origin.col.saturating_sub(cols - 1);
+    Rect::new(
+        ClbCoord::new(top, left),
+        rect.row_end() - top,
+        rect.col_end() - left,
+    )
 }
 
 #[cfg(test)]
@@ -253,6 +302,70 @@ mod tests {
 
     fn arena_8x8() -> TaskArena {
         TaskArena::new(Rect::new(ClbCoord::new(0, 0), 8, 8))
+    }
+
+    /// The reference planner: `make_room` before the occupancy table.
+    /// For every destination a task could take it clones the arena,
+    /// relocates the task there and rescans every request origin.
+    fn make_room_reference(arena: &TaskArena, rows: u16, cols: u16) -> Option<Vec<Move>> {
+        let fits = |a: &TaskArena| !a.arena().candidate_origins(rows, cols).is_empty();
+        if fits(arena) {
+            return Some(Vec::new());
+        }
+
+        let mut candidates: Vec<(TaskId, Rect)> =
+            arena.tasks().iter().map(|(id, r)| (*id, *r)).collect();
+        candidates.sort_by_key(|(_, r)| r.area());
+        let bounds = arena.arena().bounds();
+        for (id, from) in &candidates {
+            let mut best: Option<Move> = None;
+            for r in bounds.origin.row..=(bounds.row_end().saturating_sub(from.rows)) {
+                for c in bounds.origin.col..=(bounds.col_end().saturating_sub(from.cols)) {
+                    let to = Rect::new(ClbCoord::new(r, c), from.rows, from.cols);
+                    if to == *from || !free_ignoring(arena, &to, *id) {
+                        continue;
+                    }
+                    let mut scratch = arena.clone();
+                    scratch.relocate(*id, to).expect("checked feasible");
+                    if fits(&scratch) {
+                        let mv = Move {
+                            id: *id,
+                            from: *from,
+                            to,
+                        };
+                        let better = match &best {
+                            None => true,
+                            Some(b) => mv.distance() < b.distance(),
+                        };
+                        if better {
+                            best = Some(mv);
+                        }
+                    }
+                }
+            }
+            if let Some(mv) = best {
+                return Some(vec![mv]);
+            }
+        }
+
+        let mut scratch = arena.clone();
+        let moves = compact(&mut scratch);
+        if fits(&scratch) {
+            Some(moves)
+        } else {
+            None
+        }
+    }
+
+    /// Both planners' answer, required to agree.
+    fn planned(a: &TaskArena, rows: u16, cols: u16) -> Option<Vec<Move>> {
+        let plan = make_room(a, rows, cols);
+        assert_eq!(
+            plan,
+            make_room_reference(a, rows, cols),
+            "{rows}x{cols} on {a:?}"
+        );
+        plan
     }
 
     #[test]
@@ -327,7 +440,7 @@ mod tests {
         let mut a = arena_8x8();
         a.allocate_at(1, Rect::new(ClbCoord::new(0, 0), 2, 2))
             .unwrap();
-        assert_eq!(make_room(&a, 4, 4), Some(Vec::new()));
+        assert_eq!(planned(&a, 4, 4), Some(Vec::new()));
     }
 
     #[test]
@@ -336,7 +449,7 @@ mod tests {
         // A 2x2 task stranded in the middle blocks a 8x4 request.
         a.allocate_at(1, Rect::new(ClbCoord::new(3, 3), 2, 2))
             .unwrap();
-        let moves = make_room(&a, 8, 4).unwrap();
+        let moves = planned(&a, 8, 4).unwrap();
         assert_eq!(moves.len(), 1);
         assert_eq!(moves[0].id, 1);
         // Applying the move must open the region.
@@ -355,7 +468,7 @@ mod tests {
             .unwrap();
         a.allocate_at(3, Rect::new(ClbCoord::new(0, 6), 8, 1))
             .unwrap();
-        let moves = make_room(&a, 8, 5).unwrap();
+        let moves = planned(&a, 8, 5).unwrap();
         assert!(moves.len() >= 2, "single move cannot open 5 columns");
         // Replay on a scratch copy.
         let mut scratch = a.clone();
@@ -370,7 +483,54 @@ mod tests {
         let mut a = arena_8x8();
         a.allocate_at(1, Rect::new(ClbCoord::new(0, 0), 8, 5))
             .unwrap();
-        assert_eq!(make_room(&a, 8, 4), None);
+        assert_eq!(planned(&a, 8, 4), None);
+        assert_eq!(planned(&a, 0, 4), None, "a zero side never fits");
+        assert_eq!(planned(&a, 1, 9), None, "wider than the arena");
+    }
+
+    #[test]
+    fn make_room_impossible_with_enough_free_area() {
+        // Every 2x2 region of a 3x3 arena holds its centre cell, and so
+        // does a 2x2 task wherever it stands: five free cells, no plan.
+        let mut a = TaskArena::new(Rect::new(ClbCoord::new(0, 0), 3, 3));
+        a.allocate_at(1, Rect::new(ClbCoord::new(0, 0), 2, 2))
+            .unwrap();
+        assert_eq!(a.arena().free_cells(), 5);
+        assert_eq!(planned(&a, 2, 2), None);
+    }
+
+    #[test]
+    fn make_room_breaks_distance_ties_in_row_major_order() {
+        // Two 1x1 tasks block every full-height 3x2 region. Task 1 opens
+        // columns 0-1 from (0,2), (1,3) or (2,2), all at distance 2.
+        let mut a = TaskArena::new(Rect::new(ClbCoord::new(0, 0), 3, 4));
+        a.allocate_at(1, Rect::new(ClbCoord::new(1, 1), 1, 1))
+            .unwrap();
+        a.allocate_at(2, Rect::new(ClbCoord::new(1, 2), 1, 1))
+            .unwrap();
+        let mv = Move {
+            id: 1,
+            from: Rect::new(ClbCoord::new(1, 1), 1, 1),
+            to: Rect::new(ClbCoord::new(0, 2), 1, 1),
+        };
+        assert_eq!(planned(&a, 3, 2), Some(vec![mv]));
+    }
+
+    #[test]
+    fn make_room_tries_equal_areas_by_task_id() {
+        // The layout above with the ids swapped: task 1 now stands at
+        // (1,2) and moves first, though task 2 stands earlier.
+        let mut a = TaskArena::new(Rect::new(ClbCoord::new(0, 0), 3, 4));
+        a.allocate_at(2, Rect::new(ClbCoord::new(1, 1), 1, 1))
+            .unwrap();
+        a.allocate_at(1, Rect::new(ClbCoord::new(1, 2), 1, 1))
+            .unwrap();
+        let mv = Move {
+            id: 1,
+            from: Rect::new(ClbCoord::new(1, 2), 1, 1),
+            to: Rect::new(ClbCoord::new(0, 1), 1, 1),
+        };
+        assert_eq!(planned(&a, 3, 2), Some(vec![mv]));
     }
 
     #[test]
@@ -429,13 +589,45 @@ mod tests {
             for (i, (h, w)) in specs.iter().enumerate() {
                 let _ = a.allocate(i as u64, *h, *w, crate::alloc::Strategy::WorstFit);
             }
-            if let Some(moves) = make_room(&a, req_h, req_w) {
+            if let Some(moves) = planned(&a, req_h, req_w) {
                 let mut scratch = a.clone();
                 for mv in &moves {
                     scratch.relocate(mv.id, mv.to).unwrap();
                 }
                 prop_assert!(!scratch.arena().candidate_origins(req_h, req_w).is_empty());
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 32 } else { 2000 }))]
+        /// The occupancy-table planner returns the reference's plan on
+        /// arenas up to XCV100 size (20x30) with a non-zero origin and up
+        /// to 14 tasks, for requests from a zero side to past the arena.
+        #[test]
+        fn make_room_matches_reference(
+            origin in (0u16..4, 0u16..4),
+            dims in (1u16..=20, 1u16..=30),
+            specs in proptest::collection::vec((0u16..30, 0u16..30, 1u16..9, 1u16..9), 0..15),
+            lattice in any::<bool>(),
+            req in (0u16..64, 0u16..64),
+        ) {
+            let (rows, cols) = dims;
+            let mut a = TaskArena::new(Rect::new(ClbCoord::new(origin.0, origin.1), rows, cols));
+            for (i, (r, c, h, w)) in specs.into_iter().enumerate() {
+                // 2x2 tasks on a pitch of 3: equal areas and
+                // equal-distance destinations everywhere.
+                let (r, c, h, w) = if lattice {
+                    (r % rows / 3 * 3, c % cols / 3 * 3, 2, 2)
+                } else {
+                    (r % rows, c % cols, h, w)
+                };
+                let at = ClbCoord::new(origin.0 + r, origin.1 + c);
+                let _ = a.allocate_at(i as TaskId, Rect::new(at, h.min(rows - r), w.min(cols - c)));
+            }
+            let (h, w) = (req.0 % (rows + 2), req.1 % (cols + 2));
+            prop_assert_eq!(make_room(&a, h, w), make_room_reference(&a, h, w));
         }
     }
 }
