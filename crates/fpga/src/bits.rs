@@ -30,6 +30,29 @@ impl BitVec {
         }
     }
 
+    /// A vector of `len` bits over `words`, LSB-first as
+    /// [`BitVec::words`] returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not `len.div_ceil(64)` long.
+    pub(crate) fn from_words(len: usize, words: &[u64]) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "{len} bits need whole words");
+        debug_assert!(
+            set_positions(words.iter().copied()).all(|i| i < len),
+            "bits past the length must be zero"
+        );
+        BitVec {
+            len,
+            words: words.to_vec(),
+        }
+    }
+
+    /// The backing words, LSB-first; bits at or past the length are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Creates a bit vector from an iterator of bools.
     pub fn from_bools<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         let bools: Vec<bool> = iter.into_iter().collect();
@@ -111,19 +134,7 @@ impl BitVec {
     /// Panics if lengths differ.
     pub fn diff_indices(&self, other: &BitVec) -> Vec<usize> {
         assert_eq!(self.len, other.len, "diff requires equal lengths");
-        let mut out = Vec::new();
-        for (w, (a, b)) in self.words.iter().zip(&other.words).enumerate() {
-            let mut x = a ^ b;
-            while x != 0 {
-                let bit = x.trailing_zeros() as usize;
-                let idx = w * 64 + bit;
-                if idx < self.len {
-                    out.push(idx);
-                }
-                x &= x - 1;
-            }
-        }
-        out
+        diff_words(&self.words, &other.words)
     }
 
     /// Iterator over all bits, LSB-first.
@@ -155,6 +166,27 @@ impl BitVec {
         }
         bv
     }
+}
+
+/// Positions of the set bits of `words`, bit `i` of word `w` being
+/// position `64 * w + i`, in ascending order.
+pub(crate) fn set_positions(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                64 * w + bit
+            })
+        })
+    })
+}
+
+/// Positions at which two equally long word slices differ, in
+/// ascending order.
+pub(crate) fn diff_words(a: &[u64], b: &[u64]) -> Vec<usize> {
+    debug_assert_eq!(a.len(), b.len(), "diff requires equal lengths");
+    set_positions(a.iter().zip(b).map(|(x, y)| x ^ y)).collect()
 }
 
 impl fmt::Debug for BitVec {

@@ -1,11 +1,14 @@
 //! The configuration-memory bit image.
 
-use crate::bits::BitVec;
+use crate::bits::{diff_words, set_positions, BitVec};
 use crate::config::frame::{BlockType, Frame, FrameAddress};
 use crate::error::FpgaError;
 use crate::part::{Part, FRAMES_CLOCK_COLUMN, FRAMES_PER_CLB_COLUMN, FRAMES_PER_IOB_COLUMN};
-use std::collections::BTreeMap;
 use std::fmt;
+
+/// What an unwritten frame reads as: the words of the widest frame of
+/// any part (the XCV1000's 1,188 bits).
+const ZERO_FRAME: [u64; 19] = [0; 19];
 
 /// The result of writing one frame: which payload bits actually changed.
 ///
@@ -28,8 +31,17 @@ impl FrameWriteEffect {
     }
 }
 
-/// The full configuration memory of one device: a map from frame address
-/// to frame payload, all frames initially zero.
+/// The full configuration memory of one device, all frames initially
+/// zero.
+///
+/// The frames are one flat vector of 64-bit words: each frame's payload,
+/// LSB-first and rounded up to whole words, at the frame's dense index
+/// (the clock column, then the CLB columns, then the two IOB columns,
+/// which is address order). The journal's per-frame stamps use the same
+/// index. The first write that changes a bit allocates the vector; until
+/// then every frame reads zero with no storage behind it. Equality
+/// compares content: a frame written and set back to zero equals one
+/// never written.
 ///
 /// The memory also keeps an undo journal. Once armed by
 /// [`ConfigMemory::checkpoint`], it saves a frame's before-image the
@@ -56,13 +68,29 @@ impl FrameWriteEffect {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
 pub struct ConfigMemory {
     part: Part,
-    // Only frames that have ever been written are stored; absent frames
-    // read as all-zero.
-    frames: BTreeMap<FrameAddress, Frame>,
+    /// Words per frame.
+    stride: usize,
+    /// Frame `i` at `i * stride..(i + 1) * stride`; empty until the
+    /// first change.
+    words: Vec<u64>,
     journal: Journal,
+}
+
+impl fmt::Debug for ConfigMemory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let nonzero = self
+            .words
+            .chunks(self.stride)
+            .filter(|frame| frame.iter().any(|w| *w != 0))
+            .count();
+        f.debug_struct("ConfigMemory")
+            .field("part", &self.part)
+            .field("nonzero_frames", &nonzero)
+            .field("journal", &self.journal)
+            .finish()
+    }
 }
 
 impl Clone for ConfigMemory {
@@ -71,7 +99,8 @@ impl Clone for ConfigMemory {
     fn clone(&self) -> Self {
         ConfigMemory {
             part: self.part,
-            frames: self.frames.clone(),
+            stride: self.stride,
+            words: self.words.clone(),
             journal: Journal::default(),
         }
     }
@@ -79,7 +108,13 @@ impl Clone for ConfigMemory {
 
 impl PartialEq for ConfigMemory {
     fn eq(&self, other: &Self) -> bool {
-        self.part == other.part && self.frames == other.frames
+        let zero = |words: &[u64]| words.iter().all(|w| *w == 0);
+        self.part == other.part
+            && if self.words.is_empty() || other.words.is_empty() {
+                zero(&self.words) && zero(&other.words)
+            } else {
+                self.words == other.words
+            }
     }
 }
 
@@ -158,9 +193,15 @@ impl Journal {
         self.marks().last().map_or(self.base, |m| m.1)
     }
 
-    /// Saves `image` as the before-image of the frame at dense index `at`
-    /// unless the innermost level already holds one.
-    fn save(&mut self, at: usize, frames: usize, addr: FrameAddress, image: &Frame) {
+    /// Saves the before-image of the frame at dense index `at`, built by
+    /// `image`, unless the innermost level already holds one.
+    fn save(
+        &mut self,
+        at: usize,
+        frames: usize,
+        addr: FrameAddress,
+        image: impl FnOnce() -> Frame,
+    ) {
         let level = self.level();
         if level == 0 {
             return;
@@ -173,7 +214,7 @@ impl Journal {
         if prior != level {
             l.log.push(Undo {
                 addr,
-                image: image.clone(),
+                image: image(),
                 prior,
             });
             self.saved += 1;
@@ -196,12 +237,30 @@ fn frame_index(part: Part, addr: FrameAddress) -> usize {
     first + usize::from(addr.major) * usize::from(per_column) + usize::from(addr.minor)
 }
 
+/// Every frame address of `part`, in dense-index order, which is also
+/// address order.
+fn frame_addresses(part: Part) -> impl Iterator<Item = FrameAddress> {
+    let clb = (0..part.clb_cols()).flat_map(|major| {
+        (0..FRAMES_PER_CLB_COLUMN).map(move |minor| FrameAddress::clb(major, minor))
+    });
+    let iob = (0..2).flat_map(|major| {
+        (0..FRAMES_PER_IOB_COLUMN).map(move |minor| FrameAddress::iob(major, minor))
+    });
+    (0..FRAMES_CLOCK_COLUMN)
+        .map(FrameAddress::clock)
+        .chain(clb)
+        .chain(iob)
+}
+
 impl ConfigMemory {
     /// An all-zero configuration memory for `part`.
     pub fn new(part: Part) -> Self {
+        let stride = part.frame_payload_bits().div_ceil(64);
+        debug_assert!(stride <= ZERO_FRAME.len(), "{part} frames are wider");
         ConfigMemory {
             part,
-            frames: BTreeMap::new(),
+            stride,
+            words: Vec::new(),
             journal: Journal::default(),
         }
     }
@@ -214,6 +273,37 @@ impl ConfigMemory {
     /// Frame payload length in bits.
     pub fn frame_len(&self) -> usize {
         self.part.frame_payload_bits()
+    }
+
+    fn frame_count(&self) -> usize {
+        self.part.total_frames() as usize
+    }
+
+    /// The words of the frame at dense index `at`.
+    fn words_at(&self, at: usize) -> &[u64] {
+        let s = self.stride;
+        self.words
+            .get(at * s..(at + 1) * s)
+            .unwrap_or(&ZERO_FRAME[..s])
+    }
+
+    /// The words of the frame at dense index `at`, for a write that
+    /// changes them: allocates the store on the first one and saves the
+    /// frame's before-image unless the innermost level holds one.
+    fn words_to_change(&mut self, at: usize, addr: FrameAddress) -> &mut [u64] {
+        let (s, len, frames) = (self.stride, self.frame_len(), self.frame_count());
+        if self.words.is_empty() {
+            self.words = vec![0; frames * s];
+        }
+        let words = &mut self.words[at * s..(at + 1) * s];
+        self.journal.save(at, frames, addr, || {
+            Frame::from_bits(BitVec::from_words(len, words))
+        });
+        words
+    }
+
+    fn frame_at(&self, at: usize) -> Frame {
+        Frame::from_bits(BitVec::from_words(self.frame_len(), self.words_at(at)))
     }
 
     /// Validates that `addr` exists on this part.
@@ -247,11 +337,7 @@ impl ConfigMemory {
     /// part.
     pub fn read_frame(&self, addr: FrameAddress) -> Result<Frame, FpgaError> {
         self.validate_addr(addr)?;
-        Ok(self
-            .frames
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| Frame::zeros(self.frame_len())))
+        Ok(self.frame_at(frame_index(self.part, addr)))
     }
 
     /// Writes a frame, returning which bits changed.
@@ -273,14 +359,12 @@ impl ConfigMemory {
                 actual: frame.len(),
             });
         }
-        let old = self.read_frame(addr)?;
-        let changed_bits = old.diff(&frame);
+        let at = frame_index(self.part, addr);
+        let new = frame.as_bits().words();
+        let changed_bits = diff_words(self.words_at(at), new);
         if !changed_bits.is_empty() {
-            let at = frame_index(self.part, addr);
-            let frames = self.part.total_frames() as usize;
-            self.journal.save(at, frames, addr, &old);
+            self.words_to_change(at, addr).copy_from_slice(new);
         }
-        self.frames.insert(addr, frame);
         Ok(FrameWriteEffect { addr, changed_bits })
     }
 
@@ -295,7 +379,11 @@ impl ConfigMemory {
     ///
     /// Panics if `bit` exceeds the frame length.
     pub fn get_bit(&self, addr: FrameAddress, bit: usize) -> Result<bool, FpgaError> {
-        Ok(self.read_frame(addr)?.get(bit))
+        self.validate_addr(addr)?;
+        let len = self.frame_len();
+        assert!(bit < len, "bit index {bit} out of range {len}");
+        let word = self.words_at(frame_index(self.part, addr))[bit / 64];
+        Ok((word >> (bit % 64)) & 1 == 1)
     }
 
     /// Sets one bit of one frame, returning whether the value changed.
@@ -317,47 +405,78 @@ impl ConfigMemory {
         bit: usize,
         value: bool,
     ) -> Result<bool, FpgaError> {
+        self.write_bits(addr, bit, 1, u64::from(value))
+    }
+
+    /// Sets `n ≤ 64` consecutive bits of one frame, from `offset` on, to
+    /// the low `n` bits of `value`, returning whether any bit changed:
+    /// one address check, one lookup and at most one journal save for
+    /// the run.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FpgaError::BadFrameAddress`] for addresses outside the
+    /// part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64` or the run passes the frame's end.
+    pub(crate) fn write_bits(
+        &mut self,
+        addr: FrameAddress,
+        offset: usize,
+        n: usize,
+        value: u64,
+    ) -> Result<bool, FpgaError> {
         self.validate_addr(addr)?;
         let len = self.frame_len();
+        assert!(
+            n <= 64 && offset + n <= len,
+            "bit index {} out of range {len}",
+            offset + n - 1
+        );
+        let mask = if n == 64 { u64::MAX } else { (1 << n) - 1 };
+        let (w, shift) = (offset / 64, offset % 64);
+        let value = value & mask;
+        // The run's share of each word it covers, as (word, mask, bits):
+        // the second share is empty unless the run crosses into the next
+        // word.
+        let spill = |x: u64| x.checked_shr(64 - shift as u32).unwrap_or(0);
+        let shares = [
+            (w, mask << shift, value << shift),
+            (w + 1, spill(mask), spill(value)),
+        ];
+        let shares = shares.iter().filter(|share| share.1 != 0);
         let at = frame_index(self.part, addr);
-        let frames = self.part.total_frames() as usize;
-        let frame = self.frames.entry(addr).or_insert_with(|| Frame::zeros(len));
-        if frame.get(bit) == value {
+        let current = self.words_at(at);
+        if shares.clone().all(|&(i, m, v)| current[i] & m == v) {
             return Ok(false);
         }
-        self.journal.save(at, frames, addr, frame);
-        frame.set(bit, value);
+        let words = self.words_to_change(at, addr);
+        for &(i, m, v) in shares {
+            words[i] = (words[i] & !m) | v;
+        }
         Ok(true)
     }
 
-    /// All frame addresses that currently differ from `other`.
+    /// Every set bit, as its frame and bit position, in address order.
+    pub(crate) fn ones(&self) -> impl Iterator<Item = (FrameAddress, usize)> + '_ {
+        frame_addresses(self.part)
+            .zip(self.words.chunks(self.stride))
+            .flat_map(|(addr, words)| set_positions(words.iter().copied()).map(move |b| (addr, b)))
+    }
+
+    /// All frame addresses whose content differs from `other`'s, a
+    /// memory of the same part.
     ///
     /// This is the primitive behind partial-bitstream generation: the tool
     /// writes exactly these frames.
     pub fn diff_frames(&self, other: &ConfigMemory) -> Vec<FrameAddress> {
-        let mut out = Vec::new();
-        let zero = Frame::zeros(self.frame_len());
-        let mut addrs: Vec<FrameAddress> = self
-            .frames
-            .keys()
-            .chain(other.frames.keys())
-            .copied()
-            .collect();
-        addrs.sort();
-        addrs.dedup();
-        for addr in addrs {
-            let a = self.frames.get(&addr).unwrap_or(&zero);
-            let b = other.frames.get(&addr).unwrap_or(&zero);
-            if a != b {
-                out.push(addr);
-            }
-        }
-        out
-    }
-
-    /// Number of frames that have been written at least once.
-    pub fn touched_frames(&self) -> usize {
-        self.frames.len()
+        frame_addresses(self.part)
+            .enumerate()
+            .filter(|&(at, _)| self.words_at(at) != other.words_at(at))
+            .map(|(_, addr)| addr)
+            .collect()
     }
 
     /// A full copy of the frames, without the journal: the baseline a
@@ -474,18 +593,18 @@ impl ConfigMemory {
         // Stable: an enclosing level's image precedes a nested one's.
         logged.sort_by_key(|(addr, _)| *addr);
         logged.dedup_by_key(|(addr, _)| *addr);
-        // Every saved frame is in the map: each save comes with a write.
-        logged
-            .into_iter()
-            .filter(|(addr, image)| self.frames.get(addr) != Some(*image))
+        logged.into_iter().filter(|(addr, image)| {
+            self.words_at(frame_index(self.part, *addr)) != image.as_bits().words()
+        })
     }
 
     /// Packs every non-zero frame as address + payload words (a trivial
     /// serialisation used by the recovery file format).
     pub fn dump(&self) -> Vec<(FrameAddress, Vec<u32>)> {
-        self.frames
-            .iter()
-            .map(|(addr, frame)| (*addr, frame.as_bits().to_config_words()))
+        frame_addresses(self.part)
+            .enumerate()
+            .filter(|&(at, _)| self.words_at(at).iter().any(|w| *w != 0))
+            .map(|(at, addr)| (addr, self.frame_at(at).as_bits().to_config_words()))
             .collect()
     }
 
@@ -508,6 +627,8 @@ impl ConfigMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn unwritten_frames_read_zero() {
@@ -708,5 +829,265 @@ mod tests {
         let back = ConfigMemory::restore(Part::Xcv100, &dump).unwrap();
         assert_eq!(back, mem);
         assert!(back.snapshot().diff_frames(&mem).is_empty());
+    }
+
+    #[test]
+    fn equality_and_dump_see_content_not_writes() {
+        let mut mem = ConfigMemory::new(Part::Xcv50);
+        let addr = FrameAddress::clb(3, 3);
+        mem.set_bit(addr, 7, true).unwrap();
+        mem.set_bit(addr, 7, false).unwrap();
+        let blank = ConfigMemory::new(Part::Xcv50);
+        assert!(mem.diff_frames(&blank).is_empty());
+        assert_eq!(
+            mem, blank,
+            "a frame set back to zero equals an unwritten one"
+        );
+        assert_eq!(blank, mem);
+        assert!(mem.dump().is_empty(), "no non-zero frame to pack");
+    }
+
+    #[test]
+    fn the_store_is_allocated_by_the_first_change() {
+        let mut mem = ConfigMemory::new(Part::Xcv50);
+        let addr = FrameAddress::iob(1, 53);
+        assert!(!mem.set_bit(addr, 0, false).unwrap());
+        let zeros = Frame::zeros(mem.frame_len());
+        assert!(mem
+            .write_frame(addr, zeros)
+            .unwrap()
+            .is_transparent_rewrite());
+        assert!(mem.words.is_empty(), "nothing changed, nothing stored");
+        assert!(mem.set_bit(addr, 323, true).unwrap());
+        assert_eq!(mem.words.len(), 1268 * 6, "XCV50: 1,268 frames of 6 words");
+        assert_eq!(mem.ones().collect::<Vec<_>>(), vec![(addr, 323)]);
+    }
+
+    #[test]
+    fn frame_addresses_follow_the_dense_index() {
+        for part in Part::ALL {
+            let addrs: Vec<FrameAddress> = frame_addresses(part).collect();
+            assert_eq!(addrs.len(), part.total_frames() as usize, "{part}");
+            for (at, addr) in addrs.iter().enumerate() {
+                assert!(ConfigMemory::new(part).validate_addr(*addr).is_ok());
+                assert_eq!(frame_index(part, *addr), at, "{addr} on {part}");
+            }
+            assert!(addrs.windows(2).all(|w| w[0] < w[1]), "address order");
+            assert!(part.frame_payload_bits().div_ceil(64) <= ZERO_FRAME.len());
+        }
+    }
+
+    #[test]
+    fn a_run_write_crosses_a_word_boundary() {
+        let mut mem = ConfigMemory::new(Part::Xcv100);
+        let addr = FrameAddress::clb(2, 5);
+        // Bits 54..72: ten in word 0, eight in word 1.
+        assert!(mem
+            .write_bits(addr, 54, 18, 0b11_0000_0000_0000_0101)
+            .unwrap());
+        let ones: Vec<usize> = mem.ones().map(|(_, bit)| bit).collect();
+        assert_eq!(ones, vec![54, 56, 70, 71]);
+        assert!(!mem
+            .write_bits(addr, 54, 18, 0b11_0000_0000_0000_0101)
+            .unwrap());
+        // Only the run's bits: its neighbours stay put.
+        mem.set_bit(addr, 53, true).unwrap();
+        mem.set_bit(addr, 72, true).unwrap();
+        assert!(mem.write_bits(addr, 54, 18, 0).unwrap());
+        let ones: Vec<usize> = mem.ones().map(|(_, bit)| bit).collect();
+        assert_eq!(ones, vec![53, 72]);
+        // The frame's last bit.
+        assert!(mem.write_bits(addr, 390, 6, u64::MAX).unwrap());
+        assert!(mem.get_bit(addr, 395).unwrap());
+    }
+
+    /// Frames as the twin's model holds them: absent frames read zero.
+    type Frames = BTreeMap<FrameAddress, Frame>;
+
+    /// The twin's model of a memory: a map of written frames, a copy of
+    /// it at the checkpoint (`None` while unarmed) and at each open mark,
+    /// and per level the frames that level has saved an image of.
+    struct Model {
+        len: usize,
+        frames: Frames,
+        checkpoint: Option<(Frames, BTreeSet<FrameAddress>)>,
+        marks: Vec<(Frames, BTreeSet<FrameAddress>, JournalMark)>,
+        saved: u64,
+    }
+
+    impl Model {
+        fn read(&self, frames: &Frames, addr: FrameAddress) -> Frame {
+            frames
+                .get(&addr)
+                .cloned()
+                .unwrap_or_else(|| Frame::zeros(self.len))
+        }
+
+        fn diff(&self, a: &Frames, b: &Frames) -> Vec<FrameAddress> {
+            let addrs: BTreeSet<FrameAddress> = a.keys().chain(b.keys()).copied().collect();
+            addrs
+                .into_iter()
+                .filter(|addr| self.read(a, *addr) != self.read(b, *addr))
+                .collect()
+        }
+
+        /// The frames that differ from `then`, with their content there.
+        fn records(&self, then: &Frames) -> Vec<(FrameAddress, Frame)> {
+            let changed = self.diff(&self.frames, then);
+            changed
+                .into_iter()
+                .map(|a| (a, self.read(then, a)))
+                .collect()
+        }
+
+        /// The innermost level's saved frames.
+        fn level(&mut self) -> Option<&mut BTreeSet<FrameAddress>> {
+            match self.marks.last_mut() {
+                Some(mark) => Some(&mut mark.1),
+                None => self.checkpoint.as_mut().map(|c| &mut c.1),
+            }
+        }
+
+        fn write(&mut self, addr: FrameAddress, frame: Frame) {
+            if self.read(&self.frames, addr) != frame
+                && self.level().is_some_and(|saved| saved.insert(addr))
+            {
+                self.saved += 1;
+            }
+            self.frames.insert(addr, frame);
+        }
+
+        fn dump(&self) -> Vec<(FrameAddress, Vec<u32>)> {
+            self.frames
+                .iter()
+                .filter(|(_, frame)| frame.as_bits().count_ones() > 0)
+                .map(|(addr, frame)| (*addr, frame.as_bits().to_config_words()))
+                .collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 24 } else { 1500 }))]
+        /// The dense store answers as a map of written frames does,
+        /// through random bit and frame writes, checkpoints, nested
+        /// marks and write-backs of their records, on the XCV50 (324-bit
+        /// frames) and the XCV100 (396-bit frames), at bits 0, 63, 64,
+        /// the last and one anywhere.
+        #[test]
+        fn dense_store_matches_a_frame_map(
+            xcv100 in any::<bool>(),
+            ops in proptest::collection::vec((0u8..8, 0u8..7, 0usize..5, any::<u16>(), any::<bool>()), 0..48),
+        ) {
+            let part = if xcv100 { Part::Xcv100 } else { Part::Xcv50 };
+            let mut mem = ConfigMemory::new(part);
+            let (len, cols) = (mem.frame_len(), part.clb_cols());
+            // A few fixed frames, so operations meet, and one anywhere.
+            let fixed = [
+                FrameAddress::clock(7),
+                FrameAddress::clb(0, 0),
+                FrameAddress::clb(0, 1),
+                FrameAddress::clb(cols - 1, 47),
+                FrameAddress::iob(0, 0),
+                FrameAddress::iob(1, 53),
+            ];
+            let mut model = Model {
+                len,
+                frames: Frames::new(),
+                checkpoint: None,
+                marks: Vec::new(),
+                saved: 0,
+            };
+            let mut at_checkpoint = mem.snapshot();
+            for (kind, a, b, r, value) in ops {
+                let addr = fixed
+                    .get(usize::from(a))
+                    .copied()
+                    .unwrap_or(FrameAddress::clb(r % cols, r % FRAMES_PER_CLB_COLUMN));
+                let bit = [0, 63, 64, len - 1, usize::from(r) % len][b];
+                match kind {
+                    0 | 1 => {
+                        let mut frame = model.read(&model.frames, addr);
+                        let changed = frame.set(bit, value) != value;
+                        prop_assert_eq!(mem.set_bit(addr, bit, value).unwrap(), changed);
+                        model.write(addr, frame);
+                    }
+                    2 | 3 => {
+                        // The frame with one bit flipped, another frame's
+                        // content, or zeros.
+                        let old = model.read(&model.frames, addr);
+                        let frame = match r % 3 {
+                            0 => {
+                                let mut f = old.clone();
+                                f.set(bit, !f.get(bit));
+                                f
+                            }
+                            1 => model.read(&model.frames, fixed[1]),
+                            _ => Frame::zeros(len),
+                        };
+                        let effect = mem.write_frame(addr, frame.clone()).unwrap();
+                        prop_assert_eq!(effect.changed_bits, old.diff(&frame));
+                        model.write(addr, frame);
+                    }
+                    4 => {
+                        if model.marks.is_empty() {
+                            mem.checkpoint();
+                            model.checkpoint = Some((model.frames.clone(), BTreeSet::new()));
+                            at_checkpoint = mem.snapshot();
+                        }
+                    }
+                    5 => {
+                        let mark = mem.open_mark();
+                        model.marks.push((model.frames.clone(), BTreeSet::new(), mark));
+                    }
+                    6 => {
+                        if let Some((at_open, saved, mark)) = model.marks.pop() {
+                            let changed = model.diff(&model.frames, &at_open);
+                            prop_assert_eq!(mem.close_mark(mark), changed);
+                            // The level folds into its parent, if any.
+                            if let Some(parent) = model.level() {
+                                parent.extend(saved);
+                            }
+                        }
+                    }
+                    _ => {
+                        // Write back the innermost level's records, as
+                        // restoring an extraction or `recover` does.
+                        let records = match model.marks.last() {
+                            Some(mark) => mem.undo_records(&mark.2),
+                            None => mem.checkpoint_records(),
+                        };
+                        for (addr, image) in records {
+                            mem.write_frame(addr, image.clone()).unwrap();
+                            model.write(addr, image);
+                        }
+                    }
+                }
+                for at in fixed.iter().chain([&addr]) {
+                    prop_assert_eq!(mem.read_frame(*at).unwrap(), model.read(&model.frames, *at));
+                    let want = model.read(&model.frames, *at).get(bit);
+                    prop_assert_eq!(mem.get_bit(*at, bit).unwrap(), want);
+                }
+                let blank = ConfigMemory::new(part);
+                prop_assert_eq!(mem.diff_frames(&blank), model.diff(&model.frames, &Frames::new()));
+                prop_assert_eq!(mem.dump(), model.dump());
+                let rebuilt = ConfigMemory::restore(part, &model.dump()).unwrap();
+                // Both ways: either side's store may be unallocated.
+                prop_assert_eq!(&mem, &rebuilt);
+                prop_assert_eq!(&rebuilt, &mem);
+                prop_assert_eq!(mem.images_saved(), model.saved);
+                if let Some((frames, _)) = &model.checkpoint {
+                    let changed = model.diff(&model.frames, frames);
+                    prop_assert_eq!(mem == at_checkpoint, changed.is_empty());
+                    prop_assert_eq!(mem.diff_frames(&at_checkpoint), changed);
+                    prop_assert_eq!(mem.checkpoint_records(), model.records(frames));
+                } else if model.marks.is_empty() {
+                    prop_assert!(mem.checkpoint_records().is_empty());
+                }
+                if let Some((at_open, _, mark)) = model.marks.last() {
+                    prop_assert_eq!(mem.undo_records(mark), model.records(at_open));
+                }
+            }
+        }
     }
 }

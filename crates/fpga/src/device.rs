@@ -1,15 +1,19 @@
-//! The device: typed CLB/routing state kept in lock-step with the
-//! configuration-memory bit image.
+//! The device: the configuration-memory bit image, with typed mirrors of
+//! its logic cells and storage-element state.
 //!
-//! All mutations go through configuration bits, in both directions:
+//! A PIP *is* its configuration bit: [`Device::has_pip`],
+//! [`Device::pips`], [`Device::pips_driving`] and [`Device::pips_from`]
+//! read the bits, so no second record of the routing exists to keep in
+//! sync. Only the cells and the FF state have typed mirrors, and all
+//! mutations go through configuration bits, in both directions:
 //!
-//! * typed mutators ([`Device::set_clb`], [`Device::add_pip`], …) update
-//!   the typed model *and* write the corresponding configuration bits,
-//!   returning the set of frames touched — the quantity the relocation
-//!   cost model accounts;
+//! * typed mutators ([`Device::set_clb`], [`Device::set_cell`],
+//!   [`Device::add_pip`], …) write the corresponding configuration bits
+//!   (and update the mirror), returning the frames whose content changed
+//!   — the quantity the relocation cost model accounts;
 //! * [`Device::write_frame`] (the path used by the bitstream/JTAG stack)
-//!   writes raw frame data and incrementally re-decodes the affected typed
-//!   resources, exactly as the silicon would.
+//!   writes raw frame data and re-decodes the mirrored cells and state
+//!   its changed bits control, exactly as the silicon would.
 //!
 //! One record is not configuration: the routing-node occupancy, a count
 //! per node of the routed nets that hold it. Several designs share one
@@ -28,9 +32,36 @@ use crate::config::layout::{
 use crate::config::{ConfigMemory, Frame, FrameAddress, FrameWriteEffect, JournalMark};
 use crate::error::FpgaError;
 use crate::geom::{ClbCoord, Rect};
-use crate::part::Part;
-use crate::routing::{fixed_link, pip_exists, pip_table, Pip, RouteNode, Wire, WIRE_COUNT};
+use crate::part::{Part, BITS_PER_ROW_PER_FRAME};
+use crate::routing::{fixed_link, pip_table, Pip, RouteNode, Wire, WIRE_COUNT};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+/// The switch pattern by wire index: the (from, to) pairs that drive
+/// each wire and the pairs each wire drives, every list sorted, so one
+/// tile's PIPs come out in `Pip` order.
+struct PipsByWire {
+    driving: Vec<Vec<(Wire, Wire)>>,
+    from: Vec<Vec<(Wire, Wire)>>,
+}
+
+fn pips_by_wire() -> &'static PipsByWire {
+    static BY_WIRE: OnceLock<PipsByWire> = OnceLock::new();
+    BY_WIRE.get_or_init(|| {
+        let mut by = PipsByWire {
+            driving: vec![Vec::new(); WIRE_COUNT],
+            from: vec![Vec::new(); WIRE_COUNT],
+        };
+        for &(from, to) in pip_table() {
+            by.driving[to.index()].push((from, to));
+            by.from[from.index()].push((from, to));
+        }
+        for list in by.driving.iter_mut().chain(&mut by.from) {
+            list.sort_unstable();
+        }
+        by
+    })
+}
 
 /// A Virtex-class device instance.
 ///
@@ -40,7 +71,6 @@ pub struct Device {
     part: Part,
     clbs: Vec<Clb>,
     state: Vec<[bool; CELLS_PER_CLB]>,
-    pips: BTreeSet<Pip>,
     config: ConfigMemory,
     /// Routed nets holding each node, at `tile index * WIRE_COUNT +
     /// wire index`; empty until the first hold.
@@ -55,7 +85,6 @@ impl Device {
             part,
             clbs: vec![Clb::default(); n],
             state: vec![[false; CELLS_PER_CLB]; n],
-            pips: BTreeSet::new(),
             config: ConfigMemory::new(part),
             holds: Vec::new(),
         }
@@ -114,21 +143,19 @@ impl Device {
     /// Returns [`FpgaError::OutOfBounds`] if `coord` is outside the array.
     pub fn set_clb(&mut self, coord: ClbCoord, clb: Clb) -> Result<Vec<FrameAddress>, FpgaError> {
         let idx = self.idx(coord)?;
-        let mut touched = BTreeSet::new();
-        for (cell_idx, cell) in clb.cells.iter().enumerate() {
-            let bits = cell.encode();
-            for (bit_idx, bit) in bits.iter().enumerate() {
-                let (addr, offset) = cell_config_bit(coord, cell_idx, bit_idx);
-                if self.config.set_bit(addr, offset, *bit)? {
-                    touched.insert(addr);
-                }
-            }
+        let mut touched = Vec::new();
+        for (cell, config) in clb.cells.iter().enumerate() {
+            self.write_cell_bits(coord, cell, config, &mut touched)?;
         }
+        // Neighbouring cells share a frame; each cell's frames come in
+        // minor order, so the list is sorted with adjacent repeats.
+        touched.dedup();
         self.clbs[idx] = clb;
-        Ok(touched.into_iter().collect())
+        Ok(touched)
     }
 
-    /// Configures one logic cell, leaving the CLB's other cells untouched.
+    /// Configures one logic cell, writing only its own configuration
+    /// bits, and returns the frames whose content changed.
     ///
     /// # Errors
     ///
@@ -144,9 +171,40 @@ impl Device {
         config: LogicCell,
     ) -> Result<Vec<FrameAddress>, FpgaError> {
         assert!(cell < CELLS_PER_CLB, "cell index {cell} out of range");
-        let mut clb = *self.clb(coord)?;
-        clb.cells[cell] = config;
-        self.set_clb(coord, clb)
+        let idx = self.idx(coord)?;
+        let mut touched = Vec::new();
+        self.write_cell_bits(coord, cell, &config, &mut touched)?;
+        self.clbs[idx].cells[cell] = config;
+        Ok(touched)
+    }
+
+    /// Writes a cell's configuration bits one frame at a time (a frame
+    /// holds `BITS_PER_ROW_PER_FRAME` consecutive tile bits, so the 24
+    /// bits span two frames) and pushes each frame whose content changed,
+    /// in minor order.
+    fn write_cell_bits(
+        &mut self,
+        tile: ClbCoord,
+        cell: usize,
+        config: &LogicCell,
+        touched: &mut Vec<FrameAddress>,
+    ) -> Result<(), FpgaError> {
+        let bits = config
+            .encode()
+            .iter()
+            .rev()
+            .fold(0u64, |acc, &b| (acc << 1) | u64::from(b));
+        let mut i = 0;
+        while i < CELL_CONFIG_BITS {
+            let (addr, offset) = cell_config_bit(tile, cell, i);
+            let run = (BITS_PER_ROW_PER_FRAME - offset % BITS_PER_ROW_PER_FRAME)
+                .min(CELL_CONFIG_BITS - i);
+            if self.config.write_bits(addr, offset, run, bits >> i)? {
+                touched.push(addr);
+            }
+            i += run;
+        }
+        Ok(())
     }
 
     /// The stored value of a cell's storage element.
@@ -188,9 +246,17 @@ impl Device {
         Ok(())
     }
 
-    /// True if `pip` is currently active.
+    /// The configuration bit of `pip`: `None` off the array or outside
+    /// the switch pattern.
+    fn pip_bit(&self, pip: &Pip) -> Option<(FrameAddress, usize)> {
+        self.idx(pip.tile).ok()?;
+        pip_config_bit(pip)
+    }
+
+    /// True if `pip` is currently active: its configuration bit is set.
     pub fn has_pip(&self, pip: &Pip) -> bool {
-        self.pips.contains(pip)
+        self.pip_bit(pip)
+            .is_some_and(|(addr, bit)| matches!(self.config.get_bit(addr, bit), Ok(true)))
     }
 
     /// Activates a PIP, returning the frames touched (empty if the PIP was
@@ -207,17 +273,13 @@ impl Device {
     /// switch pattern.
     pub fn add_pip(&mut self, pip: Pip) -> Result<Vec<FrameAddress>, FpgaError> {
         self.idx(pip.tile)?;
-        if !pip_exists(pip.from, pip.to) {
+        let Some((addr, offset)) = pip_config_bit(&pip) else {
             return Err(FpgaError::BadFrameAddress {
                 detail: format!("no such pip in switch pattern: {pip}"),
             });
-        }
-        if !self.pips.insert(pip) {
-            return Ok(Vec::new());
-        }
-        let (addr, offset) = pip_config_bit(&pip).expect("pip_exists implies a config bit");
-        self.config.set_bit(addr, offset, true)?;
-        Ok(vec![addr])
+        };
+        let changed = self.config.set_bit(addr, offset, true)?;
+        Ok(if changed { vec![addr] } else { Vec::new() })
     }
 
     /// Deactivates a PIP, returning the frames touched.
@@ -227,36 +289,47 @@ impl Device {
     /// Returns [`FpgaError::PipNotActive`] if the PIP is not currently
     /// active.
     pub fn remove_pip(&mut self, pip: &Pip) -> Result<Vec<FrameAddress>, FpgaError> {
-        if !self.pips.remove(pip) {
-            return Err(FpgaError::PipNotActive {
-                detail: pip.to_string(),
-            });
+        if let Some((addr, offset)) = self.pip_bit(pip) {
+            if self.config.set_bit(addr, offset, false)? {
+                return Ok(vec![addr]);
+            }
         }
-        let (addr, offset) = pip_config_bit(pip).expect("active pip must have a config bit");
-        self.config.set_bit(addr, offset, false)?;
-        Ok(vec![addr])
+        Err(FpgaError::PipNotActive {
+            detail: pip.to_string(),
+        })
     }
 
-    /// All active PIPs.
-    pub fn pips(&self) -> impl Iterator<Item = &Pip> {
-        self.pips.iter()
+    /// All active PIPs, in (tile, from, to) order, read from their
+    /// configuration bits.
+    pub fn pips(&self) -> impl Iterator<Item = Pip> {
+        let mut active: Vec<Pip> = self
+            .config
+            .ones()
+            .filter_map(|(addr, bit)| {
+                let (tile, k) = frame_bit_owner(self.part, addr, bit)?;
+                let &(from, to) = pip_table().get(k.checked_sub(PIP_BITS_BASE)?)?;
+                Some(Pip::new(tile, from, to))
+            })
+            .collect();
+        active.sort_unstable();
+        active.into_iter()
     }
 
-    /// Active PIPs that drive `node`'s wire.
+    /// Active PIPs that drive `node`'s wire, in `Pip` order.
     pub fn pips_driving(&self, node: RouteNode) -> Vec<Pip> {
-        self.pips
-            .iter()
-            .filter(|p| p.tile == node.tile && p.to == node.wire)
-            .copied()
-            .collect()
+        self.active_pips(node.tile, &pips_by_wire().driving[node.wire.index()])
     }
 
-    /// Active PIPs that listen to `node`'s wire.
+    /// Active PIPs that listen to `node`'s wire, in `Pip` order.
     pub fn pips_from(&self, node: RouteNode) -> Vec<Pip> {
-        self.pips
+        self.active_pips(node.tile, &pips_by_wire().from[node.wire.index()])
+    }
+
+    fn active_pips(&self, tile: ClbCoord, pairs: &[(Wire, Wire)]) -> Vec<Pip> {
+        pairs
             .iter()
-            .filter(|p| p.tile == node.tile && p.from == node.wire)
-            .copied()
+            .map(|&(from, to)| Pip::new(tile, from, to))
+            .filter(|pip| self.has_pip(pip))
             .collect()
     }
 
@@ -365,9 +438,9 @@ impl Device {
         self.config.read_frame(addr)
     }
 
-    /// Writes a configuration frame and re-decodes the typed resources the
-    /// changed bits control — the path exercised by the bitstream/JTAG
-    /// stack.
+    /// Writes a configuration frame and re-decodes the mirrored cells and
+    /// state the changed bits control — the path exercised by the
+    /// bitstream/JTAG stack.
     ///
     /// # Errors
     ///
@@ -384,6 +457,7 @@ impl Device {
             let Some((tile, k)) = frame_bit_owner(self.part, addr, bit) else {
                 continue;
             };
+            // PIP bits need nothing more: a PIP is its bit.
             if k < STATE_BITS_BASE {
                 dirty_cells.insert((tile, k / CELL_CONFIG_BITS));
             } else if k < PIP_BITS_BASE {
@@ -391,17 +465,6 @@ impl Device {
                 let value = self.config.get_bit(addr, bit)?;
                 let idx = self.idx(tile)?;
                 self.state[idx][cell] = value;
-            } else {
-                let pip_idx = k - PIP_BITS_BASE;
-                if let Some(&(from, to)) = pip_table().get(pip_idx) {
-                    let pip = Pip::new(tile, from, to);
-                    let value = self.config.get_bit(addr, bit)?;
-                    if value {
-                        self.pips.insert(pip);
-                    } else {
-                        self.pips.remove(&pip);
-                    }
-                }
             }
         }
         for (tile, cell) in dirty_cells {
@@ -475,6 +538,7 @@ mod tests {
     use super::*;
     use crate::lut::Lut;
     use crate::routing::Dir;
+    use proptest::prelude::*;
 
     fn small() -> Device {
         Device::new(Part::Xcv50)
@@ -663,5 +727,162 @@ mod tests {
         dev.set_clb(ClbCoord::new(1, 1), clb).unwrap();
         let used = dev.used_in(Rect::new(ClbCoord::new(0, 0), 4, 4));
         assert_eq!(used, vec![ClbCoord::new(1, 1)]);
+    }
+
+    /// The drivers and fan-out of `node` in a set of PIPs, in set order.
+    fn listed(set: &BTreeSet<Pip>, node: RouteNode) -> (Vec<Pip>, Vec<Pip>) {
+        let at_tile = set.iter().filter(|p| p.tile == node.tile);
+        let driving = at_tile.clone().filter(|p| p.to == node.wire);
+        let from = at_tile.filter(|p| p.from == node.wire);
+        (driving.copied().collect(), from.copied().collect())
+    }
+
+    #[test]
+    fn every_pip_of_a_tile_lists_in_pip_order() {
+        // Table order is wire-index order, which puts `CellDx` after the
+        // fabric wires; `Pip` order puts it before them.
+        let mut dev = small();
+        let tile = ClbCoord::new(2, 2);
+        let all: BTreeSet<Pip> = pip_table()
+            .iter()
+            .map(|&(from, to)| Pip::new(tile, from, to))
+            .collect();
+        for pip in pip_table().iter().rev() {
+            dev.add_pip(Pip::new(tile, pip.0, pip.1)).unwrap();
+        }
+        assert!(dev.pips().eq(all.iter().copied()));
+        for wire in Wire::all() {
+            let node = RouteNode::new(tile, wire);
+            assert_eq!(
+                (dev.pips_driving(node), dev.pips_from(node)),
+                listed(&all, node)
+            );
+        }
+    }
+
+    /// The body `set_clb` had before cell-sized writes: every bit of the
+    /// four cells through `set_bit`, with the changed frames in a set.
+    fn set_clb_bit_by_bit(dev: &mut Device, coord: ClbCoord, clb: Clb) -> Vec<FrameAddress> {
+        let mut touched = BTreeSet::new();
+        for (cell, config) in clb.cells.iter().enumerate() {
+            for (i, bit) in config.encode().iter().enumerate() {
+                let (addr, offset) = cell_config_bit(coord, cell, i);
+                if dev.config.set_bit(addr, offset, *bit).unwrap() {
+                    touched.insert(addr);
+                }
+            }
+        }
+        let idx = dev.idx(coord).unwrap();
+        dev.clbs[idx] = clb;
+        touched.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 16 } else { 600 }))]
+        /// PIP queries read the configuration bits as a `BTreeSet<Pip>`
+        /// driven through the same random adds and removes would answer,
+        /// also after frames copied from a second device overwrite PIPs
+        /// of several tiles of one column at once.
+        #[test]
+        fn pip_queries_match_a_pip_set(
+            ops in proptest::collection::vec((0u8..6, 0usize..5, any::<u16>()), 0..40),
+        ) {
+            let table = pip_table();
+            // Three tiles of column 0 (they share frames), one elsewhere
+            // and one off the array.
+            let tiles = [
+                ClbCoord::new(0, 0),
+                ClbCoord::new(1, 0),
+                ClbCoord::new(15, 0),
+                ClbCoord::new(7, 23),
+                ClbCoord::new(16, 3),
+            ];
+            let (mut dev, mut other) = (small(), small());
+            let (mut set, mut other_set) = (BTreeSet::new(), BTreeSet::new());
+            for (kind, t, r) in ops {
+                // Half the time one of eight PIPs, so operations meet.
+                let r = usize::from(r);
+                let k = if r % 2 == 0 { r / 2 % 8 * (table.len() / 8) } else { r % table.len() };
+                let pip = Pip::new(tiles[t], table[k].0, table[k].1);
+                let on_array = t < 4;
+                match kind {
+                    0 | 1 => {
+                        let added = dev.add_pip(pip);
+                        prop_assert_eq!(added.is_ok(), on_array);
+                        if on_array {
+                            let fresh = set.insert(pip);
+                            prop_assert_eq!(added.unwrap().len(), usize::from(fresh));
+                        }
+                    }
+                    2 => prop_assert_eq!(dev.remove_pip(&pip).is_ok(), set.remove(&pip)),
+                    3 | 4 => {
+                        if on_array {
+                            other.add_pip(pip).unwrap();
+                            other_set.insert(pip);
+                        }
+                    }
+                    _ => {
+                        if on_array {
+                            // Copy the frame holding the PIP's bit.
+                            let (addr, _) = pip_config_bit(&pip).unwrap();
+                            dev.write_frame(addr, other.read_frame(addr).unwrap()).unwrap();
+                            let in_frame = |p: &Pip| pip_config_bit(p).unwrap().0 == addr;
+                            set.retain(|p| !in_frame(p));
+                            set.extend(other_set.iter().filter(|p| in_frame(p)));
+                        }
+                    }
+                }
+                prop_assert_eq!(dev.has_pip(&pip), set.contains(&pip));
+                prop_assert!(dev.pips().eq(set.iter().copied()));
+            }
+            for p in &set {
+                prop_assert!(dev.has_pip(p));
+            }
+            for tile in tiles {
+                for wire in Wire::all() {
+                    let node = RouteNode::new(tile, wire);
+                    prop_assert_eq!((dev.pips_driving(node), dev.pips_from(node)), listed(&set, node));
+                }
+            }
+        }
+
+        /// `set_cell` writes only its own cell's bits, and `set_clb` one
+        /// run per frame. The frames they return, the bits they leave and
+        /// the images the journal saves match the old routes: `set_clb`
+        /// bit by bit, and `set_cell` through it with the CLB's other
+        /// three cells at their current values.
+        #[test]
+        fn cell_writes_match_the_bit_by_bit_route(
+            writes in proptest::collection::vec((0u16..16, 0u16..3, 0usize..4, any::<u32>(), any::<bool>()), 1..24),
+        ) {
+            let (mut dev, mut bitwise) = (small(), small());
+            dev.checkpoint();
+            bitwise.checkpoint();
+            for (row, col, cell, raw, whole) in writes {
+                let coord = ClbCoord::new(row, col);
+                let mut clb = *bitwise.clb(coord).unwrap();
+                // One cell, or all four from rotations of the same bits.
+                for c in 0..CELLS_PER_CLB {
+                    if whole || c == cell {
+                        let mut bits = [false; CELL_CONFIG_BITS];
+                        for (i, bit) in bits.iter_mut().enumerate() {
+                            *bit = (raw.rotate_left(7 * c as u32) >> i) & 1 == 1;
+                        }
+                        clb.cells[c] = LogicCell::decode(&bits);
+                    }
+                }
+                let written = if whole {
+                    dev.set_clb(coord, clb).unwrap()
+                } else {
+                    dev.set_cell(coord, cell, clb.cells[cell]).unwrap()
+                };
+                prop_assert_eq!(written, set_clb_bit_by_bit(&mut bitwise, coord, clb));
+                prop_assert_eq!(dev.clb(coord).unwrap(), &clb);
+            }
+            prop_assert_eq!(dev.config(), bitwise.config());
+            prop_assert_eq!(dev.config().images_saved(), bitwise.config().images_saved());
+            prop_assert_eq!(dev.config().checkpoint_records(), bitwise.config().checkpoint_records());
+        }
     }
 }
