@@ -275,10 +275,6 @@ impl ConfigMemory {
         self.part.frame_payload_bits()
     }
 
-    fn frame_count(&self) -> usize {
-        self.part.total_frames() as usize
-    }
-
     /// The words of the frame at dense index `at`.
     fn words_at(&self, at: usize) -> &[u64] {
         let s = self.stride;
@@ -291,7 +287,8 @@ impl ConfigMemory {
     /// changes them: allocates the store on the first one and saves the
     /// frame's before-image unless the innermost level holds one.
     fn words_to_change(&mut self, at: usize, addr: FrameAddress) -> &mut [u64] {
-        let (s, len, frames) = (self.stride, self.frame_len(), self.frame_count());
+        let (s, len) = (self.stride, self.frame_len());
+        let frames = self.part.total_frames() as usize;
         if self.words.is_empty() {
             self.words = vec![0; frames * s];
         }
