@@ -39,12 +39,11 @@ echo "==> baseline-oracle counter pins, epoch-loop, placement and configuration-
 # The baseline oracle re-pins BENCH_fleet.json counters through the
 # library API, the N = 16 and N = 64 scale rows included (ignored in
 # debug, about a second in release). The epoch-loop file holds the
-# forced-failover anchors and the horizon-clock proptest, which runs
-# its full 32 cases only in release. rtm-place's make_room twin test
-# runs its full 2,000 cases against the reference planner only in
-# release; rtm-fpga's configuration-store twins (the dense frame store
-# against a map of frames, PIP queries against a PIP set) likewise run
-# their full case counts only in release.
+# forced-failover anchors. rtm-place's make_room twin test runs its
+# full 2,000 cases against the reference planner only in release;
+# rtm-fpga's configuration-store twins (the dense frame store against a
+# map of frames, PIP queries against a PIP set) likewise run their full
+# case counts only in release.
 cargo test -q --release -p rtm-fleet --test baseline_oracle -- --include-ignored
 cargo test -q --release -p rtm-fleet --test epoch_loop
 cargo test -q --release -p rtm-place

@@ -327,19 +327,14 @@ impl FleetService {
 
         let events = trace.events();
         let mut idx = 0usize;
-        let mut clock = engine::HorizonClock::new(n);
         loop {
             // The epoch boundary: the next instant at which anything
             // cross-shard can happen. Everything up to it is
-            // shard-local by construction. The clock keeps a min-heap
-            // of per-shard next expiries and only re-reads shards whose
-            // schedule actually changed, replacing the O(N) per-epoch
-            // scan (the scan survives as `engine::horizon`, the clock's
-            // debug oracle).
+            // shard-local by construction.
             let next_trace = events.get(idx).map(|e| e.at);
             let horizon = {
                 let _t = profiler.map(|p| p.start(Phase::Horizon));
-                clock.next(next_trace, &self.shards)
+                engine::horizon(next_trace, &self.shards)
             };
             let Some(now) = horizon else {
                 break;

@@ -58,10 +58,10 @@
 //! admission totals, retry/unplaceable counts and a fragmentation
 //! timeline.
 //!
-//! The fleet advances epoch by epoch (the [`engine`] module holds its
-//! clock): each epoch runs every shard's **shard-local segment**
-//! (departures, queue service, threshold defrag) up to the next
-//! cross-shard event horizon, then applies the cross-shard edges
+//! The fleet advances epoch by epoch: each epoch runs every shard's
+//! **shard-local segment** (departures, queue service, threshold
+//! defrag) up to the next cross-shard event horizon (found by the
+//! [`engine`] module), then applies the cross-shard edges
 //! (routing, migration, the fleet defrag trigger) in shard-index order.
 //! Admission runs inline on the routing edge, one arrival at a time. One
 //! thread walks the whole epoch in a fixed order, so a run is a pure

@@ -1,4 +1,4 @@
-//! The epoch loop's admission step and its clock.
+//! The epoch loop's admission step.
 //!
 //! The routing edge admits each arrival in one step: every offer is a
 //! shard's `admit` (reserve, execute, resolve), so a load that fails is
@@ -9,22 +9,13 @@
 //! `Σ shard_submitted = submitted − unplaceable + load_failovers`, and
 //! a failed load right after a preemptive eviction must end the
 //! preemption episode uncounted and queue the arrival.
-//!
-//! The horizon min-heap rides along: `HorizonClock` must agree with
-//! the `engine::horizon` reference scan over arbitrary admission /
-//! departure / advance interleavings (the heap is lazily rebuilt from
-//! per-shard `schedule_version` dirty flags; a stale entry must never
-//! win).
 
-use proptest::prelude::*;
-use rtm_fleet::engine::{horizon, HorizonClock};
 use rtm_fleet::routing::{LeastUtilized, RoundRobin, RoutingPolicy};
 use rtm_fleet::{FleetConfig, FleetReport, FleetService};
 use rtm_fpga::part::Part;
 use rtm_obs::EventKind;
-use rtm_sched::task::Micros;
 use rtm_service::trace::{Arrival, Scenario, Trace, TraceEvent};
-use rtm_service::{AdmissionBid, QosTier, RuntimeService, ServiceConfig, ServiceReport};
+use rtm_service::{QosTier, ServiceConfig};
 
 /// One full traced run on a fresh fleet, with the failure-injection
 /// seam armed on shard 0 for its first `fail_first` ticket executions.
@@ -290,104 +281,4 @@ fn forced_load_failure_with_no_failover_spends_the_request() {
         baseline.submitted + baseline.load_failovers,
         "conservation holds with the spent request: {baseline}"
     );
-}
-
-/// Applies one scripted op to the shard set, keeping the admitted-id
-/// bookkeeping the departure ops draw from.
-fn apply_horizon_op(
-    shards: &mut [RuntimeService],
-    reports: &mut [ServiceReport],
-    live: &mut Vec<(usize, u64)>,
-    next_id: &mut u64,
-    op: (u8, usize, u64),
-) {
-    let (kind, sel, val) = op;
-    let s = sel % shards.len();
-    match kind {
-        // Admit with a bounded residency: inserts an expiry.
-        0..=2 => {
-            let a = Arrival {
-                id: *next_id,
-                rows: 3,
-                cols: 3,
-                duration: Some(10_000 + (val % 90_000)),
-                deadline: None,
-                tier: QosTier::Standard,
-            };
-            *next_id += 1;
-            let at = shards[s].now();
-            if shards[s]
-                .admit(at, AdmissionBid::direct(a), &mut reports[s])
-                .map(|o| o == rtm_service::OfferOutcome::Admitted)
-                .unwrap_or(false)
-            {
-                live.push((s, a.id));
-            }
-        }
-        // Admit a daemon (no expiry): the schedule must NOT change.
-        3 => {
-            let a = Arrival {
-                id: *next_id,
-                rows: 2,
-                cols: 2,
-                duration: None,
-                deadline: None,
-                tier: QosTier::Standard,
-            };
-            *next_id += 1;
-            let at = shards[s].now();
-            let _ = shards[s].admit(at, AdmissionBid::direct(a), &mut reports[s]);
-        }
-        // Depart a random live id: removes an expiry.
-        4..=5 => {
-            if !live.is_empty() {
-                let (owner, id) = live.swap_remove(val as usize % live.len());
-                shards[owner].depart(id, &mut reports[owner]).unwrap();
-            }
-        }
-        // Advance one shard past some expiries: departs due residents.
-        _ => {
-            let to = shards[s].now() + (val % 60_000);
-            shards[s].advance_to(to, &mut reports[s]).unwrap();
-            live.retain(|&(owner, id)| owner != s || shards[owner].holds(id));
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        if cfg!(debug_assertions) { 4 } else { 32 }))]
-    /// Heap-vs-scan equivalence: after every op in an arbitrary
-    /// admission/departure/advance interleaving, the lazily-rebuilt
-    /// min-heap clock must return exactly what the O(N) reference scan
-    /// returns, for a sweep of trace-event candidates.
-    #[test]
-    fn horizon_clock_equals_reference_scan(
-        n in 1usize..5,
-        ops in proptest::collection::vec(
-            (0u8..8, 0usize..8, 0u64..1_000_000), 1..40),
-    ) {
-        let mut shards: Vec<RuntimeService> = (0..n)
-            .map(|_| RuntimeService::new(ServiceConfig::default().with_part(Part::Xcv50)))
-            .collect();
-        let mut reports: Vec<ServiceReport> = (0..n)
-            .map(|i| ServiceReport::new(format!("horizon#{i}")))
-            .collect();
-        let mut clock = HorizonClock::new(n);
-        let mut live: Vec<(usize, u64)> = Vec::new();
-        let mut next_id = 0u64;
-
-        for op in ops {
-            apply_horizon_op(&mut shards, &mut reports, &mut live, &mut next_id, op);
-            // Sweep trace candidates around the schedule: none, early,
-            // and far-future must all agree with the scan.
-            for next_trace in [None, Some(0), Some(op.2), Some(Micros::MAX / 2)] {
-                prop_assert_eq!(
-                    clock.next(next_trace, &shards),
-                    horizon(next_trace, &shards),
-                    "clock diverged from scan (next_trace={:?})", next_trace
-                );
-            }
-        }
-    }
 }

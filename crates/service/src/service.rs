@@ -315,10 +315,6 @@ pub struct RuntimeService {
     /// keyed by trace id. A failed entry still holds its arena
     /// reservation until resolution cancels it.
     resolved: BTreeMap<u64, ResolvedTicket>,
-    /// Bumped whenever the expiry schedule changes — the cheap dirty
-    /// flag a fleet's horizon clock compares before re-reading
-    /// [`RuntimeService::next_local_event`].
-    schedule_version: u64,
     /// Deterministic failure injection: the next N ticket executions
     /// fail as if the device refused the load (`LoadOther`). Test seam
     /// for the failover nets — a real execute-time failure (routing
@@ -352,7 +348,6 @@ impl RuntimeService {
             events: None,
             tickets: VecDeque::new(),
             resolved: BTreeMap::new(),
-            schedule_version: 0,
             force_fail_loads: 0,
         }
     }
@@ -418,33 +413,17 @@ impl RuntimeService {
         self.resident.contains_key(&trace_id) || self.queue.iter().any(|q| q.arrival.id == trace_id)
     }
 
-    /// The earliest known residency expiration, if any — the shard's
-    /// contribution to a fleet-wide event clock.
+    /// The earliest known residency expiration, if any: the shard's
+    /// next **self-scheduled** event, the read-only peek a fleet uses
+    /// to compute the next cross-shard horizon. Everything strictly
+    /// before this instant is shard-local — this shard will not unload,
+    /// admit or defragment anything on its own — so the fleet may
+    /// advance the shard to the horizon without a sibling ever
+    /// observing intermediate state. Queued deadlines are *reactive*
+    /// (checked when the queue is served at a processed instant) and
+    /// deliberately not part of the horizon.
     pub fn next_expiry(&self) -> Option<Micros> {
         self.resident.values().filter_map(|r| r.expiry).min()
-    }
-
-    /// The shard's next **self-scheduled** event: the read-only peek a
-    /// fleet uses to compute the next cross-shard horizon. Everything
-    /// strictly before this instant is shard-local — this shard will
-    /// not unload, admit or defragment anything on its own — so the
-    /// fleet may advance the shard to the horizon without a sibling
-    /// ever observing intermediate state. Today the only
-    /// self-scheduled events are residency
-    /// expirations ([`RuntimeService::next_expiry`]); queued deadlines
-    /// are *reactive* (checked when the queue is served at a processed
-    /// instant) and deliberately not part of the horizon.
-    pub fn next_local_event(&self) -> Option<Micros> {
-        self.next_expiry()
-    }
-
-    /// Monotonic counter bumped whenever the expiry schedule — and
-    /// therefore [`RuntimeService::next_local_event`] — may have
-    /// changed. A fleet horizon clock keeps per-shard heap entries
-    /// fresh by comparing versions instead of re-scanning every shard
-    /// every epoch.
-    pub fn schedule_version(&self) -> u64 {
-        self.schedule_version
     }
 
     /// Seated admissions not yet executed (the shard's ticket-queue
@@ -894,7 +873,7 @@ impl RuntimeService {
         // pending ticket — execute first so it departs as a resident,
         // exactly as it would have under inline execution.
         self.execute_reserved(report)?;
-        if let Some(r) = self.forget_resident(trace_id) {
+        if let Some(r) = self.resident.remove(&trace_id) {
             self.mgr.unload(r.fid)?;
             report.departures += 1;
             if let Some(s) = self.events.as_ref() {
@@ -950,7 +929,7 @@ impl RuntimeService {
             }));
         };
         let extracted = self.mgr.extract_function(fid)?;
-        self.forget_resident(trace_id);
+        self.resident.remove(&trace_id);
         let event = match kind {
             Displacement::Migration => {
                 report.migrations_out += 1;
@@ -1082,19 +1061,6 @@ impl RuntimeService {
     ) {
         self.resident
             .insert(trace_id, Resident { fid, tier, expiry });
-        if expiry.is_some() {
-            self.schedule_version += 1;
-        }
-    }
-
-    /// Removes and returns `trace_id`'s residency record: the one
-    /// removal site shared by departure and extraction.
-    fn forget_resident(&mut self, trace_id: u64) -> Option<Resident> {
-        let r = self.resident.remove(&trace_id)?;
-        if r.expiry.is_some() {
-            self.schedule_version += 1;
-        }
-        Some(r)
     }
 
     /// The cheapest resident this shard could sacrifice to seat an
