@@ -106,7 +106,7 @@ pub enum OfferOutcome {
 pub enum ReserveOutcome {
     /// Decided and seated: an epoch-stamped ticket now reserves the
     /// arena region and the request is accounted. The load itself runs
-    /// when this shard drains its ticket queue
+    /// when this shard executes its pending ticket
     /// ([`RuntimeService::execute_reserved`]); fetch the result with
     /// [`RuntimeService::resolve_ticket`].
     Reserved,
@@ -257,7 +257,7 @@ impl MigratingFunction {
 /// queue, residency table and defragmentation trigger. Admission is
 /// two-phase inside: the *decide* step seats an epoch-stamped ticket,
 /// and the heavy *execute* step (cells, nets, configuration frames)
-/// runs when the shard drains its ticket queue. `admit` runs both at
+/// runs when the shard executes that ticket. `admit` runs both at
 /// once; a caller that wants them apart uses
 /// [`RuntimeService::reserve`] / [`RuntimeService::execute_reserved`] /
 /// [`RuntimeService::resolve_ticket`].
@@ -305,12 +305,13 @@ pub struct RuntimeService {
     /// emitted *here*, from the manager's reports — the manager itself
     /// has no simulated clock to stamp them with.
     events: Option<EventBuffer>,
-    /// Seated admissions awaiting execution, in decide order. Drained
-    /// by [`RuntimeService::execute_reserved`] — and defensively by
-    /// every entry point that could otherwise observe a half-admitted
-    /// device, so no caller ever sees a reserved-but-unimplemented
+    /// The seated admission awaiting execution, if any. Taken by
+    /// [`RuntimeService::execute_reserved`], which every entry point
+    /// that could otherwise observe a half-admitted device calls first
+    /// — `reserve` included, so the slot is empty whenever a decision
+    /// fills it and no caller ever sees a reserved-but-unimplemented
     /// function.
-    tickets: VecDeque<PendingTicket>,
+    pending: Option<PendingTicket>,
     /// Executed tickets awaiting [`RuntimeService::resolve_ticket`],
     /// keyed by trace id. A failed entry still holds its arena
     /// reservation until resolution cancels it.
@@ -346,7 +347,7 @@ impl RuntimeService {
             stats_base: PlanStats::default(),
             head_blocked: None,
             events: None,
-            tickets: VecDeque::new(),
+            pending: None,
             resolved: BTreeMap::new(),
             force_fail_loads: 0,
         }
@@ -426,11 +427,12 @@ impl RuntimeService {
         self.resident.values().filter_map(|r| r.expiry).min()
     }
 
-    /// Seated admissions not yet executed (the shard's ticket-queue
-    /// depth). Zero except between [`RuntimeService::reserve`] and the
-    /// next [`RuntimeService::execute_reserved`] drain.
+    /// Seated admissions not yet executed: 1 between
+    /// [`RuntimeService::reserve`] and the next
+    /// [`RuntimeService::execute_reserved`] (which every entry point
+    /// that observes admission state runs first), 0 otherwise.
     pub fn pending_tickets(&self) -> usize {
-        self.tickets.len()
+        usize::from(self.pending.is_some())
     }
 
     /// The resident functions as `(trace_id, manager_id, region)` — the
@@ -605,7 +607,7 @@ impl RuntimeService {
     /// and on success seats an epoch-stamped [`AdmissionTicket`] that
     /// reserves the arena region and accounts the request — but writes
     /// no cells, nets or frames. The heavy implementation work runs
-    /// when this shard next drains its ticket queue
+    /// when this shard next executes its pending ticket
     /// ([`RuntimeService::execute_reserved`], or the next entry point
     /// that touches admission state), and the fate of the ticket is
     /// fetched with [`RuntimeService::resolve_ticket`]. A fleet does
@@ -619,10 +621,11 @@ impl RuntimeService {
     /// decision plan-free (executed without re-running `make_room`); a
     /// stale plan is detected and re-planned.
     ///
-    /// Still-pending tickets from earlier reservations are executed
+    /// A ticket still pending from an earlier reservation is executed
     /// first — every entry point that could observe admission state
-    /// drains the queue — so per-shard event order is the order in
-    /// which requests were decided, whenever the tickets run.
+    /// executes it — so a shard holds at most one pending ticket, and
+    /// per-shard event order is the order in which requests were
+    /// decided, whenever the tickets run.
     ///
     /// # Errors
     ///
@@ -664,10 +667,10 @@ impl RuntimeService {
         Ok(outcome)
     }
 
-    /// The *execute* half of two-phase admission: implements every
-    /// seated ticket, oldest first — placement already fixed by the
+    /// The *execute* half of two-phase admission: implements the
+    /// seated ticket, if any — placement already fixed by the
     /// reservation, so this is pure, shard-local implementation work
-    /// (cells, nets, configuration frames). Outcomes are parked for
+    /// (cells, nets, configuration frames). The outcome is parked for
     /// [`RuntimeService::resolve_ticket`]; a failed load keeps its
     /// arena reservation until resolved.
     ///
@@ -677,10 +680,10 @@ impl RuntimeService {
     /// per-ticket load failures are absorbed, attributed and parked,
     /// exactly like [`RuntimeService::run`] absorbs load failures.
     pub fn execute_reserved(&mut self, report: &mut ServiceReport) -> Result<(), CoreError> {
-        while let Some(pt) = self.tickets.pop_front() {
-            self.execute_one(pt, report)?;
+        match self.pending.take() {
+            Some(pt) => self.execute_one(pt, report),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Resolves the fate of a previously reserved bid. Resolution is
@@ -1244,7 +1247,11 @@ impl RuntimeService {
                         },
                     );
                 }
-                self.tickets.push_back(PendingTicket {
+                debug_assert!(
+                    self.pending.is_none(),
+                    "a pending ticket is executed before the next decision"
+                );
+                self.pending = Some(PendingTicket {
                     trace_id: a.id,
                     queued_at: q.queued_at,
                     ticket,

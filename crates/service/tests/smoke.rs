@@ -259,6 +259,44 @@ fn two_phase_reserve_then_execute_matches_admit() {
 }
 
 #[test]
+fn a_second_reserve_executes_the_first_ticket() {
+    // `reserve` executes any pending ticket before it decides, so a
+    // shard never holds more than one.
+    let mut service = RuntimeService::new(ServiceConfig::default());
+    let mut rep = rtm_service::ServiceReport::new("one-slot");
+    for id in [1, 2] {
+        let a = Arrival {
+            id,
+            rows: 4,
+            cols: 4,
+            duration: None,
+            deadline: None,
+            tier: QosTier::Standard,
+        };
+        let decided = service
+            .reserve(0, rtm_service::AdmissionBid::direct(a), &mut rep)
+            .unwrap();
+        assert_eq!(decided, rtm_service::ReserveOutcome::Reserved);
+    }
+    assert_eq!(
+        service.pending_tickets(),
+        1,
+        "the second reserve ran the first"
+    );
+    assert_eq!(service.resident_count(), 1);
+
+    service.execute_reserved(&mut rep).unwrap();
+    assert_eq!(service.pending_tickets(), 0);
+    for id in [1, 2] {
+        assert_eq!(
+            service.resolve_ticket(id),
+            Ok(rtm_service::TicketOutcome::Executed)
+        );
+    }
+    assert_eq!(rep.admitted, 2);
+}
+
+#[test]
 fn resolving_an_unknown_ticket_is_a_typed_error() {
     // An id that was never reserved (and one that was already
     // resolved) must fail loudly — a silent no-op here is a caller
