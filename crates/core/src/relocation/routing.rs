@@ -122,7 +122,8 @@ mod tests {
     use super::*;
     use rtm_fpga::geom::ClbCoord;
     use rtm_fpga::part::Part;
-    use rtm_fpga::routing::Wire;
+    use rtm_fpga::routing::{Pip, Wire};
+    use std::collections::BTreeSet;
 
     fn node(r: u16, c: u16, wire: Wire) -> RouteNode {
         RouteNode::new(ClbCoord::new(r, c), wire)
@@ -195,6 +196,31 @@ mod tests {
         let bogus = node(9, 9, Wire::CellIn(0, 0));
         let err = relocate_sink_path(&mut dev, &mut db, net, bogus, None, |_| {}).unwrap_err();
         assert!(matches!(err, CoreError::DesignMismatch { .. }));
+    }
+
+    #[test]
+    fn a_replica_never_shares_the_original_pip() {
+        // The sink is one PIP from the source, in the source's tile. The
+        // replica starts at the shared source, where that PIP is the
+        // shortest way to the sink; taking it too would leave one PIP to
+        // two nets, and retiring the original branch would clear it.
+        let mut dev = Device::new(Part::Xcv50);
+        let mut db = NetDb::new();
+        let source = node(4, 4, Wire::CellOut(0));
+        let sink = node(4, 4, Wire::CellIn(1, 0));
+        let net = db.route_net(&mut dev, source, &[sink], None).unwrap();
+        let report = relocate_sink_path(&mut dev, &mut db, net, sink, None, |_| {}).unwrap();
+        assert_eq!(report.old_delay_ps, 120);
+        assert!(report.new_delay_ps > report.old_delay_ps, "{report}");
+        assert!(dev.sinks_of(source).contains(&sink));
+        // The device's PIPs are exactly the in-tile hops of the new path.
+        let path = &db.net(net).unwrap().paths[&sink];
+        let hops: BTreeSet<Pip> = path
+            .windows(2)
+            .filter(|hop| hop[0].tile == hop[1].tile)
+            .map(|hop| Pip::new(hop[0].tile, hop[0].wire, hop[1].wire))
+            .collect();
+        assert!(dev.pips().eq(hops));
     }
 
     #[test]

@@ -569,6 +569,14 @@ impl Window {
         target.bound(self.tables, self.relative(node.tile), node.wire.index())
     }
 
+    /// True when the sink, offered from reference `at`, ends the search:
+    /// over a fixed link (from another tile, or from a start node outside
+    /// the window), or over a [free PIP](Target::free_pip_from).
+    fn reaches(&self, dev: &Device, target: &Target, at: u32) -> bool {
+        at >> WIRE_BITS != target.id >> WIRE_BITS
+            || target.free_pip_from(dev, Wire::from_index((at & WIRE_MASK) as usize))
+    }
+
     /// Offers window node `at`'s successors to `offer`: its PIP fanout in
     /// wire-index order, then its fixed link. True as soon as `offer`
     /// reports the sink, or when the fixed link lands on the sink beyond
@@ -594,16 +602,20 @@ impl Window {
 
     /// Offers start node `node`'s successors, outside the window. Its
     /// PIP fanout stays in its own tile, outside the window, so only the
-    /// sink can end the search there; its fixed link may enter the
-    /// window.
+    /// sink can end the search there, over a free PIP; its fixed link may
+    /// enter the window.
     fn expand_outside(
         &self,
+        dev: &Device,
         node: RouteNode,
         target: &Target,
         mut offer: impl FnMut(u32) -> bool,
     ) -> bool {
         let fanout = self.tables.fanout(node.wire.index());
-        if node.tile == target.node.tile && fanout.contains(&(target.node.wire.index() as u8)) {
+        if node.tile == target.node.tile
+            && fanout.contains(&(target.node.wire.index() as u8))
+            && target.free_pip_from(dev, node.wire)
+        {
             return true;
         }
         match fixed_link(node.tile, node.wire, self.dev_rows, self.dev_cols) {
@@ -680,6 +692,16 @@ impl Target {
         let first_pip = u32::from(tables.link[wire].is_none());
         let last_pip = u32::from(!matches!(self.node.wire, Wire::In(..) | Wire::HexIn(..)));
         2 * links - 1 + first_pip + last_pip
+    }
+
+    /// True unless the PIP from `wire` into the sink, in the sink's tile,
+    /// is already active. A search may not reach its sink through an
+    /// active PIP: its other end is a node another net holds, so only a
+    /// net sharing one of the search's start nodes (a replica's shared
+    /// source) can own it, and two nets owning one PIP would lose it when
+    /// either retired.
+    fn free_pip_from(&self, dev: &Device, wire: Wire) -> bool {
+        !dev.has_pip(&Pip::new(self.node.tile, wire, self.node.wire))
     }
 }
 
@@ -793,11 +815,13 @@ impl Search {
     /// `net.nodes()`: every start node is marked before any is expanded,
     /// each node offers its PIP fanout in wire-index order and then its
     /// fixed link, and each offered node is checked for being the sink,
-    /// then for being marked, then for being usable. A node outside the
-    /// window is never usable, and the only nodes outside it that a
-    /// search expands are start nodes, which are never the sink; so
-    /// outside the window an offer ends the search exactly when it is
-    /// the sink. [`Search::distance`] finds that search's branch length
+    /// then for being marked, then for being usable. The sink ends the
+    /// search unless it is offered over a PIP that is already active
+    /// (see [`Target::free_pip_from`]). A node outside the window is
+    /// never usable, and the only nodes outside it that a search expands
+    /// are start nodes, which are never the sink; so outside the window
+    /// an offer ends the search exactly when it reaches the sink.
+    /// [`Search::distance`] finds that search's branch length
     /// `d`, and [`Search::bounded`] replays it, queueing only nodes that
     /// can lie on a branch of length `d`.
     fn run(
@@ -850,7 +874,7 @@ impl Search {
     /// keyed on `g + h`, `h` being the [hop bound](Target::bound). A node
     /// is closed (marked) when first popped, and since `h` is consistent
     /// its `g` is the least there is by then; until then it may be
-    /// queued more than once. The first node to offer the sink has
+    /// queued more than once. The first node to reach the sink has
     /// `h = 1` and the least `g + h` of any open entry, so no branch is
     /// shorter than its `g + 1`. Returns that length, or `None` when the
     /// queue runs dry (the sink is unreachable), and the number of nodes
@@ -881,7 +905,7 @@ impl Search {
             pops += 1;
             let offer = |next: u32| {
                 if next == target.id {
-                    return true;
+                    return window.reaches(dev, target, at);
                 }
                 if !marks.get(next) {
                     if window.held(dev, next) {
@@ -893,7 +917,7 @@ impl Search {
                 false
             };
             let hit = match at.checked_sub(OUTSIDE) {
-                Some(k) => window.expand_outside(outside[k as usize], target, offer),
+                Some(k) => window.expand_outside(dev, outside[k as usize], target, offer),
                 None => window.expand(at, target, offer),
             };
             if hit {
@@ -926,7 +950,7 @@ impl Search {
     /// than its plain one, so it fails the bound and is never queued.
     /// The node the plain search reaches the sink from is one hop before
     /// the sink, at level `d − 1` with `h = 1`: it is tight, and the
-    /// first node of the bounded FIFO to offer the sink.
+    /// first node of the bounded FIFO to reach the sink.
     fn bounded(
         &mut self,
         dev: &Device,
@@ -963,7 +987,7 @@ impl Search {
             let parent = head as u32;
             let offer = |next: u32| {
                 if next == target.id {
-                    return true;
+                    return window.reaches(dev, target, at);
                 }
                 if !marks.get(next) && g + 1 + window.bound(target, next) <= d {
                     marks.set(next);
@@ -974,7 +998,7 @@ impl Search {
                 false
             };
             let hit = match at.checked_sub(OUTSIDE) {
-                Some(k) => window.expand_outside(outside[k as usize], target, offer),
+                Some(k) => window.expand_outside(dev, outside[k as usize], target, offer),
                 None => window.expand(at, target, offer),
             };
             if hit {
@@ -1035,8 +1059,9 @@ mod tests {
     /// The reference search: the hashed breadth-first search the dense
     /// one replaced (a `HashMap` parent map, the device's holds looked up
     /// per candidate, a `VecDeque` frontier). The net's own nodes are
-    /// start nodes, visited before any hold is looked up. Returns the
-    /// path or error and the number of nodes popped.
+    /// start nodes, visited before any hold is looked up, and the sink is
+    /// not reached over a PIP that is already active. Returns the path or
+    /// error and the number of nodes popped.
     fn reference_find_path(
         dev: &Device,
         net: &RoutedNet,
@@ -1069,6 +1094,10 @@ mod tests {
                     return false;
                 }
                 if next == sink {
+                    let pip = Pip::new(node.tile, node.wire, sink.wire);
+                    if node.tile == sink.tile && dev.has_pip(&pip) {
+                        return false;
+                    }
                     parent_map.insert(next, node);
                     return true;
                 }
