@@ -35,19 +35,22 @@ cargo test --release -q --manifest-path benchmark/Cargo.toml
 echo "==> cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q
 
-echo "==> baseline-oracle counter pins, epoch-loop, placement and configuration-store nets (release)"
+echo "==> baseline-oracle counter pins, epoch-loop, placement, configuration-store and router nets (release)"
 # The baseline oracle re-pins BENCH_fleet.json counters through the
 # library API, the N = 16 and N = 64 scale rows included (ignored in
 # debug, about a second in release). The epoch-loop file holds the
 # forced-failover anchors. rtm-place's make_room twin test runs its
 # full 2,000 cases against the reference planner only in release;
 # rtm-fpga's configuration-store twins (the dense frame store against a
-# map of frames, PIP queries against a PIP set) likewise run their full
-# case counts only in release.
+# map of frames, PIP queries against a PIP set) and rtm-sim's router
+# twin (the dense search against the hashed one, with the device's
+# holds and PIPs checked against the live paths) likewise run their
+# full case counts only in release.
 cargo test -q --release -p rtm-fleet --test baseline_oracle -- --include-ignored
 cargo test -q --release -p rtm-fleet --test epoch_loop
 cargo test -q --release -p rtm-place
 cargo test -q --release -p rtm-fpga
+cargo test -q --release -p rtm-sim
 
 if [ "${RTM_STRESS:-0}" = "1" ]; then
   echo "==> RTM_STRESS=1: N=1024 soak (release)"

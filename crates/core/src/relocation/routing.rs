@@ -65,8 +65,9 @@ impl fmt::Display for RoutingRelocationReport {
 /// # Errors
 ///
 /// Returns [`CoreError::Sim`] wrapping `Unroutable` if no disjoint
-/// alternative path exists, and `SinkOccupied`-style errors for sinks not
-/// on the net.
+/// alternative path exists, and [`CoreError::DesignMismatch`] for sinks
+/// not on the net or sinks other paths of the net run on through (the
+/// replica would then share more than the source with the net).
 pub fn relocate_sink_path(
     dev: &mut Device,
     netdb: &mut NetDb,
@@ -75,15 +76,21 @@ pub fn relocate_sink_path(
     within: Option<Rect>,
     mut between_phases: impl FnMut(&Device),
 ) -> Result<RoutingRelocationReport, CoreError> {
-    let old_delay_ps = {
-        let n = netdb.net(net).ok_or(CoreError::DesignMismatch {
-            detail: format!("net {net} is not live"),
-        })?;
-        n.sink_delay_ps(sink).ok_or(CoreError::DesignMismatch {
-            detail: format!("{sink} is not a sink of net {net}"),
-        })?
-    };
-    let source = netdb.net(net).expect("checked").source;
+    let n = netdb.net(net).ok_or(CoreError::DesignMismatch {
+        detail: format!("net {net} is not live"),
+    })?;
+    let old_delay_ps = n.sink_delay_ps(sink).ok_or(CoreError::DesignMismatch {
+        detail: format!("{sink} is not a sink of net {net}"),
+    })?;
+    if n.paths
+        .values()
+        .any(|p| p.last() != Some(&sink) && p.contains(&sink))
+    {
+        return Err(CoreError::DesignMismatch {
+            detail: format!("other sinks of net {net} are reached through {sink}"),
+        });
+    }
+    let source = n.source;
 
     // Phase 1: duplicate — route a parallel branch from the same source
     // as a temporary net. Its path is automatically disjoint from the
@@ -122,7 +129,7 @@ mod tests {
     use super::*;
     use rtm_fpga::geom::ClbCoord;
     use rtm_fpga::part::Part;
-    use rtm_fpga::routing::{Pip, Wire};
+    use rtm_fpga::routing::{Dir, Pip, Wire};
     use std::collections::BTreeSet;
 
     fn node(r: u16, c: u16, wire: Wire) -> RouteNode {
@@ -199,6 +206,23 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_other_paths_run_through_is_rejected() {
+        // The net reaches a single line, then a pin one PIP past it: the
+        // line is a sink the pin's path runs on through.
+        let mut dev = Device::new(Part::Xcv50);
+        let mut db = NetDb::new();
+        let line = node(5, 6, Wire::In(Dir::West, 0));
+        let pin = node(5, 6, Wire::CellIn(0, 0));
+        let net = db
+            .route_net(&mut dev, node(5, 5, Wire::CellOut(0)), &[line], None)
+            .unwrap();
+        db.extend_net(&mut dev, net, pin, None).unwrap();
+        assert!(db.net(net).unwrap().paths[&pin].contains(&line));
+        let err = relocate_sink_path(&mut dev, &mut db, net, line, None, |_| {}).unwrap_err();
+        assert!(matches!(err, CoreError::DesignMismatch { .. }), "{err}");
+    }
+
+    #[test]
     fn a_replica_never_shares_the_original_pip() {
         // The sink is one PIP from the source, in the source's tile. The
         // replica starts at the shared source, where that PIP is the
@@ -230,13 +254,13 @@ mod tests {
         let source = node(3, 3, Wire::CellOut(1));
         let sink = node(3, 6, Wire::CellIn(1, 0));
         let net = db.route_net(&mut dev, source, &[sink], None).unwrap();
-        let before_nodes: Vec<RouteNode> = db.net(net).unwrap().nodes().collect();
+        let before_nodes = db.net(net).unwrap().nodes();
         let report = relocate_sink_path(&mut dev, &mut db, net, sink, None, |_| {}).unwrap();
         // The new path's delay differs from the old (different resources).
         // (Equal-length disjoint detours are possible in principle but the
         // first BFS alternative here is strictly longer.)
         assert_ne!(report.new_delay_ps, 0);
-        let after_nodes: Vec<RouteNode> = db.net(net).unwrap().nodes().collect();
+        let after_nodes = db.net(net).unwrap().nodes();
         // Old exclusive intermediate nodes were released.
         let released: Vec<_> = before_nodes
             .iter()

@@ -86,31 +86,25 @@ impl WireTables {
 }
 
 /// One routed net: a source, and one **full** node path (source → sink)
-/// per sink. Paths share trunk segments; every node and PIP is
-/// reference-counted once per sink whose signal flows through it, so
-/// retiring one sink never strips resources another sink depends on.
+/// per sink. The paths form a tree: a new path runs along an existing
+/// one to the node it branches from, then over nodes no path of the net
+/// holds, so any two paths share exactly a common prefix. The paths are
+/// the whole record: a node or PIP is the net's while some path runs
+/// through it, and a path's own resources are the ones past the longest
+/// prefix another path shares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutedNet {
     /// The driving node (usually a `CellOut`).
     pub source: RouteNode,
     /// For each sink pin, the complete node sequence from the source.
     pub paths: BTreeMap<RouteNode, Vec<RouteNode>>,
-    /// Reference count of each node across paths (plus one for the
-    /// source).
-    node_refs: BTreeMap<RouteNode, usize>,
-    /// Reference count of each PIP across paths.
-    pip_refs: BTreeMap<Pip, usize>,
 }
 
 impl RoutedNet {
     fn new(source: RouteNode) -> Self {
-        let mut node_refs = BTreeMap::new();
-        node_refs.insert(source, 1);
         RoutedNet {
             source,
             paths: BTreeMap::new(),
-            node_refs,
-            pip_refs: BTreeMap::new(),
         }
     }
 
@@ -119,14 +113,13 @@ impl RoutedNet {
         self.paths.keys().copied()
     }
 
-    /// All nodes currently owned by the net.
-    pub fn nodes(&self) -> impl Iterator<Item = RouteNode> + '_ {
-        self.node_refs.keys().copied()
-    }
-
-    /// All PIPs currently active for the net.
-    pub fn pips(&self) -> impl Iterator<Item = Pip> + '_ {
-        self.pip_refs.keys().copied()
+    /// Every node the net holds, the source included, in node order.
+    pub fn nodes(&self) -> Vec<RouteNode> {
+        let mut nodes: Vec<RouteNode> = self.paths.values().flatten().copied().collect();
+        nodes.push(self.source);
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
     }
 
     /// Propagation delay from source to `sink` in picoseconds, or `None`
@@ -157,64 +150,63 @@ impl RoutedNet {
         panic!("node {node} not on net");
     }
 
-    /// Activates a found path: PIPs on the device, refcounts, and a hold
-    /// on each node the net did not hold yet.
+    /// The length of the longest prefix of `path` that a path of the net
+    /// shares; at least 1, the source, which the net holds from its
+    /// creation to its release.
+    fn shared_prefix(&self, path: &[RouteNode]) -> usize {
+        self.paths
+            .values()
+            .map(|other| path.iter().zip(other).take_while(|(a, b)| a == b).count())
+            .max()
+            .map_or(1, |shared| shared.max(1))
+    }
+
+    /// Activates a found path: the PIPs and holds of the nodes past the
+    /// prefix the net's other paths share.
     fn commit(&mut self, dev: &mut Device, sink: RouteNode, path: Vec<RouteNode>) {
-        for pair in path.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.tile == b.tile {
-                let pip = Pip::new(a.tile, a.wire, b.wire);
-                let count = self.pip_refs.entry(pip).or_insert(0);
-                if *count == 0 {
-                    dev.add_pip(pip).expect("router only proposes valid pips");
-                }
-                *count += 1;
+        let shared = self.shared_prefix(&path);
+        let branch = &path[shared - 1..];
+        for pair in branch.windows(2) {
+            if let Some(pip) = pip_of(pair) {
+                dev.add_pip(pip).expect("router only proposes valid pips");
             }
         }
-        for node in &path {
-            let count = self.node_refs.entry(*node).or_insert(0);
-            if *count == 0 {
-                dev.hold_node(*node);
-            }
-            *count += 1;
+        for node in &branch[1..] {
+            dev.hold_node(*node);
         }
         self.paths.insert(sink, path);
     }
 
-    /// Releases a sink's path: PIPs, refcounts, and the holds of the
-    /// nodes no other path of the net uses.
+    /// Releases a sink's path: the PIPs and holds of the nodes past the
+    /// prefix the net's other paths share.
     fn retract(&mut self, dev: &mut Device, sink: RouteNode) {
         let path = self.paths.remove(&sink).expect("sink present");
-        for pair in path.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.tile == b.tile {
-                let pip = Pip::new(a.tile, a.wire, b.wire);
-                let count = self.pip_refs.get_mut(&pip).expect("pip refcounted");
-                *count -= 1;
-                if *count == 0 {
-                    self.pip_refs.remove(&pip);
-                    dev.remove_pip(&pip).expect("pip active");
-                }
+        let shared = self.shared_prefix(&path);
+        let branch = &path[shared - 1..];
+        for pair in branch.windows(2) {
+            if let Some(pip) = pip_of(pair) {
+                dev.remove_pip(&pip).expect("pip active");
             }
         }
-        for node in &path {
-            let count = self.node_refs.get_mut(node).expect("node refcounted");
-            *count -= 1;
-            if *count == 0 {
-                self.node_refs.remove(node);
-                dev.release_node(*node);
-            }
+        for node in &branch[1..] {
+            dev.release_node(*node);
         }
     }
 
     /// Retracts every path and releases the source.
     fn release(mut self, dev: &mut Device) {
-        let sinks: Vec<RouteNode> = self.sinks().collect();
-        for sink in sinks {
+        while let Some(sink) = self.paths.keys().next().copied() {
             self.retract(dev, sink);
         }
         dev.release_node(self.source);
     }
+}
+
+/// The PIP of a hop between two nodes of a path, or `None` for a fixed
+/// link (which leaves its tile).
+fn pip_of(hop: &[RouteNode]) -> Option<Pip> {
+    let (a, b) = (hop[0], hop[1]);
+    (a.tile == b.tile).then(|| Pip::new(a.tile, a.wire, b.wire))
 }
 
 /// Delay along a node sequence (PIP hops + segment drives).
@@ -363,18 +355,18 @@ impl NetDb {
         net.retract(dev, sink);
     }
 
-    /// Merges net `from` into net `into`: all of `from`'s paths and
-    /// resource refcounts move to `into`, and a node both nets held (the
-    /// shared source) is held once. Used by two-phase routing
-    /// relocation (paper Fig. 5): the replica path is routed as a
+    /// Merges net `from` into net `into`: `from`'s paths move to `into`,
+    /// and the source both nets held is held once. Used by two-phase
+    /// routing relocation (paper Fig. 5): the replica path is routed as a
     /// temporary net, the original branch retired, then the replica
     /// absorbed into the original net's bookkeeping. No device bits
-    /// change.
+    /// change. The nets must share nothing but their source, or the
+    /// merged paths would not form a tree.
     ///
     /// # Panics
     ///
     /// Panics if either id is dead, the nets have different sources, or
-    /// they share a sink.
+    /// they share any other node.
     pub fn absorb(&mut self, dev: &mut Device, into: NetId, from: NetId) {
         assert_ne!(into, from, "cannot absorb a net into itself");
         let from_net = self.nets[from].take().expect("live source net");
@@ -383,23 +375,15 @@ impl NetDb {
             from_net.source, into_net.source,
             "absorb requires a shared source"
         );
-        for (sink, path) in from_net.paths {
+        let held = into_net.nodes();
+        for node in from_net.nodes() {
             assert!(
-                !into_net.paths.contains_key(&sink),
-                "nets share sink {sink}"
+                node == from_net.source || held.binary_search(&node).is_err(),
+                "nets share {node} beyond their source"
             );
-            into_net.paths.insert(sink, path);
         }
-        for (node, count) in from_net.node_refs {
-            let refs = into_net.node_refs.entry(node).or_insert(0);
-            if *refs > 0 {
-                dev.release_node(node);
-            }
-            *refs += count;
-        }
-        for (pip, count) in from_net.pip_refs {
-            *into_net.pip_refs.entry(pip).or_insert(0) += count;
-        }
+        into_net.paths.extend(from_net.paths);
+        dev.release_node(from_net.source);
     }
 
     /// The net (if any) having `sink` among its sinks.
@@ -456,10 +440,11 @@ impl NetDb {
         // The sink pin itself may be shared (paralleled outputs drive a
         // pin that already belongs to another net), but must not already
         // belong to *this* net.
-        if net.node_refs.contains_key(&sink) {
+        let nodes = net.nodes();
+        if nodes.binary_search(&sink).is_ok() {
             return Err(SimError::SinkOccupied { pin: sink });
         }
-        let (branch, pops) = search.run(dev, net, sink);
+        let (branch, pops) = search.run(dev, &nodes, sink);
         self.stats.searches += 1;
         self.stats.nodes_expanded += pops;
         let branch = branch.ok_or(SimError::Unroutable {
@@ -807,12 +792,12 @@ impl Search {
         }
     }
 
-    /// Searches from `net`'s nodes to `sink`. Returns the branch from the
-    /// net node it grew from to the sink (if reached) and the number of
-    /// nodes the two passes expanded.
+    /// Searches from a net's `nodes`, in node order, to `sink`. Returns
+    /// the branch from the net node it grew from to the sink (if reached)
+    /// and the number of nodes the two passes expanded.
     ///
-    /// The result is that of the plain FIFO search seeded with
-    /// `net.nodes()`: every start node is marked before any is expanded,
+    /// The result is that of the plain FIFO search seeded with `nodes`:
+    /// every start node is marked before any is expanded,
     /// each node offers its PIP fanout in wire-index order and then its
     /// fixed link, and each offered node is checked for being the sink,
     /// then for being marked, then for being usable. The sink ends the
@@ -827,33 +812,32 @@ impl Search {
     fn run(
         &mut self,
         dev: &Device,
-        net: &RoutedNet,
+        nodes: &[RouteNode],
         sink: RouteNode,
     ) -> (Option<Vec<RouteNode>>, u64) {
         let target = Target::new(&self.window, sink);
         self.outside.clear();
-        for node in net.nodes() {
+        for &node in nodes {
             match self.window.id(node) {
                 Some(at) => self.marks.set(at),
                 None => self.outside.push(node),
             }
         }
-        let (length, pops) = self.distance(dev, net, &target);
+        let (length, pops) = self.distance(dev, nodes, &target);
         match length {
             Some(d) => {
-                let (branch, more) = self.bounded(dev, net, &target, d);
+                let (branch, more) = self.bounded(dev, nodes, &target, d);
                 (branch, pops + more)
             }
             None => (None, pops),
         }
     }
 
-    /// The reference of each of `net`'s nodes, in `net.nodes()` order:
-    /// its packed id, or `OUTSIDE + k` for the `k`-th one outside the
-    /// window.
-    fn starts<'a>(&'a self, net: &'a RoutedNet) -> impl Iterator<Item = (u32, RouteNode)> + 'a {
+    /// The reference of each start node, in order: its packed id, or
+    /// `OUTSIDE + k` for the `k`-th one outside the window.
+    fn starts<'a>(&'a self, nodes: &'a [RouteNode]) -> impl Iterator<Item = (u32, RouteNode)> + 'a {
         let mut next_outside = OUTSIDE;
-        net.nodes().map(move |node| match self.window.id(node) {
+        nodes.iter().map(move |&node| match self.window.id(node) {
             Some(at) => (at, node),
             None => {
                 next_outside += 1;
@@ -879,9 +863,14 @@ impl Search {
     /// shorter than its `g + 1`. Returns that length, or `None` when the
     /// queue runs dry (the sink is unreachable), and the number of nodes
     /// expanded.
-    fn distance(&mut self, dev: &Device, net: &RoutedNet, target: &Target) -> (Option<u32>, u64) {
+    fn distance(
+        &mut self,
+        dev: &Device,
+        nodes: &[RouteNode],
+        target: &Target,
+    ) -> (Option<u32>, u64) {
         let mut open = std::mem::take(&mut self.open);
-        for (at, node) in self.starts(net) {
+        for (at, node) in self.starts(nodes) {
             open.push(self.window.bound_of(target, node), (at, 0));
         }
         let Search {
@@ -954,12 +943,12 @@ impl Search {
     fn bounded(
         &mut self,
         dev: &Device,
-        net: &RoutedNet,
+        nodes: &[RouteNode],
         target: &Target,
         d: u32,
     ) -> (Option<Vec<RouteNode>>, u64) {
         let mut queue = std::mem::take(&mut self.queue);
-        for (at, node) in self.starts(net) {
+        for (at, node) in self.starts(nodes) {
             if self.window.bound_of(target, node) <= d {
                 queue.push((at, NONE));
             }
@@ -1040,7 +1029,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rtm_fpga::part::Part;
     use rtm_fpga::routing::{fixed_link_rev, pip_table, Dir, HEX_PER_DIR, SINGLES_PER_DIR};
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::{BTreeSet, HashMap, VecDeque};
 
     /// The destination wires one PIP reaches from `wire`.
     fn pip_fanout(wire: Wire) -> &'static [Wire] {
@@ -1068,7 +1057,7 @@ mod tests {
         sink: RouteNode,
         within: Option<Rect>,
     ) -> (Result<Vec<RouteNode>, SimError>, u64) {
-        if net.node_refs.contains_key(&sink) {
+        if net.nodes().contains(&sink) {
             return (Err(SimError::SinkOccupied { pin: sink }), 0);
         }
         let usable = |node: RouteNode| -> bool {
@@ -1226,16 +1215,22 @@ mod tests {
         }
 
         /// The device's holds, asserted to count the nodes of both
-        /// databases' live nets.
+        /// databases' live nets, and its PIPs, asserted to be exactly the
+        /// in-tile hops on those nets' paths.
         fn holds(&self) -> BTreeMap<RouteNode, u8> {
             let held: BTreeMap<RouteNode, u8> = self.dev.held_nodes().collect();
             let mut want = BTreeMap::new();
+            let mut hops = BTreeSet::new();
             for (_, net) in self.db.nets().chain(self.other.nets()) {
                 for node in net.nodes() {
                     *want.entry(node).or_insert(0) += 1;
                 }
+                for path in net.paths.values() {
+                    hops.extend(path.windows(2).filter_map(pip_of));
+                }
             }
             assert_eq!(held, want, "holds are the live nets' nodes");
+            assert!(self.dev.pips().eq(hops), "PIPs are the live paths' hops");
             held
         }
     }
@@ -1390,7 +1385,7 @@ mod tests {
             // Extend an existing net, from anywhere on it.
             0..=2 if !live.is_empty() => {
                 let (id, net) = live[rng.gen_range(0..live.len())];
-                let nodes: Vec<RouteNode> = net.nodes().collect();
+                let nodes = net.nodes();
                 let near = nodes[rng.gen_range(0..nodes.len())].tile;
                 let sink = RouteNode::new(tile_near(rng, dev, near, 3), sink_wire(rng));
                 Op::Extend(id, sink, window_for(rng, &[sink.tile, near]))
@@ -1418,14 +1413,20 @@ mod tests {
                 }
             }
             5 if live.len() >= 2 => {
-                // Absorb a replica into the original it parallels.
+                // Absorb a replica into the original it parallels: nets
+                // that share their source and no other node, as
+                // `relocate_sink_path` leaves them.
+                let only_source = |na: &RoutedNet, nb: &RoutedNet| {
+                    let held = nb.nodes();
+                    na.source == nb.source
+                        && na
+                            .nodes()
+                            .iter()
+                            .all(|n| *n == na.source || held.binary_search(n).is_err())
+                };
                 let by_source = live.iter().find_map(|(a, na)| {
                     live.iter()
-                        .find(|(b, nb)| {
-                            a != b
-                                && na.source == nb.source
-                                && na.sinks().all(|s| !nb.paths.contains_key(&s))
-                        })
+                        .find(|(b, nb)| a != b && only_source(na, nb))
                         .map(|(b, _)| (*a, *b))
                 });
                 match by_source {
@@ -1482,7 +1483,7 @@ mod tests {
         twin.apply(&Op::Extend(0, pin(6, 8, 1, 1), Some(window)));
         let net = twin.dense.db.net(0).unwrap();
         assert_eq!(net.sinks().count(), 2);
-        assert!(net.nodes().any(|n| !window.contains(n.tile)));
+        assert!(net.nodes().iter().any(|n| !window.contains(n.tile)));
     }
 
     #[test]
@@ -1500,12 +1501,14 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 32 } else { 600 }))]
 
         /// The dense search returns what the hashed search returned,
         /// within its bound on pops, through random sequences of routes,
         /// extensions, paralleled sinks, absorbs, removals and a second
-        /// database's nets on XCV50 and XCV100 devices.
+        /// database's nets on XCV50 and XCV100 devices; after every step
+        /// the device's holds and PIPs are the ones the live paths give.
         #[test]
         fn dense_search_matches_hashed_reference(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1660,13 +1663,13 @@ mod tests {
         let id1 = db
             .route_net(&mut d, out(5, 5, 0), &[pin(5, 6, 0, 1)], None)
             .unwrap();
-        let used_before: Vec<RouteNode> = db.net(id1).unwrap().nodes().collect();
+        let used_before = db.net(id1).unwrap().nodes();
         // A second net from a different source to a different pin of the
         // same tile must not reuse net 1's nodes.
         let id2 = db
             .route_net(&mut d, out(5, 5, 1), &[pin(5, 6, 1, 2)], None)
             .unwrap();
-        let n2: Vec<RouteNode> = db.net(id2).unwrap().nodes().collect();
+        let n2 = db.net(id2).unwrap().nodes();
         for n in &n2 {
             assert!(!used_before.contains(n), "{n} reused");
         }
@@ -1790,7 +1793,7 @@ mod tests {
         let bystander = other
             .route_net(&mut d, out(2, 2, 1), &[pin(2, 4, 1, 0)], None)
             .unwrap();
-        let bystanders: Vec<RouteNode> = other.net(bystander).unwrap().nodes().collect();
+        let bystanders = other.net(bystander).unwrap().nodes();
         db.absorb(&mut d, orig, replica);
         for node in &bystanders {
             assert_eq!(d.node_holds(*node), 1, "{node}");
@@ -1803,12 +1806,33 @@ mod tests {
         assert!(n.sink_delay_ps(s2).is_some());
         // One hold per node, the shared source included.
         let held: BTreeMap<RouteNode, u8> = d.held_nodes().collect();
-        let want: BTreeMap<RouteNode, u8> = n.nodes().map(|node| (node, 1)).collect();
+        let want: BTreeMap<RouteNode, u8> = n.nodes().into_iter().map(|node| (node, 1)).collect();
         assert_eq!(held, want);
         // And removal still releases everything.
         db.remove_net(&mut d, orig);
         assert_eq!(d.pips().count(), 0);
         assert_eq!(d.held_nodes().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond their source")]
+    fn absorb_refuses_nets_that_share_more_than_their_source() {
+        // A second net from the same source ends on a single line the
+        // first net's path drives on its way: merged, the two paths would
+        // not form a tree.
+        let mut d = dev();
+        let mut db = NetDb::new();
+        let source = out(6, 6, 0);
+        let first = db
+            .route_net(&mut d, source, &[pin(6, 9, 0, 2)], None)
+            .unwrap();
+        let path = &db.net(first).unwrap().paths[&pin(6, 9, 0, 2)];
+        let inside = *path
+            .iter()
+            .find(|n| n.tile != source.tile && matches!(n.wire, Wire::Out(..)))
+            .unwrap();
+        let second = db.route_net(&mut d, source, &[inside], None).unwrap();
+        db.absorb(&mut d, first, second);
     }
 
     #[test]
@@ -1824,7 +1848,7 @@ mod tests {
         let held = theirs
             .route_net(&mut d, out(5, 4, 0), &[sink], wider)
             .unwrap();
-        assert!(theirs.net(held).unwrap().nodes().any(|n| n == single));
+        assert!(theirs.net(held).unwrap().nodes().contains(&single));
         let err = mine
             .route_net(&mut d, out(5, 5, 0), &[sink], window)
             .unwrap_err();
@@ -1833,7 +1857,7 @@ mod tests {
         let id = mine
             .route_net(&mut d, out(5, 5, 0), &[sink], window)
             .unwrap();
-        assert!(mine.net(id).unwrap().nodes().any(|n| n == single));
+        assert!(mine.net(id).unwrap().nodes().contains(&single));
     }
 
     #[test]
