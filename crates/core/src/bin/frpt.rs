@@ -190,6 +190,7 @@ fn cmd_move(
     let region = mgr
         .function(id)
         .ok_or_else(|| format!("unknown function {id}"))?
+        .placement
         .region;
     let to = Rect::new(coord, region.rows, region.cols);
     let reports = mgr

@@ -62,6 +62,6 @@ pub mod verify;
 pub use error::{CoreError, LoadFailureReason};
 pub use manager::{
     AdmissionPreview, AdmissionTicket, DefragPlan, DefragReport, DeviceSummary, ExtractedFunction,
-    FunctionId, LoadReport, LoadedFunction, ManagerStatus, PlanStats, RoomPlan, RunTimeManager,
+    FunctionId, LoadReport, ManagerStatus, PlanStats, RoomPlan, RunTimeManager,
 };
 pub use relocation::{RelocationClass, RelocationReport, StepKind};

@@ -23,24 +23,13 @@ use rtm_place::frag::FragMetrics;
 use rtm_place::TaskArena;
 use rtm_sim::design::{implement_counted, PlacedDesign};
 use rtm_sim::place::CellLoc;
-use rtm_sim::route::RouteStats;
+use rtm_sim::route::{hop_pip, RouteStats};
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a loaded function.
 pub type FunctionId = u64;
-
-/// A function resident on the device.
-#[derive(Debug, Clone)]
-pub struct LoadedFunction {
-    /// The mapped design.
-    pub design: MappedNetlist,
-    /// Current region.
-    pub region: Rect,
-    /// Its implementation (placement + live nets).
-    pub placed: PlacedDesign,
-}
 
 /// A seated admission reservation: the decide half of the two-phase
 /// load pipeline. [`RunTimeManager::reserve_room`] executes the
@@ -376,8 +365,8 @@ impl AdmissionPreview {
 /// leave orphan state on either device.
 #[derive(Debug, Clone)]
 pub struct ExtractedFunction {
-    design: MappedNetlist,
-    region: Rect,
+    /// The source-side implementation: design, placement (its region
+    /// included) and nets.
     placed: PlacedDesign,
     /// Live storage-element state per design cell, captured at
     /// extraction so the readmitted copy resumes instead of resetting.
@@ -395,24 +384,24 @@ pub struct ExtractedFunction {
 impl ExtractedFunction {
     /// The mapped design.
     pub fn design(&self) -> &MappedNetlist {
-        &self.design
+        &self.placed.design
     }
 
     /// The region the function occupied on the source.
     pub fn region(&self) -> Rect {
-        self.region
+        self.placed.placement.region
     }
 
     /// The function's shape (`rows`, `cols`).
     pub fn shape(&self) -> (u16, u16) {
-        (self.region.rows, self.region.cols)
+        (self.region().rows, self.region().cols)
     }
 
     /// CLBs the function occupies — the reconfiguration-port cost of
     /// copying it off or onto a device, in the same unit as
     /// [`Move::cells_moved`].
     pub fn cells(&self) -> u32 {
-        self.region.area()
+        self.region().area()
     }
 
     /// The source-side implementation (placement + nets) at extraction
@@ -480,7 +469,9 @@ impl fmt::Display for DefragReport {
 pub struct RunTimeManager {
     dev: Device,
     arena: TaskArena,
-    functions: BTreeMap<FunctionId, LoadedFunction>,
+    /// Each resident function's implementation: its design, placement
+    /// (the region included) and live nets.
+    functions: BTreeMap<FunctionId, PlacedDesign>,
     /// Regions reserved by seated [`AdmissionTicket`]s: arena tasks that
     /// have no function-table entry yet because their design has not
     /// been implemented. Every entry is settled by `execute_reserved`
@@ -603,13 +594,14 @@ impl RunTimeManager {
         &self.dev
     }
 
-    /// Loaded functions.
-    pub fn functions(&self) -> impl Iterator<Item = (FunctionId, &LoadedFunction)> {
+    /// Loaded functions, each as its implementation: design, placement
+    /// (the region included) and live nets.
+    pub fn functions(&self) -> impl Iterator<Item = (FunctionId, &PlacedDesign)> {
         self.functions.iter().map(|(id, f)| (*id, f))
     }
 
-    /// One loaded function.
-    pub fn function(&self, id: FunctionId) -> Option<&LoadedFunction> {
+    /// One loaded function's implementation.
+    pub fn function(&self, id: FunctionId) -> Option<&PlacedDesign> {
         self.functions.get(&id)
     }
 
@@ -821,14 +813,14 @@ impl RunTimeManager {
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
         let mut states = Vec::with_capacity(f.design.cells.len());
         for (i, cell) in f.design.cells.iter().enumerate() {
-            let loc = f.placed.cell_loc(i);
+            let loc = f.cell_loc(i);
             states.push(if cell.storage.is_sequential() {
                 self.dev.cell_state(loc.0, loc.1)?
             } else {
                 false
             });
         }
-        let (design, region, placed) = (f.design.clone(), f.region, f.placed.clone());
+        let placed = f.clone();
         // The undo records come from a mark opened here, not from the
         // checkpoint: writes made since the last checkpoint are not the
         // extraction's to roll back.
@@ -841,8 +833,6 @@ impl RunTimeManager {
         self.dev.close_mark(mark);
         self.checkpoint();
         Ok(ExtractedFunction {
-            design,
-            region,
             placed,
             states,
             part: self.dev.part(),
@@ -872,7 +862,7 @@ impl RunTimeManager {
         observer: impl FnMut(&Device, &PlacedDesign, &StepRecord),
     ) -> Result<LoadReport, CoreError> {
         let (rows, cols) = f.shape();
-        let lr = self.load_with_plan(&f.design, rows, cols, plan, observer)?;
+        let lr = self.load_with_plan(f.design(), rows, cols, plan, observer)?;
         // Carry the live state over: the paper's relocation never
         // resets a moved cell, and neither does a migration.
         let locs: Vec<CellLoc> = self
@@ -884,11 +874,10 @@ impl RunTimeManager {
                     lr.id
                 ),
             })?
-            .placed
             .placement
             .cell_locs
             .clone();
-        for (i, cell) in f.design.cells.iter().enumerate() {
+        for (i, cell) in f.design().cells.iter().enumerate() {
             if cell.storage.is_sequential() {
                 let loc = locs[i];
                 self.dev.set_cell_state(loc.0, loc.1, f.states[i])?;
@@ -927,21 +916,14 @@ impl RunTimeManager {
             });
         }
         let id = self.next_id;
-        self.arena.allocate_at(id, f.region)?;
+        self.arena.allocate_at(id, f.region())?;
         self.bump_epoch();
         for (addr, image) in &f.undo {
             self.dev.write_frame(*addr, image.clone())?;
         }
         // The frames bring the routing back; the unload released its holds.
         f.placed.netdb.hold_all(&mut self.dev);
-        self.functions.insert(
-            id,
-            LoadedFunction {
-                design: f.design.clone(),
-                region: f.region,
-                placed: f.placed.clone(),
-            },
-        );
+        self.functions.insert(id, f.placed.clone());
         self.next_id += 1;
         self.checkpoint();
         Ok(id)
@@ -949,9 +931,10 @@ impl RunTimeManager {
 
     /// True while the function table, the area bookkeeping and the
     /// device agree: same ids, same regions, every placed cell slot of
-    /// every function configured on the device, and each routing node's
+    /// every function configured on the device, each routing node's
     /// hold count on the device equal to the number of the functions'
-    /// live nets that hold it. The invariant every migration path
+    /// live nets that hold it, and the device's PIPs exactly the in-tile
+    /// hops on those nets' paths. The invariant every migration path
     /// (extract, readmit, restore, failure rollback) must preserve —
     /// orphan arena tasks poison compaction plans, orphan cells and
     /// holds poison later loads.
@@ -971,15 +954,20 @@ impl RunTimeManager {
             return false;
         }
         let mut holds = BTreeMap::new();
-        for f in self.functions.values() {
-            for node in f.placed.netdb.nets().flat_map(|(_, net)| net.nodes()) {
+        let mut hops = BTreeSet::new();
+        for (_, net) in self.functions.values().flat_map(|f| f.netdb.nets()) {
+            for node in net.nodes() {
                 *holds.entry(node).or_insert(0) += 1;
+            }
+            for path in net.paths.values() {
+                hops.extend(path.windows(2).filter_map(hop_pip));
             }
         }
         holds == self.dev.held_nodes().collect()
+            && self.dev.pips().eq(hops)
             && self.functions.iter().all(|(id, f)| {
-                tasks.get(id) == Some(&f.region)
-                    && f.placed.placement.cell_locs.iter().all(|loc| {
+                tasks.get(id) == Some(&f.placement.region)
+                    && f.placement.cell_locs.iter().all(|loc| {
                         self.dev
                             .clb(loc.0)
                             .map(|clb| clb.cells[loc.1].is_used())
@@ -1271,14 +1259,7 @@ impl RunTimeManager {
             }
         };
         self.reserved.remove(&id);
-        self.functions.insert(
-            id,
-            LoadedFunction {
-                design: design.clone(),
-                region,
-                placed,
-            },
-        );
+        self.functions.insert(id, placed);
         self.checkpoint();
         Ok(LoadReport {
             id,
@@ -1326,7 +1307,7 @@ impl RunTimeManager {
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
         self.arena.release(id)?;
         self.bump_epoch();
-        let mut placed = f.placed;
+        let mut placed = f;
         placed.netdb.remove_all(&mut self.dev);
         let all_locs: Vec<_> = placed
             .placement
@@ -1361,7 +1342,7 @@ impl RunTimeManager {
     /// let to = Rect::new(ClbCoord::new(18, 20), 8, 8);
     /// let reports = mgr.relocate_function(loaded.id, to, |_, _, _| {}).unwrap();
     /// assert!(!reports.is_empty(), "every placed cell was relocated live");
-    /// assert_eq!(mgr.function(loaded.id).unwrap().region, to);
+    /// assert_eq!(mgr.function(loaded.id).unwrap().placement.region, to);
     /// ```
     ///
     /// # Errors
@@ -1399,7 +1380,7 @@ impl RunTimeManager {
             .ok_or_else(|| CoreError::DesignMismatch {
                 detail: format!("function {id} tracked by the arena but not the table"),
             })?;
-        let routed_before = f.placed.netdb.route_stats();
+        let routed_before = f.netdb.route_stats();
         let dr = to.origin.row as i32 - from.origin.row as i32;
         let dc = to.origin.col as i32 - from.origin.col as i32;
 
@@ -1408,9 +1389,9 @@ impl RunTimeManager {
         // destinations are never occupied by a not-yet-moved sibling
         // (memmove ordering).
         let mut slots: Vec<CellLoc> = Vec::new();
-        slots.extend(f.placed.placement.cell_locs.iter().copied());
-        slots.extend(f.placed.placement.feed_locs.iter().copied());
-        slots.extend(f.placed.placement.tap_locs.iter().copied());
+        slots.extend(f.placement.cell_locs.iter().copied());
+        slots.extend(f.placement.feed_locs.iter().copied());
+        slots.extend(f.placement.tap_locs.iter().copied());
         slots.sort_by_key(|loc| {
             -(loc.0.col as i64 * dc.signum() as i64 + loc.0.row as i64 * dr.signum() as i64)
         });
@@ -1428,24 +1409,17 @@ impl RunTimeManager {
                 continue;
             }
             let opts = RelocationOptions::default();
-            match relocate_cell(
-                &mut self.dev,
-                &mut f.placed,
-                src,
-                dst,
-                &opts,
-                &mut *observer,
-            ) {
+            match relocate_cell(&mut self.dev, f, src, dst, &opts, &mut *observer) {
                 Ok(report) => reports.push(report),
                 Err(e) => {
-                    let routed = f.placed.netdb.route_stats().delta_since(routed_before);
+                    let routed = f.netdb.route_stats().delta_since(routed_before);
                     self.count_routing(routed);
                     return Err(e);
                 }
             }
         }
-        f.region = to;
-        let routed = f.placed.netdb.route_stats().delta_since(routed_before);
+        f.placement.region = to;
+        let routed = f.netdb.route_stats().delta_since(routed_before);
         self.count_routing(routed);
         Ok(reports)
     }
@@ -1481,16 +1455,16 @@ impl RunTimeManager {
             .functions
             .get_mut(&id)
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
-        let routed_before = f.placed.netdb.route_stats();
+        let routed_before = f.netdb.route_stats();
         let result = relocate_cell(
             &mut self.dev,
-            &mut f.placed,
+            f,
             src,
             dst,
             &RelocationOptions::default(),
             &mut observer,
         );
-        let routed = f.placed.netdb.route_stats().delta_since(routed_before);
+        let routed = f.netdb.route_stats().delta_since(routed_before);
         self.count_routing(routed);
         let report = result?;
         self.checkpoint();
@@ -1636,14 +1610,15 @@ mod tests {
         let to = Rect::new(ClbCoord::new(18, 20), from.rows, from.cols);
         let reports = mgr.relocate_function(r.id, to, |_, _, _| {}).unwrap();
         assert!(!reports.is_empty());
+        // The function's one record of its region moved with it.
         let f = mgr.function(r.id).unwrap();
-        assert_eq!(f.region, to);
+        assert_eq!(f.placement.region, to);
+        assert!(mgr.bookkeeping_consistent());
         for loc in f
-            .placed
             .placement
             .cell_locs
             .iter()
-            .chain(f.placed.placement.feed_locs.iter())
+            .chain(f.placement.feed_locs.iter())
         {
             assert!(to.contains(loc.0), "{} escaped the target region", loc.0);
         }
@@ -1658,10 +1633,10 @@ mod tests {
         let r = mgr.load(&d, 8, 8, |_, _, _| {}).unwrap();
         let loaded = mgr.plan_stats();
         let f = mgr.function(r.id).unwrap();
-        assert_eq!(loaded.route_searches, f.placed.netdb.route_stats().searches);
+        assert_eq!(loaded.route_searches, f.netdb.route_stats().searches);
         assert_eq!(
             loaded.route_nodes_expanded,
-            f.placed.netdb.route_stats().nodes_expanded
+            f.netdb.route_stats().nodes_expanded
         );
         assert!(loaded.route_searches > 0);
         let to = Rect::new(ClbCoord::new(18, 20), r.region.rows, r.region.cols);
@@ -1703,7 +1678,7 @@ mod tests {
             from.cols,
         );
         mgr.relocate_function(r.id, to, |_, _, _| {}).unwrap();
-        assert_eq!(mgr.function(r.id).unwrap().region, to);
+        assert_eq!(mgr.function(r.id).unwrap().placement.region, to);
     }
 
     #[test]
@@ -1712,17 +1687,14 @@ mod tests {
         let d = small_design(9);
         let r = mgr.load(&d, 10, 10, |_, _, _| {}).unwrap();
         let f = mgr.function(r.id).unwrap();
-        let src = f.placed.placement.cell_locs[0];
+        let src = f.placement.cell_locs[0];
         // A free slot inside the function's own region.
         let dst = crate::relocation::find_aux_sites(mgr.device(), src.0, 1, &[src]).unwrap()[0];
         assert!(r.region.contains(dst.0), "aux search stays near src");
         let report = mgr.relocate_cell_of(r.id, src, dst, |_, _, _| {}).unwrap();
         assert_eq!(report.src, src);
         assert_eq!(report.dst, dst);
-        assert_eq!(
-            mgr.function(r.id).unwrap().placed.placement.cell_locs[0],
-            dst
-        );
+        assert_eq!(mgr.function(r.id).unwrap().placement.cell_locs[0], dst);
 
         // A destination outside the region is refused.
         let outside_tile = mgr
@@ -1808,7 +1780,7 @@ mod tests {
         assert!(report.relocations.is_empty());
         assert_eq!(report.before, report.after);
         // Nothing moved on the device.
-        assert_eq!(mgr.function(b.id).unwrap().region.origin.col, 16);
+        assert_eq!(mgr.function(b.id).unwrap().placement.region.origin.col, 16);
     }
 
     #[test]
@@ -1828,7 +1800,7 @@ mod tests {
             "prediction includes the incoming function"
         );
         // Nothing actually happened.
-        assert_eq!(mgr.function(r.id).unwrap().region.origin.col, 9);
+        assert_eq!(mgr.function(r.id).unwrap().placement.region.origin.col, 9);
         assert_eq!(mgr.functions().count(), 1);
         // A fitting request previews with an empty plan; an impossible
         // one with None.
@@ -1847,7 +1819,7 @@ mod tests {
         let plan = mgr.plan_room(16, 12).expect("satisfiable");
         assert!(!plan.is_empty());
         // Planning must not have changed any state.
-        assert_eq!(mgr.function(r.id).unwrap().region.origin.col, 9);
+        assert_eq!(mgr.function(r.id).unwrap().placement.region.origin.col, 9);
         // An impossible request is reported as such.
         assert!(mgr.plan_room(16, 24).is_none());
     }
@@ -2163,7 +2135,7 @@ mod tests {
                     }
                     (2, Some(id)) => mgr.unload(id),
                     (3, Some(id)) => {
-                        let r = mgr.function(id).unwrap().region;
+                        let r = mgr.function(id).unwrap().placement.region;
                         let row = a % (17 - r.rows);
                         let col = b % (25 - r.cols);
                         let to = Rect::new(ClbCoord::new(row, col), r.rows, r.cols);
@@ -2171,9 +2143,10 @@ mod tests {
                     }
                     (4, Some(id)) => {
                         let f = mgr.function(id).unwrap();
-                        let locs = &f.placed.placement.cell_locs;
+                        let locs = &f.placement.cell_locs;
                         let src = locs[usize::from(b) % locs.len()];
                         let dst = f
+                            .placement
                             .region
                             .iter()
                             .flat_map(|t| (0..4).map(move |c| (t, c)))
@@ -2214,7 +2187,7 @@ mod tests {
                         // Extraction in a dirty interval: the restore must
                         // bring back the writes made before it, not roll
                         // them back to the checkpoint.
-                        let region = mgr.function(id).unwrap().region;
+                        let region = mgr.function(id).unwrap().placement.region;
                         let tile = ClbCoord::new(a % 16, b % 24);
                         let cell = usize::from(a % 4);
                         let state = mgr.dev.cell_state(tile, cell).unwrap();

@@ -130,6 +130,7 @@ mod tests {
     use rtm_fpga::geom::ClbCoord;
     use rtm_fpga::part::Part;
     use rtm_fpga::routing::{Dir, Pip, Wire};
+    use rtm_sim::route::hop_pip;
     use std::collections::BTreeSet;
 
     fn node(r: u16, c: u16, wire: Wire) -> RouteNode {
@@ -239,11 +240,7 @@ mod tests {
         assert!(dev.sinks_of(source).contains(&sink));
         // The device's PIPs are exactly the in-tile hops of the new path.
         let path = &db.net(net).unwrap().paths[&sink];
-        let hops: BTreeSet<Pip> = path
-            .windows(2)
-            .filter(|hop| hop[0].tile == hop[1].tile)
-            .map(|hop| Pip::new(hop[0].tile, hop[0].wire, hop[1].wire))
-            .collect();
+        let hops: BTreeSet<Pip> = path.windows(2).filter_map(hop_pip).collect();
         assert!(dev.pips().eq(hops));
     }
 

@@ -591,7 +591,7 @@ impl FleetService {
         let Some(region) = src
             .resident_function_id(d.trace_id)
             .and_then(|fid| src.manager().function(fid))
-            .map(|f| f.region)
+            .map(|f| f.placement.region)
         else {
             return Ok(MigrationOutcome::RefusedUnknown);
         };

@@ -442,7 +442,11 @@ impl RuntimeService {
     pub fn resident_functions(&self) -> Vec<(u64, FunctionId, rtm_fpga::geom::Rect)> {
         self.resident
             .iter()
-            .filter_map(|(tid, r)| self.mgr.function(r.fid).map(|f| (*tid, r.fid, f.region)))
+            .filter_map(|(tid, r)| {
+                self.mgr
+                    .function(r.fid)
+                    .map(|f| (*tid, r.fid, f.placement.region))
+            })
             .collect()
     }
 
@@ -1090,7 +1094,7 @@ impl RuntimeService {
             .filter_map(|(tid, r)| {
                 let f = self.mgr.function(r.fid)?;
                 let remaining = r.expiry.map(|e| e.saturating_sub(self.now));
-                Some((*tid, victim_cost(f.region.area(), remaining)))
+                Some((*tid, victim_cost(f.placement.region.area(), remaining)))
             })
             .min_by_key(|(tid, cost)| (*cost, *tid))
     }

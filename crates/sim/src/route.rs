@@ -167,7 +167,7 @@ impl RoutedNet {
         let shared = self.shared_prefix(&path);
         let branch = &path[shared - 1..];
         for pair in branch.windows(2) {
-            if let Some(pip) = pip_of(pair) {
+            if let Some(pip) = hop_pip(pair) {
                 dev.add_pip(pip).expect("router only proposes valid pips");
             }
         }
@@ -184,7 +184,7 @@ impl RoutedNet {
         let shared = self.shared_prefix(&path);
         let branch = &path[shared - 1..];
         for pair in branch.windows(2) {
-            if let Some(pip) = pip_of(pair) {
+            if let Some(pip) = hop_pip(pair) {
                 dev.remove_pip(&pip).expect("pip active");
             }
         }
@@ -202,9 +202,10 @@ impl RoutedNet {
     }
 }
 
-/// The PIP of a hop between two nodes of a path, or `None` for a fixed
-/// link (which leaves its tile).
-fn pip_of(hop: &[RouteNode]) -> Option<Pip> {
+/// The PIP of a hop between two consecutive nodes of a path, or `None`
+/// for a fixed link (which leaves its tile). The device's active PIPs are
+/// exactly the PIP hops on the paths of its live nets.
+pub fn hop_pip(hop: &[RouteNode]) -> Option<Pip> {
     let (a, b) = (hop[0], hop[1]);
     (a.tile == b.tile).then(|| Pip::new(a.tile, a.wire, b.wire))
 }
@@ -1226,7 +1227,7 @@ mod tests {
                     *want.entry(node).or_insert(0) += 1;
                 }
                 for path in net.paths.values() {
-                    hops.extend(path.windows(2).filter_map(pip_of));
+                    hops.extend(path.windows(2).filter_map(hop_pip));
                 }
             }
             assert_eq!(held, want, "holds are the live nets' nodes");

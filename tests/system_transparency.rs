@@ -87,25 +87,23 @@ fn applications_survive_live_rearrangement_under_observation() {
 
     // One device-wide simulation observing both applications.
     let first = mgr.function(ids[0]).unwrap();
-    let mut dsim = DeviceSim::new(mgr.device(), &first.placed);
+    let mut dsim = DeviceSim::new(mgr.device(), first);
     let mut apps: Vec<App<'_>> = Vec::new();
     for (k, id) in ids.iter().enumerate() {
         let f = mgr.function(*id).unwrap();
         let (feed_idx, out_idx): (Vec<usize>, Vec<usize>) = if k == 0 {
             (
-                (0..f.placed.placement.feed_locs.len()).collect(),
-                (0..f.placed.placement.tap_locs.len()).collect(),
+                (0..f.placement.feed_locs.len()).collect(),
+                (0..f.placement.tap_locs.len()).collect(),
             )
         } else {
             (
-                f.placed
-                    .placement
+                f.placement
                     .feed_locs
                     .iter()
                     .map(|l| dsim.push_feed(*l))
                     .collect(),
-                f.placed
-                    .output_locs()
+                f.output_locs()
                     .iter()
                     .map(|(n, l)| dsim.push_output(n.clone(), *l))
                     .collect(),
@@ -117,8 +115,8 @@ fn applications_survive_live_rearrangement_under_observation() {
             width: netlists[k].inputs().len(),
             feed_idx,
             out_idx,
-            feed_home: f.placed.placement.feed_locs.clone(),
-            feed_home_active: vec![true; f.placed.placement.feed_locs.len()],
+            feed_home: f.placement.feed_locs.clone(),
+            feed_home_active: vec![true; f.placement.feed_locs.len()],
             divergences: 0,
             salt: 977 * (k as u64 + 1),
         });
@@ -177,10 +175,10 @@ fn applications_survive_live_rearrangement_under_observation() {
         // Collapse aliases onto the new home.
         let f = mgr.function(id).unwrap();
         let k = ids.iter().position(|x| *x == id).unwrap();
-        for (j, loc) in f.placed.placement.feed_locs.iter().enumerate() {
+        for (j, loc) in f.placement.feed_locs.iter().enumerate() {
             dsim.move_feed(apps[k].feed_idx[j], *loc);
         }
-        apps[k].feed_home = f.placed.placement.feed_locs.clone();
+        apps[k].feed_home = f.placement.feed_locs.clone();
         apps[k].feed_home_active = vec![true; apps[k].feed_home.len()];
         dsim.sync(mgr.device());
     }
@@ -236,13 +234,13 @@ fn applications_survive_live_rearrangement_under_observation() {
     // Collapse feed aliases onto the final locations and keep running.
     for (k, id) in ids.iter().enumerate() {
         let f = mgr.function(*id).unwrap();
-        for (j, loc) in f.placed.placement.feed_locs.iter().enumerate() {
+        for (j, loc) in f.placement.feed_locs.iter().enumerate() {
             dsim.move_feed(apps[k].feed_idx[j], *loc);
         }
-        for (j, (_, loc)) in f.placed.output_locs().iter().enumerate() {
+        for (j, (_, loc)) in f.output_locs().iter().enumerate() {
             dsim.move_output(apps[k].out_idx[j], *loc);
         }
-        apps[k].feed_home = f.placed.placement.feed_locs.clone();
+        apps[k].feed_home = f.placement.feed_locs.clone();
         apps[k].feed_home_active = vec![true; apps[k].feed_home.len()];
     }
     dsim.sync(mgr.device());
