@@ -394,18 +394,17 @@ impl FleetService {
             //    the fleet threshold, force a cycle on the device where
             //    it buys the most. The ranking reads epoch-cached
             //    summaries (free for devices that have not mutated) and
-            //    the winner's *cached* compaction plan is handed
-            //    straight to `defragment_with_plan` — ranking by
-            //    predicted gain already planned the cycle, so the
-            //    trigger is plan-free end to end.
+            //    the winner's `defrag_now` executes its *cached*
+            //    compaction plan — ranking by predicted gain already
+            //    planned the cycle, so the trigger is plan-free end to
+            //    end.
             if mean > self.config.fleet_frag_threshold {
                 let best = (0..n)
                     .map(|i| (i, self.shards[i].manager().predicted_defrag_gain()))
                     .filter(|(_, gain)| *gain > 0.0)
                     .max_by(|a, b| a.1.total_cmp(&b.1));
                 if let Some((i, _)) = best {
-                    let plan = self.shards[i].manager().cached_defrag_plan();
-                    if self.shards[i].defrag_now(Some(plan), &mut st.reports[i])? {
+                    if self.shards[i].defrag_now(&mut st.reports[i])? {
                         st.report.fleet_defrags += 1;
                         self.sample(&mut st);
                     }

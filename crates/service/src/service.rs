@@ -5,8 +5,8 @@ use crate::report::{AdmissionRecord, DefragSummary, FragSample, ServiceReport};
 use crate::trace::{Arrival, Trace, TraceEvent};
 use rtm_core::manager::{FunctionId, RunTimeManager};
 use rtm_core::{
-    AdmissionTicket, CoreError, DefragPlan, ExtractedFunction, LoadFailureReason, PlanStats,
-    RelocationReport, RoomPlan,
+    AdmissionTicket, CoreError, ExtractedFunction, LoadFailureReason, PlanStats, RelocationReport,
+    RoomPlan,
 };
 use rtm_fpga::part::Part;
 use rtm_netlist::random::RandomCircuit;
@@ -786,7 +786,7 @@ impl RuntimeService {
         });
 
         if self.mgr.fragmentation().exceeds(self.config.frag_threshold) {
-            self.defrag_now(None, report)?;
+            self.defrag_now(report)?;
         }
         Ok(())
     }
@@ -797,31 +797,23 @@ impl RuntimeService {
     /// cycle on an incompressible (or already compact) layout is a
     /// recorded no-op. Returns whether a cycle actually executed.
     ///
-    /// `plan` lets a caller that already planned the compaction (a
-    /// fleet ranking devices by predicted gain) hand the plan over for
-    /// execution via
-    /// [`RunTimeManager::defragment_with_plan`](rtm_core::RunTimeManager::defragment_with_plan)
-    /// instead of paying a second planning pass; stale plans are
-    /// detected and re-planned.
+    /// The cycle executes the manager's epoch-cached compaction plan
+    /// via
+    /// [`RunTimeManager::defragment_with_plan`](rtm_core::RunTimeManager::defragment_with_plan):
+    /// a fleet that ranked devices by predicted gain already planned it,
+    /// so the cycle pays no second planning pass.
     ///
     /// # Errors
     ///
     /// Propagates [`CoreError`] from a failed relocation.
-    pub fn defrag_now(
-        &mut self,
-        plan: Option<DefragPlan>,
-        report: &mut ServiceReport,
-    ) -> Result<bool, CoreError> {
+    pub fn defrag_now(&mut self, report: &mut ServiceReport) -> Result<bool, CoreError> {
         // Compaction planning must never see a reserved-but-
         // unimplemented id: drain pending tickets first, like every
         // other admission-state-observing entry point.
         self.execute_reserved(report)?;
-        // Both paths execute through the plan pipeline (rtm-lint's
-        // plan-discipline rule pins it): a caller-less trigger takes
-        // the manager's epoch-cached plan, so a threshold cycle whose
-        // gain the trigger already ranked costs no second planning
-        // pass.
-        let plan = plan.unwrap_or_else(|| self.mgr.cached_defrag_plan());
+        // Execute through the plan pipeline (rtm-lint's plan-discipline
+        // rule pins it), with the plan the trigger's ranking cached.
+        let plan = self.mgr.cached_defrag_plan();
         let d = self.mgr.defragment_with_plan(&plan, |_, _, _| {})?;
         if d.moves.is_empty() {
             return Ok(false);
