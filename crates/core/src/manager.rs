@@ -1301,13 +1301,12 @@ impl RunTimeManager {
     /// [`RunTimeManager::unload`] without the closing checkpoint, so an
     /// extraction can take the teardown's undo records first.
     fn unload_uncheckpointed(&mut self, id: FunctionId) -> Result<(), CoreError> {
-        let f = self
+        let mut placed = self
             .functions
             .remove(&id)
             .ok_or(CoreError::Place(rtm_place::PlaceError::UnknownTask { id }))?;
         self.arena.release(id)?;
         self.bump_epoch();
-        let mut placed = f;
         placed.netdb.remove_all(&mut self.dev);
         let all_locs: Vec<_> = placed
             .placement

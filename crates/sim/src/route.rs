@@ -555,14 +555,6 @@ impl Window {
         target.bound(self.tables, self.relative(node.tile), node.wire.index())
     }
 
-    /// True when the sink, offered from reference `at`, ends the search:
-    /// over a fixed link (from another tile, or from a start node outside
-    /// the window), or over a [free PIP](Target::free_pip_from).
-    fn reaches(&self, dev: &Device, target: &Target, at: u32) -> bool {
-        at >> WIRE_BITS != target.id >> WIRE_BITS
-            || target.free_pip_from(dev, Wire::from_index((at & WIRE_MASK) as usize))
-    }
-
     /// Offers window node `at`'s successors to `offer`: its PIP fanout in
     /// wire-index order, then its fixed link. True as soon as `offer`
     /// reports the sink, or when the fixed link lands on the sink beyond
@@ -689,6 +681,14 @@ impl Target {
     fn free_pip_from(&self, dev: &Device, wire: Wire) -> bool {
         !dev.has_pip(&Pip::new(self.node.tile, wire, self.node.wire))
     }
+
+    /// True when the sink, offered from reference `at`, ends the search:
+    /// over a fixed link (from another tile, or from a start node outside
+    /// the window), or over a free PIP.
+    fn reached_from(&self, dev: &Device, at: u32) -> bool {
+        at >> WIRE_BITS != self.id >> WIRE_BITS
+            || self.free_pip_from(dev, Wire::from_index((at & WIRE_MASK) as usize))
+    }
 }
 
 /// One bit per window node, by packed id.
@@ -798,18 +798,18 @@ impl Search {
     /// and the number of nodes the two passes expanded.
     ///
     /// The result is that of the plain FIFO search seeded with `nodes`:
-    /// every start node is marked before any is expanded,
-    /// each node offers its PIP fanout in wire-index order and then its
-    /// fixed link, and each offered node is checked for being the sink,
-    /// then for being marked, then for being usable. The sink ends the
-    /// search unless it is offered over a PIP that is already active
-    /// (see [`Target::free_pip_from`]). A node outside the window is
-    /// never usable, and the only nodes outside it that a search expands
-    /// are start nodes, which are never the sink; so outside the window
-    /// an offer ends the search exactly when it reaches the sink.
-    /// [`Search::distance`] finds that search's branch length
-    /// `d`, and [`Search::bounded`] replays it, queueing only nodes that
-    /// can lie on a branch of length `d`.
+    /// every start node is marked before any is expanded, each node
+    /// offers its PIP fanout in wire-index order and then its fixed link,
+    /// and each offered node is checked for being the sink, then for
+    /// being marked, then for being usable. The sink ends the search
+    /// unless it is offered over a PIP that is already active (see
+    /// [`Target::free_pip_from`]). A node outside the window is never
+    /// usable, and the only nodes outside it that a search expands are
+    /// start nodes, which are never the sink; so outside the window an
+    /// offer ends the search exactly when it reaches the sink.
+    /// [`Search::distance`] finds that search's branch length `d`, and
+    /// [`Search::bounded`] replays it, queueing only nodes that can lie
+    /// on a branch of length `d`.
     fn run(
         &mut self,
         dev: &Device,
@@ -895,7 +895,7 @@ impl Search {
             pops += 1;
             let offer = |next: u32| {
                 if next == target.id {
-                    return window.reaches(dev, target, at);
+                    return target.reached_from(dev, at);
                 }
                 if !marks.get(next) {
                     if window.held(dev, next) {
@@ -977,7 +977,7 @@ impl Search {
             let parent = head as u32;
             let offer = |next: u32| {
                 if next == target.id {
-                    return window.reaches(dev, target, at);
+                    return target.reached_from(dev, at);
                 }
                 if !marks.get(next) && g + 1 + window.bound(target, next) <= d {
                     marks.set(next);
