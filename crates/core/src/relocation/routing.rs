@@ -208,19 +208,23 @@ mod tests {
 
     #[test]
     fn a_sink_other_paths_run_through_is_rejected() {
-        // The net reaches a single line, then a pin one PIP past it: the
-        // line is a sink the pin's path runs on through.
+        // The net reaches a single line, then a pin in the tile the line
+        // runs to: the line is a sink the pin's path runs on through. A
+        // replica could reach the line over another PIP, but would then
+        // share it with the net.
         let mut dev = Device::new(Part::Xcv50);
         let mut db = NetDb::new();
-        let line = node(5, 6, Wire::In(Dir::West, 0));
-        let pin = node(5, 6, Wire::CellIn(0, 0));
+        let line = node(5, 6, Wire::Out(Dir::East, 0));
+        let pin = node(5, 7, Wire::CellIn(0, 0));
         let net = db
             .route_net(&mut dev, node(5, 5, Wire::CellOut(0)), &[line], None)
             .unwrap();
         db.extend_net(&mut dev, net, pin, None).unwrap();
         assert!(db.net(net).unwrap().paths[&pin].contains(&line));
+        let before = db.clone();
         let err = relocate_sink_path(&mut dev, &mut db, net, line, None, |_| {}).unwrap_err();
         assert!(matches!(err, CoreError::DesignMismatch { .. }), "{err}");
+        assert_eq!(db, before, "a refused relocation changes nothing");
     }
 
     #[test]

@@ -811,8 +811,8 @@ impl RuntimeService {
         // unimplemented id: drain pending tickets first, like every
         // other admission-state-observing entry point.
         self.execute_reserved(report)?;
-        // Execute through the plan pipeline (rtm-lint's plan-discipline
-        // rule pins it), with the plan the trigger's ranking cached.
+        // Execute the manager's epoch-cached plan through the plan
+        // pipeline (rtm-lint's plan-discipline rule pins it).
         let plan = self.mgr.cached_defrag_plan();
         let d = self.mgr.defragment_with_plan(&plan, |_, _, _| {})?;
         if d.moves.is_empty() {
