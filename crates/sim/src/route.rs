@@ -14,9 +14,11 @@
 //! The search runs over a *window* (the `within` region, or the whole
 //! device) and numbers every window node by a packed `(row, column,
 //! wire)` id, with one mark bit per node. Each sink takes two passes
-//! guided by a hop lower bound from the fabric alone: an A* pass finds
-//! the length `d` of the shortest path, then the plain FIFO search runs
-//! again, queueing only the nodes that can lie on a path of length `d`.
+//! guided by a hop lower bound, exact within a few hops of the sink (read
+//! from a table per class of sink) and from the fabric's geometry
+//! farther out: an A* pass finds the length `d` of the shortest path,
+//! then the plain FIFO search runs again, queueing only the nodes that
+//! can lie on a path of length `d`.
 //! That pruning leaves the FIFO order of the nodes it keeps unchanged,
 //! so every path is the one a plain breadth-first search seeded with
 //! the net's nodes returns, for far fewer nodes expanded than that
@@ -25,8 +27,8 @@
 use crate::error::SimError;
 use rtm_fpga::geom::{ClbCoord, Rect};
 use rtm_fpga::routing::{
-    fixed_link, pip_exists, Pip, RouteNode, Wire, HEX_DELAY_PS, HEX_SPAN, PIP_DELAY_PS,
-    SINGLE_DELAY_PS, WIRE_COUNT,
+    fixed_link, fixed_link_rev, pip_exists, pip_table, Pip, RouteNode, Wire, HEX_DELAY_PS,
+    HEX_SPAN, PIP_DELAY_PS, SINGLE_DELAY_PS, WIRE_COUNT,
 };
 use rtm_fpga::Device;
 use std::collections::BTreeMap;
@@ -82,6 +84,117 @@ impl WireTables {
 
     fn fanout(&self, wire: usize) -> &[u8] {
         &self.fanout[self.start[wire] as usize..self.start[wire + 1] as usize]
+    }
+}
+
+/// The hop bound is exact below this many hops from the sink: each
+/// [`HopTable`] is built to depth `NEAR − 1`, and every node it leaves
+/// out is at least `NEAR` hops away.
+const NEAR: u8 = 8;
+
+/// The hop count to one sink from every node fewer than [`NEAR`] hops
+/// from it on an empty, unbounded fabric: the same PIPs in every tile,
+/// and every fixed link present. Nodes are keyed by their tile offset
+/// from the sink. Built once per sink class (see [`HopTable::get`]).
+struct HopTable {
+    /// Offsets run over `-radius..=radius` along each axis.
+    radius: i32,
+    /// The row of `hops` for each offset of that square, row-major, or
+    /// `u16::MAX` where no node is in reach.
+    row_of: Vec<u16>,
+    /// Hops to the sink by wire index; [`NEAR`] for a wire that is
+    /// farther, and for the class's own wire.
+    hops: Vec<[u8; WIRE_COUNT]>,
+}
+
+impl HopTable {
+    /// The table of `sink`'s class. Two cell pins with the same PIP
+    /// predecessors share one: cell pins drive nothing, so every other
+    /// node is as many hops from one as from the other, and neither
+    /// reaches the other. `CellIn(c, p)` is driven by every `CellOut`
+    /// and by the singles and hexes whose index is `p − c` modulo 4, so
+    /// it shares by `(p − c) mod 4`; every `CellCe` shares one table,
+    /// and `CellDx(c)` shares by `c mod 2`. Every other wire has its
+    /// own.
+    fn get(sink: Wire) -> &'static HopTable {
+        static TABLES: [OnceLock<HopTable>; WIRE_COUNT] = [const { OnceLock::new() }; WIRE_COUNT];
+        let class = match sink {
+            Wire::CellIn(c, p) => Wire::CellIn(0, (p + 4 - c) % 4),
+            Wire::CellCe(_) => Wire::CellCe(0),
+            Wire::CellDx(c) => Wire::CellDx(c % 2),
+            wire => wire,
+        };
+        TABLES[class.index()].get_or_init(|| HopTable::build(class))
+    }
+
+    /// Breadth-first from `sink` at offset `(0, 0)`, backward over PIP
+    /// predecessors and fixed links (an `In` from the `Out` one tile
+    /// toward its side, a `HexIn` from the `HexOut` [`HEX_SPAN`] tiles
+    /// away), to depth `NEAR − 1`.
+    fn build(sink: Wire) -> HopTable {
+        let mut into = vec![Vec::new(); WIRE_COUNT];
+        for (from, to) in pip_table() {
+            into[to.index()].push(*from);
+        }
+        // A tile far enough from every edge that each link lands.
+        let span = HEX_SPAN;
+        let mid = ClbCoord::new(span, span);
+        let link_into = |wire: Wire| {
+            fixed_link_rev(mid, wire, 2 * span + 1, 2 * span + 1).map(|n| {
+                let step = |at: u16| i32::from(at) - i32::from(span);
+                (step(n.tile.row), step(n.tile.col), n.wire)
+            })
+        };
+        let mut found = BTreeMap::new();
+        let mut level = vec![(0, 0, sink)];
+        for hops in 0..NEAR {
+            let mut next = Vec::new();
+            for (row, col, wire) in level {
+                let seen = found.entry((row, col)).or_insert([NEAR; WIRE_COUNT]);
+                if seen[wire.index()] < NEAR {
+                    continue;
+                }
+                seen[wire.index()] = hops;
+                let back = into[wire.index()].iter().map(|from| (row, col, *from));
+                let link = link_into(wire).map(|(dr, dc, from)| (row + dr, col + dc, from));
+                next.extend(back.chain(link));
+            }
+            level = next;
+        }
+        // Only the sink is 0 hops from itself; for the class's other
+        // sinks the class's own wire is out of reach.
+        if let Some(at_sink) = found.get_mut(&(0, 0)) {
+            at_sink[sink.index()] = NEAR;
+        }
+        let radius = found
+            .keys()
+            .map(|(row, col)| row.abs().max(col.abs()))
+            .max()
+            .unwrap_or(0);
+        let side = 2 * radius + 1;
+        let mut row_of = vec![u16::MAX; (side * side) as usize];
+        for (i, (row, col)) in found.keys().enumerate() {
+            row_of[((row + radius) * side + col + radius) as usize] = i as u16;
+        }
+        HopTable {
+            radius,
+            row_of,
+            hops: found.into_values().collect(),
+        }
+    }
+
+    /// Hops to the sink from wire index `wire`, `(row, col)` tiles from
+    /// it, or [`NEAR`] when there are at least that many.
+    fn hops(&self, (row, col): (i32, i32), wire: usize) -> u8 {
+        let side = 2 * self.radius + 1;
+        let (row, col) = (row + self.radius, col + self.radius);
+        if (row as u32) < side as u32 && (col as u32) < side as u32 {
+            let at = self.row_of[(row * side + col) as usize];
+            if let Some(hops) = self.hops.get(usize::from(at)) {
+                return hops[wire];
+            }
+        }
+        NEAR
     }
 }
 
@@ -624,14 +737,15 @@ fn links_along(delta: i32) -> u32 {
 }
 
 /// The sink of one search: its packed id (or [`NONE`] when it is
-/// outside the window), and its window-relative position, which
-/// `beyond` repeats with its wire when it is on the device but outside
-/// the window.
+/// outside the window), its window-relative position, which `beyond`
+/// repeats with its wire when it is on the device but outside the
+/// window, and its class's [`HopTable`].
 struct Target {
     node: RouteNode,
     id: u32,
     at: (i32, i32),
     beyond: Option<(i32, i32, u32)>,
+    near: &'static HopTable,
 }
 
 impl Target {
@@ -644,26 +758,53 @@ impl Target {
             id: id.unwrap_or(NONE),
             at: (row, col),
             beyond: (id.is_none() && on_device).then_some((row, col, sink.wire.index() as u32)),
+            near: HopTable::get(sink.wire),
         }
     }
 
     /// A lower bound on the hops (PIPs plus fixed links) to the sink
-    /// from wire index `wire` at window-relative `(row, col)`, from the
-    /// fabric alone. Every link moves along one axis, so the sink is at
-    /// least `N` = [`links_along`] the rows plus along the columns links
-    /// away. With `N > 0` a path takes those links, a PIP between each
-    /// two, one PIP first unless the wire is an `Out`/`HexOut` (the only
-    /// wires with a fixed link), and one PIP last unless the sink is an
-    /// `In`/`HexIn` (the only wires a link lands on): `2N − 1` plus those
-    /// two. With `N = 0` it is 1 unless the node is the sink.
+    /// from wire index `wire` at window-relative `(row, col)`: 0 at the
+    /// sink, the exact hop count on an empty, unbounded fabric where the
+    /// sink's [`HopTable`] has it (below [`NEAR`]), and otherwise the
+    /// larger of `NEAR` and the [fabric bound](Target::fabric_bound).
+    ///
+    /// The device's routing graph is part of the unbounded fabric: the
+    /// same PIPs in every tile, no link that would leave the array, and
+    /// holds and the window only take nodes away. So the unbounded hop
+    /// count, capped at `NEAR`, is a consistent lower bound on every
+    /// search, and so is the fabric bound; the larger of the two is
+    /// consistent too, and it is this bound, since where the table has
+    /// the hop count the fabric bound is no larger. It is 1 exactly at
+    /// the sink's one-hop predecessors.
+    fn bound(&self, tables: &WireTables, (row, col): (i32, i32), wire: usize) -> u32 {
+        let (row, col) = (row - self.at.0, col - self.at.1);
+        if (row, col) == (0, 0) && wire == self.node.wire.index() {
+            return 0;
+        }
+        match self.near.hops((row, col), wire) {
+            NEAR => self
+                .fabric_bound(tables, (row, col), wire)
+                .max(u32::from(NEAR)),
+            hops => u32::from(hops),
+        }
+    }
+
+    /// A lower bound on the hops to the sink from wire index `wire`,
+    /// `(row, col)` tiles from it, from the fabric's geometry. Every link
+    /// moves along one axis, so the sink is at least `N` =
+    /// [`links_along`] the rows plus along the columns links away. With
+    /// `N > 0` a path takes those links, a PIP between each two, one PIP
+    /// first unless the wire is an `Out`/`HexOut` (the only wires with a
+    /// fixed link), and one PIP last unless the sink is an `In`/`HexIn`
+    /// (the only wires a link lands on): `2N − 1` plus those two. With
+    /// `N = 0` it is 1 unless the node is the sink.
     ///
     /// The bound is consistent: it falls by at most 1 across any PIP
     /// (which keeps `N` and may change only the first-PIP term) and
     /// across any fixed link (which changes `N` by at most 1 and runs
-    /// from an outbound wire to an inbound one). So it is 0 only at the
-    /// sink and exactly 1 at every node one hop before it.
-    fn bound(&self, tables: &WireTables, (row, col): (i32, i32), wire: usize) -> u32 {
-        let links = links_along(row - self.at.0) + links_along(col - self.at.1);
+    /// from an outbound wire to an inbound one).
+    fn fabric_bound(&self, tables: &WireTables, (row, col): (i32, i32), wire: usize) -> u32 {
+        let links = links_along(row) + links_along(col);
         if links == 0 {
             return u32::from(wire != self.node.wire.index());
         }
@@ -1029,7 +1170,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rtm_fpga::part::Part;
-    use rtm_fpga::routing::{fixed_link_rev, pip_table, Dir, HEX_PER_DIR, SINGLES_PER_DIR};
+    use rtm_fpga::routing::Dir;
     use std::collections::{BTreeSet, HashMap, VecDeque};
 
     /// The destination wires one PIP reaches from `wire`.
@@ -1293,20 +1434,30 @@ mod tests {
         }
     }
 
-    /// The most nodes with `h = 1`: the sink tile's other wires and, for
-    /// an inbound sink, the outbound wires of the eight tiles one fixed
-    /// link away (a single or a hex along either axis). A plain search
+    /// The most nodes with `h = 1` toward one sink: its one-hop
+    /// predecessors, the wires with a PIP into it and the outbound wire
+    /// whose fixed link lands on it. The most is 16, at a `CellIn`: the
+    /// four `CellOut`s, eight `In`s and four `HexIn`s. A plain search
     /// pops every node whose distance from the net is at most `d − 2`,
     /// and the distance pass closes no node with `g + h > d`; so the
     /// distance pass expands at most these nodes more than the plain
     /// search pops, and the bounded pass, whose FIFO is part of the
     /// plain one, no more than it.
-    const H1_NODES: u64 = WIRE_COUNT as u64 - 1 + 8 * 4 * (SINGLES_PER_DIR + HEX_PER_DIR) as u64;
+    fn h1_nodes() -> u64 {
+        let tables = WireTables::get();
+        let predecessors = |sink: Wire| {
+            let pips = pip_table().iter().filter(|(_, to)| *to == sink).count();
+            let links = tables.link.iter().flatten();
+            let links = links.filter(|(_, _, to)| usize::from(*to) == sink.index());
+            (pips + links.count()) as u64
+        };
+        Wire::all().map(predecessors).max().unwrap_or(0)
+    }
 
     /// Asserts that a dense database and its reference twin hold the
     /// same nets after `op` and ran the same searches during it, and
     /// that the dense pops are at most twice the reference's plus
-    /// [`H1_NODES`] per search. `before` holds both counters before
+    /// [`h1_nodes`] per search. `before` holds both counters before
     /// `op`, dense first.
     fn assert_twins(dense: &NetDb, reference: &NetDb, before: [RouteStats; 2], op: &Op) {
         assert_eq!(dense.nets, reference.nets, "nets after {op:?}");
@@ -1314,7 +1465,7 @@ mod tests {
         let r = reference.stats.delta_since(before[1]);
         assert_eq!(d.searches, r.searches, "searches in {op:?}");
         assert!(
-            d.nodes_expanded <= 2 * r.nodes_expanded + H1_NODES * r.searches,
+            d.nodes_expanded <= 2 * r.nodes_expanded + h1_nodes() * r.searches,
             "dense {d:?} against reference {r:?} in {op:?}"
         );
     }
@@ -1583,6 +1734,9 @@ mod tests {
         let tiles = [(8, 12), (0, 0), (15, 23), (3, 17), (12, 5)];
         let wires = [
             Wire::CellIn(1, 2),
+            Wire::CellIn(2, 0),
+            Wire::CellCe(3),
+            Wire::CellDx(1),
             Wire::In(Dir::West, 3),
             Wire::HexIn(Dir::North, 1),
             Wire::Out(Dir::East, 5),
@@ -1610,6 +1764,37 @@ mod tests {
                         assert!(h <= 1 + step, "PIP {from} -> {to}: {h} > 1 + {step}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn hop_bound_is_exact_near_the_sink() {
+        // Every node fewer than NEAR hops from a sink at the centre of an
+        // empty XCV1000 lies inside the array, so there the device's hop
+        // counts are the unbounded fabric's. Every cell-pin sink in
+        // release; in debug one per class, none the wire its class's
+        // table is built from.
+        let d = Device::new(Part::Xcv1000);
+        let window = Window::new(&d, None);
+        let centre = ClbCoord::new(d.rows() / 2, d.cols() / 2);
+        let sinks: Vec<Wire> = if cfg!(debug_assertions) {
+            let mut sinks: Vec<Wire> = (0..4).map(|k| Wire::CellIn(3, (k + 3) % 4)).collect();
+            sinks.extend([Wire::CellCe(3), Wire::CellDx(2), Wire::CellDx(3)]);
+            sinks
+        } else {
+            Wire::all()
+                .filter(|w| w.is_cell_pin() && !matches!(w, Wire::CellOut(_)))
+                .collect()
+        };
+        let near = u32::from(NEAR);
+        for wire in sinks {
+            let sink = RouteNode::new(centre, wire);
+            let target = Target::new(&window, sink);
+            for (node, hops) in all_nodes(&d).zip(hops_to(&d, sink)) {
+                let h = window.bound_of(&target, node);
+                assert!(h <= hops, "h({node}) = {h} > {hops} hops to {sink}");
+                assert_eq!(h.min(near), hops.min(near), "h({node}) toward {sink}");
             }
         }
     }
