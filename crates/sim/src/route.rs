@@ -145,19 +145,22 @@ impl HopTable {
                 (step(n.tile.row), step(n.tile.col), n.wire)
             })
         };
-        let mut found = BTreeMap::new();
+        let mut at_sink = [NEAR; WIRE_COUNT];
+        at_sink[sink.index()] = 0;
+        let mut found = BTreeMap::from([((0, 0), at_sink)]);
         let mut level = vec![(0, 0, sink)];
-        for hops in 0..NEAR {
+        for hops in 1..NEAR {
             let mut next = Vec::new();
             for (row, col, wire) in level {
-                let seen = found.entry((row, col)).or_insert([NEAR; WIRE_COUNT]);
-                if seen[wire.index()] < NEAR {
-                    continue;
-                }
-                seen[wire.index()] = hops;
                 let back = into[wire.index()].iter().map(|from| (row, col, *from));
                 let link = link_into(wire).map(|(dr, dc, from)| (row + dr, col + dc, from));
-                next.extend(back.chain(link));
+                for (row, col, from) in back.chain(link) {
+                    let seen = found.entry((row, col)).or_insert([NEAR; WIRE_COUNT]);
+                    if seen[from.index()] == NEAR {
+                        seen[from.index()] = hops;
+                        next.push((row, col, from));
+                    }
+                }
             }
             level = next;
         }
