@@ -91,6 +91,8 @@ impl WireTables {
 /// [`HopTable`] is built to depth `NEAR − 1`, and every node it leaves
 /// out is at least `NEAR` hops away.
 const NEAR: u8 = 8;
+// Hop counts are packed two to a byte (see `HopTable::hops`).
+const _: () = assert!(NEAR < 16 && WIRE_COUNT.is_multiple_of(2));
 
 /// The hop count to one sink from every node fewer than [`NEAR`] hops
 /// from it on an empty, unbounded fabric: the same PIPs in every tile,
@@ -102,9 +104,11 @@ struct HopTable {
     /// The row of `hops` for each offset of that square, row-major, or
     /// `u16::MAX` where no node is in reach.
     row_of: Vec<u16>,
-    /// Hops to the sink by wire index; [`NEAR`] for a wire that is
-    /// farther, and for the class's own wire.
-    hops: Vec<[u8; WIRE_COUNT]>,
+    /// Hops to the sink by wire index, two wires to a byte: wire `w` in
+    /// the low four bits of byte `w / 2` when `w` is even, the high four
+    /// when it is odd. [`NEAR`] for a wire that is farther, and for the
+    /// class's own wire.
+    hops: Vec<[u8; WIRE_COUNT / 2]>,
 }
 
 impl HopTable {
@@ -182,7 +186,10 @@ impl HopTable {
         HopTable {
             radius,
             row_of,
-            hops: found.into_values().collect(),
+            hops: found
+                .into_values()
+                .map(|row| std::array::from_fn(|i| row[2 * i] | (row[2 * i + 1] << 4)))
+                .collect(),
         }
     }
 
@@ -194,7 +201,7 @@ impl HopTable {
         if (row as u32) < side as u32 && (col as u32) < side as u32 {
             let at = self.row_of[(row * side + col) as usize];
             if let Some(hops) = self.hops.get(usize::from(at)) {
-                return hops[wire];
+                return (hops[wire / 2] >> (4 * (wire % 2))) & 0xF;
             }
         }
         NEAR
