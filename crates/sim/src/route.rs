@@ -16,13 +16,13 @@
 //! wire)` id, with one mark bit per node. Each sink takes two passes
 //! guided by a hop lower bound, exact within a few hops of the sink (read
 //! from a table per class of sink) and from the fabric's geometry
-//! farther out: an A* pass finds the length `d` of the shortest path,
-//! then the plain FIFO search runs again, queueing only the nodes that
-//! can lie on a path of length `d`.
-//! That pruning leaves the FIFO order of the nodes it keeps unchanged,
-//! so every path is the one a plain breadth-first search seeded with
-//! the net's nodes returns, for far fewer nodes expanded than that
-//! search pops.
+//! farther out: an A* pass finds the length `d` of the shortest path
+//! and the level of every node it closes, then a depth-first walk in
+//! the plain search's offer order enters only the nodes that can lie
+//! on a path of length `d`, each at its level and once. The first
+//! branch the walk completes is the one a plain breadth-first search
+//! seeded with the net's nodes returns, for far fewer nodes expanded
+//! than that search pops.
 
 use crate::error::SimError;
 use rtm_fpga::geom::{ClbCoord, Rect};
@@ -361,7 +361,7 @@ pub struct RouteStats {
     /// Path searches run: one per sink routed, successful or not.
     pub searches: u64,
     /// Nodes expanded across those searches, in both passes: the
-    /// distance pass's closing pops and the bounded pass's FIFO pops.
+    /// distance pass's closing pops and the nodes the walk enters.
     pub nodes_expanded: u64,
 }
 
@@ -640,6 +640,19 @@ impl Window {
         self.pack(row, col, node.wire.index() as u32)
     }
 
+    /// The reference of each start node, in order: its packed id, or
+    /// `OUTSIDE + k` for the `k`-th one outside the window.
+    fn starts<'a>(&'a self, nodes: &'a [RouteNode]) -> impl Iterator<Item = (u32, RouteNode)> + 'a {
+        let mut next_outside = OUTSIDE;
+        nodes.iter().map(move |&node| match self.id(node) {
+            Some(at) => (at, node),
+            None => {
+                next_outside += 1;
+                (next_outside - 1, node)
+            }
+        })
+    }
+
     /// Window-relative row and column of packed id `id`.
     fn tile_of(&self, id: u32) -> (i32, i32) {
         let tile = id >> WIRE_BITS;
@@ -678,59 +691,95 @@ impl Window {
         target.bound(self.tables, self.relative(node.tile), node.wire.index())
     }
 
-    /// Offers window node `at`'s successors to `offer`: its PIP fanout in
-    /// wire-index order, then its fixed link. True as soon as `offer`
-    /// reports the sink, or when the fixed link lands on the sink beyond
-    /// the window.
-    fn expand(&self, at: u32, target: &Target, mut offer: impl FnMut(u32) -> bool) -> bool {
-        let wire = (at & WIRE_MASK) as usize;
-        let tile = at & !WIRE_MASK;
-        for &to in self.tables.fanout(wire) {
-            if offer(tile | u32::from(to)) {
-                return true;
-            }
-        }
-        let Some((dr, dc, to)) = self.tables.link[wire] else {
-            return false;
-        };
-        let (row, col) = self.tile_of(at);
-        let (row, col, to) = (row + i32::from(dr), col + i32::from(dc), u32::from(to));
-        match self.pack(row, col, to) {
-            Some(next) => offer(next),
-            None => target.beyond == Some((row, col, to)),
-        }
-    }
-
-    /// Offers start node `node`'s successors, outside the window. Its
-    /// PIP fanout stays in its own tile, outside the window, so only the
-    /// sink can end the search there, over a free PIP; its fixed link may
-    /// enter the window.
-    fn expand_outside(
+    /// The `k`-th offer of reference `at` (a packed id, or `OUTSIDE + i`
+    /// for `outside[i]`), or `None` past its last. This is the one
+    /// offer order both passes follow: the node's PIP fanout in
+    /// wire-index order, then its fixed link. The sink is checked first
+    /// (see [`Offer`]). A start node outside the window offers its PIP
+    /// fanout in its own tile, outside the window too, so of those only
+    /// the sink is usable; its fixed link may enter the window.
+    fn offer(
         &self,
         dev: &Device,
-        node: RouteNode,
         target: &Target,
-        mut offer: impl FnMut(u32) -> bool,
-    ) -> bool {
-        let fanout = self.tables.fanout(node.wire.index());
-        if node.tile == target.node.tile
-            && fanout.contains(&(target.node.wire.index() as u8))
-            && target.free_pip_from(dev, node.wire)
-        {
-            return true;
-        }
-        match fixed_link(node.tile, node.wire, self.dev_rows, self.dev_cols) {
-            Some(next) => match self.id(next) {
-                Some(at) => offer(at),
-                None => next == target.node,
-            },
-            None => false,
+        outside: &[RouteNode],
+        at: u32,
+        k: usize,
+    ) -> Option<Offer> {
+        let next = match at.checked_sub(OUTSIDE) {
+            None => {
+                let wire = (at & WIRE_MASK) as usize;
+                let fanout = self.tables.fanout(wire);
+                if let Some(&to) = fanout.get(k) {
+                    at & !WIRE_MASK | u32::from(to)
+                } else if k == fanout.len() {
+                    let (dr, dc, to) = self.tables.link[wire]?;
+                    let (row, col) = self.tile_of(at);
+                    let (row, col, to) = (row + i32::from(dr), col + i32::from(dc), u32::from(to));
+                    match self.pack(row, col, to) {
+                        Some(next) => next,
+                        None => return Some(Offer::sink_if(target.beyond == Some((row, col, to)))),
+                    }
+                } else {
+                    return None;
+                }
+            }
+            Some(i) => {
+                let node = outside[i as usize];
+                let fanout = self.tables.fanout(node.wire.index());
+                if let Some(&to) = fanout.get(k) {
+                    let sink = node.tile == target.node.tile
+                        && usize::from(to) == target.node.wire.index()
+                        && target.free_pip_from(dev, node.wire);
+                    return Some(Offer::sink_if(sink));
+                } else if k == fanout.len() {
+                    let next = fixed_link(node.tile, node.wire, self.dev_rows, self.dev_cols)?;
+                    match self.id(next) {
+                        Some(next) => next,
+                        None => return Some(Offer::sink_if(next == target.node)),
+                    }
+                } else {
+                    return None;
+                }
+            }
+        };
+        Some(if next == target.id {
+            Offer::sink_if(target.reached_from(dev, at))
+        } else {
+            Offer::Node(next)
+        })
+    }
+}
+
+/// What one offer gives a search. The sink is checked before anything
+/// else, its mark included, since a sink another net holds may have
+/// been marked held by an earlier search of the same call; it ends the
+/// search unless it is offered over a PIP that is already active (see
+/// [`Target::free_pip_from`]). A node outside the window is never
+/// usable, and the only nodes outside it that a search expands are
+/// start nodes, which are never the sink; so outside the window an
+/// offer ends the search exactly when it reaches the sink.
+enum Offer {
+    /// A window node other than the sink.
+    Node(u32),
+    /// The sink, reached.
+    Sink,
+    /// Nothing a search may use: a node outside the window, or the sink
+    /// over an active PIP.
+    Unusable,
+}
+
+impl Offer {
+    fn sink_if(reached: bool) -> Offer {
+        if reached {
+            Offer::Sink
+        } else {
+            Offer::Unusable
         }
     }
 }
 
-/// The parent of a start node's queue entry, and the id of a sink
-/// outside the window: no packed id is this.
+/// The id of a sink outside the window: no packed id is this.
 const NONE: u32 = u32::MAX;
 /// References from here up (below [`NONE`]) name start nodes outside
 /// the window: `OUTSIDE + k` is `Search::outside[k]`. Every packed id is
@@ -906,19 +955,22 @@ impl Buckets {
 struct Search {
     window: Window,
     /// Set for the searching net's nodes, for the nodes the running pass
-    /// has closed (distance pass) or queued (bounded pass), and for nodes
+    /// has closed (distance pass) or entered (walk), and for nodes
     /// another net holds, found on their first offer. Between the passes
     /// and searches of one call the net only grows and no other net's
-    /// hold changes, so only the closed and queued marks are cleared.
+    /// hold changes, so only the closed and entered marks are cleared.
     marks: Marks,
     /// The distance pass's open set.
     open: Buckets,
-    /// The nodes the distance pass closed, to clear their marks.
-    closed: Vec<u32>,
-    /// The bounded pass's FIFO of `(reference, parent)` entries: the
-    /// start nodes it expands (parent [`NONE`]), then every node it
-    /// queued, with the index of its parent's entry.
-    queue: Vec<(u32, u32)>,
+    /// The nodes the last distance pass closed, each with the `g` it was
+    /// closed at, which is its level; in id order once the pass ends.
+    closed: Vec<(u32, u32)>,
+    /// The walk's path: a `(reference, offers tried)` entry per node,
+    /// from the start node it grew from. An entry's index is its node's
+    /// level.
+    stack: Vec<(u32, usize)>,
+    /// The nodes the walk entered, to clear their marks.
+    entered: Vec<u32>,
     /// The current search's start nodes outside the window.
     outside: Vec<RouteNode>,
 }
@@ -939,7 +991,8 @@ impl Search {
             window,
             open: Buckets::default(),
             closed: Vec::new(),
-            queue: Vec::new(),
+            stack: Vec::new(),
+            entered: Vec::new(),
             outside: Vec::new(),
         }
     }
@@ -950,17 +1003,11 @@ impl Search {
     ///
     /// The result is that of the plain FIFO search seeded with `nodes`:
     /// every start node is marked before any is expanded, each node
-    /// offers its PIP fanout in wire-index order and then its fixed link,
-    /// and each offered node is checked for being the sink, then for
-    /// being marked, then for being usable. The sink ends the search
-    /// unless it is offered over a PIP that is already active (see
-    /// [`Target::free_pip_from`]). A node outside the window is never
-    /// usable, and the only nodes outside it that a search expands are
-    /// start nodes, which are never the sink; so outside the window an
-    /// offer ends the search exactly when it reaches the sink.
-    /// [`Search::distance`] finds that search's branch length `d`, and
-    /// [`Search::bounded`] replays it, queueing only nodes that can lie
-    /// on a branch of length `d`.
+    /// makes its offers in [offer order](Window::offer), and each offered
+    /// node is checked for being the sink, then for being marked, then
+    /// for being usable. [`Search::distance`] finds that search's branch
+    /// length `d`, and [`Search::walk`] its branch, entering only nodes
+    /// that can lie on a branch of length `d`.
     fn run(
         &mut self,
         dev: &Device,
@@ -978,24 +1025,11 @@ impl Search {
         let (length, pops) = self.distance(dev, nodes, &target);
         match length {
             Some(d) => {
-                let (branch, more) = self.bounded(dev, nodes, &target, d);
+                let (branch, more) = self.walk(dev, nodes, &target, d);
                 (branch, pops + more)
             }
             None => (None, pops),
         }
-    }
-
-    /// The reference of each start node, in order: its packed id, or
-    /// `OUTSIDE + k` for the `k`-th one outside the window.
-    fn starts<'a>(&'a self, nodes: &'a [RouteNode]) -> impl Iterator<Item = (u32, RouteNode)> + 'a {
-        let mut next_outside = OUTSIDE;
-        nodes.iter().map(move |&node| match self.window.id(node) {
-            Some(at) => (at, node),
-            None => {
-                next_outside += 1;
-                (next_outside - 1, node)
-            }
-        })
     }
 
     /// The node behind reference `at`.
@@ -1009,167 +1043,164 @@ impl Search {
     /// The distance pass: A* from the start nodes over a bucket queue
     /// keyed on `g + h`, `h` being the [hop bound](Target::bound). A node
     /// is closed (marked) when first popped, and since `h` is consistent
-    /// its `g` is the least there is by then; until then it may be
-    /// queued more than once. The first node to reach the sink has
-    /// `h = 1` and the least `g + h` of any open entry, so no branch is
-    /// shorter than its `g + 1`. Returns that length, or `None` when the
-    /// queue runs dry (the sink is unreachable), and the number of nodes
-    /// expanded.
+    /// its `g` is the least there is by then, its level in the plain
+    /// search; until then it may be queued more than once. The first
+    /// node to reach the sink has `h = 1` and the least `g + h` of any
+    /// open entry, so no branch is shorter than its `g + 1`, and every
+    /// node whose level and `h` sum to less than that is closed by then.
+    /// Returns that length, or `None` when the queue runs dry (the sink
+    /// is unreachable), and the number of nodes expanded; `closed` keeps
+    /// the nodes it closed, with their levels.
     fn distance(
         &mut self,
         dev: &Device,
         nodes: &[RouteNode],
         target: &Target,
     ) -> (Option<u32>, u64) {
-        let mut open = std::mem::take(&mut self.open);
-        for (at, node) in self.starts(nodes) {
-            open.push(self.window.bound_of(target, node), (at, 0));
-        }
         let Search {
             window,
             marks,
+            open,
             closed,
             outside,
             ..
         } = self;
         let window = &*window;
+        for (at, node) in window.starts(nodes) {
+            open.push(window.bound_of(target, node), (at, 0));
+        }
+        closed.clear();
         let mut pops = 0;
         let mut length = None;
-        while let Some((at, g)) = open.pop() {
+        'pass: while let Some((at, g)) = open.pop() {
             if g > 0 {
                 if marks.get(at) {
                     continue;
                 }
                 marks.set(at);
-                closed.push(at);
+                closed.push((at, g));
             }
             pops += 1;
-            let offer = |next: u32| {
-                if next == target.id {
-                    return target.reached_from(dev, at);
-                }
-                if !marks.get(next) {
-                    if window.held(dev, next) {
-                        marks.set(next);
-                    } else {
-                        open.push(g + 1 + window.bound(target, next), (next, g + 1));
+            for offer in (0..).map_while(|k| window.offer(dev, target, outside, at, k)) {
+                match offer {
+                    Offer::Sink => {
+                        length = Some(g + 1);
+                        break 'pass;
                     }
+                    Offer::Node(next) if !marks.get(next) => {
+                        if window.held(dev, next) {
+                            marks.set(next);
+                        } else {
+                            open.push(g + 1 + window.bound(target, next), (next, g + 1));
+                        }
+                    }
+                    _ => {}
                 }
-                false
-            };
-            let hit = match at.checked_sub(OUTSIDE) {
-                Some(k) => window.expand_outside(dev, outside[k as usize], target, offer),
-                None => window.expand(at, target, offer),
-            };
-            if hit {
-                length = Some(g + 1);
-                break;
             }
         }
-        for &at in closed.iter() {
+        for &(at, _) in closed.iter() {
             marks.clear(at);
         }
-        closed.clear();
+        closed.sort_unstable();
         open.clear();
-        self.open = open;
         (length, pops)
     }
 
-    /// The bounded pass: the plain FIFO search, except that it queues a
-    /// node only when `g + h ≤ d`, with `g` its level, and expands only
-    /// the start nodes with `h ≤ d`. Returns the branch and the number of
-    /// nodes expanded.
+    /// The walk: the plain search's rules, depth first. From each start
+    /// node with `h ≤ d` in turn, it tries the offers of the node on top
+    /// of its path in offer order, and enters an offered node at level
+    /// `g`, its index on the path, only when `g + h ≤ d`, `g` is the
+    /// node's level in the plain search, and the walk has not entered it
+    /// before. A node the distance pass closed has its level in
+    /// `closed`; one it did not close has a level `g*` with `g* + h ≥ d`,
+    /// so `g + h ≤ d` admits it only at `g = g*`. Returns the path when
+    /// an offer reaches the sink, and the number of nodes entered, start
+    /// nodes included.
     ///
-    /// It returns the plain search's branch. Call a node *tight* when its
-    /// level in the plain search has `g + h ≤ d`. Its plain parent, the
-    /// first node in FIFO order to offer it, is one level nearer the
-    /// start, so, `h` being consistent, it is tight too. By induction
-    /// along the plain FIFO, the bounded FIFO is the plain one with the
-    /// nodes that are not tight left out, every kept node with its plain
-    /// parent: the first kept node to offer a tight node is its plain
-    /// parent, and a node that is not tight is offered at no lower level
-    /// than its plain one, so it fails the bound and is never queued.
-    /// The node the plain search reaches the sink from is one hop before
-    /// the sink, at level `d − 1` with `h = 1`: it is tight, and the
-    /// first node of the bounded FIFO to reach the sink.
-    fn bounded(
+    /// The path is the plain search's branch. Order paths by their
+    /// offers: the start node's index, then the offer that reached each
+    /// next node. The plain FIFO holds each level in this order of its
+    /// nodes' tree paths, a node's tree parent being the first node of
+    /// the level before to offer it, so a node's tree path is the first
+    /// of its shortest paths. The walk tries paths in this order. Every
+    /// node on the tree path of a node with `g + h ≤ d` at its level has
+    /// that too, `h` being consistent, so the walk first enters each
+    /// node it enters along its tree path, and a path it cuts, at a node
+    /// entered before, holds no node's tree path. A branch of length `d`
+    /// has every node at its level with `g + h ≤ d`; the plain search's,
+    /// from the first node of level `d − 1` in FIFO order to reach the
+    /// sink, is the first the walk completes.
+    fn walk(
         &mut self,
         dev: &Device,
         nodes: &[RouteNode],
         target: &Target,
         d: u32,
     ) -> (Option<Vec<RouteNode>>, u64) {
-        let mut queue = std::mem::take(&mut self.queue);
-        for (at, node) in self.starts(nodes) {
-            if self.window.bound_of(target, node) <= d {
-                queue.push((at, NONE));
-            }
-        }
-        let starts = queue.len();
         let Search {
             window,
             marks,
+            closed,
+            stack,
+            entered,
             outside,
             ..
         } = self;
         let window = &*window;
-        // The FIFO holds each level after the one before: `g` is the
-        // level of the entry at `head`, and the next level starts at
-        // `level_end`.
-        let (mut head, mut g, mut level_end) = (0, 0, starts);
+        let level = |at: u32| {
+            let found = closed.binary_search_by_key(&at, |&(id, _)| id);
+            found.ok().map(|i| closed[i].1)
+        };
         let mut pops = 0;
-        let mut reached = None;
-        while let Some(&(at, _)) = queue.get(head) {
-            if head == level_end {
-                g += 1;
-                level_end = queue.len();
+        let mut reached = false;
+        'walk: for (start, node) in window.starts(nodes) {
+            if window.bound_of(target, node) > d {
+                continue;
             }
+            stack.push((start, 0));
             pops += 1;
-            let parent = head as u32;
-            let offer = |next: u32| {
-                if next == target.id {
-                    return target.reached_from(dev, at);
-                }
-                if !marks.get(next) && g + 1 + window.bound(target, next) <= d {
-                    marks.set(next);
-                    if !window.held(dev, next) {
-                        queue.push((next, parent));
+            while let Some(top) = stack.last_mut() {
+                let (at, k) = *top;
+                top.1 += 1;
+                let g = stack.len() as u32;
+                match window.offer(dev, target, outside, at, k) {
+                    None => {
+                        stack.pop();
                     }
+                    Some(Offer::Sink) => {
+                        reached = true;
+                        break 'walk;
+                    }
+                    // Only the sink has `h = 0`, so at `g = d` nothing
+                    // else is entered.
+                    Some(Offer::Node(next)) => {
+                        if g < d
+                            && !marks.get(next)
+                            && g + window.bound(target, next) <= d
+                            && level(next).is_none_or(|level| level == g)
+                        {
+                            marks.set(next);
+                            if !window.held(dev, next) {
+                                entered.push(next);
+                                stack.push((next, 0));
+                                pops += 1;
+                            }
+                        }
+                    }
+                    Some(Offer::Unusable) => {}
                 }
-                false
-            };
-            let hit = match at.checked_sub(OUTSIDE) {
-                Some(k) => window.expand_outside(dev, outside[k as usize], target, offer),
-                None => window.expand(at, target, offer),
-            };
-            if hit {
-                reached = Some(head);
-                break;
             }
-            head += 1;
         }
-        self.queue = queue;
-        let branch = reached.map(|entry| self.branch(target.node, entry));
-        for at in self.queue.drain(..).skip(starts).map(|(at, _)| at) {
-            self.marks.clear(at);
+        for &at in entered.iter() {
+            marks.clear(at);
         }
+        entered.clear();
+        let branch = reached.then(|| {
+            let path = self.stack.iter().map(|&(at, _)| self.node(at));
+            path.chain([target.node]).collect()
+        });
+        self.stack.clear();
         (branch, pops)
-    }
-
-    /// The branch from a start node to `sink`, reached from the node of
-    /// queue entry `entry`.
-    fn branch(&self, sink: RouteNode, mut entry: usize) -> Vec<RouteNode> {
-        let mut branch = vec![sink];
-        loop {
-            let (at, parent) = self.queue[entry];
-            branch.push(self.node(at));
-            if parent == NONE {
-                break;
-            }
-            entry = parent as usize;
-        }
-        branch.reverse();
-        branch
     }
 }
 
@@ -1451,8 +1482,10 @@ mod tests {
     /// pops every node whose distance from the net is at most `d − 2`,
     /// and the distance pass closes no node with `g + h > d`; so the
     /// distance pass expands at most these nodes more than the plain
-    /// search pops, and the bounded pass, whose FIFO is part of the
-    /// plain one, no more than it.
+    /// search pops. The walk enters only nodes with `g + h ≤ d`, each at
+    /// its plain level and at most once, and none after the plain
+    /// search's winner in FIFO order, so it enters no more nodes than
+    /// the plain search pops.
     fn h1_nodes() -> u64 {
         let tables = WireTables::get();
         let predecessors = |sink: Wire| {
@@ -1466,9 +1499,9 @@ mod tests {
 
     /// Asserts that a dense database and its reference twin hold the
     /// same nets after `op` and ran the same searches during it, and
-    /// that the dense pops are at most twice the reference's plus
-    /// [`h1_nodes`] per search. `before` holds both counters before
-    /// `op`, dense first.
+    /// that the dense pops are at most twice the reference's, once per
+    /// pass, plus [`h1_nodes`] per search for the distance pass.
+    /// `before` holds both counters before `op`, dense first.
     fn assert_twins(dense: &NetDb, reference: &NetDb, before: [RouteStats; 2], op: &Op) {
         assert_eq!(dense.nets, reference.nets, "nets after {op:?}");
         let d = dense.stats.delta_since(before[0]);
@@ -1660,6 +1693,24 @@ mod tests {
         twin.apply(&Op::Route(out(5, 3, 0), vec![a, b], None));
         let net = twin.dense.db.net(0).unwrap();
         assert_eq!(net.sinks().collect::<Vec<_>>(), vec![b, a]);
+    }
+
+    #[test]
+    fn a_long_walk_matches_the_reference() {
+        // Corner to corner across an XCV400, past another database's nets
+        // that run along the rows in between: the walk's path is dozens
+        // of nodes deep, nearly all of them beyond the sink's hop table.
+        let mut twin = Twin::new(Part::Xcv400);
+        let (rows, cols) = (twin.dense.dev.rows(), twin.dense.dev.cols());
+        for row in [rows / 4, rows / 2, 3 * rows / 4] {
+            let sinks = vec![pin(row, cols / 2, 1, 2), pin(row, cols - 3, 2, 3)];
+            let band = Rect::new(ClbCoord::new(row - 1, 0), 3, cols);
+            twin.apply(&Op::RouteOther(out(row, 2, 0), sinks, Some(band)));
+        }
+        let sink = pin(rows - 1, cols - 1, 2, 1);
+        twin.apply(&Op::Route(out(0, 0, 0), vec![sink], None));
+        let path = &twin.dense.db.net(0).unwrap().paths[&sink];
+        assert!(path.len() >= 40, "{} nodes", path.len());
     }
 
     proptest! {
