@@ -1191,10 +1191,9 @@ impl Search {
                 }
             }
         }
-        for &at in entered.iter() {
+        for at in entered.drain(..) {
             marks.clear(at);
         }
-        entered.clear();
         let branch = reached.then(|| {
             let path = self.stack.iter().map(|&(at, _)| self.node(at));
             path.chain([target.node]).collect()
@@ -1994,7 +1993,7 @@ mod tests {
         assert_eq!(d.pips().count(), 0);
         assert_eq!(d.held_nodes().count(), 0);
         // The distance pass proves the sink unreachable with no more
-        // pops than the plain search, and no bounded pass follows.
+        // pops than the plain search, and no walk follows.
         let mut plain = NetDb::new();
         let want = reference_route_net(&mut plain, &mut d, source, &[sink], Some(region));
         assert_eq!(want, Err(err));
