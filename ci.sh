@@ -10,7 +10,7 @@ echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rtm-lint (static analysis: shard-locality / plan-pipeline discipline)"
-# Six rules over every workspace .rs file; every accepted finding is
+# Five rules over every workspace .rs file; every accepted finding is
 # justified in lint-allow.toml (stale entries fail the run). The lint
 # prints its own runtime — keep it sub-second. Rules and allowlist
 # policy: ARCHITECTURE.md, "Static analysis & concurrency-readiness".
@@ -23,7 +23,11 @@ cargo build --release
 echo "==> cargo check: the standalone benchmark against the library API"
 # benchmark/ is its own package, outside the workspace, and compiles
 # against the public reports (FleetReport, ServiceReport, TierCounts)
-# and AdmissionBid; a public-API edit that breaks it fails here.
+# and AdmissionBid; a public-API edit that breaks it fails here. Its
+# replays still make the two-phase calls
+# RuntimeService::{reserve, execute_reserved, resolve_ticket} and
+# RunTimeManager::{reserve_room, execute_reserved, cancel_reservation}:
+# the service's execute_reserved is a no-op kept for them, not dead code.
 cargo check -q --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark self-test: every workload at tiny scale, traced and untraced"

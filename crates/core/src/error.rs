@@ -79,9 +79,9 @@ pub enum CoreError {
         /// Explanation.
         detail: String,
     },
-    /// A two-phase admission ticket id with nothing to resolve: the id
-    /// was never reserved, or it was already resolved (resolution is
-    /// one-shot and consumes the outcome).
+    /// A trace id with no admission ticket to resolve: the service
+    /// never reserved it, or its outcome was already resolved
+    /// (resolution is one-shot and consumes the outcome).
     UnknownTicket {
         /// The trace id the caller presented.
         trace_id: u64,

@@ -31,15 +31,16 @@ use std::fmt;
 /// Identifier of a loaded function.
 pub type FunctionId = u64;
 
-/// A seated admission reservation: the decide half of the two-phase
-/// load pipeline. [`RunTimeManager::reserve_room`] executes the
-/// rearrangement plan and reserves an arena region for the incoming
-/// function — accounting it in every fragmentation metric and summary —
-/// but writes **no cells, nets or frames**. The ticket is epoch-stamped
-/// (the reservation itself bumped the epoch) and must be settled by
-/// exactly one of [`RunTimeManager::execute_reserved`] (implement the
-/// design inside the reserved region) or
-/// [`RunTimeManager::cancel_reservation`] (release the region again).
+/// A seated admission reservation: the first half of a load.
+/// [`RunTimeManager::reserve_room`] executes the rearrangement plan and
+/// reserves an arena region for the incoming function — accounting it
+/// in every fragmentation metric and summary — but writes **no cells,
+/// nets or frames**. The ticket is epoch-stamped (the reservation
+/// itself bumped the epoch) and must be settled by exactly one of
+/// [`RunTimeManager::execute_reserved`] (implement the design inside
+/// the reserved region) or [`RunTimeManager::cancel_reservation`]
+/// (release the region again). The service's admission step and the
+/// single-shot loads here settle it in the same call that seated it.
 /// Fields are private so a ticket can only come from this manager's own
 /// reservation path.
 #[derive(Debug, Clone)]
@@ -1119,10 +1120,10 @@ impl RunTimeManager {
         self.load_executing(design, rows, cols, Some(plan), observer)
     }
 
-    /// The single-shot composition of the two-phase pipeline: seat a
-    /// reservation (rearranging as `plan` says, or as a fresh plan
-    /// does), implement the incoming function in it, and cancel the
-    /// reservation right away if the implementation fails.
+    /// A load in one step: seat a reservation (rearranging as `plan`
+    /// says, or as a fresh plan does), implement the incoming function
+    /// in it, and cancel the reservation right away if the
+    /// implementation fails.
     fn load_executing(
         &mut self,
         design: &MappedNetlist,
@@ -1134,10 +1135,7 @@ impl RunTimeManager {
         let ticket = self.seat_reservation(rows, cols, plan, &mut observer)?;
         let id = ticket.id;
         self.execute_reserved(design, ticket).inspect_err(|_| {
-            // Single-shot callers get the historical contract: a failed
-            // load leaves no reservation behind. (Two-phase callers keep
-            // the reservation until they resolve the ticket, so both
-            // admission modes observe the same arena at every step.)
+            // A failed load leaves no reservation behind.
             let _ = self.cancel_reservation(id);
         })
     }
@@ -1228,11 +1226,10 @@ impl RunTimeManager {
     ///
     /// Implementation errors (placement/routing congestion) restore the
     /// configuration checkpoint but **keep the arena reservation
-    /// seated** — the caller resolves the failure and releases it with
-    /// [`RunTimeManager::cancel_reservation`], so every observer of the
-    /// arena sees the same layout whether execution was inline or
-    /// deferred. Returns [`CoreError::Place`] for tickets this manager
-    /// never seated (or already settled).
+    /// seated**: the caller records the failure and releases the region
+    /// with [`RunTimeManager::cancel_reservation`]. Returns
+    /// [`CoreError::Place`] for tickets this manager never seated (or
+    /// already settled).
     pub fn execute_reserved(
         &mut self,
         design: &MappedNetlist,
@@ -2048,8 +2045,7 @@ mod tests {
         let big = map_to_luts(&RandomCircuit::free_running(4, 30, 77).generate()).unwrap();
         assert!(mgr.execute_reserved(&big, ticket).is_err());
         // The device is clean, but the arena reservation is still seated
-        // — deferred and inline executors must observe the same layout
-        // until the caller resolves the failure.
+        // until the caller cancels it.
         assert!(mgr.device().used_in(mgr.device().bounds()).is_empty());
         assert!(mgr.fragmentation().utilisation() > 0.0);
         assert!(mgr.bookkeeping_consistent());

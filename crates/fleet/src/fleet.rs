@@ -237,8 +237,9 @@ impl FleetService {
         &self.shards
     }
 
-    /// Makes shard `s`'s next `n` ticket executions fail
-    /// deterministically — the failover-net seam (see
+    /// Makes the next `n` admissions on shard `s` fail deterministically
+    /// once their ticket is seated, as if the device refused the load —
+    /// the failover-net seam (see
     /// `RuntimeService::force_execute_failures`).
     #[doc(hidden)]
     pub fn force_execute_failures(&mut self, s: usize, n: u32) {

@@ -1,11 +1,12 @@
 //! The epoch loop's admission step.
 //!
 //! The routing edge admits each arrival in one step: every offer is a
-//! shard's `admit` (reserve, execute, resolve), so a load that fails is
-//! settled before the next arrival is ranked. The failure path gets
-//! deterministic anchors: a forced execute-time `LoadFailed` (via the
-//! failure-injection seam) must fail over down the ranking tail at
-//! once, keeping the report identity
+//! shard's `admit`, which seats the reservation, implements the design
+//! and, if the load fails, records it and cancels the reservation, so a
+//! failed load is settled before the next arrival is ranked. The
+//! failure path gets deterministic anchors: a forced execute-time
+//! `LoadFailed` (via the failure-injection seam) must fail over down
+//! the ranking tail at once, keeping the report identity
 //! `Σ shard_submitted = submitted − unplaceable + load_failovers`, and
 //! a failed load right after a preemptive eviction must end the
 //! preemption episode uncounted and queue the arrival.

@@ -6,13 +6,15 @@
 //! real loads and live relocations on the device model — this crate
 //! connects the two. A [`RuntimeService`] replays a [`trace::Trace`]
 //! (function arrivals with area/deadline, departures, residency
-//! expirations) through an `rtm-sched` admission policy, translates
-//! every admitted request into [`RunTimeManager::load`] /
-//! [`RunTimeManager::unload`] calls on a real device, and triggers a
+//! expirations) through an `rtm-sched` admission policy and admits each
+//! request on a real device in one step:
+//! [`RunTimeManager::reserve_room`] seats its region and
+//! [`RunTimeManager::execute_reserved`] implements the design there.
+//! Departures become [`RunTimeManager::unload`] calls, and a
 //! defragmentation cycle — ordered compaction executed with staged
-//! dynamic relocation, the moved functions running throughout — when
-//! [`FragMetrics`](rtm_place::frag::FragMetrics) crosses a configured
-//! threshold. The outcome is a structured
+//! dynamic relocation, the moved functions running throughout — runs
+//! when [`FragMetrics`](rtm_place::frag::FragMetrics) crosses a
+//! configured threshold. The outcome is a structured
 //! [`report::ServiceReport`]: admissions, rejections, relocation
 //! traffic, frames written, and the fragmentation timeline.
 //!
@@ -48,7 +50,8 @@
 //! ```
 //!
 //! [`RunTimeManager`]: rtm_core::RunTimeManager
-//! [`RunTimeManager::load`]: rtm_core::RunTimeManager::load
+//! [`RunTimeManager::reserve_room`]: rtm_core::RunTimeManager::reserve_room
+//! [`RunTimeManager::execute_reserved`]: rtm_core::RunTimeManager::execute_reserved
 //! [`RunTimeManager::unload`]: rtm_core::RunTimeManager::unload
 
 #![warn(missing_docs)]

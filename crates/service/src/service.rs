@@ -5,8 +5,7 @@ use crate::report::{AdmissionRecord, DefragSummary, FragSample, ServiceReport};
 use crate::trace::{Arrival, Trace, TraceEvent};
 use rtm_core::manager::{FunctionId, RunTimeManager};
 use rtm_core::{
-    AdmissionTicket, CoreError, ExtractedFunction, LoadFailureReason, PlanStats, RelocationReport,
-    RoomPlan,
+    CoreError, ExtractedFunction, LoadFailureReason, PlanStats, RelocationReport, RoomPlan,
 };
 use rtm_fpga::part::Part;
 use rtm_netlist::random::RandomCircuit;
@@ -100,14 +99,13 @@ pub enum OfferOutcome {
     NoRoom,
 }
 
-/// What became of one [`RuntimeService::reserve`] — the sequential
-/// *decide* half of two-phase admission.
+/// What became of one [`RuntimeService::reserve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReserveOutcome {
-    /// Decided and seated: an epoch-stamped ticket now reserves the
-    /// arena region and the request is accounted. The load itself runs
-    /// when this shard executes its pending ticket
-    /// ([`RuntimeService::execute_reserved`]); fetch the result with
+    /// Decided and seated: an epoch-stamped ticket reserved the arena
+    /// region, the request is accounted, and the same call implemented
+    /// the design or, if that failed, recorded the failure and
+    /// cancelled the reservation. Fetch which with
     /// [`RuntimeService::resolve_ticket`].
     Reserved,
     /// Refused and accounted at decide time (duplicate id or synthesis
@@ -129,43 +127,33 @@ pub enum ReserveOutcome {
     NoRoom,
 }
 
-/// The resolved fate of one executed admission ticket, returned by
+/// The fate of one seated admission ticket, returned by
 /// [`RuntimeService::resolve_ticket`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TicketOutcome {
     /// The design was implemented and the function is resident.
     Executed,
-    /// The deferred load failed (already accounted and attributed on
-    /// this shard); resolving it cancelled the reservation, so the
-    /// caller may failover the request to a sibling.
+    /// The load failed (already accounted and attributed on this
+    /// shard) and its reservation was cancelled at once, so the caller
+    /// may fail the request over to a sibling.
     Failed {
         /// The attributed load-failure reason.
         reason: RejectReason,
     },
 }
 
-/// A seated admission awaiting execution: everything the execute phase
-/// needs to finish the load without re-deciding anything.
-#[derive(Debug)]
-struct PendingTicket {
-    trace_id: u64,
-    queued_at: Micros,
-    ticket: AdmissionTicket,
-    design: MappedNetlist,
-    /// Simulated instant the function starts (decide time + planned
-    /// rearrangement traffic on the reconfiguration port).
-    start: Micros,
-    duration: Option<Micros>,
-    tier: QosTier,
-}
-
-/// Execution fate of a ticket, parked until the caller resolves it. A
-/// failed ticket keeps its [`FunctionId`] so resolution can cancel the
-/// still-seated arena reservation.
+/// What one admission step did with a request.
 #[derive(Debug, Clone, Copy)]
-enum ResolvedTicket {
-    Executed,
-    Failed(FunctionId, RejectReason),
+enum Admission {
+    /// Cannot be placed on this device right now; nothing was recorded.
+    NoRoom,
+    /// Refused and recorded before a reservation was tried.
+    Dropped(RejectReason),
+    /// Seating the reservation failed; recorded.
+    SeatFailed(RejectReason),
+    /// A ticket was seated, then implemented or, on failure, recorded
+    /// and cancelled.
+    Seated(TicketOutcome),
 }
 
 /// Why a resident leaves its shard through [`RuntimeService::extract`]
@@ -254,13 +242,13 @@ impl MigratingFunction {
 /// [`RuntimeService::admit`], [`RuntimeService::enqueue`],
 /// [`RuntimeService::depart`] and [`RuntimeService::settle`] — keeping
 /// one shared clock across all shards while each shard keeps its own
-/// queue, residency table and defragmentation trigger. Admission is
-/// two-phase inside: the *decide* step seats an epoch-stamped ticket,
-/// and the heavy *execute* step (cells, nets, configuration frames)
-/// runs when the shard executes that ticket. `admit` runs both at
-/// once; a caller that wants them apart uses
-/// [`RuntimeService::reserve`] / [`RuntimeService::execute_reserved`] /
-/// [`RuntimeService::resolve_ticket`].
+/// queue, residency table and defragmentation trigger. Admission is one
+/// step: it decides, seats an epoch-stamped ticket and implements it
+/// (cells, nets, configuration frames) in the same call, so no caller
+/// ever sees a reserved-but-unimplemented function.
+/// [`RuntimeService::reserve`] runs the same step and keeps its outcome
+/// for [`RuntimeService::resolve_ticket`];
+/// [`RuntimeService::execute_reserved`] has nothing left to do.
 ///
 /// # Examples
 ///
@@ -305,22 +293,15 @@ pub struct RuntimeService {
     /// emitted *here*, from the manager's reports — the manager itself
     /// has no simulated clock to stamp them with.
     events: Option<EventBuffer>,
-    /// The seated admission awaiting execution, if any. Taken by
-    /// [`RuntimeService::execute_reserved`], which every entry point
-    /// that could otherwise observe a half-admitted device calls first
-    /// — `reserve` included, so the slot is empty whenever a decision
-    /// fills it and no caller ever sees a reserved-but-unimplemented
-    /// function.
-    pending: Option<PendingTicket>,
-    /// Executed tickets awaiting [`RuntimeService::resolve_ticket`],
-    /// keyed by trace id. A failed entry still holds its arena
-    /// reservation until resolution cancels it.
-    resolved: BTreeMap<u64, ResolvedTicket>,
-    /// Deterministic failure injection: the next N ticket executions
-    /// fail as if the device refused the load (`LoadOther`). Test seam
-    /// for the failover nets — a real execute-time failure (routing
-    /// congestion under foreign nets) needs a layout too contrived to
-    /// pin deterministically across refactors.
+    /// The fates of tickets seated by [`RuntimeService::reserve`],
+    /// awaiting [`RuntimeService::resolve_ticket`], keyed by trace id.
+    resolved: BTreeMap<u64, TicketOutcome>,
+    /// Deterministic failure injection: the next N admissions fail
+    /// once their ticket is seated, as if the device refused the load
+    /// (`LoadOther`). Test seam for the failover nets — a real
+    /// execute-time failure (routing congestion under foreign nets)
+    /// needs a layout too contrived to pin deterministically across
+    /// refactors.
     force_fail_loads: u32,
 }
 
@@ -347,15 +328,16 @@ impl RuntimeService {
             stats_base: PlanStats::default(),
             head_blocked: None,
             events: None,
-            pending: None,
             resolved: BTreeMap::new(),
             force_fail_loads: 0,
         }
     }
 
-    /// Makes the next `n` ticket executions fail deterministically, as
-    /// if the device refused the load — the seam the failover test
-    /// nets use to exercise execute-time `LoadFailed` paths on demand.
+    /// Makes the next `n` admissions fail deterministically once their
+    /// ticket is seated, as if the device refused the load — the seam
+    /// the failover test nets use to exercise execute-time `LoadFailed`
+    /// paths on demand. The failed admission is recorded and its
+    /// reservation cancelled, like a real refusal.
     #[doc(hidden)]
     pub fn force_execute_failures(&mut self, n: u32) {
         self.force_fail_loads += n;
@@ -425,14 +407,6 @@ impl RuntimeService {
     /// deliberately not part of the horizon.
     pub fn next_expiry(&self) -> Option<Micros> {
         self.resident.values().filter_map(|r| r.expiry).min()
-    }
-
-    /// Seated admissions not yet executed: 1 between
-    /// [`RuntimeService::reserve`] and the next
-    /// [`RuntimeService::execute_reserved`] (which every entry point
-    /// that observes admission state runs first), 0 otherwise.
-    pub fn pending_tickets(&self) -> usize {
-        usize::from(self.pending.is_some())
     }
 
     /// The resident functions as `(trace_id, manager_id, region)` — the
@@ -550,10 +524,6 @@ impl RuntimeService {
     ///
     /// Propagates [`CoreError`] from a failed unload.
     pub fn advance_to(&mut self, now: Micros, report: &mut ServiceReport) -> Result<(), CoreError> {
-        // Settle any still-pending tickets at their decide-time clock
-        // before the clock moves: a departure (or anything else this
-        // sweep does) must never observe a half-admitted device.
-        self.execute_reserved(report)?;
         self.now = self.now.max(now);
         let due: Vec<u64> = self
             .resident
@@ -576,16 +546,14 @@ impl RuntimeService {
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError`] only from draining still-pending
-    /// tickets (the events of an earlier admission must land before
-    /// this arrival's).
+    /// None: queueing touches neither the device nor the manager. The
+    /// `Result` keeps the stepping calls uniform.
     pub fn enqueue(
         &mut self,
         at: Micros,
         arrival: Arrival,
         report: &mut ServiceReport,
     ) -> Result<(), CoreError> {
-        self.execute_reserved(report)?;
         self.now = self.now.max(at);
         report.record_submission(arrival.tier);
         if let Some(s) = self.events.as_ref() {
@@ -606,18 +574,16 @@ impl RuntimeService {
         Ok(())
     }
 
-    /// The *decide* half of two-phase admission: runs the routing and
-    /// feasibility pipeline for `bid` right now, bypassing the queue,
-    /// and on success seats an epoch-stamped [`AdmissionTicket`] that
-    /// reserves the arena region and accounts the request — but writes
-    /// no cells, nets or frames. The heavy implementation work runs
-    /// when this shard next executes its pending ticket
-    /// ([`RuntimeService::execute_reserved`], or the next entry point
-    /// that touches admission state), and the fate of the ticket is
-    /// fetched with [`RuntimeService::resolve_ticket`]. A fleet does
-    /// not defer: it admits in one call ([`RuntimeService::admit`]).
+    /// Admits `bid` right now, bypassing the queue, in one step: runs
+    /// the routing and feasibility pipeline, seats an epoch-stamped
+    /// [`AdmissionTicket`](rtm_core::AdmissionTicket) that reserves the
+    /// arena region and accounts the request, and implements the design
+    /// in it (cells, nets, configuration frames). A failed
+    /// implementation is recorded and its reservation cancelled before
+    /// this returns. This is the one admission call a fleet offers each
+    /// ranked shard, and the step the queue path runs.
     ///
-    /// On [`ReserveOutcome::NoRoom`] nothing is recorded and the caller
+    /// On [`OfferOutcome::NoRoom`] nothing is recorded and the caller
     /// may probe another device; the other outcomes account the request
     /// on this shard. Advances the clock to `at` first, so deadline
     /// feasibility, wait times and residency expirations are all judged
@@ -625,23 +591,90 @@ impl RuntimeService {
     /// decision plan-free (executed without re-running `make_room`); a
     /// stale plan is detected and re-planned.
     ///
-    /// A ticket still pending from an earlier reservation is executed
-    /// first — every entry point that could observe admission state
-    /// executes it — so a shard holds at most one pending ticket, and
-    /// per-shard event order is the order in which requests were
-    /// decided, whenever the tickets run.
-    ///
     /// # Errors
     ///
     /// Propagates [`CoreError`] only for invariant-corrupting failures,
     /// exactly like [`RuntimeService::run`].
+    pub fn admit(
+        &mut self,
+        at: Micros,
+        bid: AdmissionBid,
+        report: &mut ServiceReport,
+    ) -> Result<OfferOutcome, CoreError> {
+        Ok(match self.offer(at, bid, report)? {
+            Admission::NoRoom => OfferOutcome::NoRoom,
+            Admission::Dropped(reason) => OfferOutcome::Dropped { reason },
+            Admission::SeatFailed(reason) | Admission::Seated(TicketOutcome::Failed { reason }) => {
+                OfferOutcome::LoadFailed { reason }
+            }
+            Admission::Seated(TicketOutcome::Executed) => OfferOutcome::Admitted,
+        })
+    }
+
+    /// [`RuntimeService::admit`] under the two-phase names: the same
+    /// one step, reported as a [`ReserveOutcome`]. When it returns
+    /// [`ReserveOutcome::Reserved`] the ticket has already been
+    /// implemented, or cancelled if that failed; its fate waits for
+    /// [`RuntimeService::resolve_ticket`].
+    ///
+    /// # Errors
+    ///
+    /// As [`RuntimeService::admit`].
     pub fn reserve(
         &mut self,
         at: Micros,
         bid: AdmissionBid,
         report: &mut ServiceReport,
     ) -> Result<ReserveOutcome, CoreError> {
-        self.execute_reserved(report)?;
+        let id = bid.arrival.id;
+        Ok(match self.offer(at, bid, report)? {
+            Admission::NoRoom => ReserveOutcome::NoRoom,
+            Admission::Dropped(reason) => ReserveOutcome::Dropped { reason },
+            Admission::SeatFailed(reason) => ReserveOutcome::Failed { reason },
+            Admission::Seated(fate) => {
+                self.resolved.insert(id, fate);
+                ReserveOutcome::Reserved
+            }
+        })
+    }
+
+    /// Does nothing: [`RuntimeService::reserve`] implements its ticket
+    /// in the same call, so none is ever left to execute. Kept for
+    /// callers written against the two-phase names.
+    ///
+    /// # Errors
+    ///
+    /// Never.
+    pub fn execute_reserved(&mut self, _report: &mut ServiceReport) -> Result<(), CoreError> {
+        Ok(())
+    }
+
+    /// Resolves the fate of a previously reserved bid. Resolution is
+    /// one-shot: it consumes the outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnknownTicket`] when `trace_id` has no
+    /// unresolved ticket here — the id was never reserved, or it was
+    /// already resolved. A typed error instead of a silent no-op: every
+    /// such call is a caller losing track of the ticket lifecycle, and
+    /// must be told apart from a real outcome.
+    pub fn resolve_ticket(&mut self, trace_id: u64) -> Result<TicketOutcome, CoreError> {
+        self.resolved
+            .remove(&trace_id)
+            .ok_or(CoreError::UnknownTicket { trace_id })
+    }
+
+    /// The body of [`RuntimeService::admit`] and
+    /// [`RuntimeService::reserve`]: advances the clock to `at`, runs the
+    /// admission step for `bid`, and accounts the submission unless
+    /// there was no room.
+    fn offer(
+        &mut self,
+        at: Micros,
+        bid: AdmissionBid,
+        report: &mut ServiceReport,
+    ) -> Result<Admission, CoreError> {
         self.now = self.now.max(at);
         let q = Queued {
             arrival: bid.arrival,
@@ -660,109 +693,15 @@ impl RuntimeService {
                 },
             );
         }
-        let outcome = self.decide(&q, bid.plan, report)?;
-        if outcome == ReserveOutcome::NoRoom {
+        let admission = self.admit_step(&q, bid.plan, report)?;
+        if matches!(admission, Admission::NoRoom) {
             if let (Some(b), Some(m)) = (self.events.as_ref(), mark) {
                 b.truncate(m);
             }
         } else {
             report.record_submission(q.arrival.tier);
         }
-        Ok(outcome)
-    }
-
-    /// The *execute* half of two-phase admission: implements the
-    /// seated ticket, if any — placement already fixed by the
-    /// reservation, so this is pure, shard-local implementation work
-    /// (cells, nets, configuration frames). The outcome is parked for
-    /// [`RuntimeService::resolve_ticket`]; a failed load keeps its
-    /// arena reservation until resolved.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError`] only for invariant-corrupting failures;
-    /// per-ticket load failures are absorbed, attributed and parked,
-    /// exactly like [`RuntimeService::run`] absorbs load failures.
-    pub fn execute_reserved(&mut self, report: &mut ServiceReport) -> Result<(), CoreError> {
-        match self.pending.take() {
-            Some(pt) => self.execute_one(pt, report),
-            None => Ok(()),
-        }
-    }
-
-    /// Resolves the fate of a previously reserved bid. Resolution is
-    /// one-shot: it consumes the outcome, and resolving a failed ticket
-    /// cancels its arena reservation — until then the region stays
-    /// reserved, by design.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownTicket`] when `trace_id` has no
-    /// executed-but-unresolved ticket here — the id was never reserved,
-    /// its ticket has not been executed yet, or it was already resolved.
-    /// A typed error instead of a silent no-op: every such call is a
-    /// caller losing track of the ticket lifecycle, and the failover
-    /// paths must be able to tell "already consumed" apart from a real
-    /// outcome.
-    pub fn resolve_ticket(&mut self, trace_id: u64) -> Result<TicketOutcome, CoreError> {
-        match self
-            .resolved
-            .remove(&trace_id)
-            .ok_or(CoreError::UnknownTicket { trace_id })?
-        {
-            ResolvedTicket::Executed => Ok(TicketOutcome::Executed),
-            ResolvedTicket::Failed(fid, reason) => {
-                // The reservation was kept across the failure, so the
-                // arena a sibling ranking reads does not depend on
-                // when the ticket ran; releasing it is what resolution
-                // *means*.
-                let cancelled = self.mgr.cancel_reservation(fid);
-                debug_assert!(cancelled.is_ok(), "failed ticket must still be seated");
-                Ok(TicketOutcome::Failed { reason })
-            }
-        }
-    }
-
-    /// One-shot admission: [`RuntimeService::reserve`], then
-    /// immediately execute and resolve — the one admission step a
-    /// fleet offers each ranked shard, and the same machinery the
-    /// queue path runs.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CoreError`] only for invariant-corrupting failures.
-    pub fn admit(
-        &mut self,
-        at: Micros,
-        bid: AdmissionBid,
-        report: &mut ServiceReport,
-    ) -> Result<OfferOutcome, CoreError> {
-        let id = bid.arrival.id;
-        let decided = self.reserve(at, bid, report)?;
-        self.execute_reserved(report)?;
-        self.admission_fate(id, decided)
-    }
-
-    /// The fate of a decided request once its ticket, if one was seated,
-    /// has been drained: a seated ticket resolves to admitted or failed,
-    /// and every other decision maps across as is.
-    fn admission_fate(
-        &mut self,
-        id: u64,
-        decided: ReserveOutcome,
-    ) -> Result<OfferOutcome, CoreError> {
-        Ok(match decided {
-            ReserveOutcome::NoRoom => OfferOutcome::NoRoom,
-            ReserveOutcome::Dropped { reason } => OfferOutcome::Dropped { reason },
-            ReserveOutcome::Failed { reason } => OfferOutcome::LoadFailed { reason },
-            // A reserved bid always resolves after its drain, so an
-            // UnknownTicket here is a real invariant breach — let it
-            // propagate.
-            ReserveOutcome::Reserved => match self.resolve_ticket(id)? {
-                TicketOutcome::Executed => OfferOutcome::Admitted,
-                TicketOutcome::Failed { reason } => OfferOutcome::LoadFailed { reason },
-            },
-        })
+        Ok(admission)
     }
 
     /// Serves the wait queue, samples the fragmentation timeline, and
@@ -773,9 +712,6 @@ impl RuntimeService {
     ///
     /// Propagates [`CoreError`] from a failed defragmentation.
     pub fn settle(&mut self, report: &mut ServiceReport) -> Result<(), CoreError> {
-        // Pending tickets must become real functions before the queue
-        // is served or the defrag trigger reads fragmentation.
-        self.execute_reserved(report)?;
         self.serve_queue(report)?;
 
         // The timeline must show the state the trigger saw, not
@@ -807,10 +743,6 @@ impl RuntimeService {
     ///
     /// Propagates [`CoreError`] from a failed relocation.
     pub fn defrag_now(&mut self, report: &mut ServiceReport) -> Result<bool, CoreError> {
-        // Compaction planning must never see a reserved-but-
-        // unimplemented id: drain pending tickets first, like every
-        // other admission-state-observing entry point.
-        self.execute_reserved(report)?;
         // Execute the manager's epoch-cached plan through the plan
         // pipeline (rtm-lint's plan-discipline rule pins it).
         let plan = self.mgr.cached_defrag_plan();
@@ -868,10 +800,6 @@ impl RuntimeService {
     ///
     /// Propagates [`CoreError`] from a failed unload.
     pub fn depart(&mut self, trace_id: u64, report: &mut ServiceReport) -> Result<(), CoreError> {
-        // A departure may target a function whose admission is still a
-        // pending ticket — execute first so it departs as a resident,
-        // exactly as it would have under inline execution.
-        self.execute_reserved(report)?;
         if let Some(r) = self.resident.remove(&trace_id) {
             self.mgr.unload(r.fid)?;
             report.departures += 1;
@@ -921,7 +849,6 @@ impl RuntimeService {
         kind: Displacement,
         report: &mut ServiceReport,
     ) -> Result<MigratingFunction, CoreError> {
-        self.execute_reserved(report)?;
         let Some(&Resident { fid, tier, expiry }) = self.resident.get(&trace_id) else {
             return Err(CoreError::Place(rtm_place::PlaceError::UnknownTask {
                 id: trace_id,
@@ -978,7 +905,6 @@ impl RuntimeService {
         kind: Displacement,
         report: &mut ServiceReport,
     ) -> Result<(), CoreError> {
-        self.execute_reserved(report)?;
         self.now = self.now.max(at);
         if self.resident.contains_key(&m.trace_id) {
             return Err(CoreError::Place(rtm_place::PlaceError::DuplicateTask {
@@ -1066,11 +992,7 @@ impl RuntimeService {
     /// arrival at `tier`: lowest [`victim_cost`] (CLB footprint ×
     /// remaining runtime) among residents of a *strictly* lower tier,
     /// ties broken on trace id. `None` when nothing here is evictable
-    /// by `tier`. A `&self` read that does not drain: a function whose
-    /// ticket is still pending is not a resident yet, so a caller that
-    /// reserves drains this shard ([`RuntimeService::execute_reserved`])
-    /// first. A fleet admits in one call, so nothing of its own is ever
-    /// pending.
+    /// by `tier`.
     ///
     /// `exclude` lists trace ids that are off the table — the fleet
     /// passes the residents it already displaced during the current
@@ -1155,13 +1077,10 @@ impl RuntimeService {
                     },
                 );
             }
-            // The full two-phase pipeline, inline: decide, execute,
-            // resolve. The queue path therefore emits exactly the same
-            // event sequence and touches exactly the same counters as a
-            // fleet-routed admission.
-            let decided = self.decide(&q, None, report)?;
-            self.execute_reserved(report)?;
-            if self.admission_fate(q.arrival.id, decided)? == OfferOutcome::NoRoom {
+            // The same admission step as a fleet-routed admission, so
+            // the queue path emits exactly the same event sequence and
+            // touches exactly the same counters.
+            if matches!(self.admit_step(&q, None, report)?, Admission::NoRoom) {
                 if let (Some(b), Some(m)) = (self.events.as_ref(), mark) {
                     b.truncate(m);
                 }
@@ -1174,36 +1093,40 @@ impl RuntimeService {
         Ok(())
     }
 
-    /// The sequential decide step: the routing/feasibility pipeline up
-    /// to and including seating the reservation, but no frame writes.
-    /// `routed_plan` is a caller-held rearrangement plan (from a
-    /// routing preview); whatever happens, deciding runs at most one
+    /// The admission step: the routing/feasibility pipeline, then
+    /// seating the reservation via
+    /// [`RunTimeManager::reserve_room`](rtm_core::RunTimeManager::reserve_room)
+    /// and implementing the design in it via
+    /// [`RunTimeManager::execute_reserved`](rtm_core::RunTimeManager::execute_reserved).
+    /// Success makes the function resident and records the admission; a
+    /// failed implementation is recorded, attributed and its reservation
+    /// cancelled. `routed_plan` is a caller-held rearrangement plan (from
+    /// a routing preview); whatever happens, the step runs at most one
     /// planning pass: a valid plan runs zero (reused for both the
     /// deadline-feasibility check and the reservation), and a stale or
-    /// absent one is planned once and then executed via
-    /// [`RunTimeManager::reserve_room`](rtm_core::RunTimeManager::reserve_room).
-    fn decide(
+    /// absent one is planned once.
+    fn admit_step(
         &mut self,
         q: &Queued,
         routed_plan: Option<RoomPlan>,
         report: &mut ServiceReport,
-    ) -> Result<ReserveOutcome, CoreError> {
+    ) -> Result<Admission, CoreError> {
         let a = q.arrival;
         // A duplicate of a still-resident id would orphan the earlier
         // function in the bookkeeping: refuse it outright.
         if self.resident.contains_key(&a.id) {
             let reason = RejectReason::DuplicateOrSynthesis;
             self.reject(a.id, reason, report);
-            return Ok(ReserveOutcome::Dropped { reason });
+            return Ok(Admission::Dropped(reason));
         }
         // The rearrangement the load would need, so the admission
         // decision can weigh its cost *before* committing. A valid
         // routed plan answers for free; otherwise plan once now.
         let Some(plan) = self.mgr.revalidate_room_plan(a.rows, a.cols, routed_plan) else {
-            return Ok(ReserveOutcome::NoRoom);
+            return Ok(Admission::NoRoom);
         };
         if !plan.is_empty() && !self.config.policy.rearranges() {
-            return Ok(ReserveOutcome::NoRoom);
+            return Ok(Admission::NoRoom);
         }
         // The reconfiguration port is busy for the whole move traffic;
         // the incoming function starts afterwards. If that would miss
@@ -1212,15 +1135,16 @@ impl RuntimeService {
         // and `serve_queue` rejects it once the deadline itself passes.
         let start = self.now + self.port_time(plan.cells_moved());
         if a.deadline.map(|d| start > d).unwrap_or(false) {
-            return Ok(ReserveOutcome::NoRoom);
+            return Ok(Admission::NoRoom);
         }
 
         let Ok(design) = self.design_for(&a) else {
             let reason = RejectReason::DuplicateOrSynthesis;
             self.reject(a.id, reason, report);
-            return Ok(ReserveOutcome::Dropped { reason });
+            return Ok(Admission::Dropped(reason));
         };
-        match self.mgr.reserve_room(a.rows, a.cols, &plan, |_, _, _| {}) {
+        let ticket = match self.mgr.reserve_room(a.rows, a.cols, &plan, |_, _, _| {}) {
+            Ok(ticket) => ticket,
             Err(e) => {
                 // Seating the reservation can fail like a load can: a
                 // planned rearrangement move hits congestion on the
@@ -1231,49 +1155,19 @@ impl RuntimeService {
                 // keeps running.
                 let reason = load_reject_reason(&e);
                 self.reject(a.id, reason, report);
-                Ok(ReserveOutcome::Failed { reason })
+                return Ok(Admission::SeatFailed(reason));
             }
-            Ok(ticket) => {
-                if let Some(s) = self.events.as_ref() {
-                    s.emit(
-                        self.now,
-                        EventKind::Reserved {
-                            id: a.id,
-                            moves: ticket.moves().len(),
-                        },
-                    );
-                }
-                debug_assert!(
-                    self.pending.is_none(),
-                    "a pending ticket is executed before the next decision"
-                );
-                self.pending = Some(PendingTicket {
-                    trace_id: a.id,
-                    queued_at: q.queued_at,
-                    ticket,
-                    design,
-                    start,
-                    duration: a.duration,
-                    tier: a.tier,
-                });
-                Ok(ReserveOutcome::Reserved)
-            }
+        };
+        if let Some(s) = self.events.as_ref() {
+            s.emit(
+                self.now,
+                EventKind::Reserved {
+                    id: a.id,
+                    moves: ticket.moves().len(),
+                },
+            );
         }
-    }
-
-    /// Executes one seated ticket: the implementation half of an
-    /// admission.
-    /// Success makes the function resident and records the admission;
-    /// failure is absorbed, attributed and parked (reservation kept)
-    /// for [`RuntimeService::resolve_ticket`]. Either way the outcome
-    /// joins the resolved set.
-    fn execute_one(
-        &mut self,
-        pt: PendingTicket,
-        report: &mut ServiceReport,
-    ) -> Result<(), CoreError> {
-        let id = pt.trace_id;
-        let fid = pt.ticket.id();
+        let fid = ticket.id();
         let executed = if self.force_fail_loads > 0 {
             // Injected failure (see `force_execute_failures`): nothing
             // is written, exactly like a real execute refusal.
@@ -1281,70 +1175,62 @@ impl RuntimeService {
             Err(RejectReason::LoadOther)
         } else {
             self.mgr
-                .execute_reserved(&pt.design, pt.ticket)
+                .execute_reserved(&design, ticket)
                 .map_err(|e| load_reject_reason(&e))
         };
-        let resolved = match executed {
+        let lr = match executed {
+            Ok(lr) => lr,
             Err(reason) => {
-                // Same absorption/attribution as a decide-time failure;
-                // the arena reservation deliberately stays seated until
-                // the ticket is resolved, so sibling-facing metrics are
-                // identical whichever phase ran this code.
-                self.reject(id, reason, report);
-                ResolvedTicket::Failed(fid, reason)
-            }
-            Ok(lr) => {
-                let waited = self.now - pt.queued_at;
-                let outcome = if lr.moves.is_empty() {
-                    AdmissionOutcome::Immediate { region: lr.region }
-                } else {
-                    AdmissionOutcome::AfterRearrange {
-                        region: lr.region,
-                        moves: lr.moves.len(),
-                        cells_moved: lr.cells_moved(),
-                    }
-                };
-                // The admission's one write site: the counter and its
-                // record, from which immediate admissions and the
-                // per-tier roll-up are derived.
-                report.admitted += 1;
-                report.admissions.push(AdmissionRecord {
-                    trace_id: id,
-                    at: self.now,
-                    waited,
-                    tier: pt.tier,
-                    outcome,
-                });
-                if let Some(s) = self.events.as_ref() {
-                    s.emit(
-                        self.now,
-                        EventKind::Admitted {
-                            id,
-                            waited,
-                            moves: lr.moves.len(),
-                        },
-                    );
-                    s.emit(
-                        self.now,
-                        EventKind::Load {
-                            id,
-                            frames: lr.frames_total(),
-                        },
-                    );
-                }
-                self.account_moves(&lr.moves, &lr.relocations, report);
-                let expiry = pt.duration.map(|d| pt.start + d);
-                self.make_resident(id, lr.id, pt.tier, expiry);
-                ResolvedTicket::Executed
+                // Same absorption/attribution as a failure to seat; the
+                // manager keeps the region reserved across a failed
+                // implementation, so release it here.
+                self.reject(a.id, reason, report);
+                self.mgr.cancel_reservation(fid)?;
+                return Ok(Admission::Seated(TicketOutcome::Failed { reason }));
             }
         };
-        // A reused trace id whose earlier failed ticket was never
-        // resolved would leak that ticket's arena reservation when we
-        // overwrite the entry: release it.
-        if let Some(ResolvedTicket::Failed(old_fid, _)) = self.resolved.insert(id, resolved) {
-            let _ = self.mgr.cancel_reservation(old_fid);
+        let waited = self.now - q.queued_at;
+        let outcome = if lr.moves.is_empty() {
+            AdmissionOutcome::Immediate { region: lr.region }
+        } else {
+            AdmissionOutcome::AfterRearrange {
+                region: lr.region,
+                moves: lr.moves.len(),
+                cells_moved: lr.cells_moved(),
+            }
+        };
+        // The admission's one write site: the counter and its record,
+        // from which immediate admissions and the per-tier roll-up are
+        // derived.
+        report.admitted += 1;
+        report.admissions.push(AdmissionRecord {
+            trace_id: a.id,
+            at: self.now,
+            waited,
+            tier: a.tier,
+            outcome,
+        });
+        if let Some(s) = self.events.as_ref() {
+            s.emit(
+                self.now,
+                EventKind::Admitted {
+                    id: a.id,
+                    waited,
+                    moves: lr.moves.len(),
+                },
+            );
+            s.emit(
+                self.now,
+                EventKind::Load {
+                    id: a.id,
+                    frames: lr.frames_total(),
+                },
+            );
         }
-        Ok(())
+        self.account_moves(&lr.moves, &lr.relocations, report);
+        let expiry = a.duration.map(|d| start + d);
+        self.make_resident(a.id, lr.id, a.tier, expiry);
+        Ok(Admission::Seated(TicketOutcome::Executed))
     }
 
     /// Records a refused or failed admission of `id` on this shard: the

@@ -219,13 +219,13 @@ fn stepping_api_admit_synchronizes_the_clock() {
 }
 
 #[test]
-fn two_phase_reserve_then_execute_matches_admit() {
-    // The decide step seats the ticket (arena reserved, request
-    // accounted) but writes nothing; the execute step implements it;
-    // resolve reports the fate. The one-shot `admit` is exactly this
-    // pipeline run inline.
+fn reserve_admits_in_one_step() {
+    // `reserve` decides, seats the ticket and implements it in one
+    // call: the function is resident as soon as it returns, so
+    // `execute_reserved` has nothing left to do, and `resolve_ticket`
+    // reports the fate once.
     let mut service = RuntimeService::new(ServiceConfig::default());
-    let mut rep = rtm_service::ServiceReport::new("two-phase");
+    let mut rep = rtm_service::ServiceReport::new("one-step");
     let a = Arrival {
         id: 7,
         rows: 4,
@@ -238,15 +238,14 @@ fn two_phase_reserve_then_execute_matches_admit() {
         .reserve(0, rtm_service::AdmissionBid::direct(a), &mut rep)
         .unwrap();
     assert_eq!(decided, rtm_service::ReserveOutcome::Reserved);
-    assert_eq!(rep.submitted, 1, "accounted at decide time");
-    assert_eq!(rep.admitted, 0, "nothing implemented yet");
-    assert_eq!(service.pending_tickets(), 1);
-    assert_eq!(service.resident_count(), 0);
-
-    service.execute_reserved(&mut rep).unwrap();
-    assert_eq!(service.pending_tickets(), 0);
-    assert_eq!(rep.admitted, 1, "the execute phase implemented it");
+    assert_eq!(rep.submitted, 1);
+    assert_eq!(rep.admitted, 1, "reserve implemented the design");
     assert_eq!(service.resident_count(), 1);
+    assert_eq!(service.manager().functions().count(), 1);
+
+    let before = rep.clone();
+    service.execute_reserved(&mut rep).unwrap();
+    assert_eq!(rep, before, "nothing was left to execute");
     assert_eq!(
         service.resolve_ticket(7),
         Ok(rtm_service::TicketOutcome::Executed)
@@ -259,41 +258,36 @@ fn two_phase_reserve_then_execute_matches_admit() {
 }
 
 #[test]
-fn a_second_reserve_executes_the_first_ticket() {
-    // `reserve` executes any pending ticket before it decides, so a
-    // shard never holds more than one.
+fn a_failed_reserve_releases_its_region_at_once() {
+    // A seated ticket whose implementation fails is recorded and its
+    // reservation cancelled inside `reserve`: no region stays reserved
+    // for a function that will never load.
     let mut service = RuntimeService::new(ServiceConfig::default());
-    let mut rep = rtm_service::ServiceReport::new("one-slot");
-    for id in [1, 2] {
-        let a = Arrival {
-            id,
-            rows: 4,
-            cols: 4,
-            duration: None,
-            deadline: None,
-            tier: QosTier::Standard,
-        };
-        let decided = service
-            .reserve(0, rtm_service::AdmissionBid::direct(a), &mut rep)
-            .unwrap();
-        assert_eq!(decided, rtm_service::ReserveOutcome::Reserved);
-    }
+    service.force_execute_failures(1);
+    let mut rep = rtm_service::ServiceReport::new("failed-step");
+    let a = Arrival {
+        id: 3,
+        rows: 4,
+        cols: 4,
+        duration: None,
+        deadline: None,
+        tier: QosTier::Standard,
+    };
+    let decided = service
+        .reserve(0, rtm_service::AdmissionBid::direct(a), &mut rep)
+        .unwrap();
+    assert_eq!(decided, rtm_service::ReserveOutcome::Reserved);
+    assert_eq!(rep.failures, 1, "recorded by reserve itself");
+    assert_eq!(rep.admitted, 0);
+    assert_eq!(service.resident_count(), 0);
+    assert_eq!(service.manager().fragmentation().utilisation(), 0.0);
+    assert!(service.manager().bookkeeping_consistent());
     assert_eq!(
-        service.pending_tickets(),
-        1,
-        "the second reserve ran the first"
+        service.resolve_ticket(3),
+        Ok(rtm_service::TicketOutcome::Failed {
+            reason: rtm_obs::RejectReason::LoadOther
+        })
     );
-    assert_eq!(service.resident_count(), 1);
-
-    service.execute_reserved(&mut rep).unwrap();
-    assert_eq!(service.pending_tickets(), 0);
-    for id in [1, 2] {
-        assert_eq!(
-            service.resolve_ticket(id),
-            Ok(rtm_service::TicketOutcome::Executed)
-        );
-    }
-    assert_eq!(rep.admitted, 2);
 }
 
 #[test]

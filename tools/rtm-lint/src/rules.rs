@@ -53,7 +53,7 @@ pub const RULES: &[RuleInfo] = &[
         scope: "lib/bin/example code outside crates/core and tools/",
         what: "raw RunTimeManager::load/defragment calls bypass the plan-reuse \
                pipeline (stale-plan safety); use load_with_plan/defragment_with_plan \
-               or the service's admit/reserve+execute_reserved",
+               or the service's admit or reserve",
     },
     RuleInfo {
         id: "epoch-discipline",
@@ -82,14 +82,6 @@ pub const RULES: &[RuleInfo] = &[
         what: "unwrap/expect/panic! in library code must be converted to Result \
                propagation or carry a written unreachability justification",
     },
-    RuleInfo {
-        id: "flush-discipline",
-        scope: "crates/service/src/service.rs",
-        what: "every public &mut entry point that touches admission state (takes \
-               &mut ServiceReport) must drain pending tickets first by calling \
-               execute_reserved — flush-on-touch keeps reserved-but-unexecuted \
-               functions out of sight of every caller",
-    },
 ];
 
 /// Runs every applicable rule over one stripped token stream.
@@ -100,7 +92,6 @@ pub fn run_all(rel: &str, kind: FileKind, toks: &[Tok]) -> Vec<Finding> {
     shard_locality(rel, kind, toks, &mut out);
     determinism(rel, kind, toks, &mut out);
     panic_hygiene(rel, kind, toks, &mut out);
-    flush_discipline(rel, toks, &mut out);
     out
 }
 
@@ -133,11 +124,11 @@ fn is_path_call(toks: &[Tok], i: usize, seg: &str, name: &str) -> bool {
 /// Rule 1 — the plan-reuse pipeline is the only way to mutate a device
 /// from outside `rtm-core`. `load`/`defragment` plan internally on
 /// every call; a site that uses them instead of
-/// `load_with_plan`/`defragment_with_plan` — or the service's two-phase
-/// admission (`admit`, or `reserve` + `execute_reserved`, both of which
-/// seat an epoch-stamped ticket and execute through
-/// `RunTimeManager::execute_reserved`) — silently reverts an admission
-/// to triple-planning and sidesteps stale-plan accounting.
+/// `load_with_plan`/`defragment_with_plan` — or the service's admission
+/// (`admit` or `reserve`, each of which seats an epoch-stamped ticket
+/// and implements it through `RunTimeManager::execute_reserved` in one
+/// step) — silently reverts an admission to triple-planning and
+/// sidesteps stale-plan accounting.
 /// `execute_reserved` is a *sanctioned* load entry point: it only ever
 /// implements a ticket a reservation already planned and stamped.
 fn plan_discipline(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding>) {
@@ -164,8 +155,7 @@ fn plan_discipline(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Findin
                     format!(
                         "direct `{name}()` call outside rtm-core bypasses the plan-reuse \
                          pipeline; route it through `{name}_with_plan` (or the service's \
-                         `admit`/`reserve` + `execute_reserved`), or allowlist with a \
-                         rationale"
+                         `admit` or `reserve`), or allowlist with a rationale"
                     ),
                 ));
             }
@@ -267,8 +257,9 @@ fn shard_locality(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding
                         .to_owned(),
                 ),
                 "thread_local" => Some(
-                    "`thread_local!` state silently diverges across a work-stealing \
-                     fleet; keep per-shard state inside the shard"
+                    "`thread_local!` state belongs to a thread, not to a shard, and \
+                     stays behind when the shard moves to another thread; keep \
+                     per-shard state inside the shard"
                         .to_owned(),
                 ),
                 "unsafe" => Some(
@@ -366,121 +357,6 @@ fn panic_hygiene(rel: &str, kind: FileKind, toks: &[Tok], out: &mut Vec<Finding>
             }
         }
     }
-}
-
-/// Rule 6 — flush-on-touch. Every state-observing public entry point
-/// on `RuntimeService` drains the shard's pending admission tickets
-/// *before* touching anything, so no caller ever observes a
-/// reserved-but-unexecuted function, and a shard's event order is the
-/// order in which its requests were decided. Lexically: a
-/// `pub fn` taking `&mut self` and a `&mut ServiceReport` parameter
-/// (the signature shape of every admission-state entry point) must
-/// mention `execute_reserved` in its body. Methods that legitimately
-/// skip the drain (`finish` is infallible and only runs after the
-/// final settle; `restore_migrated` is the rollback arm of an
-/// already-drained migration `extract`) carry allowlist entries with the
-/// written argument.
-fn flush_discipline(rel: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    if !rel.ends_with("crates/service/src/service.rs") {
-        return;
-    }
-    let mut i = 0usize;
-    while i < toks.len() {
-        if toks[i].is_ident("pub") && toks.get(i + 1).is_some_and(|t| t.is_ident("fn")) {
-            if let Some(name) = toks.get(i + 2).and_then(|t| t.ident()) {
-                if let Some(f) = flush_check(rel, toks, i + 3, name, &toks[i + 2]) {
-                    out.push(f);
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-/// The per-function half of [`flush_discipline`]: `sig_start` points
-/// just past the function name. Returns a finding when the signature
-/// matches the entry-point shape but the body never drains.
-fn flush_check(
-    rel: &str,
-    toks: &[Tok],
-    sig_start: usize,
-    name: &str,
-    site: &Tok,
-) -> Option<Finding> {
-    if name == "execute_reserved" {
-        return None;
-    }
-    // Scan the parameter list only (`(` .. matching `)`), so a
-    // `ServiceReport` in return position (e.g. `run`) doesn't count.
-    let open = (sig_start..toks.len())
-        .find(|&j| toks[j].is_punct('(') || toks[j].is_punct('{') || toks[j].is_punct(';'))?;
-    if !toks[open].is_punct('(') {
-        return None;
-    }
-    let mut depth = 0i32;
-    let mut close = open;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                close = k;
-                break;
-            }
-        }
-    }
-    let params = &toks[open..=close];
-    let mut_self = params
-        .windows(3)
-        .any(|w| w[0].is_punct('&') && w[1].is_ident("mut") && w[2].is_ident("self"));
-    let takes_report = params.iter().any(|t| t.is_ident("ServiceReport"));
-    if !(mut_self && takes_report) {
-        return None;
-    }
-    // The body is the next balanced `{ ... }`; `;` first means a
-    // declaration with no body.
-    let mut body_start = None;
-    for (j, t) in toks.iter().enumerate().skip(close + 1) {
-        if t.is_punct('{') {
-            body_start = Some(j);
-            break;
-        }
-        if t.is_punct(';') {
-            break;
-        }
-    }
-    let start = body_start?;
-    let mut depth = 0i32;
-    let mut end = start;
-    for (k, t) in toks.iter().enumerate().skip(start) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                end = k;
-                break;
-            }
-        }
-    }
-    if toks[start..=end]
-        .iter()
-        .any(|t| t.is_ident("execute_reserved"))
-    {
-        return None;
-    }
-    Some(finding(
-        "flush-discipline",
-        rel,
-        site,
-        format!(
-            "`pub fn {name}` takes `&mut self` and a `&mut ServiceReport` but never \
-             calls `execute_reserved`; every admission-state entry point must drain \
-             pending tickets first (flush-on-touch) or carry an allowlist entry with \
-             the argument for why the drain is unnecessary"
-        ),
-    ))
 }
 
 /// Splits a token stream into `fn` items: (name, body tokens). The body
@@ -625,44 +501,6 @@ mod tests {
                    fn f() { let t = Instant::now(); }";
         let f = run("crates/x/src/lib.rs", FileKind::Lib, src);
         assert_eq!(f.iter().filter(|f| f.rule == "determinism").count(), 2);
-    }
-
-    #[test]
-    fn flush_discipline_requires_drain_in_entry_points() {
-        let src = "
-            impl RuntimeService {
-                pub fn bad(&mut self, report: &mut ServiceReport) { report.x += 1; }
-                pub fn good(&mut self, report: &mut ServiceReport) -> Result<(), E> {
-                    self.execute_reserved(report)?;
-                    Ok(())
-                }
-            }";
-        let f = run("crates/service/src/service.rs", FileKind::Lib, src);
-        let hits: Vec<_> = f.iter().filter(|f| f.rule == "flush-discipline").collect();
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].msg.contains("fn bad"));
-    }
-
-    #[test]
-    fn flush_discipline_ignores_other_signatures_and_files() {
-        // Return-position ServiceReport (the `run` shape), &self
-        // getters, and report-free mutators are all out of scope; so is
-        // the drain itself, and so is every other file.
-        let src = "
-            impl RuntimeService {
-                pub fn run(&mut self, t: &Trace) -> Result<ServiceReport, E> { self.x() }
-                pub fn now(&self, report: &mut ServiceReport) -> u64 { 0 }
-                pub fn resolve_ticket(&mut self, id: u64) -> Result<T, E> { self.go(id) }
-                pub fn execute_reserved(&mut self, report: &mut ServiceReport) {}
-            }";
-        let f = run("crates/service/src/service.rs", FileKind::Lib, src);
-        assert!(f.iter().all(|f| f.rule != "flush-discipline"), "{f:?}");
-        let elsewhere = run(
-            "crates/fleet/src/fleet.rs",
-            FileKind::Lib,
-            "pub fn f(&mut self, report: &mut ServiceReport) {}",
-        );
-        assert!(elsewhere.iter().all(|f| f.rule != "flush-discipline"));
     }
 
     #[test]
