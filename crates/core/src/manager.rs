@@ -118,13 +118,15 @@ impl LoadReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
     /// `make_room` planning passes executed (previews, `plan_room`,
-    /// and internal re-planning on loads without a valid plan).
+    /// and internal re-planning on loads without a valid plan); a
+    /// shape asked again on an unchanged layout reads the manager's
+    /// per-epoch cache and runs none.
     pub make_room_calls: u64,
     /// Ordered-compaction planning passes (`plan_defrag`, defrag-gain
     /// summaries, and internal re-planning inside `defragment`).
     pub compaction_plans: u64,
-    /// [`RunTimeManager::preview_admission`] calls (each is also one
-    /// `make_room` pass).
+    /// [`RunTimeManager::preview_admission`] calls, each counted whether
+    /// it planned or was answered from the per-epoch cache.
     pub previews: u64,
     /// Caller-held plans executed as-is: the epoch stamp matched, so no
     /// re-planning happened inside
@@ -312,7 +314,7 @@ impl DefragPlan {
 /// mutation epoch moves; [`PlanStats::summary_hits`] counts how often
 /// the cache answered. The predicted defragmentation gain is deliberately
 /// *not* part of the summary: it costs a compaction planning pass, so it
-/// lives behind its own lazy epoch-keyed cache
+/// has its own lazy entry in the per-epoch cache
 /// ([`RunTimeManager::predicted_defrag_gain`]) and is computed only when
 /// something (the fleet defrag trigger) actually asks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -489,19 +491,31 @@ pub struct RunTimeManager {
     /// Planning counters (interior mutability: the non-mutating planning
     /// API takes `&self`).
     stats: Cell<PlanStats>,
-    /// Epoch-keyed cache of the fragmentation metrics.
-    frag_cache: Cell<Option<(u64, FragMetrics)>>,
-    /// Epoch-keyed cache of the routing summary.
-    summary_cache: Cell<Option<DeviceSummary>>,
-    /// Lazy cache of the whole compaction plan (the plan is itself
-    /// epoch-stamped, so the stamp doubles as the cache key). Computing
-    /// it costs a compaction planning pass, and most queries — routing
-    /// summaries with the fleet trigger disabled — never need it; a
-    /// `RefCell` (not a `Cell`) because the non-`Copy` move list must
-    /// live here so a fleet trigger that already ranked devices by
-    /// predicted gain can execute the winner's plan without planning
-    /// the same cycle again.
-    defrag_cache: RefCell<Option<DefragPlan>>,
+    /// What has been planned or measured on the current layout; emptied
+    /// by every mutation ([`RunTimeManager::bump_epoch`]).
+    cache: RefCell<EpochCache>,
+}
+
+/// `make_room`'s answer for one request shape (`None`: no room).
+type RoomEntry = ((u16, u16), Option<Vec<Move>>);
+/// The admission preview per shape and strategy (its allocation reads it).
+type PreviewEntry = ((u16, u16, Strategy), Option<AdmissionPreview>);
+
+/// What the `&self` planning API answered on the current layout, each
+/// entry filled on its first query; a layout sees few shapes.
+#[derive(Debug, Default)]
+struct EpochCache {
+    frag: Option<FragMetrics>,
+    summary: Option<DeviceSummary>,
+    defrag: Option<DefragPlan>,
+    rooms: Vec<RoomEntry>,
+    previews: Vec<PreviewEntry>,
+}
+
+/// The answer cached under `key` in `entries`, if any.
+fn lookup<K: PartialEq, V: Clone>(entries: &[(K, V)], key: K) -> Option<V> {
+    let (_, v) = entries.iter().find(|(k, _)| *k == key)?;
+    Some(v.clone())
 }
 
 // Compile-time `Send` pin: a manager moves with its shard to whatever
@@ -542,9 +556,7 @@ impl RunTimeManager {
             strategy: Strategy::BestFit,
             epoch: 0,
             stats: Cell::new(PlanStats::default()),
-            frag_cache: Cell::new(None),
-            summary_cache: Cell::new(None),
-            defrag_cache: RefCell::new(None),
+            cache: RefCell::default(),
         }
     }
 
@@ -565,15 +577,17 @@ impl RunTimeManager {
         }
     }
 
-    /// Advances the mutation epoch. Every arena-visible mutation must
-    /// route through here — the epoch is the cache key for every plan,
-    /// summary and fragmentation sample, so a mutation that skipped the
-    /// bump would let a stale plan execute. `rtm-lint`'s
+    /// Advances the mutation epoch and empties the per-epoch cache.
+    /// Every arena-visible mutation must route through here — the epoch
+    /// stamps every plan and summary, and the cache holds answers about
+    /// one layout, so a mutation that skipped the bump would let a stale
+    /// plan execute or a stale answer be served. `rtm-lint`'s
     /// epoch-discipline rule pins this mechanically: arena mutators in
     /// this file must call `bump_epoch`, and nothing else may write
     /// `self.epoch`.
     fn bump_epoch(&mut self) {
         self.epoch += 1;
+        *self.cache.get_mut() = EpochCache::default();
     }
 
     fn bump_stats(&self, f: impl FnOnce(&mut PlanStats)) {
@@ -606,40 +620,33 @@ impl RunTimeManager {
         self.functions.get(&id)
     }
 
-    /// Current fragmentation metrics (epoch-cached: recomputed only
+    /// Current fragmentation metrics (per-epoch cache: recomputed only
     /// after a mutation, so event loops can sample freely).
     pub fn fragmentation(&self) -> FragMetrics {
-        if let Some((epoch, m)) = self.frag_cache.get() {
-            if epoch == self.epoch {
-                return m;
-            }
-        }
-        let m = self.arena.fragmentation();
-        self.frag_cache.set(Some((self.epoch, m)));
-        m
+        let mut cache = self.cache.borrow_mut();
+        *cache.frag.get_or_insert_with(|| self.arena.fragmentation())
     }
 
     /// The cheap routing summary of this device — fragmentation metrics
-    /// stamped with the mutation epoch. Cached — repeated calls between
-    /// mutations cost nothing (counted in [`PlanStats::summary_hits`]),
-    /// which is what lets a fleet router consult every device on every
-    /// arrival without re-measuring the world each time. The predicted
-    /// defragmentation gain is served separately (and lazily) by
+    /// stamped with the mutation epoch. Per-epoch cached — repeated
+    /// calls between mutations cost nothing (counted in
+    /// [`PlanStats::summary_hits`]), which is what lets a fleet router
+    /// consult every device on every arrival without re-measuring the
+    /// world each time. The predicted defragmentation gain is served
+    /// separately (and lazily) by
     /// [`RunTimeManager::predicted_defrag_gain`], because it costs a
     /// compaction planning pass the routing path never needs.
     pub fn summary(&self) -> DeviceSummary {
-        if let Some(s) = self.summary_cache.get() {
-            if s.epoch == self.epoch {
-                self.bump_stats(|st| st.summary_hits += 1);
-                return s;
-            }
+        if let Some(s) = self.cache.borrow().summary {
+            self.bump_stats(|st| st.summary_hits += 1);
+            return s;
         }
         self.bump_stats(|st| st.summary_misses += 1);
         let s = DeviceSummary {
             epoch: self.epoch,
             frag: self.fragmentation(),
         };
-        self.summary_cache.set(Some(s));
+        self.cache.borrow_mut().summary = Some(s);
         s
     }
 
@@ -649,16 +656,29 @@ impl RunTimeManager {
     /// when rearrangement would be needed, `None` when even compaction
     /// cannot help. The returned [`RoomPlan`] is epoch-stamped: hand it
     /// to [`RunTimeManager::load_with_plan`] and the load executes it
-    /// without planning again.
+    /// without planning again. A shape's first request on a layout runs
+    /// one `make_room` pass; a repeat reads the per-epoch cache.
     pub fn plan_room(&self, rows: u16, cols: u16) -> Option<RoomPlan> {
-        self.bump_stats(|s| s.make_room_calls += 1);
-        let moves = make_room(&self.arena, rows, cols)?;
+        let moves = self.room_moves(rows, cols)?;
         Some(RoomPlan {
             epoch: self.epoch,
             rows,
             cols,
             moves,
         })
+    }
+
+    /// `make_room`'s answer for a `rows`×`cols` request on the current
+    /// layout: from the per-epoch cache, or from one counted pass.
+    fn room_moves(&self, rows: u16, cols: u16) -> Option<Vec<Move>> {
+        let shape = (rows, cols);
+        if let Some(moves) = lookup(&self.cache.borrow().rooms, shape) {
+            return moves;
+        }
+        self.bump_stats(|s| s.make_room_calls += 1);
+        let moves = make_room(&self.arena, rows, cols);
+        self.cache.borrow_mut().rooms.push((shape, moves.clone()));
+        moves
     }
 
     /// Revalidates a caller-held room plan: returns `plan` itself when
@@ -705,81 +725,74 @@ impl RunTimeManager {
     }
 
     /// The compaction plan [`RunTimeManager::defragment`] would execute
-    /// now, answered from the lazy epoch-keyed plan cache: the first
-    /// query after a mutation pays one compaction planning pass
-    /// (exactly like [`RunTimeManager::predicted_defrag_gain`], which
-    /// is a view of this cache), every later one is free. A fleet
-    /// trigger that ranked devices by predicted gain hands this cached
-    /// plan straight to [`RunTimeManager::defragment_with_plan`], so a
-    /// fleet-triggered cycle is plan-free end to end — ranking already
-    /// paid the only pass.
+    /// now, from the per-epoch cache: the first query after a mutation
+    /// pays one compaction planning pass (exactly like
+    /// [`RunTimeManager::predicted_defrag_gain`], which reads the same
+    /// entry), every later one is free. A fleet trigger that ranked
+    /// devices by predicted gain hands this cached plan straight to
+    /// [`RunTimeManager::defragment_with_plan`], so a fleet-triggered
+    /// cycle is plan-free end to end — ranking already paid the only
+    /// pass.
     pub fn cached_defrag_plan(&self) -> DefragPlan {
-        if let Some(p) = self.defrag_cache.borrow().as_ref() {
-            if p.epoch == self.epoch {
-                return p.clone();
-            }
-        }
-        let p = self.plan_defrag();
-        *self.defrag_cache.borrow_mut() = Some(p.clone());
-        p
+        self.read_defrag_plan(DefragPlan::clone)
     }
 
     /// Predicted drop of the fragmentation index if
     /// [`RunTimeManager::defragment`] ran now (zero when the cycle would
-    /// be skipped as useless). Lazily epoch-cached in the same plan
-    /// cache as [`RunTimeManager::cached_defrag_plan`]: the first query
-    /// after a mutation pays one compaction planning pass, every later
-    /// one reads the gain through the cache borrow (no plan clone) — so
-    /// a fleet trigger ranking all devices costs one pass per *mutated*
-    /// device per query wave, and routing paths that never ask pay
-    /// nothing at all.
+    /// be skipped as useless). It reads the compaction plan of
+    /// [`RunTimeManager::cached_defrag_plan`] in the per-epoch cache
+    /// (no plan clone): the first query after a mutation pays one
+    /// compaction planning pass, every later one is free — so a fleet
+    /// trigger ranking all devices costs one pass per *mutated* device
+    /// per query wave, and routing paths that never ask pay nothing at
+    /// all.
     pub fn predicted_defrag_gain(&self) -> f64 {
-        if let Some(p) = self.defrag_cache.borrow().as_ref() {
-            if p.epoch == self.epoch {
-                return p.predicted_gain();
-            }
+        self.read_defrag_plan(DefragPlan::predicted_gain)
+    }
+
+    /// Reads the cached compaction plan, planning it first on a miss.
+    fn read_defrag_plan<T>(&self, read: impl FnOnce(&DefragPlan) -> T) -> T {
+        if let Some(p) = self.cache.borrow().defrag.as_ref() {
+            return read(p);
         }
         let p = self.plan_defrag();
-        let gain = p.predicted_gain();
-        *self.defrag_cache.borrow_mut() = Some(p);
-        gain
+        read(self.cache.borrow_mut().defrag.insert(p))
     }
 
     /// Previews — without executing anything — the full admission of a
     /// `rows`×`cols` function: the rearrangement [`RunTimeManager::load`]
-    /// would execute, the region the allocator would then hand out, and
-    /// the fragmentation metrics the device would be left with. `None`
-    /// when even compaction cannot make room.
+    /// would execute, the region the allocator would then hand out under
+    /// [`RunTimeManager::strategy`], and the fragmentation metrics the
+    /// device would be left with. `None` when even compaction cannot
+    /// make room. A repeat of a shape and strategy on one layout reads
+    /// the per-epoch cache; a first one plans through `plan_room`.
     ///
     /// This is the cross-device routing primitive: a fleet-level router
     /// can ask every device "what would admitting this cost you and what
     /// state would it leave you in" and pick the device whose
     /// post-placement fragmentation is lowest.
     pub fn preview_admission(&self, rows: u16, cols: u16) -> Option<AdmissionPreview> {
-        self.bump_stats(|s| {
-            s.previews += 1;
-            s.make_room_calls += 1;
-        });
-        let moves = make_room(&self.arena, rows, cols)?;
-        let mut scratch = self.arena.clone();
-        for mv in &moves {
-            scratch.relocate(mv.id, mv.to).ok()?;
+        self.bump_stats(|s| s.previews += 1);
+        let key = (rows, cols, self.strategy);
+        if let Some(preview) = lookup(&self.cache.borrow().previews, key) {
+            return preview;
         }
-        // An id no real function can hold: the preview allocation exists
-        // only on the scratch copy.
-        let region = scratch
-            .allocate(FunctionId::MAX, rows, cols, self.strategy)
-            .ok()?;
-        Some(AdmissionPreview {
-            plan: RoomPlan {
-                epoch: self.epoch,
-                rows,
-                cols,
-                moves,
-            },
-            region,
-            after: scratch.fragmentation(),
-        })
+        let found = self.plan_room(rows, cols).and_then(|plan| {
+            let mut scratch = self.arena.clone();
+            for mv in plan.moves() {
+                scratch.relocate(mv.id, mv.to).ok()?;
+            }
+            // An id no real function can hold: the preview allocation
+            // exists only on the scratch copy.
+            let region = scratch.allocate(FunctionId::MAX, rows, cols, self.strategy);
+            Some(AdmissionPreview {
+                plan,
+                region: region.ok()?,
+                after: scratch.fragmentation(),
+            })
+        });
+        self.cache.borrow_mut().previews.push((key, found.clone()));
+        found
     }
 
     /// Fragmentation metrics this device would show if `id` were
@@ -1183,8 +1196,7 @@ impl RunTimeManager {
                 if stale.is_some() {
                     self.bump_stats(|s| s.plans_invalidated += 1);
                 }
-                self.bump_stats(|s| s.make_room_calls += 1);
-                make_room(&self.arena, rows, cols).ok_or(CoreError::Place(
+                self.room_moves(rows, cols).ok_or(CoreError::Place(
                     rtm_place::PlaceError::NoFit { rows, cols },
                 ))?
             }
@@ -1991,6 +2003,41 @@ mod tests {
     }
 
     #[test]
+    fn planning_is_cached_per_layout() {
+        let (mut mgr, resident) = fragmented_mgr();
+        let plan = mgr.plan_room(16, 12).expect("satisfiable");
+        assert!(!plan.is_empty());
+        // A repeat plan and a preview of the same shape on the same
+        // layout run no pass: they read the per-epoch cache.
+        let base = mgr.plan_stats();
+        assert_eq!(mgr.plan_room(16, 12), Some(plan.clone()));
+        let preview = mgr.preview_admission(16, 12).expect("satisfiable");
+        assert_eq!(preview.plan, plan);
+        let delta = mgr.plan_stats().delta_since(base);
+        assert_eq!(delta.make_room_calls, 0, "{delta}");
+        assert_eq!(delta.previews, 1, "every preview call counts");
+
+        // A mutation empties the cache: the next call plans again.
+        mgr.unload(resident).unwrap();
+        let base = mgr.plan_stats();
+        let replanned = mgr.plan_room(16, 12).expect("fits");
+        assert!(replanned.is_empty(), "the empty device needs no moves");
+        assert_eq!(replanned.epoch(), mgr.epoch());
+        assert_eq!(mgr.plan_stats().delta_since(base).make_room_calls, 1);
+
+        // The preview's region follows the strategy the caller set, even
+        // at one epoch.
+        let epoch = mgr.epoch();
+        mgr.strategy = Strategy::FirstFit;
+        let first_fit = mgr.preview_admission(4, 4).unwrap().region;
+        mgr.strategy = Strategy::BottomLeft;
+        let bottom_left = mgr.preview_admission(4, 4).unwrap().region;
+        assert_eq!(mgr.epoch(), epoch);
+        assert_eq!(first_fit.origin, ClbCoord::new(0, 0));
+        assert_eq!(bottom_left.origin, ClbCoord::new(12, 0));
+    }
+
+    #[test]
     fn defrag_gain_is_lazy_and_cached_per_epoch() {
         let mut mgr = RunTimeManager::new(Part::Xcv50);
         let r = mgr.load(&small_design(5), 8, 8, |_, _, _| {}).unwrap();
@@ -2099,6 +2146,33 @@ mod tests {
         }
     }
 
+    /// Every answer the per-epoch cache serves equals a fresh one
+    /// computed from the arena. Asked after each op of a sequence, this
+    /// also catches an answer kept across a mutation.
+    fn assert_cache_is_fresh(mgr: &RunTimeManager) {
+        let fresh = mgr.arena.fragmentation();
+        assert_eq!(mgr.fragmentation(), fresh);
+        assert_eq!(mgr.summary().frag, fresh);
+        assert_eq!(
+            mgr.predicted_defrag_gain(),
+            mgr.plan_defrag().predicted_gain()
+        );
+        for (rows, cols) in [(4, 4), (8, 8), (16, 12)] {
+            let moves = make_room(&mgr.arena, rows, cols);
+            assert_eq!(mgr.plan_room(rows, cols).map(|p| p.moves), moves);
+            let preview = moves.and_then(|moves| {
+                let mut scratch = mgr.arena.clone();
+                for mv in &moves {
+                    scratch.relocate(mv.id, mv.to).ok()?;
+                }
+                let region = scratch.allocate(FunctionId::MAX, rows, cols, mgr.strategy);
+                Some((moves, region.ok()?, scratch.fragmentation()))
+            });
+            let cached = mgr.preview_admission(rows, cols);
+            assert_eq!(cached.map(|p| (p.plan.moves, p.region, p.after)), preview);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -2108,6 +2182,8 @@ mod tests {
         /// must rewrite exactly the frames that differ from it; an
         /// extraction restored must equal a snapshot taken just before
         /// it, even when the extraction started in a dirty interval.
+        /// After each op, the per-epoch cache answers as a fresh
+        /// computation from the arena would.
         #[test]
         fn journal_recovery_equals_a_full_copy(
             ops in proptest::collection::vec(
@@ -2201,6 +2277,7 @@ mod tests {
                     prop_assert_eq!(mgr.recover().unwrap(), 0);
                 }
                 prop_assert!(mgr.bookkeeping_consistent());
+                assert_cache_is_fresh(&mgr);
                 ckpt = mgr.device().config().snapshot();
             }
         }

@@ -280,13 +280,6 @@ pub struct RuntimeService {
     /// Manager plan-stats snapshot at the start of the current run —
     /// [`RuntimeService::finish`] reports the delta.
     stats_base: PlanStats,
-    /// The queue head that last failed to place, with the manager epoch
-    /// it failed at. While the head and epoch are unchanged, serving
-    /// the queue is a no-op without re-planning: `make_room` is a pure
-    /// function of the layout, and deadline slack only shrinks as the
-    /// clock advances, so a blocked head stays blocked until the device
-    /// mutates.
-    head_blocked: Option<(u64, u64)>,
     /// Deterministic event stream, recorded when tracing is enabled
     /// ([`RuntimeService::enable_events`]). `None` keeps the hot path
     /// branch-cheap. Manager-level events (loads, defrag cycles) are
@@ -326,7 +319,6 @@ impl RuntimeService {
             resident: BTreeMap::new(),
             queue: VecDeque::new(),
             stats_base: PlanStats::default(),
-            head_blocked: None,
             events: None,
             resolved: BTreeMap::new(),
             force_fail_loads: 0,
@@ -1057,14 +1049,6 @@ impl RuntimeService {
                 .sort_by_key(|q| (q.arrival.area(), q.queued_at)),
         }
         while let Some(q) = self.queue.front().copied() {
-            // A head that already failed to place at this exact epoch
-            // cannot succeed now: the layout is unchanged and deadline
-            // slack only shrinks. Skip the redundant planning pass —
-            // this is what keeps an idle-but-blocked queue from paying
-            // one `make_room` per processed instant.
-            if self.head_blocked == Some((q.arrival.id, self.mgr.epoch())) {
-                break;
-            }
             // Dequeued precedes the admission outcome; a NoRoom head
             // stays queued, so its speculative event rolls back.
             let mark = self.events.as_ref().map(EventBuffer::mark);
@@ -1084,10 +1068,8 @@ impl RuntimeService {
                 if let (Some(b), Some(m)) = (self.events.as_ref(), mark) {
                     b.truncate(m);
                 }
-                self.head_blocked = Some((q.arrival.id, self.mgr.epoch()));
                 break;
             }
-            self.head_blocked = None;
             self.queue.pop_front();
         }
         Ok(())
