@@ -429,9 +429,19 @@ impl NetDb {
         let mut net = RoutedNet::new(source);
         dev.hold_node(source);
         let mut search = Search::new(dev, within);
+        // The net's nodes in node order, grown with each committed branch
+        // instead of rebuilt from the paths for every sink.
+        let mut nodes = vec![source];
         for sink in sinks {
-            match self.find_path(dev, &mut search, &net, *sink) {
-                Ok(path) => net.commit(dev, *sink, path),
+            match self.find_path(dev, &mut search, &net, &nodes, *sink) {
+                Ok((path, new)) => {
+                    for &node in &path[new..] {
+                        if let Err(at) = nodes.binary_search(&node) {
+                            nodes.insert(at, node);
+                        }
+                    }
+                    net.commit(dev, *sink, path);
+                }
                 Err(e) => {
                     // Roll back everything committed for this net.
                     net.release(dev);
@@ -462,8 +472,8 @@ impl NetDb {
     ) -> Result<(), SimError> {
         let mut net = self.nets[id].take().expect("live net");
         let mut search = Search::new(dev, within);
-        let found = self.find_path(dev, &mut search, &net, sink);
-        let result = found.map(|path| net.commit(dev, sink, path));
+        let found = self.find_path(dev, &mut search, &net, &net.nodes(), sink);
+        let result = found.map(|(path, _)| net.commit(dev, sink, path));
         self.nets[id] = Some(net);
         result
     }
@@ -551,24 +561,25 @@ impl NetDb {
         }
     }
 
-    /// A shortest path from the net's current nodes to `sink`, the one
-    /// a plain breadth-first search finds, counted in
-    /// [`NetDb::route_stats`].
+    /// A shortest path from `nodes`, the net's current nodes in node
+    /// order, to `sink`, the one a plain breadth-first search finds,
+    /// counted in [`NetDb::route_stats`]. Returns the full source → sink
+    /// path and the index where its nodes new to the net start.
     fn find_path(
         &mut self,
         dev: &Device,
         search: &mut Search,
         net: &RoutedNet,
+        nodes: &[RouteNode],
         sink: RouteNode,
-    ) -> Result<Vec<RouteNode>, SimError> {
+    ) -> Result<(Vec<RouteNode>, usize), SimError> {
         // The sink pin itself may be shared (paralleled outputs drive a
         // pin that already belongs to another net), but must not already
         // belong to *this* net.
-        let nodes = net.nodes();
         if nodes.binary_search(&sink).is_ok() {
             return Err(SimError::SinkOccupied { pin: sink });
         }
-        let (branch, pops) = search.run(dev, &nodes, sink);
+        let (branch, pops) = search.run(dev, nodes, sink);
         self.stats.searches += 1;
         self.stats.nodes_expanded += pops;
         let branch = branch.ok_or(SimError::Unroutable {
@@ -579,8 +590,9 @@ impl NetDb {
         // prepend the source → branch-point chain so the stored path is
         // a full source → sink chain.
         let mut path = net.chain_to(branch[0]);
+        let new = path.len();
         path.extend_from_slice(&branch[1..]);
-        Ok(path)
+        Ok((path, new))
     }
 }
 
