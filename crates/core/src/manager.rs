@@ -136,7 +136,7 @@ pub struct PlanStats {
     /// Caller-held plans rejected as stale (epoch mismatch) and
     /// re-planned instead of executed.
     pub plans_invalidated: u64,
-    /// [`RunTimeManager::summary`] calls answered from the epoch-keyed
+    /// [`RunTimeManager::summary`] calls answered from the per-epoch
     /// cache.
     pub summary_hits: u64,
     /// [`RunTimeManager::summary`] calls that had to recompute.
